@@ -4,6 +4,13 @@ A :class:`Jet2` carries the value, gradient and Hessian of a scalar with
 respect to a fixed set of active variables, and propagates them exactly
 through arithmetic and the elementary functions.  Storage is dense; the
 active-variable count is small (at most 2n+1 for the charts used here).
+
+``Jet2`` and its algebra are public API and the reference semantics of
+derivatives in this package, but they are not the hot path.
+:class:`~contactmech.expr.ScalarField` compiles each field once into
+straight-line code that applies the same formulas to sparse entries (see
+``contactmech._tape``) and returns a ``Jet2``.  The tests check that compiled
+code against this algebra.
 """
 
 from __future__ import annotations

@@ -4,14 +4,17 @@ A scenario names a system (builtin or inline expression), an initial state
 and integrator settings, candidate symmetries, generator families, and check
 toggles.  Running it writes a CSV with the trajectory and all monitored
 quantities, plus a JSON report carrying every residual with its tolerance.
-Exit code 0 means every enabled check passed, 1 means some check failed,
-2 means the configuration was unusable.
+Exit code 0 means every enabled check passed, 1 means some check failed
+(a residual that is NaN or infinite fails its check), 2 means the
+configuration was unusable or the numerics failed (a domain error, a
+degenerate system, an integration that broke down, no usable sample points).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys as _sys
 import tempfile
@@ -20,14 +23,20 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import symmetry
-from .contact_core import HamiltonianSystem, flat_coeffs, lie_derivative_eta_coeffs
+from .contact_core import HamiltonianSystem, _worse, flat_coeffs, lie_derivative_eta_coeffs
 from .expr import ParseError, ScalarField, hamiltonian_chart, lagrangian_chart
 from .fields import AmbientVectorField, DynamicsVectorField
-from .integrate import IntegratorConfig, Trajectory, integrate_hamiltonian, integrate_lagrangian
+from .integrate import (
+    IntegrationError,
+    IntegratorConfig,
+    Trajectory,
+    integrate_hamiltonian,
+    integrate_lagrangian,
+)
 from .lagrangian import LagrangianSystem
 from .lifts import VectorFieldQ, VectorFieldQR, VerticalMomentumQuantity
 from .momentum import GeneratorFamily, momentum_dissipation_check, reeb_annihilation_check
-from .sampling import regular_states, sample_states
+from .sampling import SamplingError, regular_states, sample_states
 from .symmetry import SymmetryCandidate, classify
 
 __all__ = ["main", "run_scenario", "list_builtins", "bundled_scenario_path", "ConfigError"]
@@ -397,15 +406,27 @@ def load_scenario(config_path: str, *, seed=None) -> Scenario:
 # -- checks ----------------------------------------------------------------------
 
 
+def _finite(*residuals) -> bool:
+    return all(r is None or math.isfinite(r) for r in residuals)
+
+
+def _check_entry(name: str, residual, tolerance, ok, finite: bool) -> dict:
+    """One report entry; a non-finite residual fails it whatever was expected."""
+    doc = {"name": name, "residual": residual, "tolerance": tolerance, "pass": bool(ok and finite)}
+    if not finite:
+        doc["note"] = "non-finite residual"
+    return doc
+
+
 def _structure_checks(scn: Scenario, states, tol_scale: float) -> list[dict]:
     system = scn.system
     entries = []
 
     def entry(name, residual, tol):
         tol = tol * tol_scale
+        residual = float(residual)
         entries.append(
-            {"name": f"structure.{name}", "residual": float(residual), "tolerance": tol,
-             "pass": bool(residual <= tol)}
+            _check_entry(f"structure.{name}", residual, tol, residual <= tol, _finite(residual))
         )
 
     if scn.kind == "lagrangian":
@@ -416,11 +437,11 @@ def _structure_checks(scn: Scenario, states, tol_scale: float) -> list[dict]:
             energy, denergy = system.hamiltonian_value_and_gradient(u)
             rate = system.reeb_rate(u)
             eta = system.eta(u)
-            sode = max(sode, float(np.max(np.abs(xi[:n] - u[n : 2 * n]))))
-            eta_dyn = max(eta_dyn, abs(float(eta @ xi) + energy))
-            dz_res = max(dz_res, abs(xi[-1] - system.jet(u).value))
-            rate_res = max(rate_res, abs(rate + system.jet(u).gradient[-1]))
-            flat_res = max(
+            sode = _worse(sode, float(np.max(np.abs(xi[:n] - u[n : 2 * n]))))
+            eta_dyn = _worse(eta_dyn, abs(float(eta @ xi) + energy))
+            dz_res = _worse(dz_res, abs(xi[-1] - system.jet(u).value))
+            rate_res = _worse(rate_res, abs(rate + system.jet(u).gradient[-1]))
+            flat_res = _worse(
                 flat_res,
                 float(np.max(np.abs(flat_coeffs(system, u, xi) - (denergy - (rate + energy) * eta)))),
             )
@@ -437,14 +458,14 @@ def _structure_checks(scn: Scenario, states, tol_scale: float) -> list[dict]:
             h_val, h_grad = system.hamiltonian_value_and_gradient(u)
             rate = system.reeb_rate(u)
             eta = system.eta(u)
-            eta_dyn = max(eta_dyn, abs(float(eta @ xh) + h_val))
-            flat_res = max(
+            eta_dyn = _worse(eta_dyn, abs(float(eta @ xh) + h_val))
+            flat_res = _worse(
                 flat_res,
                 float(np.max(np.abs(flat_coeffs(system, u, xh) - (h_grad - (rate + h_val) * eta)))),
             )
             lie = lie_derivative_eta_coeffs(system, dyn, u)
-            conformal = max(conformal, float(np.max(np.abs(lie + rate * eta))))
-            energy_rate = max(energy_rate, abs(float(h_grad @ xh) + rate * h_val))
+            conformal = _worse(conformal, float(np.max(np.abs(lie + rate * eta))))
+            energy_rate = _worse(energy_rate, abs(float(h_grad @ xh) + rate * h_val))
         entry("eta_of_dynamics", eta_dyn, 1e-12)
         entry("flat_of_dynamics", flat_res, 1e-9)
         entry("conformal", conformal, 1e-8)
@@ -480,12 +501,13 @@ def _candidate_checks(scn: Scenario, states, traj, tol_scale: float):
         doc["pass"] = bool(ok)
         reports.append(doc)
         entries.append(
-            {
-                "name": f"symmetry.{candidate.name}",
-                "residual": report.dissipation_residual,
-                "tolerance": report.tolerances.get(report.classification or "generalized"),
-                "pass": bool(ok),
-            }
+            _check_entry(
+                f"symmetry.{candidate.name}",
+                report.dissipation_residual,
+                report.tolerances.get(report.classification or "generalized"),
+                ok,
+                _finite(report.dissipation_residual, *report.residuals.values()),
+            )
         )
     return entries, reports
 
@@ -518,13 +540,16 @@ def _family_checks(scn: Scenario, states, tol_scale: float):
                 "pass": bool(ok),
             }
         )
+        residuals = (diss.hypothesis_residuals, diss.dissipation_residuals, diss.dynamical_residuals,
+                     reeb.eta_preservation_residuals, reeb.reeb_residuals)
         entries.append(
-            {
-                "name": f"momentum.{family.label}",
-                "residual": float(np.max(diss.dissipation_residuals)),
-                "tolerance": diss.tolerance,
-                "pass": bool(ok),
-            }
+            _check_entry(
+                f"momentum.{family.label}",
+                float(np.max(diss.dissipation_residuals)),
+                diss.tolerance,
+                ok,
+                all(np.all(np.isfinite(r)) for r in residuals),
+            )
         )
     return entries, docs
 
@@ -550,10 +575,7 @@ def _quotient_checks(scn: Scenario, traj: Trajectory, reports: list[dict], tol_s
             continue
         ratio = traj.monitors[key] / energy
         drift = float(np.max(np.abs(ratio - ratio[0])))
-        entries.append(
-            {"name": f"quotient.{name}", "residual": drift, "tolerance": tol,
-             "pass": bool(drift <= tol)}
-        )
+        entries.append(_check_entry(f"quotient.{name}", drift, tol, drift <= tol, _finite(drift)))
     return entries
 
 
@@ -592,14 +614,12 @@ def write_csv(path: str, traj: Trajectory) -> None:
     _atomic_write(path, "\n".join(rows) + "\n")
 
 
-def run_scenario(config_path: str, *, seed=None, tol_scale: float = 1.0) -> int:
-    """Run one scenario; returns the process exit code (0 pass, 1 fail, 2 config)."""
-    try:
-        scn = load_scenario(config_path, seed=seed)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=_sys.stderr)
-        return 2
+# what the numerics can raise on a usable configuration
+_NUMERICAL_FAILURES = (ArithmeticError, IntegrationError, SamplingError, np.linalg.LinAlgError)
 
+
+def _evaluate(scn: Scenario, tol_scale: float):
+    """Sample, integrate and check; returns the trajectory and the report parts."""
     system = scn.system
     rng = np.random.default_rng(scn.seed)
     if scn.kind == "lagrangian":
@@ -655,6 +675,27 @@ def run_scenario(config_path: str, *, seed=None, tol_scale: float = 1.0) -> int:
         entries.extend(fentries)
     if scn.checks.get("quotients", True) and traj is not None and candidate_docs:
         entries.extend(_quotient_checks(scn, traj, candidate_docs, tol_scale))
+
+    return traj, integration_doc, entries, candidate_docs, family_docs
+
+
+def run_scenario(config_path: str, *, seed=None, tol_scale: float = 1.0) -> int:
+    """Run one scenario; returns the process exit code.
+
+    0 every enabled check passed, 1 some check failed, 2 the configuration
+    was unusable or the numerics failed (one ``error:`` line on stderr).
+    """
+    try:
+        scn = load_scenario(config_path, seed=seed)
+    except ConfigError as exc:
+        print(f"config error: {exc}", file=_sys.stderr)
+        return 2
+    try:
+        traj, integration_doc, entries, candidate_docs, family_docs = _evaluate(scn, tol_scale)
+    except _NUMERICAL_FAILURES as exc:
+        print(f"error: {' '.join(str(exc).split())}", file=_sys.stderr)
+        return 2
+    system = scn.system
 
     all_pass = all(e["pass"] is not False for e in entries)
 

@@ -176,6 +176,32 @@ def _as_states(points, dim: int) -> np.ndarray:
     return mat
 
 
+def _worse(worst: float, residual: float) -> float:
+    """The larger residual; NaN once either is NaN (``max(0.0, nan)`` is 0.0)."""
+    if residual > worst or residual != residual:
+        return residual
+    return worst
+
+
+class _JetMemo:
+    """A field's jet at the last point asked for, shared by repeated queries."""
+
+    __slots__ = ("field", "key", "jet")
+
+    def __init__(self, field: ScalarField):
+        self.field = field
+        self.key = None
+        self.jet = None
+
+    def __call__(self, u) -> Jet2:
+        u = np.asarray(u, dtype=float)
+        key = u.tobytes()
+        if key != self.key:
+            self.jet = self.field.jet_at(u)
+            self.key = key
+        return self.jet
+
+
 # -- the Darboux chart and Hamiltonian systems --------------------------------
 
 
@@ -243,17 +269,10 @@ class HamiltonianSystem:
         self.dim = self.geometry.dim
         self.chart = self.geometry.chart
         self.hamiltonian = hamiltonian
-        self._memo = (None, None)
+        self._jet = _JetMemo(hamiltonian)
 
     def jet(self, u) -> Jet2:
-        u = np.asarray(u, dtype=float)
-        key = u.tobytes()
-        memo_key, memo_jet = self._memo
-        if key == memo_key:
-            return memo_jet
-        jet = self.hamiltonian.jet_at(u)
-        self._memo = (key, jet)
-        return jet
+        return self._jet(u)
 
     # chart geometry, forwarded
 
@@ -407,7 +426,7 @@ def dissipation_residual(system, f, points) -> float:
     worst = 0.0
     for u in states:
         val, grad = f.value_and_gradient_at(u)
-        worst = max(worst, abs(grad @ system.dynamics(u) + system.reeb_rate(u) * val))
+        worst = _worse(worst, abs(grad @ system.dynamics(u) + system.reeb_rate(u) * val))
     return worst
 
 
@@ -435,7 +454,7 @@ def check_conformal_contactomorphism(X, points, *, geometry=None, tol=DEFAULT_TO
         lie = lie_derivative_eta_coeffs(geometry, X, u)
         a = float(lie @ geometry.reeb(u))
         a_values[k] = a
-        residual = max(residual, float(np.max(np.abs(lie - a * geometry.eta(u)))))
+        residual = _worse(residual, float(np.max(np.abs(lie - a * geometry.eta(u)))))
     return ConformalCheck(residual <= tol, a_values, residual, tol)
 
 
@@ -457,7 +476,7 @@ def check_dynamical_symmetry(system, X, points, *, tol=DEFAULT_TOL) -> Dynamical
     residual = 0.0
     for u in states:
         bracket = lie_bracket_value(dyn, X, u)
-        residual = max(residual, abs(eta_pairing(system, u, bracket)))
+        residual = _worse(residual, abs(eta_pairing(system, u, bracket)))
     dissipated = LinearCombinationQuantity(((-1.0, EtaPairingQuantity(system, X)),))
     return DynamicalSymmetryCheck(residual, dissipated, tol)
 
@@ -471,7 +490,7 @@ class CartanSymmetryCheck:
 
     @property
     def passed(self) -> bool:
-        return max(self.residual_form, self.residual_energy) <= self.tolerance
+        return _worse(self.residual_form, self.residual_energy) <= self.tolerance
 
 
 def check_cartan_symmetry(system, X, a, g, points, *, tol=DEFAULT_TOL) -> CartanSymmetryCheck:
@@ -483,10 +502,10 @@ def check_cartan_symmetry(system, X, a, g, points, *, tol=DEFAULT_TOL) -> Cartan
         lie = lie_derivative_eta_coeffs(system, X, u)
         a_val = a.value_at(u)
         g_val, g_grad = g.value_and_gradient_at(u)
-        res_form = max(res_form, float(np.max(np.abs(lie - a_val * system.eta(u) - g_grad))))
+        res_form = _worse(res_form, float(np.max(np.abs(lie - a_val * system.eta(u) - g_grad))))
         h_val, h_grad = system.hamiltonian_value_and_gradient(u)
         x_of_h = h_grad @ X.value(u)
-        res_energy = max(
+        res_energy = _worse(
             res_energy, abs(x_of_h - a_val * h_val - g_val * system.reeb_rate(u))
         )
     dissipated = LinearCombinationQuantity(

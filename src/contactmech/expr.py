@@ -22,12 +22,12 @@ appearing free in an expression must be bound as a named parameter.
 
 from __future__ import annotations
 
-import math
 import re
 from dataclasses import dataclass, field
 
-from . import ad
-from .ad import DomainError, Jet2
+import numpy as np
+
+from .ad import Jet2
 
 __all__ = [
     "ParseError",
@@ -288,74 +288,6 @@ def free_variables(node: Node) -> set[str]:
 
 # -- evaluation --------------------------------------------------------------
 
-_FLOAT_UNARY = {
-    "neg": lambda a: -a,
-    "sin": math.sin,
-    "cos": math.cos,
-    "exp": math.exp,
-    "log": ad.log,
-    "sqrt": lambda a: math.sqrt(a) if a >= 0.0 else _domain_fail("sqrt", a),
-}
-
-
-def _domain_fail(op, value):
-    raise DomainError(f"{op} requires a nonnegative argument, got {value}")
-
-
-def _float_pow(a: float, b: float) -> float:
-    if float(b).is_integer():
-        if a == 0.0 and b < 0:
-            raise DomainError("division by zero")
-        return a ** int(b)
-    if a <= 0.0:
-        raise DomainError(f"power with non-integer exponent requires a positive base, got {a}")
-    return a**b
-
-
-def _float_div(a: float, b: float) -> float:
-    if b == 0.0:
-        raise DomainError("division by zero")
-    return a / b
-
-
-_FLOAT_BINARY = {
-    "add": lambda a, b: a + b,
-    "sub": lambda a, b: a - b,
-    "mul": lambda a, b: a * b,
-    "div": _float_div,
-    "pow": _float_pow,
-}
-
-_JET_BINARY = {"add": ad.add, "sub": ad.sub, "mul": ad.mul, "div": ad.div, "pow": ad.power}
-_JET_UNARY = {"neg": ad.neg, "sin": ad.sin, "cos": ad.cos, "exp": ad.exp, "log": ad.log, "sqrt": ad.sqrt}
-
-
-def _fold(node: Node, env: dict):
-    kind = node.__class__
-    if kind is Var:
-        try:
-            return env[node.name]
-        except KeyError:
-            raise ValueError(f"unbound identifier {node.name!r}") from None
-    if kind is Num:
-        return node.value
-    if kind is Binary:
-        a = _fold(node.left, env)
-        b = _fold(node.right, env)
-        if type(a) is float and type(b) is float:
-            return _FLOAT_BINARY[node.op](a, b)
-        return _JET_BINARY[node.op](a, b)
-    if kind is Unary:
-        a = _fold(node.operand, env)
-        if type(a) is float:
-            return _FLOAT_UNARY[node.op](a)
-        return _JET_UNARY[node.op](a)
-    # Call
-    a = _fold(node.arg, env)
-    if type(a) is float:
-        return _FLOAT_UNARY[node.func](a)
-    return _JET_UNARY[node.func](a)
-
 
 @dataclass(frozen=True)
 class ScalarField:
@@ -398,24 +330,28 @@ class ScalarField:
                 f"point has {len(point)} coordinates, chart has {len(self.chart)}"
             )
 
+    def _compiled(self, name: str):
+        # built on first use and kept outside the dataclass fields, so ==
+        # and repr never see it; _tape needs this module's node classes
+        from . import _tape
+
+        fn = getattr(_tape, f"compile_{name}")(self.ast, self.chart, self._param_env)
+        object.__setattr__(self, f"_{name}_code", fn)
+        return fn
+
     def jet_at(self, point) -> Jet2:
         """Value, gradient and Hessian with respect to the chart variables."""
         self._check_point(point)
-        env = self._param_env.copy()
-        jets = ad.seed_variables(point)
-        for name, jet in zip(self.chart, jets):
-            env[name] = jet
-        result = _fold(self.ast, env)
-        if type(result) is float:
-            return ad.constant(result, len(self.chart))
-        return result
+        x = np.asarray(point, dtype=float)
+        if x.ndim != 1 or x.shape[0] == 0:
+            raise ValueError("seed_variables requires a nonempty 1-d vector of values")
+        fn = self.__dict__.get("_jet_code") or self._compiled("jet")
+        return fn(x.tolist())
 
     def value_at(self, point) -> float:
         self._check_point(point)
-        env = self._param_env.copy()
-        for name, v in zip(self.chart, point):
-            env[name] = float(v)
-        return _fold(self.ast, env)
+        fn = self.__dict__.get("_value_code") or self._compiled("value")
+        return fn(np.asarray(point, dtype=float).tolist())
 
     def value_and_gradient_at(self, point):
         jet = self.jet_at(point)

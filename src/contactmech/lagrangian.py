@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ad import Jet2
-from .contact_core import ContactPoint, OneFormValue, TangentValue, _as_states
+from .contact_core import ContactPoint, OneFormValue, TangentValue, _as_states, _JetMemo, _worse
 from .expr import ScalarField, lagrangian_chart
 
 __all__ = [
@@ -100,19 +100,12 @@ class LagrangianSystem:
         self.lagrangian = lagrangian
         self.regularity_rtol = float(regularity_rtol)
         self.jacobian_fd_step = float(jacobian_fd_step)
-        self._memo = (None, None)
+        self._jet = _JetMemo(lagrangian)
 
     # -- jets ------------------------------------------------------------
 
     def jet(self, u) -> Jet2:
-        u = np.asarray(u, dtype=float)
-        key = u.tobytes()
-        memo_key, memo_jet = self._memo
-        if key == memo_key:
-            return memo_jet
-        jet = self.lagrangian.jet_at(u)
-        self._memo = (key, jet)
-        return jet
+        return self._jet(u)
 
     # -- pointwise structure ----------------------------------------------
 
@@ -312,7 +305,7 @@ def herglotz_residual(sys: LagrangianSystem, traj) -> float:
         dpdt = (momenta[k + 1] - momenta[k - 1]) / (2 * h)
         G = jets[k].gradient
         residual = dpdt - G[:n] - G[n : 2 * n] * G[-1]
-        worst = max(worst, float(np.max(np.abs(residual))))
+        worst = _worse(worst, float(np.max(np.abs(residual))))
     return worst
 
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .contact_core import _as_states, lie_derivative_eta_coeffs
+from .contact_core import _as_states, _worse, lie_derivative_eta_coeffs
 from .fields import (
     ConstantVectorField,
     DynamicsVectorField,
@@ -125,13 +125,13 @@ def momentum_dissipation_check(
         quantity = _momentum_quantity(system, f)
         for u in states:
             _, h_grad = system.hamiltonian_value_and_gradient(u)
-            hyp[k] = max(hyp[k], abs(float(h_grad @ f.value(u))))
+            hyp[k] = _worse(hyp[k], abs(float(h_grad @ f.value(u))))
             val, grad = quantity.value_and_gradient_at(u)
-            diss[k] = max(
+            diss[k] = _worse(
                 diss[k], abs(float(grad @ system.dynamics(u)) + system.reeb_rate(u) * val)
             )
             bracket = lie_bracket_value(dyn, f, u)
-            dyn_res[k] = max(dyn_res[k], abs(float(system.eta(u) @ bracket)))
+            dyn_res[k] = _worse(dyn_res[k], abs(float(system.eta(u) @ bracket)))
     return MomentumDissipationCheck(fam.label, hyp, hyp <= tol, diss, dyn_res, tol)
 
 
@@ -163,7 +163,7 @@ def reeb_annihilation_check(
         quantity = _momentum_quantity(system, f)
         for u in states:
             lie = lie_derivative_eta_coeffs(system, f, u)
-            eta_res[k] = max(eta_res[k], float(np.max(np.abs(lie))))
+            eta_res[k] = _worse(eta_res[k], float(np.max(np.abs(lie))))
             _, grad = quantity.value_and_gradient_at(u)
-            reeb_res[k] = max(reeb_res[k], abs(float(grad @ system.reeb(u))))
+            reeb_res[k] = _worse(reeb_res[k], abs(float(grad @ system.reeb(u))))
     return ReebAnnihilationCheck(fam.label, eta_res, reeb_res, tol)

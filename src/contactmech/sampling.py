@@ -9,9 +9,13 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["sample_states", "rejection_sample", "regular_states"]
+__all__ = ["SamplingError", "sample_states", "rejection_sample", "regular_states"]
 
 REJECT_BELOW = 1e-3
+
+
+class SamplingError(ValueError):
+    """Rejection sampling ran out of tries before enough points were accepted."""
 
 
 def sample_states(seed, count: int, dim: int, box=(-1.0, 1.0)) -> np.ndarray:
@@ -40,7 +44,7 @@ def rejection_sample(seed, count: int, dim: int, accept, box=(-1.0, 1.0), max_tr
                 rows.append(u)
                 if len(rows) == count:
                     return np.array(rows)
-    raise ValueError(
+    raise SamplingError(
         f"could not draw {count} acceptable sample points in {max_tries} rounds"
     )
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import contact_core
-from .contact_core import _as_states
+from .contact_core import _as_states, _worse
 from .expr import ScalarField
 from .fields import DynamicsVectorField, LinearCombinationQuantity, lie_bracket_value
 from .lagrangian import LagrangianSystem
@@ -70,7 +70,7 @@ def infinitesimal_symmetry_residual(sys: LagrangianSystem, Y, points) -> float:
     lift = CompleteLiftField(Y)
     worst = 0.0
     for u in states:
-        worst = max(worst, abs(float(sys.jet(u).gradient @ lift.value(u))))
+        worst = _worse(worst, abs(float(sys.jet(u).gradient @ lift.value(u))))
     return worst
 
 
@@ -103,7 +103,7 @@ def generalized_symmetry_residual(
         lifted_rate = float(jet.gradient @ lift.value(u))
         _, fgrad = dissipated.value_and_gradient_at(u)
         reeb_of_f = float(fgrad @ sys.reeb(u))
-        worst = max(worst, abs(lifted_rate + reeb_of_f * jet.value))
+        worst = _worse(worst, abs(lifted_rate + reeb_of_f * jet.value))
     return GeneralizedSymmetryCheck(worst, dissipated, tol)
 
 
@@ -116,7 +116,7 @@ class NoetherSymmetryCheck:
 
     @property
     def residual(self) -> float:
-        return max(self.residual_form, self.residual_energy)
+        return _worse(self.residual_form, self.residual_energy)
 
     @property
     def passed(self) -> bool:
@@ -157,7 +157,7 @@ def lie_symmetry_residual(
     worst = 0.0
     for u in states:
         bracket = lie_bracket_value(dyn, lift, u)
-        worst = max(worst, abs(float(sys.eta(u) @ bracket)))
+        worst = _worse(worst, abs(float(sys.eta(u) @ bracket)))
     return LieSymmetryCheck(worst, VerticalMomentumQuantity(sys, Y), tol)
 
 
@@ -303,7 +303,7 @@ def classify(
     else:
         # a Q x R field is never classified "infinitesimal"; report an honest
         # fail when plain invariance breaks, leave it untested otherwise
-        report.passes["infinitesimal"] = False if plain > tol_exact else None
+        report.passes["infinitesimal"] = None if plain <= tol_exact else False
 
     generalized = generalized_symmetry_residual(sys, Y, states, tol=tol_exact)
     report.residuals["generalized"] = generalized.residual

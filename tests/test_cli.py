@@ -223,6 +223,54 @@ class TestExitCodes:
         assert run_scenario(write_config(tmp_path, config)) == 0
 
 
+    def test_integration_error_exits_two(self, in_tmp, tmp_path, capsys):
+        # the central potential is singular at the origin
+        config = {
+            "name": "at_the_origin",
+            "system": {"builtin": "central_potential_damped"},
+            "initial_state": {"q": [0.0, 0.0], "qd": [0.1, 0.0], "z": 0.0},
+            "integrator": {"method": "rk4", "step": 0.01, "t_final": 1.0},
+            "sample": {"count": 20, "seed": 1},
+        }
+        assert run_scenario(write_config(tmp_path, config)) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert "initial state" in err[0]
+
+    def test_sampling_failure_exits_two(self, in_tmp, tmp_path, capsys):
+        # dL/dqd1 = q1 has a zero velocity Hessian everywhere: no regular point
+        config = {
+            "name": "degenerate",
+            "system": {"type": "lagrangian", "n": 1, "expression": "qd1*q1 - gamma*z",
+                       "params": {"gamma": 0.1}},
+            "sample": {"count": 5, "seed": 1},
+        }
+        assert run_scenario(write_config(tmp_path, config)) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert "could not draw 5 acceptable sample points" in err[0]
+
+    def test_non_finite_residual_fails_with_a_note(self, in_tmp, tmp_path):
+        # big*big overflows to inf, so H and every residual are NaN
+        config = {
+            "name": "overflow",
+            "system": {
+                "type": "hamiltonian",
+                "n": 1,
+                "expression": "0.5*p1^2 + big*big*q1^2 - big*big*q1^2 + gamma*z",
+                "params": {"big": 1e200, "gamma": 0.1},
+            },
+            "sample": {"count": 10, "seed": 1},
+            "output": {"report": "out/overflow.json"},
+        }
+        assert run_scenario(write_config(tmp_path, config)) == 1
+        report = json.loads(open("out/overflow.json").read())
+        assert report["pass"] is False
+        for entry in report["checks"]:
+            assert entry["pass"] is False
+            assert entry["note"] == "non-finite residual"
+
+
 class TestConfigSurface:
     def test_candidate_with_cartan_data(self, in_tmp, tmp_path):
         config = {

@@ -8,7 +8,7 @@ import pytest
 from contactmech import contact_core as cc
 from contactmech.expr import ScalarField
 from contactmech.integrate import IntegratorConfig, integrate_lagrangian
-from contactmech.lagrangian import TQRPoint
+from contactmech.lagrangian import LagrangianSystem, TQRPoint
 from contactmech.lifts import CompleteLiftField, VectorFieldQ, VectorFieldQR
 from contactmech.sampling import regular_states
 from contactmech.symmetry import (
@@ -285,6 +285,24 @@ class TestClassify:
         report = classify(sys, candidate, points_for(sys))
         assert report.residuals["noether"] is None
         assert report.passes["noether"] is None
+
+    def test_nan_residuals_never_classify(self):
+        # big*big overflows to inf at compile time, so L is NaN everywhere;
+        # max(0.0, nan) once reported every class residual as 0.0
+        source = "0.5*qd1^2 + big*big*q1^2 - big*big*q1^2 - gamma*z"
+        field = ScalarField.from_source(source, ("q1", "qd1", "z"), {"big": 1e200, "gamma": 0.1})
+        sys = LagrangianSystem(1, field)
+        candidate = SymmetryCandidate(
+            "translation", "on_Q", VectorFieldQ.from_expressions(1, ["1"])
+        )
+        points = np.random.default_rng(3).uniform(-1.0, 1.0, size=(10, 3))
+        with np.errstate(all="ignore"):
+            report = classify(sys, candidate, points)
+        assert report.classification is None
+        for cls in ("infinitesimal", "generalized", "noether", "lie"):
+            assert math.isnan(report.residuals[cls])
+            assert report.passes[cls] is not None and not report.passes[cls]
+        assert math.isnan(report.dissipation_residual)
 
     def test_implication_chain_on_infinitesimal_symmetries(self):
         # infinitesimal pass -> noether(0,0) pass -> lie pass
