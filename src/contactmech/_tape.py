@@ -454,9 +454,6 @@ class _JetTracer(_Tracer):
         inv = self.div(1.0, a.v)
         return self._chain(a, self.call("log", a.v), inv, self.mul(self.neg(inv), inv))
 
-    def _exp(self, a: _Jet) -> _Jet:
-        return self.unary("exp", a)
-
     def binary(self, op: str, a, b):
         if not isinstance(a, _Jet) and not isinstance(b, _Jet):
             return super().binary(op, a, b)
@@ -563,7 +560,7 @@ class _JetTracer(_Tracer):
             # number ** jet = exp(log(number) * jet)
             self.guard(_fail_base, a)
             log_a = self.op(math.log, "log({})", a)
-            return self._exp(self._scaled(b, log_a, self.mul(log_a, b.v)))
+            return self.unary("exp", self._scaled(b, log_a, self.mul(log_a, b.v)))
         if not isinstance(b, _Jet):
             return self._constant_exponent(a, b)
         # a jet exponent counts as constant when its derivatives all vanish
@@ -578,7 +575,7 @@ class _JetTracer(_Tracer):
 
     def _variable_power(self, a: _Jet, b: _Jet) -> _Jet:
         self.guard(_fail_base, a.v)
-        return self._exp(self._mul(b, self._log(a)))
+        return self.unary("exp", self._mul(b, self._log(a)))
 
     def _constant_exponent(self, a: _Jet, e) -> _Jet:
         if _known(e):
@@ -593,7 +590,7 @@ class _JetTracer(_Tracer):
     def _real_power_jet(self, a: _Jet, e) -> _Jet:
         self.guard(_fail_root, a.v)
         log_a = self._log(a)
-        return self._exp(self._scaled(log_a, e, self.mul(log_a.v, e)))
+        return self.unary("exp", self._scaled(log_a, e, self.mul(log_a.v, e)))
 
     def _int_power(self, a: _Jet, k: int) -> _Jet:
         # repeated squaring, as ad._int_power
@@ -630,10 +627,11 @@ def _jet_builder(m: int, g_keys, h_keys):
     h_index = np.zeros((m, m), dtype=np.intp)
     for pos, (i, j) in enumerate(h_keys, start=len(g_keys) + 1):
         h_index[i, j] = h_index[j, i] = pos
-    array = np.array
+    size = len(g_keys) + len(h_keys) + 1
+    fromiter = np.fromiter
 
     def out(value, entries):
-        flat = array(entries)
+        flat = fromiter(entries, float, size)
         return Jet2(value, flat.take(g_index), flat.take(h_index))
 
     return out

@@ -344,7 +344,7 @@ class ScalarField:
         self._check_point(point)
         x = np.asarray(point, dtype=float)
         if x.ndim != 1 or x.shape[0] == 0:
-            raise ValueError("seed_variables requires a nonempty 1-d vector of values")
+            raise ValueError("a jet needs a nonempty 1-d point")
         fn = self.__dict__.get("_jet_code") or self._compiled("jet")
         return fn(x.tolist())
 
