@@ -496,6 +496,8 @@ def _candidate_checks(scn: Scenario, states, traj, tol_scale: float):
             ok = ok and report.dissipation_residual <= tol * tol_scale
         else:
             ok = report.classification is None
+        finite = _finite(report.dissipation_residual, *report.residuals.values())
+        ok = ok and finite
         doc = report.to_json_dict()
         doc["expected"] = expect
         doc["pass"] = bool(ok)
@@ -506,7 +508,7 @@ def _candidate_checks(scn: Scenario, states, traj, tol_scale: float):
                 report.dissipation_residual,
                 report.tolerances.get(report.classification or "generalized"),
                 ok,
-                _finite(report.dissipation_residual, *report.residuals.values()),
+                finite,
             )
         )
     return entries, reports
@@ -525,6 +527,10 @@ def _family_checks(scn: Scenario, states, tol_scale: float):
             )
         else:
             ok = not hyp_ok
+        residuals = (diss.hypothesis_residuals, diss.dissipation_residuals, diss.dynamical_residuals,
+                     reeb.eta_preservation_residuals, reeb.reeb_residuals)
+        finite = all(np.all(np.isfinite(r)) for r in residuals)
+        ok = ok and finite
         docs.append(
             {
                 "label": family.label,
@@ -540,15 +546,13 @@ def _family_checks(scn: Scenario, states, tol_scale: float):
                 "pass": bool(ok),
             }
         )
-        residuals = (diss.hypothesis_residuals, diss.dissipation_residuals, diss.dynamical_residuals,
-                     reeb.eta_preservation_residuals, reeb.reeb_residuals)
         entries.append(
             _check_entry(
                 f"momentum.{family.label}",
                 float(np.max(diss.dissipation_residuals)),
                 diss.tolerance,
                 ok,
-                all(np.all(np.isfinite(r)) for r in residuals),
+                finite,
             )
         )
     return entries, docs

@@ -260,12 +260,17 @@ class TestExitCodes:
                 "expression": "0.5*p1^2 + big*big*q1^2 - big*big*q1^2 + gamma*z",
                 "params": {"big": 1e200, "gamma": 0.1},
             },
+            "generator_families": [
+                {"label": "z_shift", "side": "hamiltonian", "generators": [["0", "0", "1"]]}
+            ],
             "sample": {"count": 10, "seed": 1},
             "output": {"report": "out/overflow.json"},
         }
         assert run_scenario(write_config(tmp_path, config)) == 1
         report = json.loads(open("out/overflow.json").read())
         assert report["pass"] is False
+        assert report["families"][0]["pass"] is False
+        assert "momentum.z_shift" in {entry["name"] for entry in report["checks"]}
         for entry in report["checks"]:
             assert entry["pass"] is False
             assert entry["note"] == "non-finite residual"
