@@ -16,7 +16,9 @@ its place.  A symbolic jet keeps its gradient and the upper triangle of its
 Hessian as sparse maps.  A missing entry is a structural zero, so a term
 that depends on 2 of 13 variables costs only that 2x2 block.  A known
 non-finite factor turns structural zeros into NaN, as dense arithmetic
-would.  Identical right-hand sides are computed once.
+would; a value that only becomes infinite at run time leaves them zero,
+where the dense algebra would compute 0*inf = NaN.  Identical right-hand
+sides are computed once.
 
 No text of the expression reaches the generated source.  Chart variables
 become ``x0, x1, ...``; every number is bound by name (``k0, k1, ...``) in
