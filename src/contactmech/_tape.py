@@ -62,6 +62,10 @@ def _fail_jet_sqrt(value):
     )
 
 
+def _fail_angle(value):
+    raise DomainError(f"sin and cos require a finite argument, got {value}")
+
+
 def _fail_root(value):
     raise DomainError(f"power with non-integer exponent requires a positive base, got {value}")
 
@@ -101,6 +105,7 @@ _GUARDS = {
     _fail_log: (lambda a: a <= 0.0, "{0} <= k0"),
     _fail_sqrt: (lambda a: not a >= 0.0, "not {0} >= k0"),
     _fail_jet_sqrt: (lambda a: a <= 0.0, "{0} <= k0"),
+    _fail_angle: (math.isinf, "isinf({0})"),
     _fail_root: (lambda a: a <= 0.0, "{0} <= k0"),
     _fail_base: (lambda a: a <= 0.0, "{0} <= k0"),
 }
@@ -110,6 +115,7 @@ _MATH = {"sin": math.sin, "cos": math.cos, "exp": math.exp, "log": math.log, "sq
 _RUNTIME = {
     **_MATH,
     **{fail.__name__: fail for fail in _GUARDS},
+    "isinf": math.isinf,
     "int": int,
     "_int_power_chain": _int_power_chain,
 }
@@ -329,6 +335,8 @@ class _Tracer:
             self.guard(_fail_log, a)
         elif op == "sqrt":
             self.guard(_fail_sqrt, a)
+        elif op == "sin" or op == "cos":
+            self.guard(_fail_angle, a)
         return self.call(op, a)
 
     def binary(self, op: str, a, b):
@@ -437,6 +445,7 @@ class _JetTracer(_Tracer):
             return _Jet(self.neg(v), {i: self.neg(s) for i, s in a.g.items()},
                         {k: self.neg(s) for k, s in a.h.items()})
         if op == "sin" or op == "cos":
+            self.guard(_fail_angle, v)
             s, c = self.call("sin", v), self.call("cos", v)
             if op == "sin":
                 return self._chain(a, s, c, self.neg(s))

@@ -252,17 +252,26 @@ def neg(a: Jet2) -> Jet2:
     return -a
 
 
+def _finite_angle(x: float) -> float:
+    # math.sin and math.cos raise ValueError at +-inf; NaN passes through
+    if math.isinf(x):
+        raise DomainError(f"sin and cos require a finite argument, got {x}")
+    return x
+
+
 def sin(a):
     if not isinstance(a, Jet2):
-        return math.sin(a)
-    s, c = math.sin(a.value), math.cos(a.value)
+        return math.sin(_finite_angle(a))
+    x = _finite_angle(a.value)
+    s, c = math.sin(x), math.cos(x)
     return _chain(a, s, c, -s)
 
 
 def cos(a):
     if not isinstance(a, Jet2):
-        return math.cos(a)
-    s, c = math.sin(a.value), math.cos(a.value)
+        return math.cos(_finite_angle(a))
+    x = _finite_angle(a.value)
+    s, c = math.sin(x), math.cos(x)
     return _chain(a, c, -s, -c)
 
 

@@ -11,6 +11,13 @@ The generic helpers at the bottom (Lie derivative of the contact form,
 conformal/dynamical/Cartan symmetry checks, dissipation residuals) only use
 the chart interface ``eta`` / ``eta_jacobian`` / ``reeb``, so they apply
 verbatim to the Lagrangian chart of :mod:`contactmech.lagrangian`.
+
+Each residual identity of the contact Noether theorem is coded once, as a
+kernel at one point u: ``_dissipation_at(system, f, u)`` is
+|X_H(f) + R(H) f|, zero where f dissipates at the energy's rate, and
+``_dynamical_at(system, dyn, X, u)`` is |eta([X_H, X])|, zero where X is a
+dynamical symmetry.  The checks here and in :mod:`contactmech.momentum` and
+:mod:`contactmech.symmetry` reduce these kernels over their sample points.
 """
 
 from __future__ import annotations
@@ -62,39 +69,52 @@ DEFAULT_TOL = 1e-8
 # -- points, tangents, covectors ---------------------------------------------
 
 
-@dataclass(frozen=True)
-class ContactPoint:
-    """A point (q, p, z) of the Darboux chart."""
+class _ChartTriple:
+    """A chart record (a, b, c): two equal-length 1-d vectors and a scalar.
 
-    q: np.ndarray
-    p: np.ndarray
-    z: float
+    Subclasses are frozen dataclasses with three fields; the array form is
+    (a, b, c) concatenated into 2n+1 coordinates.
+    """
 
     def __post_init__(self):
-        q = np.atleast_1d(np.asarray(self.q, dtype=float))
-        p = np.atleast_1d(np.asarray(self.p, dtype=float))
-        if q.shape != p.shape or q.ndim != 1 or q.shape[0] < 1:
-            raise ValueError("q and p must be 1-d vectors of equal positive length")
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "z", float(self.z))
+        a, b, c = self.__dataclass_fields__
+        x = np.atleast_1d(np.asarray(getattr(self, a), dtype=float))
+        y = np.atleast_1d(np.asarray(getattr(self, b), dtype=float))
+        if x.shape != y.shape or x.ndim != 1 or x.shape[0] < 1:
+            raise ValueError(f"{a} and {b} must be 1-d vectors of equal positive length")
+        object.__setattr__(self, a, x)
+        object.__setattr__(self, b, y)
+        object.__setattr__(self, c, float(getattr(self, c)))
+
+    def _parts(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__dataclass_fields__)
 
     @property
     def n(self) -> int:
-        return self.q.shape[0]
+        return self._parts()[0].shape[0]
 
     def to_array(self) -> np.ndarray:
-        return np.concatenate([self.q, self.p, [self.z]])
+        a, b, c = self._parts()
+        return np.concatenate([a, b, [c]])
 
     @classmethod
-    def from_array(cls, u) -> "ContactPoint":
+    def from_array(cls, u):
         u = np.asarray(u, dtype=float)
         n = (u.shape[0] - 1) // 2
         return cls(u[:n], u[n : 2 * n], u[2 * n])
 
 
 @dataclass(frozen=True)
-class TangentValue:
+class ContactPoint(_ChartTriple):
+    """A point (q, p, z) of the Darboux chart."""
+
+    q: np.ndarray
+    p: np.ndarray
+    z: float
+
+
+@dataclass(frozen=True)
+class TangentValue(_ChartTriple):
     """A tangent vector at a chart point, componentwise (dq, dp, dz).
 
     On the Lagrangian chart (q, v, z) the middle slot holds the velocity
@@ -105,61 +125,30 @@ class TangentValue:
     dp: np.ndarray
     dz: float
 
-    def __post_init__(self):
-        dq = np.atleast_1d(np.asarray(self.dq, dtype=float))
-        dp = np.atleast_1d(np.asarray(self.dp, dtype=float))
-        if dq.shape != dp.shape:
-            raise ValueError("dq and dp must have equal length")
-        object.__setattr__(self, "dq", dq)
-        object.__setattr__(self, "dp", dp)
-        object.__setattr__(self, "dz", float(self.dz))
-
     @property
     def dv(self) -> np.ndarray:
         return self.dp
 
-    def to_array(self) -> np.ndarray:
-        return np.concatenate([self.dq, self.dp, [self.dz]])
-
-    @classmethod
-    def from_array(cls, u) -> "TangentValue":
-        u = np.asarray(u, dtype=float)
-        n = (u.shape[0] - 1) // 2
-        return cls(u[:n], u[n : 2 * n], u[2 * n])
-
 
 @dataclass(frozen=True)
-class OneFormValue:
+class OneFormValue(_ChartTriple):
     """A covector at a chart point: cq·dq + cp·dp + cz·dz."""
 
     cq: np.ndarray
     cp: np.ndarray
     cz: float
 
-    def __post_init__(self):
-        cq = np.atleast_1d(np.asarray(self.cq, dtype=float))
-        cp = np.atleast_1d(np.asarray(self.cp, dtype=float))
-        if cq.shape != cp.shape:
-            raise ValueError("cq and cp must have equal length")
-        object.__setattr__(self, "cq", cq)
-        object.__setattr__(self, "cp", cp)
-        object.__setattr__(self, "cz", float(self.cz))
-
     @property
     def cv(self) -> np.ndarray:
         return self.cp
 
-    def to_array(self) -> np.ndarray:
-        return np.concatenate([self.cq, self.cp, [self.cz]])
-
-    @classmethod
-    def from_array(cls, u) -> "OneFormValue":
-        u = np.asarray(u, dtype=float)
-        n = (u.shape[0] - 1) // 2
-        return cls(u[:n], u[n : 2 * n], u[2 * n])
-
     def pair(self, v: TangentValue) -> float:
         return float(self.cq @ v.dq + self.cp @ v.dp + self.cz * v.dz)
+
+
+def _as_point(x) -> np.ndarray:
+    """The coordinate array of a chart record, or of anything array-like."""
+    return x.to_array() if hasattr(x, "to_array") else np.asarray(x, dtype=float)
 
 
 def _as_states(points, dim: int) -> np.ndarray:
@@ -167,7 +156,7 @@ def _as_states(points, dim: int) -> np.ndarray:
     if isinstance(points, np.ndarray) and points.ndim == 2:
         mat = points
     else:
-        rows = [p.to_array() if hasattr(p, "to_array") else np.asarray(p, dtype=float) for p in points]
+        rows = [_as_point(p) for p in points]
         mat = np.array(rows, dtype=float) if rows else np.empty((0, dim))
     if mat.shape[0] == 0:
         raise ValueError("at least one sample point is required")
@@ -256,34 +245,18 @@ def _darboux_field_jacobian(jet: Jet2, p: np.ndarray, n: int) -> np.ndarray:
     return J
 
 
-class HamiltonianSystem:
+class HamiltonianSystem(DarbouxChart):
     """A contact Hamiltonian system: the Darboux chart plus a Hamiltonian."""
 
     def __init__(self, n: int, hamiltonian: ScalarField):
-        self.geometry = DarbouxChart(n)
-        if tuple(hamiltonian.chart) != self.geometry.chart:
-            raise ValueError(
-                f"Hamiltonian chart {hamiltonian.chart} does not match {self.geometry.chart}"
-            )
-        self.n = n
-        self.dim = self.geometry.dim
-        self.chart = self.geometry.chart
+        super().__init__(n)
+        if tuple(hamiltonian.chart) != self.chart:
+            raise ValueError(f"Hamiltonian chart {hamiltonian.chart} does not match {self.chart}")
         self.hamiltonian = hamiltonian
         self._jet = _JetMemo(hamiltonian)
 
     def jet(self, u) -> Jet2:
         return self._jet(u)
-
-    # chart geometry, forwarded
-
-    def eta(self, u):
-        return self.geometry.eta(u)
-
-    def eta_jacobian(self, u):
-        return self.geometry.eta_jacobian(u)
-
-    def reeb(self, u):
-        return self.geometry.reeb(u)
 
     # system data
 
@@ -420,13 +393,23 @@ def lie_bracket_at(X, Y, x: ContactPoint) -> TangentValue:
 # -- dissipation and symmetry checks (chart-generic) ---------------------------
 
 
+def _dissipation_at(system, f, u) -> float:
+    """|X_H(f) + R(H) f| at u; zero where f dissipates at the energy's rate."""
+    val, grad = f.value_and_gradient_at(u)
+    return abs(grad @ system.dynamics(u) + system.reeb_rate(u) * val)
+
+
+def _dynamical_at(system, dyn, X, u) -> float:
+    """|eta([X_H, X])| at u, with ``dyn`` the system's :class:`DynamicsVectorField`."""
+    return abs(eta_pairing(system, u, lie_bracket_value(dyn, X, u)))
+
+
 def dissipation_residual(system, f, points) -> float:
     """max |X_H(f) + R(H) f| over the sample; zero certifies dissipation."""
     states = _as_states(points, system.dim)
     worst = 0.0
     for u in states:
-        val, grad = f.value_and_gradient_at(u)
-        worst = _worse(worst, abs(grad @ system.dynamics(u) + system.reeb_rate(u) * val))
+        worst = _worse(worst, _dissipation_at(system, f, u))
     return worst
 
 
@@ -459,7 +442,9 @@ def check_conformal_contactomorphism(X, points, *, geometry=None, tol=DEFAULT_TO
 
 
 @dataclass(frozen=True)
-class DynamicalSymmetryCheck:
+class ResidualCheck:
+    """The worst residual over a sample and the quantity that passing certifies."""
+
     residual: float
     dissipated: object
     tolerance: float
@@ -469,16 +454,15 @@ class DynamicalSymmetryCheck:
         return self.residual <= self.tolerance
 
 
-def check_dynamical_symmetry(system, X, points, *, tol=DEFAULT_TOL) -> DynamicalSymmetryCheck:
+def check_dynamical_symmetry(system, X, points, *, tol=DEFAULT_TOL) -> ResidualCheck:
     """max |eta([X_H, X])| over the sample; the candidate quantity is -eta(X)."""
     states = _as_states(points, system.dim)
     dyn = DynamicsVectorField(system)
     residual = 0.0
     for u in states:
-        bracket = lie_bracket_value(dyn, X, u)
-        residual = _worse(residual, abs(eta_pairing(system, u, bracket)))
+        residual = _worse(residual, _dynamical_at(system, dyn, X, u))
     dissipated = LinearCombinationQuantity(((-1.0, EtaPairingQuantity(system, X)),))
-    return DynamicalSymmetryCheck(residual, dissipated, tol)
+    return ResidualCheck(residual, dissipated, tol)
 
 
 @dataclass(frozen=True)
@@ -489,8 +473,12 @@ class CartanSymmetryCheck:
     tolerance: float
 
     @property
+    def residual(self) -> float:
+        return _worse(self.residual_form, self.residual_energy)
+
+    @property
     def passed(self) -> bool:
-        return _worse(self.residual_form, self.residual_energy) <= self.tolerance
+        return self.residual <= self.tolerance
 
 
 def check_cartan_symmetry(system, X, a, g, points, *, tol=DEFAULT_TOL) -> CartanSymmetryCheck:

@@ -42,7 +42,6 @@ __all__ = [
     "free_variables",
     "ScalarField",
     "eval_jet2",
-    "eval_value",
     "position_names",
     "velocity_names",
     "momentum_names",
@@ -361,10 +360,6 @@ class ScalarField:
 def eval_jet2(field: ScalarField, point) -> Jet2:
     """Evaluate ``field`` with the chart variables as active jet variables."""
     return field.jet_at(point)
-
-
-def eval_value(field: ScalarField, point) -> float:
-    return field.value_at(point)
 
 
 # -- chart naming conventions ------------------------------------------------

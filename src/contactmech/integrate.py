@@ -12,6 +12,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .contact_core import _as_point
+
 __all__ = [
     "IntegratorConfig",
     "Trajectory",
@@ -88,9 +90,21 @@ def _truncate(times, states, monitors, chart, upto: int) -> Trajectory:
     )
 
 
-def _integrate(system, u0: np.ndarray, cfg: IntegratorConfig, monitors: dict) -> Trajectory:
+def integrate_lagrangian(system, ic, cfg: IntegratorConfig) -> Trajectory:
+    """Integrate a system's dynamics from ``ic``, a chart record or array.
+
+    One routine serves both sides (``integrate_hamiltonian`` is the same
+    function): the Herglotz dynamics from a bundle point (q, v, z) of a
+    :class:`~contactmech.lagrangian.LagrangianSystem`, the contact
+    Hamiltonian flow from a Darboux point (q, p, z) of a
+    :class:`~contactmech.contact_core.HamiltonianSystem`.  The system's
+    energy (E_L or H) is always recorded as a monitor channel alongside any
+    user-supplied monitors.
+    """
+    monitors = dict(cfg.monitors)
+    monitors.setdefault(*system.default_monitor())
+    u0 = _as_point(ic)
     dim = system.dim
-    u0 = np.asarray(u0, dtype=float)
     if u0.shape != (dim,):
         raise ValueError(f"initial state has shape {u0.shape}, expected ({dim},)")
     steps = cfg.steps
@@ -134,23 +148,4 @@ def _integrate(system, u0: np.ndarray, cfg: IntegratorConfig, monitors: dict) ->
     return Trajectory(times, states, series, system.chart)
 
 
-def integrate_lagrangian(sys, ic, cfg: IntegratorConfig) -> Trajectory:
-    """Integrate the Herglotz dynamics from a bundle point (q, v, z).
-
-    The energy E_L is always recorded as a monitor channel alongside any
-    user-supplied monitors.
-    """
-    monitors = dict(cfg.monitors)
-    name, quantity = sys.default_monitor()
-    monitors.setdefault(name, quantity)
-    u0 = ic.to_array() if hasattr(ic, "to_array") else np.asarray(ic, dtype=float)
-    return _integrate(sys, u0, cfg, monitors)
-
-
-def integrate_hamiltonian(sys, ic, cfg: IntegratorConfig) -> Trajectory:
-    """Integrate the contact Hamiltonian flow from a Darboux point (q, p, z)."""
-    monitors = dict(cfg.monitors)
-    name, quantity = sys.default_monitor()
-    monitors.setdefault(name, quantity)
-    u0 = ic.to_array() if hasattr(ic, "to_array") else np.asarray(ic, dtype=float)
-    return _integrate(sys, u0, cfg, monitors)
+integrate_hamiltonian = integrate_lagrangian

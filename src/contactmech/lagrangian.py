@@ -27,7 +27,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ad import Jet2
-from .contact_core import ContactPoint, OneFormValue, TangentValue, _as_states, _JetMemo, _worse
+from .contact_core import (
+    ContactPoint,
+    OneFormValue,
+    TangentValue,
+    _as_states,
+    _ChartTriple,
+    _JetMemo,
+    _worse,
+)
 from .expr import ScalarField, lagrangian_chart
 
 __all__ = [
@@ -47,46 +55,27 @@ __all__ = [
 ]
 
 
+# central-difference step of the acceleration rows of dynamics_jacobian
+JACOBIAN_FD_STEP = 1e-5
+
+
 class RegularityError(ArithmeticError):
     """The velocity Hessian is (numerically) singular at the evaluation point."""
 
 
 @dataclass(frozen=True)
-class TQRPoint:
+class TQRPoint(_ChartTriple):
     """A bundle point (q, v, z) on TQ x R."""
 
     q: np.ndarray
     v: np.ndarray
     z: float
 
-    def __post_init__(self):
-        q = np.atleast_1d(np.asarray(self.q, dtype=float))
-        v = np.atleast_1d(np.asarray(self.v, dtype=float))
-        if q.shape != v.shape or q.ndim != 1 or q.shape[0] < 1:
-            raise ValueError("q and v must be 1-d vectors of equal positive length")
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "v", v)
-        object.__setattr__(self, "z", float(self.z))
-
-    @property
-    def n(self) -> int:
-        return self.q.shape[0]
-
-    def to_array(self) -> np.ndarray:
-        return np.concatenate([self.q, self.v, [self.z]])
-
-    @classmethod
-    def from_array(cls, u) -> "TQRPoint":
-        u = np.asarray(u, dtype=float)
-        n = (u.shape[0] - 1) // 2
-        return cls(u[:n], u[n : 2 * n], u[2 * n])
-
 
 class LagrangianSystem:
     """A contact Lagrangian system over the chart (q1..qn, qd1..qdn, z)."""
 
-    def __init__(self, n: int, lagrangian: ScalarField, *, regularity_rtol: float = 1e-10,
-                 jacobian_fd_step: float = 1e-5):
+    def __init__(self, n: int, lagrangian: ScalarField, *, regularity_rtol: float = 1e-10):
         expected = lagrangian_chart(n)
         if tuple(lagrangian.chart) != expected:
             raise ValueError(
@@ -99,7 +88,6 @@ class LagrangianSystem:
         self.chart = expected
         self.lagrangian = lagrangian
         self.regularity_rtol = float(regularity_rtol)
-        self.jacobian_fd_step = float(jacobian_fd_step)
         self._jet = _JetMemo(lagrangian)
 
     # -- jets ------------------------------------------------------------
@@ -221,7 +209,7 @@ class LagrangianSystem:
         value = self.dynamics(u)
         J = np.zeros((self.dim, self.dim))
         J[range(n), range(n, 2 * n)] = 1.0
-        step = self.jacobian_fd_step
+        step = JACOBIAN_FD_STEP
         for a in range(self.dim):
             up = u.copy()
             um = u.copy()

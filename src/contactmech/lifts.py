@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .contact_core import TangentValue
+from .contact_core import TangentValue, _as_point
 from .expr import ScalarField, free_variables, lagrangian_chart, parse, position_names
 
 __all__ = [
@@ -142,43 +142,6 @@ def _component_data(Y, u: np.ndarray):
     return jets, values, jac_q, dz
 
 
-def _as_array(x) -> np.ndarray:
-    return x.to_array() if hasattr(x, "to_array") else np.asarray(x, dtype=float)
-
-
-# -- pointwise lift evaluators ------------------------------------------------
-
-
-def vertical_lift_Q(Y: VectorFieldQ, x) -> TangentValue:
-    """Y^V = Y^i d/dv^i at a bundle point."""
-    u = _as_array(x)
-    _, values, _, _ = _component_data(Y, u)
-    return TangentValue(np.zeros(Y.n), values, 0.0)
-
-
-def complete_lift_Q(Y: VectorFieldQ, x) -> TangentValue:
-    """Y^C = Y^i d/dq^i + v^j (dY^i/dq^j) d/dv^i at a bundle point."""
-    u = _as_array(x)
-    _, values, jac_q, _ = _component_data(Y, u)
-    v = u[Y.n : 2 * Y.n]
-    return TangentValue(values, jac_q @ v, 0.0)
-
-
-def vertical_lift_QR(Y: VectorFieldQR, x) -> TangentValue:
-    """The vertical lift of the projection of Y to Q."""
-    u = _as_array(x)
-    _, values, _, _ = _component_data(Y, u)
-    return TangentValue(np.zeros(Y.n), values, 0.0)
-
-
-def complete_lift_QR(Y: VectorFieldQR, x) -> TangentValue:
-    """The restriction of the complete lift of Y to TQ x R."""
-    u = _as_array(x)
-    _, values, jac_q, _ = _component_data(Y, u)
-    v = u[Y.n : 2 * Y.n]
-    return TangentValue(values, jac_q @ v, Y.z_component_value(u))
-
-
 # -- lifts as ambient vector fields on (q, v, z) -------------------------------
 
 
@@ -258,6 +221,30 @@ class VerticalLiftField:
         J[n : 2 * n, :n] = jac_q
         J[n : 2 * n, -1] = dz
         return val, J
+
+
+# -- pointwise lift evaluators ------------------------------------------------
+
+
+def vertical_lift_Q(Y, x) -> TangentValue:
+    """Y^V = Y^i d/dv^i at a bundle point.
+
+    For a field on Q x R this is the vertical lift of its projection to Q.
+    """
+    return TangentValue.from_array(VerticalLiftField(Y).value(_as_point(x)))
+
+
+def complete_lift_Q(Y, x) -> TangentValue:
+    """Y^C = Y^i d/dq^i + v^j (dY^i/dq^j) d/dv^i at a bundle point.
+
+    For a field on Q x R this is the restriction of its complete lift to
+    TQ x R, with z-component Z.
+    """
+    return TangentValue.from_array(CompleteLiftField(Y).value(_as_point(x)))
+
+
+vertical_lift_QR = vertical_lift_Q
+complete_lift_QR = complete_lift_Q
 
 
 @dataclass(frozen=True)

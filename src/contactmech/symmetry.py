@@ -15,14 +15,14 @@ f/E_L is conserved wherever the energy does not vanish.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import contact_core
-from .contact_core import _as_states, _worse
+from .contact_core import CartanSymmetryCheck, ResidualCheck, _as_states, _worse
 from .expr import ScalarField
-from .fields import DynamicsVectorField, LinearCombinationQuantity, lie_bracket_value
+from .fields import LinearCombinationQuantity
 from .lagrangian import LagrangianSystem
 from .lifts import CompleteLiftField, VectorFieldQ, VectorFieldQR, VerticalMomentumQuantity
 
@@ -79,20 +79,9 @@ def dissipated_for_infinitesimal(sys: LagrangianSystem, Y: VectorFieldQ):
     return VerticalMomentumQuantity(sys, Y)
 
 
-@dataclass(frozen=True)
-class GeneralizedSymmetryCheck:
-    residual: float
-    dissipated: object
-    tolerance: float
-
-    @property
-    def passed(self) -> bool:
-        return self.residual <= self.tolerance
-
-
 def generalized_symmetry_residual(
     sys: LagrangianSystem, Y, points, *, tol=TOL_EXACT
-) -> GeneralizedSymmetryCheck:
+) -> ResidualCheck:
     """max |Y^C(L) + R_L(f) L| over the sample, with f = Y^V(L) - Z."""
     states = _as_states(points, sys.dim)
     lift = CompleteLiftField(Y)
@@ -104,28 +93,12 @@ def generalized_symmetry_residual(
         _, fgrad = dissipated.value_and_gradient_at(u)
         reeb_of_f = float(fgrad @ sys.reeb(u))
         worst = _worse(worst, abs(lifted_rate + reeb_of_f * jet.value))
-    return GeneralizedSymmetryCheck(worst, dissipated, tol)
-
-
-@dataclass(frozen=True)
-class NoetherSymmetryCheck:
-    residual_form: float
-    residual_energy: float
-    dissipated: object
-    tolerance: float
-
-    @property
-    def residual(self) -> float:
-        return _worse(self.residual_form, self.residual_energy)
-
-    @property
-    def passed(self) -> bool:
-        return self.residual <= self.tolerance
+    return ResidualCheck(worst, dissipated, tol)
 
 
 def noether_symmetry_check(
     sys: LagrangianSystem, Y, a: ScalarField, g: ScalarField, points, *, tol=TOL_EXACT
-) -> NoetherSymmetryCheck:
+) -> CartanSymmetryCheck:
     """Cartan check of Y^C on (TQ x R, eta_L, E_L); f = Y^V(L) - Z - g."""
     cartan = contact_core.check_cartan_symmetry(
         sys, CompleteLiftField(Y), a, g, points, tol=tol
@@ -133,32 +106,15 @@ def noether_symmetry_check(
     dissipated = LinearCombinationQuantity(
         ((1.0, VerticalMomentumQuantity(sys, Y)), (-1.0, g))
     )
-    return NoetherSymmetryCheck(cartan.residual_form, cartan.residual_energy, dissipated, tol)
-
-
-@dataclass(frozen=True)
-class LieSymmetryCheck:
-    residual: float
-    dissipated: object
-    tolerance: float
-
-    @property
-    def passed(self) -> bool:
-        return self.residual <= self.tolerance
+    return replace(cartan, dissipated=dissipated)
 
 
 def lie_symmetry_residual(
     sys: LagrangianSystem, Y, points, *, tol=TOL_FD
-) -> LieSymmetryCheck:
+) -> ResidualCheck:
     """max |eta_L([xi_L, Y^C])| over the sample (finite-difference Jacobians)."""
-    states = _as_states(points, sys.dim)
-    lift = CompleteLiftField(Y)
-    dyn = DynamicsVectorField(sys)
-    worst = 0.0
-    for u in states:
-        bracket = lie_bracket_value(dyn, lift, u)
-        worst = _worse(worst, abs(float(sys.eta(u) @ bracket)))
-    return LieSymmetryCheck(worst, VerticalMomentumQuantity(sys, Y), tol)
+    check = contact_core.check_dynamical_symmetry(sys, CompleteLiftField(Y), points, tol=tol)
+    return replace(check, dissipated=VerticalMomentumQuantity(sys, Y))
 
 
 @dataclass(frozen=True)
@@ -295,52 +251,38 @@ def classify(
     report = SymmetryReport(name=candidate.name, kind=candidate.kind)
     report.sample = dict(sample_info or {"count": int(states.shape[0])})
 
+    # class -> (residual, tolerance, pass, dissipated quantity), in _CLASS_ORDER
+    table = {}
     plain = infinitesimal_symmetry_residual(sys, Y, states)
-    report.residuals["infinitesimal"] = plain
-    report.tolerances["infinitesimal"] = tol_exact
     if candidate.kind == "on_Q":
-        report.passes["infinitesimal"] = plain <= tol_exact
+        table["infinitesimal"] = (plain, tol_exact, plain <= tol_exact, VerticalMomentumQuantity(sys, Y))
     else:
         # a Q x R field is never classified "infinitesimal"; report an honest
         # fail when plain invariance breaks, leave it untested otherwise
-        report.passes["infinitesimal"] = None if plain <= tol_exact else False
+        table["infinitesimal"] = (plain, tol_exact, None if plain <= tol_exact else False, None)
 
     generalized = generalized_symmetry_residual(sys, Y, states, tol=tol_exact)
-    report.residuals["generalized"] = generalized.residual
-    report.tolerances["generalized"] = tol_exact
-    report.passes["generalized"] = generalized.passed
+    table["generalized"] = (generalized.residual, tol_exact, generalized.passed, generalized.dissipated)
 
     cartan_data = candidate.cartan_data
     if cartan_data is None and candidate.kind == "on_Q":
         zero = ScalarField.from_source("0", sys.chart)
         cartan_data = (zero, zero)
+    table["noether"] = (None, tol_exact, None, None)
     if cartan_data is not None:
         noether = noether_symmetry_check(sys, Y, cartan_data[0], cartan_data[1], states, tol=tol_exact)
-        report.residuals["noether"] = noether.residual
-        report.tolerances["noether"] = tol_exact
-        report.passes["noether"] = noether.passed
-    else:
-        noether = None
-        report.residuals["noether"] = None
-        report.tolerances["noether"] = tol_exact
-        report.passes["noether"] = None
+        table["noether"] = (noether.residual, tol_exact, noether.passed, noether.dissipated)
 
     lie = lie_symmetry_residual(sys, Y, states, tol=tol_fd)
-    report.residuals["lie"] = lie.residual
-    report.tolerances["lie"] = tol_fd
-    report.passes["lie"] = lie.passed
+    table["lie"] = (lie.residual, tol_fd, lie.passed, lie.dissipated)
 
-    by_class = {
-        "infinitesimal": VerticalMomentumQuantity(sys, Y) if candidate.kind == "on_Q" else None,
-        "generalized": generalized.dissipated,
-        "noether": noether.dissipated if noether is not None else None,
-        "lie": lie.dissipated,
-    }
-    for cls in _CLASS_ORDER:
-        if report.passes.get(cls) and by_class[cls] is not None:
+    for cls, (residual, tolerance, passed, quantity) in table.items():
+        report.residuals[cls] = residual
+        report.tolerances[cls] = tolerance
+        report.passes[cls] = passed
+        if passed and quantity is not None and report.classification is None:
             report.classification = cls
-            report.dissipated = by_class[cls]
-            break
+            report.dissipated = quantity
     if report.dissipated is None:
         report.dissipated = generalized.dissipated
     report.dissipated_description = _describe_quantity(

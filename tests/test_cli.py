@@ -74,6 +74,18 @@ class TestBundledScenarios:
         assert quotient and quotient[0]["pass"] is True
         assert quotient[0]["residual"] <= 1e-6
 
+    @pytest.mark.parametrize(
+        "name", ["damped_free_particle.json", "damped_oscillator_rotation.json"]
+    )
+    def test_report_is_deterministic(self, tmp_path, monkeypatch, name):
+        reports = []
+        for run in ("first", "second"):
+            (tmp_path / run).mkdir()
+            monkeypatch.chdir(tmp_path / run)
+            assert run_scenario(bundled_scenario_path(name), seed=5) == 0
+            reports.append((tmp_path / run / "out" / name.replace(".json", ".report.json")).read_bytes())
+        assert reports[0] == reports[1]
+
 
 class TestReportContract:
     def test_schema_and_tolerances(self, in_tmp, tmp_path):
@@ -249,6 +261,35 @@ class TestExitCodes:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ")
         assert "could not draw 5 acceptable sample points" in err[0]
+
+    @pytest.mark.parametrize(
+        "integrator, message",
+        [
+            ({"step": 0.3, "t_final": 1.0}, "not a whole number of steps"),
+            ({"method": "leapfrog", "step": 0.1, "t_final": 1.0}, "method must be 'rk4' or 'euler'"),
+        ],
+        ids=["non_whole_step_count", "unknown_method"],
+    )
+    def test_bad_integrator_is_a_config_error(self, in_tmp, tmp_path, capsys, integrator, message):
+        config = json.loads(json.dumps(BASE_CONFIG))
+        config["integrator"] = integrator
+        assert run_scenario(write_config(tmp_path, config)) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("config error: $.integrator: ")
+        assert message in err[0]
+
+    def test_sine_of_infinity_exits_two(self, in_tmp, tmp_path, capsys):
+        # big*big overflows to inf, so sin(inf*q1) leaves its domain wherever q1 != 0
+        config = {
+            "name": "infinite_angle",
+            "system": {"type": "lagrangian", "n": 1,
+                       "expression": "0.5*qd1^2 - sin(big*big*q1) - gamma*z",
+                       "params": {"big": 1e200, "gamma": 0.1}},
+            "sample": {"count": 5, "seed": 1},
+        }
+        assert run_scenario(write_config(tmp_path, config)) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
 
     def test_non_finite_residual_fails_with_a_note(self, in_tmp, tmp_path):
         # big*big overflows to inf, so H and every residual are NaN

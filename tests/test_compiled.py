@@ -46,7 +46,7 @@ def _float_pow(a, b):
     return a**b
 
 
-FLOAT_UNARY = {"neg": lambda a: -a, "sin": math.sin, "cos": math.cos, "exp": math.exp,
+FLOAT_UNARY = {"neg": lambda a: -a, "sin": ad.sin, "cos": ad.cos, "exp": math.exp,
                "log": ad.log, "sqrt": _float_sqrt}
 FLOAT_BINARY = {"add": lambda a, b: a + b, "sub": lambda a, b: a - b, "mul": lambda a, b: a * b,
                 "div": _float_div, "pow": _float_pow}
@@ -124,6 +124,7 @@ _leaves = st.one_of(
 )
 # integer, non-integer, beyond the 1024 multiply limit, negative
 _exponents = st.sampled_from([2.0, 3.0, 4.0, -1.0, -2.0, 0.0, 0.5, 1.5, -0.5, 1025.0, -1030.0, 2000.5])
+_infinities = st.sampled_from([math.inf, -math.inf])
 
 
 def _extend(children):
@@ -136,6 +137,10 @@ def _extend(children):
         ),
         # a constant exponent of each kind
         st.tuples(children, _exponents).map(lambda t: Binary(SPAN, "pow", t[0], Num(SPAN, t[1]))),
+        # sin and cos of an argument that is +-inf, or NaN where the subtree is 0
+        st.tuples(st.sampled_from(["sin", "cos"]), _infinities, children).map(
+            lambda t: Call(SPAN, t[0], Binary(SPAN, "mul", Num(SPAN, t[1]), t[2]))
+        ),
     )
 
 
@@ -186,6 +191,22 @@ def test_zero_to_negative_power_is_a_domain_error():
     with pytest.raises(DomainError):
         field.jet_at([0.0])
     constant = ScalarField.from_source("0^-1 + x", ("x",))
+    with pytest.raises(DomainError):
+        constant.value_at([1.0])
+    with pytest.raises(DomainError):
+        constant.jet_at([1.0])
+
+
+@pytest.mark.parametrize("func", ["sin", "cos"])
+def test_sin_and_cos_of_infinity_are_domain_errors(func):
+    field = ScalarField.from_source(f"{func}(big*big*x)", ("x",), {"big": 1e200})
+    for point in ([0.5], [-0.5]):
+        with pytest.raises(DomainError):
+            field.value_at(point)
+        with pytest.raises(DomainError):
+            field.jet_at(point)
+    assert math.isnan(field.value_at([0.0]))  # inf*0 is NaN, and NaN passes through
+    constant = ScalarField.from_source(f"{func}(big*big) + x", ("x",), {"big": 1e200})
     with pytest.raises(DomainError):
         constant.value_at([1.0])
     with pytest.raises(DomainError):

@@ -34,6 +34,7 @@ from contactmech.fields import (
     ProductQuantity,
     VectorFieldSum,
 )
+from contactmech.lagrangian import TQRPoint
 
 from helpers import random_hamiltonian, random_polynomial_source
 
@@ -46,6 +47,28 @@ def random_points(rng, n, count=20, box=(-1.0, 1.0)):
 
 def field_on(n, source, **params):
     return ScalarField.from_source(source, hamiltonian_chart(n), params)
+
+
+class TestChartRecords:
+    @pytest.mark.parametrize(
+        "cls, names",
+        [(ContactPoint, "q and p"), (TangentValue, "dq and dp"), (OneFormValue, "cq and cp"),
+         (TQRPoint, "q and v")],
+    )
+    @pytest.mark.parametrize(
+        "a, b",
+        [([[1.0, 2.0]], [[3.0, 4.0]]), ([], []), ([1.0], [1.0, 2.0])],
+        ids=["2-d", "empty", "unequal"],
+    )
+    def test_malformed_components_rejected(self, cls, names, a, b):
+        with pytest.raises(ValueError, match=f"^{names} must be 1-d vectors of equal positive length$"):
+            cls(a, b, 0.0)
+
+    @pytest.mark.parametrize("cls", [ContactPoint, TangentValue, OneFormValue, TQRPoint])
+    def test_array_round_trip(self, cls):
+        record = cls.from_array([0.5, -1.0, 2.0, 3.0, 0.25])
+        assert record.n == 2
+        np.testing.assert_array_equal(record.to_array(), [0.5, -1.0, 2.0, 3.0, 0.25])
 
 
 class TestContactForm:

@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from contactmech.contact_core import HamiltonianSystem
+from contactmech.contact_core import HamiltonianSystem, check_dynamical_symmetry, dissipation_residual
 from contactmech.expr import ScalarField, hamiltonian_chart, lagrangian_chart
-from contactmech.fields import AmbientVectorField
+from contactmech.fields import AmbientVectorField, EtaPairingQuantity, LinearCombinationQuantity
 from contactmech.lagrangian import LagrangianSystem, TQRPoint
 from contactmech.lifts import VectorFieldQ, VerticalMomentumQuantity
 from contactmech.momentum import (
@@ -74,14 +74,6 @@ class TestMomentumMap:
         for u in rng.uniform(-1, 1, size=(20, 5)):
             assert abs(momentum_map_at(fam, sys, u)[0] - quantity.value_at(u)) <= 1e-12
 
-    def test_z_shift_variant_shifts_by_one(self):
-        sys = free_particle()
-        fam = translation_family()
-        u = np.array([0.2, 0.7, -0.1])
-        base = momentum_map_at(fam, sys, u)
-        shifted = momentum_map_at(fam, sys, u, z_shift=True)
-        assert shifted[0] == pytest.approx(base[0] - 1.0, abs=1e-14)
-
 
 class TestDissipation:
     def test_translations_on_free_particle(self):
@@ -128,6 +120,39 @@ class TestDissipation:
         result = momentum_dissipation_check(fam, sys, points)
         assert result.passed
         assert np.all(result.dissipation_residuals <= 1e-8)
+
+
+def _oscillator_case():
+    sys = damped_oscillator()
+    fam = GeneratorFamily(
+        "mixed", "lagrangian",
+        (VectorFieldQ.from_expressions(2, ["-q2", "q1"]), VectorFieldQ.from_expressions(2, ["1", "q1"])),
+    )
+    return sys, fam, regular_states(sys, np.random.default_rng(23), 30)
+
+
+def _hamiltonian_case():
+    chart = hamiltonian_chart(2)
+    sys = HamiltonianSystem(
+        2, ScalarField.from_source("0.5*(p1^2 + p2^2) + 0.5*(q1^2 + 2*q2^2) + 0.1*z", chart)
+    )
+    fam = GeneratorFamily(
+        "mixed", "hamiltonian",
+        (AmbientVectorField.from_sources(["-q2", "q1", "-p2", "p1", "0"], chart),
+         AmbientVectorField.from_sources(["1", "0", "0", "q1", "z"], chart)),
+    )
+    return sys, fam, np.random.default_rng(29).uniform(-1, 1, size=(30, 5))
+
+
+@pytest.mark.parametrize("case", [_oscillator_case, _hamiltonian_case], ids=["lagrangian", "hamiltonian"])
+def test_family_residuals_equal_the_single_checks(case):
+    sys, fam, points = case()
+    result = momentum_dissipation_check(fam, sys, points)
+    assert np.all(result.dissipation_residuals[1:] > 0.0)
+    for k, xi in enumerate(fam.ambient_fields(sys)):
+        momentum = LinearCombinationQuantity(((-1.0, EtaPairingQuantity(sys, xi)),))
+        assert result.dissipation_residuals[k] == dissipation_residual(sys, momentum, points)
+        assert result.dynamical_residuals[k] == check_dynamical_symmetry(sys, xi, points).residual
 
 
 class TestReebAnnihilation:

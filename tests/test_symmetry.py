@@ -166,6 +166,18 @@ class TestLie:
         Y = VectorFieldQR.from_expressions(1, ["q1"], "0")
         assert lie_symmetry_residual(sys, Y, points_for(sys)).residual > 0.01
 
+    @pytest.mark.parametrize(
+        "Y",
+        [VectorFieldQR.from_expressions(1, ["q1"], "0"), VectorFieldQ.from_expressions(1, ["q1^2"])],
+        ids=["bare_scaling", "stretch"],
+    )
+    def test_residual_is_the_dynamical_check_of_the_lift(self, Y):
+        sys = free_particle(gamma=0.2)
+        points = points_for(sys, 25, seed=4)
+        lie = lie_symmetry_residual(sys, Y, points)
+        assert lie.residual > 0.0
+        assert lie.residual == cc.check_dynamical_symmetry(sys, CompleteLiftField(Y), points).residual
+
 
 class TestTrajectoryChecks:
     def _particle_trajectory(self, gamma=0.2, ic=(0.0, 1.0, 0.0), t_final=5.0):
