@@ -202,7 +202,7 @@ class LagrangianSystem:
 
         The dq and dz rows are exact; the acceleration rows use central
         finite differences (third derivatives of L are not carried by the
-        jets).
+        jets).  No check uses it; it is the reference for Lie brackets.
         """
         n = self.n
         u = np.asarray(u, dtype=float)

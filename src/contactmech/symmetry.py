@@ -11,6 +11,9 @@ specificity, each with its dissipated quantity:
 A quantity f dissipates when it satisfies df/dt = (dL/dz) f along the flow;
 rescaling by exp(-int dL/dz dt) then yields a true constant of motion, and
 f/E_L is conserved wherever the energy does not vanish.
+
+Every class residual is AD-exact and checked at ``TOL_EXACT``; the Lie one
+is the dissipation residual of -eta_L(Y^C), with no Herglotz Jacobian.
 """
 
 from __future__ import annotations
@@ -28,7 +31,6 @@ from .lifts import CompleteLiftField, VectorFieldQ, VectorFieldQR, VerticalMomen
 
 __all__ = [
     "TOL_EXACT",
-    "TOL_FD",
     "SymmetryCandidate",
     "SymmetryReport",
     "TrajectoryDissipation",
@@ -42,9 +44,7 @@ __all__ = [
     "classify",
 ]
 
-# AD-exact residuals vs residuals built on finite-difference Jacobians
 TOL_EXACT = 1e-8
-TOL_FD = 1e-4
 
 
 @dataclass(frozen=True)
@@ -110,9 +110,9 @@ def noether_symmetry_check(
 
 
 def lie_symmetry_residual(
-    sys: LagrangianSystem, Y, points, *, tol=TOL_FD
+    sys: LagrangianSystem, Y, points, *, tol=TOL_EXACT
 ) -> ResidualCheck:
-    """max |eta_L([xi_L, Y^C])| over the sample (finite-difference Jacobians)."""
+    """max |eta_L([xi_L, Y^C])| over the sample, as the dissipation residual of -eta_L(Y^C)."""
     check = contact_core.check_dynamical_symmetry(sys, CompleteLiftField(Y), points, tol=tol)
     return replace(check, dissipated=VerticalMomentumQuantity(sys, Y))
 
@@ -236,7 +236,6 @@ def classify(
     traj=None,
     *,
     tol_exact=TOL_EXACT,
-    tol_fd=TOL_FD,
     sample_info=None,
 ) -> SymmetryReport:
     """Run every applicable class residual and pick the most specific pass.
@@ -251,34 +250,35 @@ def classify(
     report = SymmetryReport(name=candidate.name, kind=candidate.kind)
     report.sample = dict(sample_info or {"count": int(states.shape[0])})
 
-    # class -> (residual, tolerance, pass, dissipated quantity), in _CLASS_ORDER
+    # class -> (residual, pass, dissipated quantity), in _CLASS_ORDER; every
+    # class is checked at tol_exact
     table = {}
     plain = infinitesimal_symmetry_residual(sys, Y, states)
     if candidate.kind == "on_Q":
-        table["infinitesimal"] = (plain, tol_exact, plain <= tol_exact, VerticalMomentumQuantity(sys, Y))
+        table["infinitesimal"] = (plain, plain <= tol_exact, VerticalMomentumQuantity(sys, Y))
     else:
         # a Q x R field is never classified "infinitesimal"; report an honest
         # fail when plain invariance breaks, leave it untested otherwise
-        table["infinitesimal"] = (plain, tol_exact, None if plain <= tol_exact else False, None)
+        table["infinitesimal"] = (plain, None if plain <= tol_exact else False, None)
 
     generalized = generalized_symmetry_residual(sys, Y, states, tol=tol_exact)
-    table["generalized"] = (generalized.residual, tol_exact, generalized.passed, generalized.dissipated)
+    table["generalized"] = (generalized.residual, generalized.passed, generalized.dissipated)
 
     cartan_data = candidate.cartan_data
     if cartan_data is None and candidate.kind == "on_Q":
         zero = ScalarField.from_source("0", sys.chart)
         cartan_data = (zero, zero)
-    table["noether"] = (None, tol_exact, None, None)
+    table["noether"] = (None, None, None)
     if cartan_data is not None:
         noether = noether_symmetry_check(sys, Y, cartan_data[0], cartan_data[1], states, tol=tol_exact)
-        table["noether"] = (noether.residual, tol_exact, noether.passed, noether.dissipated)
+        table["noether"] = (noether.residual, noether.passed, noether.dissipated)
 
-    lie = lie_symmetry_residual(sys, Y, states, tol=tol_fd)
-    table["lie"] = (lie.residual, tol_fd, lie.passed, lie.dissipated)
+    lie = lie_symmetry_residual(sys, Y, states, tol=tol_exact)
+    table["lie"] = (lie.residual, lie.passed, lie.dissipated)
 
-    for cls, (residual, tolerance, passed, quantity) in table.items():
+    for cls, (residual, passed, quantity) in table.items():
         report.residuals[cls] = residual
-        report.tolerances[cls] = tolerance
+        report.tolerances[cls] = tol_exact
         report.passes[cls] = passed
         if passed and quantity is not None and report.classification is None:
             report.classification = cls

@@ -352,6 +352,46 @@ class TestConfigSurface:
         assert not any(n.startswith("momentum.") for n in names)
         assert any(n.startswith("symmetry.") for n in names)
 
+    @pytest.mark.parametrize(
+        "config, path",
+        [
+            ({"system": {"type": "hamiltonian", "n": 1, "expression": "0.5*(p1^2 + q1^2) + 0.1*z"},
+              "sample": {"count": 0}}, "$.sample.count"),
+            ({"system": {"type": "hamiltonian", "n": 1, "expression": "0.5*(p1^2 + q1^2) + 0.1*z"},
+              "generator_families": [{"label": "t", "side": "hamiltonian", "generators": [["1", "0", "0"]]}],
+              "sample": {"count": 0}}, "$.sample.count"),
+            (dict(BASE_CONFIG, sample={"count": 0}), "$.sample.count"),
+            (dict(BASE_CONFIG, sample={"count": -3}), "$.sample.count"),
+            (dict(BASE_CONFIG, sample={"box": ["a", 1.0]}), "$.sample.box"),
+            (dict(BASE_CONFIG, sample={"box": [1.0, -1.0]}), "$.sample.box"),
+            (dict(BASE_CONFIG, sample={"box": [-1.0, float("inf")]}), "$.sample.box"),
+            (dict(BASE_CONFIG, sample={"seed": -1}), "$.sample.seed"),
+        ],
+        ids=["count_0_hamiltonian", "count_0_hamiltonian_families", "count_0_lagrangian",
+             "negative_count", "non_numeric_box", "reversed_box", "infinite_box", "negative_seed"],
+    )
+    def test_bad_sample_block_is_a_config_error(self, in_tmp, tmp_path, capsys, config, path):
+        assert run_scenario(write_config(tmp_path, config)) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"config error: {path}: ")
+
+
+class TestTolScale:
+    def test_symmetry_entries_compare_against_the_reported_tolerance(self, in_tmp):
+        # the reported tolerances already carry tol_scale
+        assert main(["run", bundled_scenario_path("damped_free_particle.json"), "--tol-scale", "1e-7"]) in (0, 1)
+        report = json.loads(open("out/damped_free_particle.report.json").read())
+        assert report["provenance"]["tol_scale"] == 1e-7
+        classified = {c["name"]: c["classification"] is not None for c in report["candidates"]}
+        entries = [c for c in report["checks"] if c["name"].startswith("symmetry.")]
+        assert len(entries) == len(classified)
+        for entry in entries:
+            expected = classified[entry["name"].removeprefix("symmetry.")] and (
+                entry["residual"] <= entry["tolerance"]
+            )
+            assert entry["pass"] is expected, entry
+        assert any(entry["pass"] for entry in entries)
+
 
 class TestMain:
     def test_list_systems(self, capsys):

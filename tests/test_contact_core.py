@@ -33,10 +33,13 @@ from contactmech.fields import (
     DynamicsVectorField,
     ProductQuantity,
     VectorFieldSum,
+    lie_bracket_value,
 )
 from contactmech.lagrangian import TQRPoint
+from contactmech.lifts import CompleteLiftField, VectorFieldQ, VectorFieldQR
+from contactmech.sampling import regular_states
 
-from helpers import random_hamiltonian, random_polynomial_source
+from helpers import random_hamiltonian, random_lagrangian, random_polynomial_source
 
 RNG = np.random.default_rng(2024)
 
@@ -473,15 +476,40 @@ class TestDynamicalSymmetry:
         assert result.residual <= 1e-8
 
     def test_consistency_with_dissipation_residual(self):
+        # the check computes eta([X_H, X]) as the dissipation residual
+        # X_H(eta(X)) + R(H) eta(X); compare it with the bracket built from
+        # the dynamics Jacobian: exact (Darboux) on random Hamiltonians, with
+        # finite-difference acceleration rows (Herglotz) on complete lifts
         rng = np.random.default_rng(83)
-        sys = random_hamiltonian(rng, 1)
-        points = rng.uniform(-1, 1, size=(15, 3))
-        good = check_dynamical_symmetry(sys, DynamicsVectorField(sys), points)
-        assert dissipation_residual(sys, good.dissipated, points) <= 1e-8
-        bad_field = AmbientVectorField.from_sources(["p1", "q1", "q1*z"], hamiltonian_chart(1))
-        bad = check_dynamical_symmetry(sys, bad_field, points)
-        bad_dissipation = dissipation_residual(sys, bad.dissipated, points)
-        assert (bad.residual <= 1e-8) == (bad_dissipation <= 1e-8)
+        cases = []
+        for n in (1, 2):
+            sys = random_hamiltonian(rng, n)
+            chart = hamiltonian_chart(n)
+            f = field_on(n, random_polynomial_source(rng, chart))
+            other = AmbientVectorField.from_sources(
+                [random_polynomial_source(rng, chart) for _ in chart], chart
+            )
+            points = rng.uniform(-1, 1, size=(15, 2 * n + 1))
+            cases += [(sys, X, points) for X in (DynamicsVectorField(sys), HamiltonianVectorField(f), other)]
+        sys = random_lagrangian(rng, 2)
+        points = regular_states(sys, rng, 15)
+        random_q = [random_polynomial_source(rng, ["q1", "q2"]) for _ in range(2)]
+        for Y in (
+            VectorFieldQ.from_expressions(2, ["-q2", "q1"]),
+            VectorFieldQ.from_expressions(2, random_q),
+            VectorFieldQR.from_expressions(2, ["q1", "q2*z"], "2*z"),
+        ):
+            cases.append((sys, CompleteLiftField(Y), points))
+        brackets = []
+        for sys, X, points in cases:
+            dyn = DynamicsVectorField(sys)
+            bracket = max(abs(cc.eta_pairing(sys, u, lie_bracket_value(dyn, X, u))) for u in points)
+            residual = check_dynamical_symmetry(sys, X, points).residual
+            assert abs(residual - bracket) <= 1e-12 * max(1.0, bracket)
+            brackets.append(bracket)
+        # X_H commutes with itself; every other field here is no symmetry
+        assert brackets[0] <= 1e-12 and brackets[3] <= 1e-12
+        assert min(brackets[1:3] + brackets[4:]) > 1e-3
 
 
 class TestPropositionIdentity:

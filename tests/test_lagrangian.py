@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from contactmech import contact_core as cc
+from contactmech.cli import bundled_scenario_path, run_scenario
 from contactmech.expr import ScalarField, lagrangian_chart
 from contactmech.integrate import IntegratorConfig, integrate_lagrangian
 from contactmech.lagrangian import (
@@ -20,9 +21,12 @@ from contactmech.lagrangian import (
     reeb_at,
     velocity_hessian_at,
 )
+from contactmech.lifts import CompleteLiftField, VectorFieldQ, VectorFieldQR
+from contactmech.momentum import GeneratorFamily, momentum_dissipation_check
 from contactmech.sampling import regular_states
+from contactmech.symmetry import SymmetryCandidate, classify
 
-from helpers import free_particle, random_lagrangian
+from helpers import damped_oscillator, free_particle, random_lagrangian
 
 
 def system_from(source, n=1, **params):
@@ -230,3 +234,32 @@ class TestClosedFormFlow:
         )
         expected = 0.5 * np.exp(-gamma * traj.times)
         assert np.max(np.abs(traj.monitors["E_L"] - expected)) <= 1e-7
+
+
+class TestNoFiniteDifferenceJacobian:
+    def test_no_check_uses_the_stencil(self, monkeypatch, tmp_path):
+        # every residual of the checks is exact: none may reach the
+        # finite-difference acceleration rows of dynamics_jacobian
+        def stencil(self, u):
+            raise AssertionError("a check used the finite-difference Jacobian")
+
+        monkeypatch.setattr(LagrangianSystem, "dynamics_jacobian", stencil)
+        sys = damped_oscillator()
+        points = regular_states(sys, np.random.default_rng(5), 20)
+        zero = ScalarField.from_source("0", sys.chart)
+        rotation = VectorFieldQ.from_expressions(2, ["-q2", "q1"])
+        candidates = [
+            SymmetryCandidate("rotation", "on_Q", rotation),
+            SymmetryCandidate(
+                "rotation_qr", "on_QxR", VectorFieldQR.from_expressions(2, ["-q2", "q1"], "0"),
+                (zero, zero),
+            ),
+        ]
+        for candidate in candidates:
+            report = classify(sys, candidate, points)
+            assert None not in report.residuals.values() and report.passes["lie"]
+        family = GeneratorFamily("rotations", "lagrangian", (rotation,))
+        assert momentum_dissipation_check(family, sys, points).passed
+        assert cc.check_dynamical_symmetry(sys, CompleteLiftField(rotation), points).passed
+        monkeypatch.chdir(tmp_path)
+        assert run_scenario(bundled_scenario_path("damped_oscillator_rotation.json")) == 0

@@ -154,12 +154,12 @@ class TestLie:
     def test_infinitesimal_symmetry_is_lie(self):
         sys = damped_oscillator()
         Y = VectorFieldQR.from_expressions(2, ["-q2", "q1"], "0")
-        assert lie_symmetry_residual(sys, Y, points_for(sys)).residual <= 1e-4
+        assert lie_symmetry_residual(sys, Y, points_for(sys)).residual <= 1e-8
 
     def test_generalized_symmetry_is_lie_here(self):
         sys = free_particle(gamma=0.2)
         Y = VectorFieldQR.from_expressions(1, ["q1"], "2*z")
-        assert lie_symmetry_residual(sys, Y, points_for(sys)).residual <= 1e-4
+        assert lie_symmetry_residual(sys, Y, points_for(sys)).residual <= 1e-8
 
     def test_bare_scaling_is_not_lie(self):
         sys = free_particle(gamma=0.2)
@@ -266,7 +266,7 @@ class TestClassify:
         assert report.trajectory.scaled_drift <= 1e-6
         doc = report.to_json_dict()
         assert doc["classification"] == "infinitesimal"
-        assert doc["classes"]["lie"]["tolerance"] == 1e-4
+        assert doc["classes"]["lie"]["tolerance"] == 1e-8
 
     def test_scaling_is_generalized_but_not_infinitesimal(self):
         sys = free_particle(gamma=0.2)
