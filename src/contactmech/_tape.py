@@ -7,6 +7,14 @@ second-order algebra of :mod:`contactmech.ad` and returns a
 :class:`~contactmech.ad.Jet2`.  Both raise exactly where evaluating the tree
 operation by operation would, with the same exception types.
 
+:func:`compile_values` and :func:`compile_jets` emit the same traces over the
+columns of an (N, m) block of points, with numpy ufuncs in place of the math
+functions.  They are exact only where nothing goes wrong: a guard that any
+row hits, a branch that the rows do not all take, and an integral exponent
+that differs between rows raise :class:`BlockFallback` instead of the
+row's error.  The caller runs them under ``np.errstate(all="raise")`` and
+evaluates such a block row by row with the functions above.
+
 Tracing runs the operations over *symbolic* scalars: a Python float when the
 number is known at compile time (literals, parameters and every subtree
 built from them alone), otherwise the name of a local of the generated
@@ -34,10 +42,10 @@ import operator
 
 import numpy as np
 
-from .ad import DomainError, Jet2
+from .ad import DomainError, Jet2, JetBlock
 from .expr import Binary, Call, Num, Unary, Var
 
-__all__ = ["compile_value", "compile_jet"]
+__all__ = ["BlockFallback", "compile_value", "compile_jet", "compile_values", "compile_jets"]
 
 # integral exponents up to this size are taken by repeated multiplication
 # (exact for negative bases); larger ones go through exp/log, as in ad.power
@@ -74,24 +82,22 @@ def _fail_base(value):
     raise DomainError(f"power with non-constant exponent requires a positive base, got {value}")
 
 
-def _repeated_product(x: float, k: int) -> float:
+def _repeated_product(x, k: int):
     # square-and-multiply in floats: overflows to inf instead of raising
+    # (never in place: x may be a column of a block)
     result = 1.0
     while k:
         if k & 1:
-            result *= x
+            result = result * x
         k >>= 1
         if k:
-            x *= x
+            x = x * x
     return result
 
 
-def _int_power_chain(base: float, exponent: float):
+def _power_chain(base, k: int):
     """base**k with its first and second derivatives, for an integral k other than 0 and 1."""
-    k = int(exponent)
     if k < 0:
-        if base == 0.0:
-            _fail_div(base)
         r = 1.0 / base
         value = _repeated_product(r, -k)
         return value, k * value * r, k * (k - 1) * value * r * r
@@ -99,15 +105,79 @@ def _int_power_chain(base: float, exponent: float):
     return _repeated_product(base, k), k * _repeated_product(base, k - 1), d2
 
 
-# (test at compile time, test in generated code) for each failure helper
+def _int_power_chain(base: float, exponent: float):
+    k = int(exponent)
+    if k < 0 and base == 0.0:
+        _fail_div(base)
+    return _power_chain(base, k)
+
+
+# -- the block runtime ------------------------------------------------------------
+
+
+class BlockFallback(ArithmeticError):
+    """A block of points needs evaluating row by row (see the module docstring)."""
+
+
+def _fallback(*_args):
+    raise BlockFallback
+
+
+def _uniform(mask) -> bool:
+    """The branch every row takes; rows that disagree fall back."""
+    mask = np.asarray(mask)
+    if mask.all():
+        return True
+    if not mask.any():
+        return False
+    raise BlockFallback
+
+
+def _integral(a):
+    """Rowwise ``float.is_integer``."""
+    return np.isfinite(a) & (np.floor(a) == a)
+
+
+def _nonzero(*entries):
+    """Rowwise truth of ``a or b or ...`` over floats."""
+    mask = False
+    for entry in entries:
+        mask = mask | (entry != 0.0)
+    return mask
+
+
+def _uniform_int(exponent) -> int:
+    """The one integral exponent of every row; rows that differ fall back."""
+    flat = np.ravel(exponent)
+    if np.any(flat != flat[0]):
+        raise BlockFallback
+    return int(flat[0])
+
+
+def _block_int_power_chain(base, exponent):
+    k = _uniform_int(exponent)
+    if k < 0 and np.any(base == 0.0):
+        raise BlockFallback
+    return _power_chain(base, k)
+
+
+# (test at compile time, test in generated code, test over a block) for each
+# failure helper
 _GUARDS = {
-    _fail_div: (lambda a: a == 0.0, "{0} == k0"),
-    _fail_log: (lambda a: a <= 0.0, "{0} <= k0"),
-    _fail_sqrt: (lambda a: not a >= 0.0, "not {0} >= k0"),
-    _fail_jet_sqrt: (lambda a: a <= 0.0, "{0} <= k0"),
-    _fail_angle: (math.isinf, "isinf({0})"),
-    _fail_root: (lambda a: a <= 0.0, "{0} <= k0"),
-    _fail_base: (lambda a: a <= 0.0, "{0} <= k0"),
+    _fail_div: (lambda a: a == 0.0, "{0} == k0", "_any({0} == k0)"),
+    _fail_log: (lambda a: a <= 0.0, "{0} <= k0", "_any({0} <= k0)"),
+    _fail_sqrt: (lambda a: not a >= 0.0, "not {0} >= k0", "not _all({0} >= k0)"),
+    _fail_jet_sqrt: (lambda a: a <= 0.0, "{0} <= k0", "_any({0} <= k0)"),
+    _fail_angle: (math.isinf, "isinf({0})", "_any(isinf({0}))"),
+    _fail_root: (lambda a: a <= 0.0, "{0} <= k0", "_any({0} <= k0)"),
+    _fail_base: (lambda a: a <= 0.0, "{0} <= k0", "_any({0} <= k0)"),
+}
+
+# branch conditions: (generated test, rowwise mask over a block)
+_CONDITIONS = {
+    "integral": ("{0}.is_integer()", "_integral({0})"),
+    "small_integral": ("{0}.is_integer() and -{1} <= {0} <= {1}", "_integral({0}) & (_abs({0}) <= {1})"),
+    "equal": ("{0} == {1}", "{0} == {1}"),
 }
 
 _MATH = {"sin": math.sin, "cos": math.cos, "exp": math.exp, "log": math.log, "sqrt": math.sqrt}
@@ -118,6 +188,20 @@ _RUNTIME = {
     "isinf": math.isinf,
     "int": int,
     "_int_power_chain": _int_power_chain,
+}
+
+_BLOCK_RUNTIME = {
+    **{name: getattr(np, name) for name in _MATH},
+    **{fail.__name__: _fallback for fail in _GUARDS},
+    "isinf": np.isinf,
+    "int": _uniform_int,
+    "_int_power_chain": _block_int_power_chain,
+    "_any": np.any,
+    "_all": np.all,
+    "_abs": np.abs,
+    "_uniform": _uniform,
+    "_integral": _integral,
+    "_nonzero": _nonzero,
 }
 
 
@@ -152,12 +236,17 @@ class _Jet:
 
 
 class _Tracer:
-    """Float arithmetic over symbolic scalars, written out as Python lines."""
+    """Float arithmetic over symbolic scalars, written out as Python lines.
 
-    def __init__(self, chart, parameters: dict):
+    With ``block`` set the lines run over columns of points (see the module
+    docstring); only guards, branch conditions and the runtime helpers differ.
+    """
+
+    def __init__(self, chart, parameters: dict, block: bool = False):
         self.inputs = {name: f"x{i}" for i, name in enumerate(chart)}
         self.parameters = parameters
-        self.namespace = {"__builtins__": {}, **_RUNTIME}
+        self.block = block
+        self.namespace = {"__builtins__": {}, **(_BLOCK_RUNTIME if block else _RUNTIME)}
         self.lines: list[str] = []
         self.indent = "    "
         self.bound: dict = {}
@@ -209,7 +298,9 @@ class _Tracer:
 
     def guard(self, fail, a) -> None:
         """Call ``fail(a)`` (which raises) where its domain test holds."""
-        test, condition = _GUARDS[fail]
+        test, condition, block_condition = _GUARDS[fail]
+        if self.block:
+            condition = block_condition
         if _known(a):
             if test(a):
                 self.line(f"{fail.__name__}({{0}})", a)
@@ -219,6 +310,14 @@ class _Tracer:
         if text not in self.cse:
             self.cse[text] = None
             self.lines.append(self.indent + text)
+
+    def condition(self, kind: str, *args) -> str:
+        """The run-time test of a branch: one of ``_CONDITIONS``, or ``nonzero``."""
+        refs = [self.ref(a) for a in args]
+        if kind == "nonzero":
+            return f"_uniform(_nonzero({', '.join(refs)}))" if self.block else " or ".join(refs)
+        scalar, block = _CONDITIONS[kind]
+        return f"_uniform({block.format(*refs)})" if self.block else scalar.format(*refs)
 
     def branch(self, condition: str, then, orelse):
         """Trace both alternatives and pick one at run time by ``condition``."""
@@ -355,7 +454,7 @@ class _Tracer:
         """Integral exponents by ``**`` with an int; others need a positive base."""
         if _known(b):
             return self._integral_power(a, b) if b.is_integer() else self._real_power(a, b)
-        return self.branch(f"{b}.is_integer()", lambda: self._integral_power(a, b),
+        return self.branch(self.condition("integral", b), lambda: self._integral_power(a, b),
                            lambda: self._real_power(a, b))
 
     def _integral_power(self, a, b):
@@ -363,7 +462,10 @@ class _Tracer:
             if b < 0:
                 self.guard(_fail_div, a)
             return self.op(operator.pow, "{} ** {}", a, int(b))
-        self.line("if {0} == k0 and {1} < k0: _fail_div({0})", a, b)
+        if self.block:
+            self.line("if _any(({0} == k0) & ({1} < k0)): _fail_div({0})", a, b)
+        else:
+            self.line("if {0} == k0 and {1} < k0: _fail_div({0})", a, b)
         return self.emit("{} ** int({})", a, b)
 
     def _real_power(self, a, b):
@@ -378,8 +480,8 @@ class _JetTracer(_Tracer):
     entries use ``None`` for a structural zero.
     """
 
-    def __init__(self, chart, parameters: dict):
-        super().__init__(chart, parameters)
+    def __init__(self, chart, parameters: dict, block: bool = False):
+        super().__init__(chart, parameters, block)
         m = len(self.inputs)
         self.all_g = range(m)
         self.all_h = [(i, j) for i in range(m) for j in range(i, m)]
@@ -580,7 +682,7 @@ class _JetTracer(_Tracer):
         if any(map(_known, entries)):
             return self._variable_power(a, b)
         if entries:
-            return self.branch(" or ".join(entries), lambda: self._variable_power(a, b),
+            return self.branch(self.condition("nonzero", *entries), lambda: self._variable_power(a, b),
                                lambda: self._constant_exponent(a, b.v))
         return self._constant_exponent(a, b.v)
 
@@ -593,8 +695,7 @@ class _JetTracer(_Tracer):
             if e.is_integer() and abs(e) <= MAX_INT_POWER:
                 return self._int_power(a, int(e))
             return self._real_power_jet(a, e)
-        limit = self.ref(float(MAX_INT_POWER))
-        return self.branch(f"{e}.is_integer() and -{limit} <= {e} <= {limit}",
+        return self.branch(self.condition("small_integral", e, float(MAX_INT_POWER)),
                            lambda: self._runtime_int_power(a, e),
                            lambda: self._real_power_jet(a, e))
 
@@ -626,19 +727,23 @@ class _JetTracer(_Tracer):
             self.line(f"{', '.join(names)} = _int_power_chain({{0}}, {{1}})", a.v, e)
             return self._chain(a, *names)
 
-        one = self.ref(1.0)
-        return self.branch(f"{e} == k0", lambda: _Jet(1.0, {}, {}),
-                           lambda: self.branch(f"{e} == {one}", lambda: a, chained))
+        return self.branch(self.condition("equal", e, 0.0), lambda: _Jet(1.0, {}, {}),
+                           lambda: self.branch(self.condition("equal", e, 1.0), lambda: a, chained))
 
 
-def _jet_builder(m: int, g_keys, h_keys):
-    """Scatter (0, gradient entries, upper-Hessian entries) into a Jet2."""
+def _entry_index(m: int, g_keys, h_keys):
+    """Where each gradient and Hessian slot sits in (0, gradient entries, upper-Hessian entries)."""
     g_index = np.zeros(m, dtype=np.intp)
     g_index[list(g_keys)] = np.arange(1, len(g_keys) + 1)
     h_index = np.zeros((m, m), dtype=np.intp)
     for pos, (i, j) in enumerate(h_keys, start=len(g_keys) + 1):
         h_index[i, j] = h_index[j, i] = pos
-    size = len(g_keys) + len(h_keys) + 1
+    return g_index, h_index, len(g_keys) + len(h_keys) + 1
+
+
+def _jet_builder(m: int, g_keys, h_keys):
+    """Scatter (0, gradient entries, upper-Hessian entries) into a Jet2."""
+    g_index, h_index, size = _entry_index(m, g_keys, h_keys)
     fromiter = np.fromiter
 
     def out(value, entries):
@@ -648,28 +753,79 @@ def _jet_builder(m: int, g_keys, h_keys):
     return out
 
 
+def _trace(tracer, tree):
+    """The traced result, or None when every run raises."""
+    try:
+        return tracer.trace(tree)
+    except _Unreachable:
+        return None
+
+
 def compile_value(tree, chart, parameters: dict):
     """``f(x) -> float``: the tree's value under float rules at coordinates x."""
     tracer = _Tracer(chart, parameters)
-    try:
-        result = tracer.trace(tree)
-    except _Unreachable:
-        return tracer.function("")
-    return tracer.function(f"return {tracer.ref(result)}")
+    result = _trace(tracer, tree)
+    return tracer.function("" if result is None else f"return {tracer.ref(result)}")
+
+
+def compile_values(tree, chart, parameters: dict):
+    """``f(X) -> (N,) array``: the value at each row of an (N, m) block."""
+    tracer = _Tracer(chart, parameters, block=True)
+    result = _trace(tracer, tree)
+    fn = tracer.function("" if result is None else f"return {tracer.ref(result)}")
+
+    def values(X):
+        out = np.empty(X.shape[0])
+        out[:] = fn(np.ascontiguousarray(X.T))
+        return out
+
+    return values
+
+
+def _jet_result(tracer, tree):
+    """(sparse jet, gradient keys, Hessian keys, entry names), or None when every run raises."""
+    result = _trace(tracer, tree)
+    if result is None:
+        return None
+    if not isinstance(result, _Jet):
+        result = _Jet(result, {}, {})
+    g_keys, h_keys = sorted(result.g), sorted(result.h)
+    entries = [0.0, *(result.g[i] for i in g_keys), *(result.h[k] for k in h_keys)]
+    return result, g_keys, h_keys, ", ".join(map(tracer.ref, entries))
 
 
 def compile_jet(tree, chart, parameters: dict):
     """``f(x) -> Jet2``: value, gradient and Hessian in the chart variables at x."""
     tracer = _JetTracer(chart, parameters)
-    try:
-        result = tracer.trace(tree)
-    except _Unreachable:
+    traced = _jet_result(tracer, tree)
+    if traced is None:
         return tracer.function("")
-    if not isinstance(result, _Jet):
-        result = _Jet(result, {}, {})
-    g_keys, h_keys = sorted(result.g), sorted(result.h)
+    result, g_keys, h_keys, entries = traced
     tracer.namespace["_out"] = _jet_builder(len(tracer.inputs), g_keys, h_keys)
-    entries = [0.0, *(result.g[i] for i in g_keys), *(result.h[k] for k in h_keys)]
-    return tracer.function(
-        f"return _out({tracer.ref(result.v)}, ({', '.join(map(tracer.ref, entries))},))"
-    )
+    return tracer.function(f"return _out({tracer.ref(result.v)}, ({entries},))")
+
+
+def compile_jets(tree, chart, parameters: dict):
+    """``f(X) -> JetBlock``: values (N,), gradients (N, m) and Hessians (N, m, m)
+    at the rows of an (N, m) block."""
+    tracer = _JetTracer(chart, parameters, block=True)
+    traced = _jet_result(tracer, tree)
+    if traced is None:
+        fn = tracer.function("")
+        return lambda X: fn(np.ascontiguousarray(X.T))
+    result, g_keys, h_keys, entries = traced
+    fn = tracer.function(f"return {tracer.ref(result.v)}, ({entries},)")
+    g_index, h_index, size = _entry_index(len(tracer.inputs), g_keys, h_keys)
+
+    def jets(X):
+        count = X.shape[0]
+        value, columns = fn(np.ascontiguousarray(X.T))
+        flat = np.empty((size, count))
+        for row, column in zip(flat, columns):
+            row[:] = column
+        out = np.empty(count)
+        out[:] = value
+        flat = flat.T
+        return JetBlock(out, flat[:, g_index], flat[:, h_index])
+
+    return jets

@@ -16,12 +16,14 @@ code against this algebra.
 from __future__ import annotations
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 
 __all__ = [
     "DomainError",
     "Jet2",
+    "JetBlock",
     "seed_variables",
     "constant",
     "jet2_binary",
@@ -101,6 +103,15 @@ class Jet2:
 
     def __neg__(self):
         return Jet2(-self.value, -self.gradient, -self.hessian)
+
+
+class JetBlock(NamedTuple):
+    """The jets of one scalar at N points: values (N,), gradients (N, m) and
+    Hessians (N, m, m), row k being the :class:`Jet2` at point k."""
+
+    value: np.ndarray
+    gradient: np.ndarray
+    hessian: np.ndarray
 
 
 def seed_variables(values) -> list[Jet2]:

@@ -23,9 +23,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import symmetry
-from .contact_core import HamiltonianSystem, _worse, flat_coeffs, lie_derivative_eta_coeffs
+from .contact_core import HamiltonianSystem, _flat_rows, _worst_rows, lie_derivative_eta_block
 from .expr import ParseError, ScalarField, hamiltonian_chart, lagrangian_chart
-from .fields import AmbientVectorField, DynamicsVectorField
+from .fields import AmbientVectorField, DynamicsVectorField, _rowdot
 from .integrate import (
     IntegrationError,
     IntegratorConfig,
@@ -373,7 +373,12 @@ def load_scenario(config_path: str, *, seed=None) -> Scenario:
     families = _build_families(cfg, system, params, kind)
 
     checks = {"structure": True, "symmetries": True, "momentum": True, "quotients": True}
-    checks.update(_expect(cfg, "checks", dict, "$", default={}))
+    for key, value in _expect(cfg, "checks", dict, "$", default={}).items():
+        if key not in checks:
+            raise ConfigError(f"$.checks.{key}", f"unknown check; expected one of {list(checks)}")
+        if not isinstance(value, bool):
+            raise ConfigError(f"$.checks.{key}", f"expected bool, got {type(value).__name__}")
+        checks[key] = value
 
     sample = _expect(cfg, "sample", dict, "$", default={})
     count = _expect(sample, "count", int, "$.sample", default=100)
@@ -446,29 +451,33 @@ def _structure_checks(scn: Scenario, states, tol_scale: float) -> list[dict]:
     lagrangian = scn.kind == "lagrangian"
     dyn = DynamicsVectorField(system)
     tolerances = _STRUCTURE_TOLERANCES[scn.kind]
-    worst = dict.fromkeys(tolerances, 0.0)
-    for u in states:
-        xi = system.dynamics(u)
-        energy, denergy = system.hamiltonian_value_and_gradient(u)
-        rate = system.reeb_rate(u)
-        eta = system.eta(u)
-        flat = flat_coeffs(system, u, xi)
+
+    def kernel(U):
+        xi = system.dynamics_block(U)
+        energy, denergy = system.hamiltonian_value_and_gradient_block(U)
+        rate = system.reeb_rate_block(U)
+        eta = system.eta_block(U)
+        flat = _flat_rows(system, U, xi)
         residuals = {
-            "eta_of_dynamics": abs(float(eta @ xi) + energy),
-            "flat_of_dynamics": float(np.max(np.abs(flat - (denergy - (rate + energy) * eta)))),
+            "eta_of_dynamics": np.abs(_rowdot(eta, xi) + energy),
+            "flat_of_dynamics": np.max(
+                np.abs(flat - (denergy - (rate + energy)[:, None] * eta)), axis=1
+            ),
         }
         if lagrangian:
-            residuals["sode"] = float(np.max(np.abs(xi[:n] - u[n : 2 * n])))
-            residuals["dz_of_dynamics"] = abs(xi[-1] - system.jet(u).value)
-            residuals["reeb_rate"] = abs(rate + system.jet(u).gradient[-1])
+            jets = system.jets(U)
+            residuals["sode"] = np.max(np.abs(xi[:, :n] - U[:, n : 2 * n]), axis=1)
+            residuals["dz_of_dynamics"] = np.abs(xi[:, -1] - jets.value)
+            residuals["reeb_rate"] = np.abs(rate + jets.gradient[:, -1])
         else:
-            lie = lie_derivative_eta_coeffs(system, dyn, u)
-            residuals["conformal"] = float(np.max(np.abs(lie + rate * eta)))
+            lie = lie_derivative_eta_block(system, dyn, U)
+            residuals["conformal"] = np.max(np.abs(lie + rate[:, None] * eta), axis=1)
             # the dissipation identity for f = H, from the values above:
-            # _dissipation_at would evaluate H, X_H and R(H) a second time
-            residuals["energy_rate"] = abs(float(denergy @ xi) + rate * energy)
-        for name, residual in residuals.items():
-            worst[name] = _worse(worst[name], residual)
+            # _dissipation_rows would evaluate H, X_H and R(H) a second time
+            residuals["energy_rate"] = np.abs(_rowdot(denergy, xi) + rate * energy)
+        return np.column_stack([residuals[name] for name in tolerances])
+
+    worst = dict(zip(tolerances, _worst_rows(kernel, states)))
     entries = []
     for name, tol in tolerances.items():
         tol = tol * tol_scale

@@ -12,12 +12,25 @@ conformal/dynamical/Cartan symmetry checks, dissipation residuals) only use
 the chart interface ``eta`` / ``eta_jacobian`` / ``reeb``, so they apply
 verbatim to the Lagrangian chart of :mod:`contactmech.lagrangian`.
 
-One per-point kernel, ``_dissipation_at(system, f, u)`` = |X_H(f) + R(H) f|,
-is zero where f dissipates at the energy's rate.  L_{X_H} eta = -R(H) eta
+Checks run over blocks of sample points: systems, vector fields and
+quantities have ``*_block`` methods that take an (N, dim) array and return
+one row per point, and the per-point methods used only by checks and tests
+are one-row adapters over them.  The integrator keeps the per-point
+``dynamics`` and the one-entry jet memo.
+
+One block kernel, ``_dissipation_rows(system, f, U)`` = |X_H(f) + R(H) f| per
+row, is zero where f dissipates at the energy's rate.  L_{X_H} eta = -R(H) eta
 gives eta([X_H, X]) = X_H(eta(X)) + R(H) eta(X), so X is a dynamical
 symmetry where -eta(X) passes the same kernel, with no Jacobian of the
 dynamics.  Every check here and in :mod:`contactmech.momentum` and
 :mod:`contactmech.symmetry` reduces this kernel over its sample points.
+
+:func:`_worst_rows` runs a check's kernel on the whole block under
+``np.errstate(all="raise")``.  Any error there reruns the kernel one row at a
+time, so a failing sample raises what a loop over the points would raise at
+the first failing point, and a row that only overflows gets the inf or NaN
+of float arithmetic.  Residuals reduce with one NaN-propagating max over
+axis 0.
 """
 
 from __future__ import annotations
@@ -26,12 +39,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ad import Jet2
+from .ad import Jet2, JetBlock
 from .expr import ScalarField, hamiltonian_chart
 from .fields import (
     EtaPairingQuantity,
     LinearCombinationQuantity,
     QuotientQuantity,
+    _one_row,
+    _rowdot,
+    _vecmat,
     lie_bracket_value,
 )
 
@@ -57,6 +73,7 @@ __all__ = [
     "check_dynamical_symmetry",
     "check_cartan_symmetry",
     "lie_derivative_eta_coeffs",
+    "lie_derivative_eta_block",
     "flat_coeffs",
     "flat_inverse_coeffs",
     "eta_pairing",
@@ -164,15 +181,35 @@ def _as_states(points, dim: int) -> np.ndarray:
     return mat
 
 
-def _worse(worst: float, residual: float) -> float:
-    """The larger residual; NaN once either is NaN (``max(0.0, nan)`` is 0.0)."""
-    if residual > worst or residual != residual:
-        return residual
-    return worst
+def _rows(kernel, states: np.ndarray) -> np.ndarray:
+    """``kernel(states)``, one row per point, as one block or else row by row.
+
+    The block runs under ``np.errstate(all="raise")``.  If it raises anything
+    arithmetic (a domain or regularity error, a floating-point exception) the
+    kernel runs again on each one-row block in order, with floating-point
+    exceptions off: the first failing point raises its own error, and the
+    other rows get what float arithmetic gives them.
+    """
+    try:
+        with np.errstate(all="raise"):
+            return kernel(states)
+    except (ArithmeticError, ValueError, np.linalg.LinAlgError):
+        pass
+    with np.errstate(all="ignore"):
+        return np.concatenate([kernel(states[k : k + 1]) for k in range(states.shape[0])])
+
+
+def _worst_rows(kernel, states: np.ndarray):
+    """The largest residual of each column of :func:`_rows`; NaN wherever one is NaN."""
+    return np.max(_rows(kernel, states), axis=0)
 
 
 class _JetMemo:
-    """A field's jet at the last point asked for, shared by repeated queries."""
+    """A field's jet at the last point asked for, shared by repeated queries.
+
+    Only the per-point path of the integrator uses it (stage k1 of RK4 reuses
+    the jet of the energy monitor); checks evaluate blocks of points.
+    """
 
     __slots__ = ("field", "key", "jet")
 
@@ -203,27 +240,37 @@ class DarbouxChart:
         self.dim = 2 * n + 1
         self.chart = hamiltonian_chart(n)
 
-    def eta(self, u) -> np.ndarray:
+    def eta_block(self, U) -> np.ndarray:
         n = self.n
-        coeffs = np.zeros(self.dim)
-        coeffs[:n] = -u[n : 2 * n]
-        coeffs[-1] = 1.0
+        coeffs = np.zeros((len(U), self.dim))
+        coeffs[:, :n] = -U[:, n : 2 * n]
+        coeffs[:, -1] = 1.0
         return coeffs
 
-    def eta_jacobian(self, u) -> np.ndarray:
+    def eta_jacobian_block(self, U) -> np.ndarray:
         # D[a, b] = d(eta_b)/du^a; only d(-p_i)/dp_i = -1 survives
         n = self.n
-        D = np.zeros((self.dim, self.dim))
-        D[range(n, 2 * n), range(n)] = -1.0
+        D = np.zeros((len(U), self.dim, self.dim))
+        D[:, range(n, 2 * n), range(n)] = -1.0
         return D
 
-    def reeb(self, u) -> np.ndarray:
-        r = np.zeros(self.dim)
-        r[-1] = 1.0
+    def reeb_block(self, U) -> np.ndarray:
+        r = np.zeros((len(U), self.dim))
+        r[:, -1] = 1.0
         return r
+
+    def eta(self, u) -> np.ndarray:
+        return self.eta_block(_one_row(u))[0]
+
+    def eta_jacobian(self, u) -> np.ndarray:
+        return self.eta_jacobian_block(_one_row(u))[0]
+
+    def reeb(self, u) -> np.ndarray:
+        return self.reeb_block(_one_row(u))[0]
 
 
 def _darboux_field_value(jet: Jet2, p: np.ndarray, n: int) -> np.ndarray:
+    # the integrator's per-point form of _darboux_field_rows
     G = jet.gradient
     out = np.empty(2 * n + 1)
     out[:n] = G[n : 2 * n]
@@ -232,15 +279,26 @@ def _darboux_field_value(jet: Jet2, p: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
-def _darboux_field_jacobian(jet: Jet2, p: np.ndarray, n: int) -> np.ndarray:
-    G, B = jet.gradient, jet.hessian
+def _darboux_field_rows(jets: JetBlock, P: np.ndarray, n: int) -> np.ndarray:
+    """X_f at each row, from the jets of f and the momenta P."""
+    G = jets.gradient
+    out = np.empty((len(P), 2 * n + 1))
+    out[:, :n] = G[:, n : 2 * n]
+    out[:, n : 2 * n] = -(G[:, :n] + P * G[:, 2 * n, None])
+    out[:, 2 * n] = _rowdot(P, G[:, n : 2 * n]) - jets.value
+    return out
+
+
+def _darboux_jacobian_rows(jets: JetBlock, P: np.ndarray, n: int) -> np.ndarray:
+    """The Jacobian of X_f at each row."""
+    G, B = jets.gradient, jets.hessian
     dim = 2 * n + 1
-    J = np.empty((dim, dim))
-    J[:n] = B[n : 2 * n, :]
-    J[n : 2 * n] = -(B[:n, :] + np.outer(p, B[2 * n, :]))
-    J[range(n, 2 * n), range(n, 2 * n)] -= G[2 * n]
-    J[2 * n] = p @ B[n : 2 * n, :] - G
-    J[2 * n, n : 2 * n] += G[n : 2 * n]
+    J = np.empty((len(P), dim, dim))
+    J[:, :n] = B[:, n : 2 * n, :]
+    J[:, n : 2 * n] = -(B[:, :n, :] + P[:, :, None] * B[:, None, 2 * n, :])
+    J[:, range(n, 2 * n), range(n, 2 * n)] -= G[:, 2 * n, None]
+    J[:, 2 * n] = _vecmat(P, B[:, n : 2 * n, :]) - G
+    J[:, 2 * n, n : 2 * n] += G[:, n : 2 * n]
     return J
 
 
@@ -257,25 +315,43 @@ class HamiltonianSystem(DarbouxChart):
     def jet(self, u) -> Jet2:
         return self._jet(u)
 
-    # system data
+    def jets(self, U) -> JetBlock:
+        return self.hamiltonian.jets_at(U)
+
+    # system data over blocks of points
+
+    def hamiltonian_value_and_gradient_block(self, U):
+        jets = self.jets(U)
+        return jets.value, jets.gradient
+
+    def reeb_rate_block(self, U) -> np.ndarray:
+        """R(H) at each row (the conformal rate of the dynamics)."""
+        return self.jets(U).gradient[:, -1]
+
+    def dynamics_block(self, U) -> np.ndarray:
+        return _darboux_field_rows(self.jets(U), U[:, self.n : 2 * self.n], self.n)
+
+    def dynamics_and_jacobian_block(self, U):
+        jets = self.jets(U)
+        P = U[:, self.n : 2 * self.n]
+        return _darboux_field_rows(jets, P, self.n), _darboux_jacobian_rows(jets, P, self.n)
+
+    # ... and at one point
 
     def hamiltonian_value_and_gradient(self, u):
-        jet = self.jet(u)
-        return jet.value, jet.gradient
+        value, gradient = self.hamiltonian_value_and_gradient_block(_one_row(u))
+        return float(value[0]), gradient[0]
 
     def reeb_rate(self, u) -> float:
-        """R(H) at u (the conformal rate of the dynamics)."""
-        return float(self.jet(u).gradient[-1])
+        return float(self.reeb_rate_block(_one_row(u))[0])
 
     def dynamics(self, u) -> np.ndarray:
         u = np.asarray(u, dtype=float)
         return _darboux_field_value(self.jet(u), u[self.n : 2 * self.n], self.n)
 
     def dynamics_jacobian(self, u):
-        u = np.asarray(u, dtype=float)
-        jet = self.jet(u)
-        p = u[self.n : 2 * self.n]
-        return _darboux_field_value(jet, p, self.n), _darboux_field_jacobian(jet, p, self.n)
+        value, jacobian = self.dynamics_and_jacobian_block(_one_row(u))
+        return value[0], jacobian[0]
 
     def default_monitor(self):
         return "H", self.hamiltonian
@@ -299,15 +375,20 @@ class HamiltonianVectorField:
     def n(self) -> int:
         return (len(self.function.chart) - 1) // 2
 
+    def value_block(self, U) -> np.ndarray:
+        return _darboux_field_rows(self.function.jets_at(U), U[:, self.n : 2 * self.n], self.n)
+
+    def value_and_jacobian_block(self, U):
+        jets = self.function.jets_at(U)
+        P = U[:, self.n : 2 * self.n]
+        return _darboux_field_rows(jets, P, self.n), _darboux_jacobian_rows(jets, P, self.n)
+
     def value(self, u) -> np.ndarray:
-        u = np.asarray(u, dtype=float)
-        return _darboux_field_value(self.function.jet_at(u), u[self.n : 2 * self.n], self.n)
+        return self.value_block(_one_row(u))[0]
 
     def value_and_jacobian(self, u):
-        u = np.asarray(u, dtype=float)
-        jet = self.function.jet_at(u)
-        p = u[self.n : 2 * self.n]
-        return _darboux_field_value(jet, p, self.n), _darboux_field_jacobian(jet, p, self.n)
+        value, jacobian = self.value_and_jacobian_block(_one_row(u))
+        return value[0], jacobian[0]
 
 
 # -- generic chart machinery ---------------------------------------------------
@@ -317,12 +398,17 @@ def eta_pairing(geometry, u, vector: np.ndarray) -> float:
     return float(geometry.eta(u) @ vector)
 
 
+def _flat_rows(geometry, U, V) -> np.ndarray:
+    """flat(v) = i_v d(eta) + eta(v) eta at each row, for the vectors V."""
+    eta = geometry.eta_block(U)
+    D = geometry.eta_jacobian_block(U)
+    omega = D - D.transpose(0, 2, 1)
+    return _vecmat(V, omega) + _rowdot(eta, V)[:, None] * eta
+
+
 def flat_coeffs(geometry, u, vector: np.ndarray) -> np.ndarray:
     """flat(v) = i_v d(eta) + eta(v) eta as a coefficient vector."""
-    eta = geometry.eta(u)
-    D = geometry.eta_jacobian(u)
-    omega = D - D.T
-    return vector @ omega + (eta @ vector) * eta
+    return _flat_rows(geometry, _one_row(u), _one_row(vector))[0]
 
 
 def flat_inverse_coeffs(geometry, u, coeffs: np.ndarray) -> np.ndarray:
@@ -332,10 +418,15 @@ def flat_inverse_coeffs(geometry, u, coeffs: np.ndarray) -> np.ndarray:
     return np.linalg.solve(F.T, coeffs)
 
 
+def lie_derivative_eta_block(geometry, X, U) -> np.ndarray:
+    """(L_X eta)_b = X^a d_a(eta_b) + eta_a d_b(X^a) at each row."""
+    val, jac = X.value_and_jacobian_block(U)
+    return _vecmat(val, geometry.eta_jacobian_block(U)) + _vecmat(geometry.eta_block(U), jac)
+
+
 def lie_derivative_eta_coeffs(geometry, X, u) -> np.ndarray:
     """(L_X eta)_b = X^a d_a(eta_b) + eta_a d_b(X^a)."""
-    val, jac = X.value_and_jacobian(u)
-    return val @ geometry.eta_jacobian(u) + jac.T @ geometry.eta(u)
+    return lie_derivative_eta_block(geometry, X, _one_row(u))[0]
 
 
 # -- Darboux-chart operations (spec surface) -----------------------------------
@@ -392,19 +483,16 @@ def lie_bracket_at(X, Y, x: ContactPoint) -> TangentValue:
 # -- dissipation and symmetry checks (chart-generic) ---------------------------
 
 
-def _dissipation_at(system, f, u) -> float:
-    """|X_H(f) + R(H) f| at u; zero where f dissipates at the energy's rate."""
-    val, grad = f.value_and_gradient_at(u)
-    return abs(grad @ system.dynamics(u) + system.reeb_rate(u) * val)
+def _dissipation_rows(system, f, U) -> np.ndarray:
+    """|X_H(f) + R(H) f| at each row; zero where f dissipates at the energy's rate."""
+    val, grad = f.value_and_gradient_block(U)
+    return np.abs(_rowdot(grad, system.dynamics_block(U)) + system.reeb_rate_block(U) * val)
 
 
 def dissipation_residual(system, f, points) -> float:
     """max |X_H(f) + R(H) f| over the sample; zero certifies dissipation."""
     states = _as_states(points, system.dim)
-    worst = 0.0
-    for u in states:
-        worst = _worse(worst, _dissipation_at(system, f, u))
-    return worst
+    return float(_worst_rows(lambda U: _dissipation_rows(system, f, U), states))
 
 
 def conserved_quotient(f, h) -> QuotientQuantity:
@@ -425,14 +513,16 @@ def check_conformal_contactomorphism(X, points, *, geometry=None, tol=DEFAULT_TO
     if geometry is None:
         geometry = DarbouxChart((len(X.chart) - 1) // 2)
     states = _as_states(points, geometry.dim)
-    a_values = np.empty(states.shape[0])
-    residual = 0.0
-    for k, u in enumerate(states):
-        lie = lie_derivative_eta_coeffs(geometry, X, u)
-        a = float(lie @ geometry.reeb(u))
-        a_values[k] = a
-        residual = _worse(residual, float(np.max(np.abs(lie - a * geometry.eta(u)))))
-    return ConformalCheck(residual <= tol, a_values, residual, tol)
+
+    def kernel(U):
+        lie = lie_derivative_eta_block(geometry, X, U)
+        a = _rowdot(lie, geometry.reeb_block(U))
+        residual = np.max(np.abs(lie - a[:, None] * geometry.eta_block(U)), axis=1)
+        return np.column_stack([a, residual])
+
+    rows = _rows(kernel, states)
+    residual = float(np.max(rows[:, 1]))
+    return ConformalCheck(residual <= tol, rows[:, 0].copy(), residual, tol)
 
 
 @dataclass(frozen=True)
@@ -469,7 +559,7 @@ class CartanSymmetryCheck:
 
     @property
     def residual(self) -> float:
-        return _worse(self.residual_form, self.residual_energy)
+        return float(np.max([self.residual_form, self.residual_energy]))
 
     @property
     def passed(self) -> bool:
@@ -479,18 +569,18 @@ class CartanSymmetryCheck:
 def check_cartan_symmetry(system, X, a, g, points, *, tol=DEFAULT_TOL) -> CartanSymmetryCheck:
     """Residuals of L_X eta = a eta + dg and X(H) = a H + g R(H); f = eta(X) - g."""
     states = _as_states(points, system.dim)
-    res_form = 0.0
-    res_energy = 0.0
-    for u in states:
-        lie = lie_derivative_eta_coeffs(system, X, u)
-        a_val = a.value_at(u)
-        g_val, g_grad = g.value_and_gradient_at(u)
-        res_form = _worse(res_form, float(np.max(np.abs(lie - a_val * system.eta(u) - g_grad))))
-        h_val, h_grad = system.hamiltonian_value_and_gradient(u)
-        x_of_h = h_grad @ X.value(u)
-        res_energy = _worse(
-            res_energy, abs(x_of_h - a_val * h_val - g_val * system.reeb_rate(u))
-        )
+
+    def kernel(U):
+        lie = lie_derivative_eta_block(system, X, U)
+        a_val = a.values_at(U)
+        g_val, g_grad = g.value_and_gradient_block(U)
+        form = np.max(np.abs(lie - a_val[:, None] * system.eta_block(U) - g_grad), axis=1)
+        h_val, h_grad = system.hamiltonian_value_and_gradient_block(U)
+        x_of_h = _rowdot(h_grad, X.value_block(U))
+        energy = np.abs(x_of_h - a_val * h_val - g_val * system.reeb_rate_block(U))
+        return np.column_stack([form, energy])
+
+    res_form, res_energy = map(float, _worst_rows(kernel, states))
     dissipated = LinearCombinationQuantity(
         ((1.0, EtaPairingQuantity(system, X)), (-1.0, g))
     )

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ad import Jet2
+from .ad import Jet2, JetBlock
 
 __all__ = [
     "ParseError",
@@ -355,6 +355,53 @@ class ScalarField:
     def value_and_gradient_at(self, point):
         jet = self.jet_at(point)
         return jet.value, jet.gradient
+
+    # -- blocks of points: one call for the rows of an (N, m) array ----------
+    #
+    # A block is computed under np.errstate(all="raise").  Where a guard or a
+    # branch cannot serve every row, or a floating-point exception occurs, it
+    # is computed again row by row with value_at / jet_at: the first failing
+    # row raises its own error, and inf and NaN entries are those of the rows.
+
+    def _block(self, points) -> np.ndarray:
+        block = np.asarray(points, dtype=float)
+        if block.ndim != 2 or block.shape[1] != len(self.chart):
+            raise ValueError(
+                f"a block of points has shape (count, {len(self.chart)}), got {block.shape}"
+            )
+        return block
+
+    def jets_at(self, points) -> JetBlock:
+        """Values (N,), gradients (N, m) and Hessians (N, m, m) at the rows of ``points``."""
+        block = self._block(points)
+        if block.shape[1] == 0:
+            raise ValueError("a jet needs a nonempty 1-d point")
+        fn = self.__dict__.get("_jets_code") or self._compiled("jets")
+        try:
+            with np.errstate(all="raise"):
+                return fn(block)
+        except (ArithmeticError, ValueError):
+            pass
+        count, m = block.shape
+        out = JetBlock(np.empty(count), np.empty((count, m)), np.empty((count, m, m)))
+        for k, point in enumerate(block):
+            jet = self.jet_at(point)
+            out.value[k], out.gradient[k], out.hessian[k] = jet.value, jet.gradient, jet.hessian
+        return out
+
+    def values_at(self, points) -> np.ndarray:
+        """The values (N,) at the rows of ``points``."""
+        block = self._block(points)
+        fn = self.__dict__.get("_values_code") or self._compiled("values")
+        try:
+            with np.errstate(all="raise"):
+                return fn(block)
+        except (ArithmeticError, ValueError):
+            return np.array([self.value_at(point) for point in block], dtype=float)
+
+    def value_and_gradient_block(self, points):
+        jets = self.jets_at(points)
+        return jets.value, jets.gradient
 
 
 def eval_jet2(field: ScalarField, point) -> Jet2:

@@ -2,10 +2,15 @@
 
 A vector field exposes ``value(u)`` and ``value_and_jacobian(u)`` on raw
 coordinate vectors; a scalar quantity exposes ``value_at(u)`` and
-``value_and_gradient_at(u)``.  Expression-backed :class:`~contactmech.expr.ScalarField`
-objects already satisfy the quantity interface; the classes here cover
-quantities that have no closed-form expression tree (pairings with the
-contact form, quotients, lifted momenta).
+``value_and_gradient_at(u)``.  Both also take blocks of points: an (N, dim)
+array ``U`` gives ``value_block(U)`` (N, dim), ``value_and_jacobian_block(U)``
+with Jacobians (N, dim, dim), and ``value_and_gradient_block(U)`` with values
+(N,) and gradients (N, dim).  The checks use the block methods; the
+per-point ``value``, ``value_and_jacobian`` and ``value_and_gradient_at`` are
+one-row adapters over them.  Expression-backed
+:class:`~contactmech.expr.ScalarField` objects already satisfy the quantity
+interface; the classes here cover quantities that have no closed-form
+expression tree (pairings with the contact form, quotients, lifted momenta).
 """
 
 from __future__ import annotations
@@ -28,6 +33,30 @@ __all__ = [
     "ProductQuantity",
     "LinearCombinationQuantity",
 ]
+
+
+# -- rows of a block ----------------------------------------------------------
+
+
+def _one_row(u) -> np.ndarray:
+    """A point, or a chart record, as a one-row block."""
+    u = u.to_array() if hasattr(u, "to_array") else np.asarray(u, dtype=float)
+    return u.reshape(1, -1)
+
+
+def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a[k] @ b[k] for every row k."""
+    return np.einsum("ij,ij->i", a, b)
+
+
+def _vecmat(v: np.ndarray, M: np.ndarray) -> np.ndarray:
+    """v[k] @ M[k] for every row k."""
+    return (v[:, None, :] @ M)[:, 0]
+
+
+def _matvec(M: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """M[k] @ v[k] for every row k."""
+    return (M @ v[:, :, None])[:, :, 0]
 
 
 # -- vector fields -----------------------------------------------------------
@@ -60,14 +89,19 @@ class AmbientVectorField:
     def chart(self):
         return self.components[0].chart
 
+    def value_block(self, U) -> np.ndarray:
+        return np.column_stack([c.values_at(U) for c in self.components])
+
+    def value_and_jacobian_block(self, U):
+        jets = [c.jets_at(U) for c in self.components]
+        return np.column_stack([j.value for j in jets]), np.stack([j.gradient for j in jets], axis=1)
+
     def value(self, u) -> np.ndarray:
-        return np.array([c.value_at(u) for c in self.components])
+        return self.value_block(_one_row(u))[0]
 
     def value_and_jacobian(self, u):
-        jets = [c.jet_at(u) for c in self.components]
-        vals = np.array([j.value for j in jets])
-        jac = np.array([j.gradient for j in jets])
-        return vals, jac
+        val, jac = self.value_and_jacobian_block(_one_row(u))
+        return val[0], jac[0]
 
 
 @dataclass(frozen=True)
@@ -81,6 +115,13 @@ class ConstantVectorField:
             raise ValueError("constant vector length must match the chart")
         object.__setattr__(self, "vector", vec)
         object.__setattr__(self, "chart", tuple(self.chart))
+
+    def value_block(self, U) -> np.ndarray:
+        return np.tile(self.vector, (len(U), 1))
+
+    def value_and_jacobian_block(self, U):
+        dim = len(self.chart)
+        return self.value_block(U), np.zeros((len(U), dim, dim))
 
     def value(self, u) -> np.ndarray:
         return self.vector
@@ -109,20 +150,27 @@ class VectorFieldSum:
     def chart(self):
         return self.terms[0][1].chart
 
-    def value(self, u) -> np.ndarray:
-        total = self.terms[0][0] * self.terms[0][1].value(u)
+    def value_block(self, U) -> np.ndarray:
+        total = self.terms[0][0] * self.terms[0][1].value_block(U)
         for c, f in self.terms[1:]:
-            total = total + c * f.value(u)
+            total = total + c * f.value_block(U)
         return total
 
-    def value_and_jacobian(self, u):
-        val, jac = self.terms[0][1].value_and_jacobian(u)
+    def value_and_jacobian_block(self, U):
+        val, jac = self.terms[0][1].value_and_jacobian_block(U)
         val, jac = self.terms[0][0] * val, self.terms[0][0] * jac
         for c, f in self.terms[1:]:
-            v, j = f.value_and_jacobian(u)
+            v, j = f.value_and_jacobian_block(U)
             val = val + c * v
             jac = jac + c * j
         return val, jac
+
+    def value(self, u) -> np.ndarray:
+        return self.value_block(_one_row(u))[0]
+
+    def value_and_jacobian(self, u):
+        val, jac = self.value_and_jacobian_block(_one_row(u))
+        return val[0], jac[0]
 
 
 @dataclass(frozen=True)
@@ -134,6 +182,13 @@ class DynamicsVectorField:
     @property
     def chart(self):
         return self.system.chart
+
+    def value_block(self, U) -> np.ndarray:
+        return self.system.dynamics_block(U)
+
+    def value_and_jacobian_block(self, U):
+        """Only for a system with an exact block Jacobian (the Hamiltonian side)."""
+        return self.system.dynamics_and_jacobian_block(U)
 
     def value(self, u) -> np.ndarray:
         return self.system.dynamics(u)
@@ -168,11 +223,14 @@ class EtaPairingQuantity:
     def value_at(self, u) -> float:
         return float(self.geometry.eta(u) @ self.vector_field.value(u))
 
+    def value_and_gradient_block(self, U):
+        eta = self.geometry.eta_block(U)
+        deta = self.geometry.eta_jacobian_block(U)
+        val, jac = self.vector_field.value_and_jacobian_block(U)
+        return _rowdot(eta, val), _matvec(deta, val) + _vecmat(eta, jac)
+
     def value_and_gradient_at(self, u):
-        eta = self.geometry.eta(u)
-        deta = self.geometry.eta_jacobian(u)
-        val, jac = self.vector_field.value_and_jacobian(u)
-        return float(eta @ val), deta @ val + jac.T @ eta
+        return _gradient_row(self, u)
 
 
 @dataclass(frozen=True)
@@ -186,20 +244,23 @@ class QuotientQuantity:
     def chart(self):
         return self.num.chart
 
-    def _den_value(self, value: float) -> float:
-        if value == 0.0:
+    def _den_value(self, value):
+        if np.any(value == 0.0):
             raise DomainError("quotient denominator vanishes at the evaluation point")
         return value
 
     def value_at(self, u) -> float:
         return self.num.value_at(u) / self._den_value(self.den.value_at(u))
 
-    def value_and_gradient_at(self, u):
-        fv, fg = self.num.value_and_gradient_at(u)
-        hv, hg = self.den.value_and_gradient_at(u)
+    def value_and_gradient_block(self, U):
+        fv, fg = self.num.value_and_gradient_block(U)
+        hv, hg = self.den.value_and_gradient_block(U)
         self._den_value(hv)
         q = fv / hv
-        return q, (fg - q * hg) / hv
+        return q, (fg - q[:, None] * hg) / hv[:, None]
+
+    def value_and_gradient_at(self, u):
+        return _gradient_row(self, u)
 
 
 @dataclass(frozen=True)
@@ -214,10 +275,13 @@ class ProductQuantity:
     def value_at(self, u) -> float:
         return self.left.value_at(u) * self.right.value_at(u)
 
+    def value_and_gradient_block(self, U):
+        av, ag = self.left.value_and_gradient_block(U)
+        bv, bg = self.right.value_and_gradient_block(U)
+        return av * bv, av[:, None] * bg + bv[:, None] * ag
+
     def value_and_gradient_at(self, u):
-        av, ag = self.left.value_and_gradient_at(u)
-        bv, bg = self.right.value_and_gradient_at(u)
-        return av * bv, av * bg + bv * ag
+        return _gradient_row(self, u)
 
 
 @dataclass(frozen=True)
@@ -237,13 +301,22 @@ class LinearCombinationQuantity:
     def value_at(self, u) -> float:
         return self.constant + sum(c * q.value_at(u) for c, q in self.terms)
 
-    def value_and_gradient_at(self, u):
+    def value_and_gradient_block(self, U):
         total = self.constant
         grad = None
         for c, q in self.terms:
-            v, g = q.value_and_gradient_at(u)
-            total += c * v
+            v, g = q.value_and_gradient_block(U)
+            total = total + c * v
             grad = c * g if grad is None else grad + c * g
         return total, grad
+
+    def value_and_gradient_at(self, u):
+        return _gradient_row(self, u)
+
+
+def _gradient_row(quantity, u):
+    """value_and_gradient_at as the one-row block of value_and_gradient_block."""
+    value, gradient = quantity.value_and_gradient_block(_one_row(u))
+    return float(value[0]), gradient[0]
 
 

@@ -8,6 +8,7 @@ runs are bit-for-bit reproducible.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -45,9 +46,13 @@ class IntegratorConfig:
             raise ValueError("step must be positive")
         if not (self.t_final > 0):
             raise ValueError("t_final must be positive")
+        if not (math.isfinite(self.step) and math.isfinite(self.t_final)):
+            raise ValueError("step and t_final must be finite")
         if self.step > self.t_final:
             raise ValueError("step must not exceed t_final")
         steps = self.t_final / self.step
+        if not math.isfinite(steps):
+            raise ValueError(f"t_final/step = {steps} is not a finite number of steps")
         if abs(steps - round(steps)) > 1e-9 * max(1.0, steps):
             raise ValueError(
                 f"t_final={self.t_final} is not a whole number of steps of {self.step}"

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ad import Jet2
+from .ad import Jet2, JetBlock
 from .contact_core import (
     ContactPoint,
     OneFormValue,
@@ -34,9 +34,9 @@ from .contact_core import (
     _as_states,
     _ChartTriple,
     _JetMemo,
-    _worse,
 )
 from .expr import ScalarField, lagrangian_chart
+from .fields import _matvec, _one_row, _rowdot, _vecmat
 
 __all__ = [
     "RegularityError",
@@ -95,6 +95,9 @@ class LagrangianSystem:
     def jet(self, u) -> Jet2:
         return self._jet(u)
 
+    def jets(self, U) -> JetBlock:
+        return self.lagrangian.jets_at(U)
+
     # -- pointwise structure ----------------------------------------------
 
     def momenta(self, u) -> np.ndarray:
@@ -111,66 +114,113 @@ class LagrangianSystem:
         n = self.n
         return self.jet(u).hessian[n : 2 * n, n : 2 * n].copy()
 
+    def _threshold(self, largest: float) -> float:
+        """The regularity threshold of a velocity Hessian whose largest |entry| is ``largest``."""
+        return self.regularity_rtol * max(1.0, largest ** self.n)
+
     def _regularity_threshold(self, W: np.ndarray) -> float:
-        scale = max(1.0, float(np.max(np.abs(W))) ** self.n)
-        return self.regularity_rtol * scale
+        return self._threshold(float(np.max(np.abs(W))))
 
     def is_regular(self, u) -> bool:
         W = self.velocity_hessian(u)
         return abs(np.linalg.det(W)) > self._regularity_threshold(W)
 
     def _solve_velocity_hessian(self, W: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-        if self.n == 1:
-            w = W[0, 0]
-            if abs(w) <= self._regularity_threshold(W):
-                raise RegularityError(f"velocity Hessian {float(w):g} is degenerate")
-            return rhs / w
+        # n >= 2; acceleration divides by the one entry when n = 1
         if abs(np.linalg.det(W)) <= self._regularity_threshold(W):
             raise RegularityError("velocity Hessian is degenerate")
         return np.linalg.solve(W, rhs)
 
-    # -- chart geometry (contact form of L) --------------------------------
+    def _solve_velocity_hessian_block(self, W: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+        """Solve W[k] x = rhs[k] for each row; the first degenerate row raises."""
+        largest = np.max(np.abs(W), axis=(1, 2)).tolist()
+        threshold = np.array([self._threshold(value) for value in largest])
+        if self.n == 1:
+            w = W[:, 0, 0]
+            degenerate = np.abs(w) <= threshold
+            if degenerate.any():
+                w_bad = float(w[np.argmax(degenerate)])
+                raise RegularityError(f"velocity Hessian {w_bad:g} is degenerate")
+            return rhs / w[:, None]
+        if np.any(np.abs(np.linalg.det(W)) <= threshold):
+            raise RegularityError("velocity Hessian is degenerate")
+        return np.linalg.solve(W, rhs[:, :, None])[:, :, 0]
 
-    def eta(self, u) -> np.ndarray:
+    # -- chart geometry (contact form of L), over blocks of points -------------
+
+    def eta_block(self, U) -> np.ndarray:
         n = self.n
-        coeffs = np.zeros(self.dim)
-        coeffs[:n] = -self.jet(u).gradient[n : 2 * n]
-        coeffs[-1] = 1.0
+        coeffs = np.zeros((len(U), self.dim))
+        coeffs[:, :n] = -self.jets(U).gradient[:, n : 2 * n]
+        coeffs[:, -1] = 1.0
         return coeffs
 
-    def eta_jacobian(self, u) -> np.ndarray:
+    def eta_jacobian_block(self, U) -> np.ndarray:
         # eta_{q_i} = -dL/dv_i, so D[a, q_i] = -Hess[v_i, a]
         n = self.n
-        D = np.zeros((self.dim, self.dim))
-        D[:, :n] = -self.jet(u).hessian[n : 2 * n, :].T
+        D = np.zeros((len(U), self.dim, self.dim))
+        D[:, :, :n] = -self.jets(U).hessian[:, n : 2 * n, :].transpose(0, 2, 1)
         return D
 
-    def reeb(self, u) -> np.ndarray:
+    def reeb_block(self, U) -> np.ndarray:
         n = self.n
-        B = self.jet(u).hessian
-        W = B[n : 2 * n, n : 2 * n]
-        out = np.zeros(self.dim)
-        out[n : 2 * n] = -self._solve_velocity_hessian(W, B[n : 2 * n, 2 * n])
-        out[-1] = 1.0
+        B = self.jets(U).hessian
+        W = B[:, n : 2 * n, n : 2 * n]
+        out = np.zeros((len(U), self.dim))
+        out[:, n : 2 * n] = -self._solve_velocity_hessian_block(W, B[:, n : 2 * n, 2 * n])
+        out[:, -1] = 1.0
         return out
 
-    # -- system data --------------------------------------------------------
+    # -- system data over blocks of points -----------------------------------
 
-    def hamiltonian_value_and_gradient(self, u):
-        """E_L and dE_L, assembled from the jet of L."""
+    def hamiltonian_value_and_gradient_block(self, U):
+        """E_L and dE_L at each row, assembled from the jets of L."""
         n = self.n
-        u = np.asarray(u, dtype=float)
-        jet = self.jet(u)
-        v = u[n : 2 * n]
-        energy = float(v @ jet.gradient[n : 2 * n] - jet.value)
-        grad = v @ jet.hessian[n : 2 * n, :] - jet.gradient
-        grad[n : 2 * n] += jet.gradient[n : 2 * n]
+        jets = self.jets(U)
+        V = U[:, n : 2 * n]
+        energy = _rowdot(V, jets.gradient[:, n : 2 * n]) - jets.value
+        grad = _vecmat(V, jets.hessian[:, n : 2 * n, :]) - jets.gradient
+        grad[:, n : 2 * n] += jets.gradient[:, n : 2 * n]
         return energy, grad
 
+    def reeb_rate_block(self, U) -> np.ndarray:
+        """R_L(E_L) at each row; equal to -dL/dz for any regular L."""
+        _, grad = self.hamiltonian_value_and_gradient_block(U)
+        return _rowdot(grad, self.reeb_block(U))
+
+    def dynamics_block(self, U) -> np.ndarray:
+        """The Herglotz field at each row, with one stacked solve for the accelerations."""
+        n = self.n
+        jets = self.jets(U)
+        G, B = jets.gradient, jets.hessian
+        V = U[:, n : 2 * n]
+        b = (G[:, :n] + G[:, -1, None] * G[:, n : 2 * n] - _matvec(B[:, n : 2 * n, :n], V)
+             - B[:, n : 2 * n, -1] * jets.value[:, None])
+        out = np.empty((len(U), self.dim))
+        out[:, :n] = V
+        out[:, n : 2 * n] = self._solve_velocity_hessian_block(B[:, n : 2 * n, n : 2 * n], b)
+        out[:, -1] = jets.value
+        return out
+
+    # -- the same at one point -------------------------------------------------
+
+    def eta(self, u) -> np.ndarray:
+        return self.eta_block(_one_row(u))[0]
+
+    def eta_jacobian(self, u) -> np.ndarray:
+        return self.eta_jacobian_block(_one_row(u))[0]
+
+    def reeb(self, u) -> np.ndarray:
+        return self.reeb_block(_one_row(u))[0]
+
+    def hamiltonian_value_and_gradient(self, u):
+        energy, grad = self.hamiltonian_value_and_gradient_block(_one_row(u))
+        return float(energy[0]), grad[0]
+
     def reeb_rate(self, u) -> float:
-        """R_L(E_L) at u; equal to -dL/dz for any regular L."""
-        _, grad = self.hamiltonian_value_and_gradient(u)
-        return float(grad @ self.reeb(u))
+        return float(self.reeb_rate_block(_one_row(u))[0])
+
+    # -- the integrator's per-point dynamics ------------------------------------
 
     def acceleration(self, u) -> np.ndarray:
         n = self.n
@@ -236,6 +286,9 @@ class EnergyQuantity:
     def value_at(self, u) -> float:
         return self.system.energy(np.asarray(u, dtype=float))
 
+    def value_and_gradient_block(self, U):
+        return self.system.hamiltonian_value_and_gradient_block(U)
+
     def value_and_gradient_at(self, u):
         return self.system.hamiltonian_value_and_gradient(u)
 
@@ -286,15 +339,12 @@ def herglotz_residual(sys: LagrangianSystem, traj) -> float:
     times = np.asarray(traj.times, dtype=float)
     h = times[1] - times[0]
     n = sys.n
-    jets = [sys.lagrangian.jet_at(u) for u in states]
-    momenta = np.array([j.gradient[n : 2 * n] for j in jets])
-    worst = 0.0
-    for k in range(1, states.shape[0] - 1):
-        dpdt = (momenta[k + 1] - momenta[k - 1]) / (2 * h)
-        G = jets[k].gradient
-        residual = dpdt - G[:n] - G[n : 2 * n] * G[-1]
-        worst = _worse(worst, float(np.max(np.abs(residual))))
-    return worst
+    G = np.array([sys.lagrangian.jet_at(u).gradient for u in states])
+    momenta = G[:, n : 2 * n]
+    dpdt = (momenta[2:] - momenta[:-2]) / (2 * h)
+    inner = G[1:-1]
+    residual = dpdt - inner[:, :n] - inner[:, n : 2 * n] * inner[:, -1, None]
+    return float(np.max(np.abs(residual)))
 
 
 def legendre_at(sys: LagrangianSystem, x: TQRPoint) -> ContactPoint:

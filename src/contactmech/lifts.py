@@ -24,6 +24,7 @@ import numpy as np
 
 from .contact_core import TangentValue, _as_point
 from .expr import ScalarField, free_variables, lagrangian_chart, parse, position_names
+from .fields import _matvec, _one_row, _rowdot, _vecmat
 
 __all__ = [
     "VectorFieldQ",
@@ -67,11 +68,17 @@ class VectorFieldQ:
     def base_point(self, u: np.ndarray) -> np.ndarray:
         return u[: self.n]
 
+    def base_block(self, U: np.ndarray) -> np.ndarray:
+        return U[:, : self.n]
+
     def z_component_value(self, u) -> float:
         return 0.0
 
-    def z_component_rate(self, u) -> float:
-        return 0.0
+    def z_component_values(self, U) -> np.ndarray:
+        return np.zeros(len(U))
+
+    def z_component_rates(self, U) -> np.ndarray:
+        return np.zeros(len(U))
 
 
 @dataclass(frozen=True)
@@ -123,23 +130,29 @@ class VectorFieldQR:
     def base_point(self, u: np.ndarray) -> np.ndarray:
         return np.concatenate([u[: self.n], u[-1:]])
 
+    def base_block(self, U: np.ndarray) -> np.ndarray:
+        return np.concatenate([U[:, : self.n], U[:, -1:]], axis=1)
+
     def z_component_value(self, u) -> float:
         return self.z_component.value_at(u[-1:])
 
-    def z_component_rate(self, u) -> float:
-        _, grad = self.z_component.value_and_gradient_at(u[-1:])
-        return float(grad[0])
+    def z_component_values(self, U) -> np.ndarray:
+        return self.z_component.values_at(U[:, -1:])
+
+    def z_component_rates(self, U) -> np.ndarray:
+        return self.z_component.jets_at(U[:, -1:]).gradient[:, 0]
 
 
-def _component_data(Y, u: np.ndarray):
-    """Values, q-Jacobian, and z-derivatives of the Y^i at the base point."""
-    base = Y.base_point(u)
-    jets = [c.jet_at(base) for c in Y.components]
+def _component_rows(Y, U: np.ndarray):
+    """Values (N, n), q-Jacobians (N, n, n), z-derivatives (N, n) and
+    Hessians (N, n, k, k) of the Y^i at the base points of the rows."""
+    base = Y.base_block(U)
+    jets = [c.jets_at(base) for c in Y.components]
     n = Y.n
-    values = np.array([j.value for j in jets])
-    jac_q = np.array([j.gradient[:n] for j in jets])
-    dz = np.array([j.gradient[n] for j in jets]) if Y.z_dependent else np.zeros(n)
-    return jets, values, jac_q, dz
+    values = np.column_stack([j.value for j in jets])
+    gradients = np.stack([j.gradient for j in jets], axis=1)
+    dz = gradients[:, :, n] if Y.z_dependent else np.zeros((len(U), n))
+    return values, gradients[:, :, :n], dz, np.stack([j.hessian for j in jets], axis=1)
 
 
 # -- lifts as ambient vector fields on (q, v, z) -------------------------------
@@ -159,37 +172,41 @@ class CompleteLiftField:
     def chart(self):
         return lagrangian_chart(self.base.n)
 
-    def value(self, u) -> np.ndarray:
-        u = np.asarray(u, dtype=float)
+    def _value_rows(self, U, values, jac_q) -> np.ndarray:
         n = self.base.n
-        _, values, jac_q, _ = _component_data(self.base, u)
-        out = np.empty(2 * n + 1)
-        out[:n] = values
-        out[n : 2 * n] = jac_q @ u[n : 2 * n]
-        out[-1] = self.base.z_component_value(u)
+        out = np.empty((len(U), 2 * n + 1))
+        out[:, :n] = values
+        out[:, n : 2 * n] = _matvec(jac_q, U[:, n : 2 * n])
+        out[:, -1] = self.base.z_component_values(U)
         return out
 
-    def value_and_jacobian(self, u):
-        u = np.asarray(u, dtype=float)
+    def value_block(self, U) -> np.ndarray:
+        values, jac_q, _, _ = _component_rows(self.base, U)
+        return self._value_rows(U, values, jac_q)
+
+    def value_and_jacobian_block(self, U):
         n = self.base.n
         dim = 2 * n + 1
-        jets, values, jac_q, dz = _component_data(self.base, u)
-        v = u[n : 2 * n]
-        val = np.empty(dim)
-        val[:n] = values
-        val[n : 2 * n] = jac_q @ v
-        val[-1] = self.base.z_component_value(u)
-        J = np.zeros((dim, dim))
-        J[:n, :n] = jac_q
-        J[:n, -1] = dz
-        for i in range(n):
-            H = jets[i].hessian
-            J[n + i, :n] = v @ H[:n, :n]
-            J[n + i, n : 2 * n] = jac_q[i]
-            if self.base.z_dependent:
-                J[n + i, -1] = v @ H[:n, n]
-        J[-1, -1] = self.base.z_component_rate(u)
+        values, jac_q, dz, hessians = _component_rows(self.base, U)
+        V = U[:, n : 2 * n]
+        val = self._value_rows(U, values, jac_q)
+        J = np.zeros((len(U), dim, dim))
+        J[:, :n, :n] = jac_q
+        J[:, :n, -1] = dz
+        # row n + i: v @ H_i over the positions (and z), then dY^i/dq
+        J[:, n : 2 * n, :n] = np.einsum("kj,kijl->kil", V, hessians[:, :, :n, :n])
+        J[:, n : 2 * n, n : 2 * n] = jac_q
+        if self.base.z_dependent:
+            J[:, n : 2 * n, -1] = np.einsum("kj,kij->ki", V, hessians[:, :, :n, n])
+        J[:, -1, -1] = self.base.z_component_rates(U)
         return val, J
+
+    def value(self, u) -> np.ndarray:
+        return self.value_block(_one_row(u))[0]
+
+    def value_and_jacobian(self, u):
+        val, J = self.value_and_jacobian_block(_one_row(u))
+        return val[0], J[0]
 
 
 @dataclass(frozen=True)
@@ -202,25 +219,26 @@ class VerticalLiftField:
     def chart(self):
         return lagrangian_chart(self.base.n)
 
-    def value(self, u) -> np.ndarray:
-        u = np.asarray(u, dtype=float)
-        n = self.base.n
-        _, values, _, _ = _component_data(self.base, u)
-        out = np.zeros(2 * n + 1)
-        out[n : 2 * n] = values
-        return out
+    def value_block(self, U) -> np.ndarray:
+        return self.value_and_jacobian_block(U)[0]
 
-    def value_and_jacobian(self, u):
-        u = np.asarray(u, dtype=float)
+    def value_and_jacobian_block(self, U):
         n = self.base.n
         dim = 2 * n + 1
-        _, values, jac_q, dz = _component_data(self.base, u)
-        val = np.zeros(dim)
-        val[n : 2 * n] = values
-        J = np.zeros((dim, dim))
-        J[n : 2 * n, :n] = jac_q
-        J[n : 2 * n, -1] = dz
+        values, jac_q, dz, _ = _component_rows(self.base, U)
+        val = np.zeros((len(U), dim))
+        val[:, n : 2 * n] = values
+        J = np.zeros((len(U), dim, dim))
+        J[:, n : 2 * n, :n] = jac_q
+        J[:, n : 2 * n, -1] = dz
         return val, J
+
+    def value(self, u) -> np.ndarray:
+        return self.value_block(_one_row(u))[0]
+
+    def value_and_jacobian(self, u):
+        val, J = self.value_and_jacobian_block(_one_row(u))
+        return val[0], J[0]
 
 
 # -- pointwise lift evaluators ------------------------------------------------
@@ -269,21 +287,26 @@ class VerticalMomentumQuantity:
         return self.system.chart
 
     def value_at(self, u) -> float:
+        # per point, for the integrator's monitors
         u = np.asarray(u, dtype=float)
         n = self.base.n
-        _, values, _, _ = _component_data(self.base, u)
+        base = self.base.base_point(u)
+        values = np.array([c.jet_at(base).value for c in self.base.components])
         p = self.system.jet(u).gradient[n : 2 * n]
         return float(values @ p - self.base.z_component_value(u))
 
-    def value_and_gradient_at(self, u):
-        u = np.asarray(u, dtype=float)
+    def value_and_gradient_block(self, U):
         n = self.base.n
-        jets, values, jac_q, dz = _component_data(self.base, u)
-        L = self.system.jet(u)
-        p = L.gradient[n : 2 * n]
-        value = float(values @ p - self.base.z_component_value(u))
-        grad = values @ L.hessian[n : 2 * n, :]
-        grad[:n] += jac_q.T @ p
-        grad[-1] += dz @ p
-        grad[-1] -= self.base.z_component_rate(u)
+        values, jac_q, dz, _ = _component_rows(self.base, U)
+        L = self.system.jets(U)
+        p = L.gradient[:, n : 2 * n]
+        value = _rowdot(values, p) - self.base.z_component_values(U)
+        grad = _vecmat(values, L.hessian[:, n : 2 * n, :])
+        grad[:, :n] += _vecmat(p, jac_q)
+        grad[:, -1] += _rowdot(dz, p)
+        grad[:, -1] -= self.base.z_component_rates(U)
         return value, grad
+
+    def value_and_gradient_at(self, u):
+        value, grad = self.value_and_gradient_block(_one_row(u))
+        return float(value[0]), grad[0]

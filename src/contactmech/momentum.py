@@ -19,11 +19,12 @@ import numpy as np
 from .contact_core import (
     _as_point,
     _as_states,
-    _dissipation_at,
+    _dissipation_rows,
     _minus_eta,
-    _worse,
-    lie_derivative_eta_coeffs,
+    _worst_rows,
+    lie_derivative_eta_block,
 )
+from .fields import _rowdot
 from .lifts import CompleteLiftField, VectorFieldQ
 
 __all__ = [
@@ -105,19 +106,18 @@ def momentum_dissipation_check(
 
     The invariance hypothesis max |xi(H)| <= tol is verified per generator;
     if it fails the residuals are still computed and the failure is flagged.
-    Both residuals of a generator come from one pass over the points, so the
-    system's jet at each point is shared between them.
+    Both residuals of a generator come from one kernel over the block of points.
     """
     states = _as_states(points, system.dim)
-    fields = fam.ambient_fields(system)
-    hyp = np.zeros(len(fields))
-    diss = np.zeros(len(fields))
-    for k, f in enumerate(fields):
-        quantity = _minus_eta(system, f)
-        for u in states:
-            _, h_grad = system.hamiltonian_value_and_gradient(u)
-            hyp[k] = _worse(hyp[k], abs(float(h_grad @ f.value(u))))
-            diss[k] = _worse(diss[k], _dissipation_at(system, quantity, u))
+
+    def kernel(f, U):
+        _, h_grad = system.hamiltonian_value_and_gradient_block(U)
+        hypothesis = np.abs(_rowdot(h_grad, f.value_block(U)))
+        return np.column_stack([hypothesis, _dissipation_rows(system, _minus_eta(system, f), U)])
+
+    worst = np.array([_worst_rows(lambda U: kernel(f, U), states)
+                      for f in fam.ambient_fields(system)])
+    hyp, diss = worst[:, 0], worst[:, 1]
     return MomentumDissipationCheck(fam.label, hyp, hyp <= tol, diss, tol)
 
 
@@ -142,14 +142,12 @@ def reeb_annihilation_check(
 ) -> ReebAnnihilationCheck:
     """Check R(J_k) = 0 per generator, flagging actions that fail to preserve eta."""
     states = _as_states(points, system.dim)
-    fields = fam.ambient_fields(system)
-    eta_res = np.zeros(len(fields))
-    reeb_res = np.zeros(len(fields))
-    for k, f in enumerate(fields):
-        quantity = _minus_eta(system, f)
-        for u in states:
-            lie = lie_derivative_eta_coeffs(system, f, u)
-            eta_res[k] = _worse(eta_res[k], float(np.max(np.abs(lie))))
-            _, grad = quantity.value_and_gradient_at(u)
-            reeb_res[k] = _worse(reeb_res[k], abs(float(grad @ system.reeb(u))))
-    return ReebAnnihilationCheck(fam.label, eta_res, reeb_res, tol)
+
+    def kernel(f, U):
+        eta_preservation = np.max(np.abs(lie_derivative_eta_block(system, f, U)), axis=1)
+        _, grad = _minus_eta(system, f).value_and_gradient_block(U)
+        return np.column_stack([eta_preservation, np.abs(_rowdot(grad, system.reeb_block(U)))])
+
+    worst = np.array([_worst_rows(lambda U: kernel(f, U), states)
+                      for f in fam.ambient_fields(system)])
+    return ReebAnnihilationCheck(fam.label, worst[:, 0], worst[:, 1], tol)

@@ -18,14 +18,15 @@ is the dissipation residual of -eta_L(Y^C), with no Herglotz Jacobian.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import contact_core
-from .contact_core import CartanSymmetryCheck, ResidualCheck, _as_states, _worse
+from .contact_core import CartanSymmetryCheck, ResidualCheck, _as_states, _worst_rows
 from .expr import ScalarField
-from .fields import LinearCombinationQuantity
+from .fields import LinearCombinationQuantity, _rowdot
 from .lagrangian import LagrangianSystem
 from .lifts import CompleteLiftField, VectorFieldQ, VectorFieldQR, VerticalMomentumQuantity
 
@@ -68,10 +69,11 @@ def infinitesimal_symmetry_residual(sys: LagrangianSystem, Y, points) -> float:
     """max |Y^C(L)| over the sample."""
     states = _as_states(points, sys.dim)
     lift = CompleteLiftField(Y)
-    worst = 0.0
-    for u in states:
-        worst = _worse(worst, abs(float(sys.jet(u).gradient @ lift.value(u))))
-    return worst
+
+    def kernel(U):
+        return np.abs(_rowdot(sys.jets(U).gradient, lift.value_block(U)))
+
+    return float(_worst_rows(kernel, states))
 
 
 def dissipated_for_infinitesimal(sys: LagrangianSystem, Y: VectorFieldQ):
@@ -86,14 +88,15 @@ def generalized_symmetry_residual(
     states = _as_states(points, sys.dim)
     lift = CompleteLiftField(Y)
     dissipated = VerticalMomentumQuantity(sys, Y)
-    worst = 0.0
-    for u in states:
-        jet = sys.jet(u)
-        lifted_rate = float(jet.gradient @ lift.value(u))
-        _, fgrad = dissipated.value_and_gradient_at(u)
-        reeb_of_f = float(fgrad @ sys.reeb(u))
-        worst = _worse(worst, abs(lifted_rate + reeb_of_f * jet.value))
-    return ResidualCheck(worst, dissipated, tol)
+
+    def kernel(U):
+        jets = sys.jets(U)
+        lifted_rate = _rowdot(jets.gradient, lift.value_block(U))
+        _, fgrad = dissipated.value_and_gradient_block(U)
+        reeb_of_f = _rowdot(fgrad, sys.reeb_block(U))
+        return np.abs(lifted_rate + reeb_of_f * jets.value)
+
+    return ResidualCheck(float(_worst_rows(kernel, states)), dissipated, tol)
 
 
 def noether_symmetry_check(
@@ -229,6 +232,15 @@ def _describe_quantity(candidate: SymmetryCandidate, cls: str) -> str:
     return base
 
 
+@functools.lru_cache(maxsize=None)
+def _zero_field(chart: tuple) -> ScalarField:
+    """The field 0 on a chart: the implied Cartan data (a, g) of a field on Q.
+
+    One per chart, so its compiled code is built once.
+    """
+    return ScalarField.from_source("0", chart)
+
+
 def classify(
     sys: LagrangianSystem,
     candidate: SymmetryCandidate,
@@ -266,7 +278,7 @@ def classify(
 
     cartan_data = candidate.cartan_data
     if cartan_data is None and candidate.kind == "on_Q":
-        zero = ScalarField.from_source("0", sys.chart)
+        zero = _zero_field(sys.chart)
         cartan_data = (zero, zero)
     table["noether"] = (None, None, None)
     if cartan_data is not None:

@@ -267,8 +267,11 @@ class TestExitCodes:
         [
             ({"step": 0.3, "t_final": 1.0}, "not a whole number of steps"),
             ({"method": "leapfrog", "step": 0.1, "t_final": 1.0}, "method must be 'rk4' or 'euler'"),
+            # json writes inf as Infinity, which the loader accepts
+            ({"step": 0.1, "t_final": float("inf")}, "step and t_final must be finite"),
+            ({"step": 1e-300, "t_final": 1e300}, "is not a finite number of steps"),
         ],
-        ids=["non_whole_step_count", "unknown_method"],
+        ids=["non_whole_step_count", "unknown_method", "infinite_t_final", "infinite_step_count"],
     )
     def test_bad_integrator_is_a_config_error(self, in_tmp, tmp_path, capsys, integrator, message):
         config = json.loads(json.dumps(BASE_CONFIG))
@@ -374,6 +377,22 @@ class TestConfigSurface:
         assert run_scenario(write_config(tmp_path, config)) == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith(f"config error: {path}: ")
+
+    @pytest.mark.parametrize(
+        "checks, path, message",
+        [
+            ({"structure": "no"}, "$.checks.structure", "expected bool, got str"),
+            ({"momentum": 0}, "$.checks.momentum", "expected bool, got int"),
+            ({"structur": False}, "$.checks.structur", "unknown check"),
+        ],
+        ids=["string_value", "int_value", "misspelt_key"],
+    )
+    def test_bad_checks_block_is_a_config_error(self, in_tmp, tmp_path, capsys, checks, path, message):
+        config = dict(BASE_CONFIG, checks=checks)
+        assert run_scenario(write_config(tmp_path, config)) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"config error: {path}: ")
+        assert message in err[0]
 
 
 class TestTolScale:

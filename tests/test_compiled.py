@@ -279,3 +279,180 @@ def test_compiled_code_is_cached_outside_the_fields():
     code = field._jet_code
     field.jet_at([2.0])
     assert field._jet_code is code
+
+
+# -- blocks of points --------------------------------------------------------------
+
+
+def _outcome_with_message(fn, *args):
+    try:
+        return fn(*args), None
+    except Exception as exc:  # type and message are what get compared
+        return None, (type(exc), str(exc))
+
+
+def _assert_same_entries(got, want):
+    """Equal where non-finite, within 1e-13*max(1, |entry|) elsewhere."""
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    assert got.shape == want.shape
+    finite = np.isfinite(want)
+    assert np.array_equal(got[~finite], want[~finite], equal_nan=True)
+    assert np.all(np.abs(got[finite] - want[finite]) <= 1e-13 * np.maximum(1.0, np.abs(want[finite])))
+
+
+def _first_row_error(fn, block):
+    """The rows' results, or the error of the first row that raises."""
+    rows = []
+    for point in block:
+        row, error = _outcome_with_message(fn, point)
+        if error is not None:
+            return None, error
+        rows.append(row)
+    return rows, None
+
+
+def assert_block_matches_rows(field, block):
+    jets, error = _outcome_with_message(field.jets_at, block)
+    rows, want_error = _first_row_error(field.jet_at, block)
+    assert error == want_error
+    if want_error is None:
+        _assert_same_entries(jets.value, [jet.value for jet in rows])
+        _assert_same_entries(jets.gradient, np.reshape([jet.gradient for jet in rows], jets.gradient.shape))
+        _assert_same_entries(jets.hessian, np.reshape([jet.hessian for jet in rows], jets.hessian.shape))
+
+    values, error = _outcome_with_message(field.values_at, block)
+    rows, want_error = _first_row_error(field.value_at, block)
+    assert error == want_error
+    if want_error is None:
+        _assert_same_entries(values, rows)
+
+
+_special = st.sampled_from([math.inf, -math.inf, math.nan, 1e200])
+block_params = st.tuples(st.one_of(st.floats(-2.0, 2.0), _special),
+                         st.one_of(st.sampled_from([0.0, 1.0, -1.0, 2.0]), _special))
+blocks = st.lists(st.tuples(coordinates, coordinates, coordinates), min_size=1, max_size=5)
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(tree=trees, block=blocks, params=block_params)
+def test_blocks_match_the_rows_on_random_trees(tree, block, params):
+    field = ScalarField(tree, CHART, dict(zip(PARAMS, params)))
+    assert_block_matches_rows(field, np.array(block, dtype=float))
+
+
+@pytest.mark.parametrize(
+    "source, block",
+    [
+        ("x^y", [[2.0, 2.0, 0.0], [2.0, 3.0, 0.0]]),  # integral exponents that differ per row
+        ("x^y", [[2.0, 2.0, 0.0], [2.0, 2.5, 0.0]]),  # integral in one row only
+        ("x^(y - y)", [[0.5, 1.0, 0.0], [-0.5, 2.0, 0.0]]),
+        ("sqrt(x)", [[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]),  # a value but no jet in row 2
+        ("log(x) + 1/y", [[1.0, 0.0, 0.0], [-1.0, 1.0, 0.0]]),  # row 1 fails first
+        ("exp(x) * log(0 - 1)", [[1.0, 0.0, 0.0], [1000.0, 0.0, 0.0]]),
+        ("exp(x)", [[1.0, 0.0, 0.0], [1000.0, 0.0, 0.0]]),  # an overflow in row 2
+        ("big*big*x + y", [[0.5, 1.0, 0.0], [0.0, 1.0, 0.0]]),  # inf, and inf*0 = NaN
+        ("2 + a", [[0.5, 1.0, 0.0], [0.0, 1.0, 0.0]]),
+    ],
+)
+def test_blocks_match_the_rows(source, block):
+    field = ScalarField.from_source(source, CHART, {"a": 0.5, "big": 1e200})
+    assert_block_matches_rows(field, np.array(block))
+
+
+def test_block_shape_is_checked():
+    field = ScalarField.from_source("x*y", CHART)
+    with pytest.raises(ValueError):
+        field.jets_at(np.zeros((2, 2)))
+    with pytest.raises(ValueError):
+        field.values_at(np.zeros(3))
+    jets = field.jets_at(np.zeros((0, 3)))
+    assert jets.value.shape == (0,) and jets.hessian.shape == (0, 3, 3)
+
+
+# -- every check on random systems: a finite residual or an explicit failure ----------
+
+
+def _mechanics_tree(tree, fiber: str):
+    """A random tree over (q1, fiber, z), plus 0.5*fiber^2 so the system is often regular."""
+    tree = _renamed(_renamed(tree, "x", "q1"), "y", fiber)
+    kinetic = parse(f"0.5*{fiber}^2")
+    return Binary(SPAN, "add", kinetic, tree)
+
+
+def _results(check):
+    """(residual, passed) pairs of one check result."""
+    from contactmech.symmetry import SymmetryReport
+
+    if isinstance(check, float):
+        return [(check, None)]
+    if isinstance(check, SymmetryReport):
+        return [(check.residuals[c], check.passes[c]) for c in check.residuals]
+    if hasattr(check, "hypothesis_residuals"):
+        return [(r, ok) for r, ok in zip(check.hypothesis_residuals, check.hypothesis_ok)] + [
+            (r, check.passed) for r in check.dissipation_residuals
+        ]
+    if hasattr(check, "reeb_residuals"):
+        return [(r, check.passed) for r in (*check.reeb_residuals, *check.eta_preservation_residuals)]
+    if hasattr(check, "is_conformal"):
+        return [(check.residual, check.is_conformal)]
+    return [(check.residual, check.passed)]
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(tree=trees, params=block_params, side=st.sampled_from(["lagrangian", "hamiltonian"]),
+       seed=st.integers(0, 2**16))
+def test_checks_never_pass_a_non_finite_residual(tree, params, side, seed):
+    from types import SimpleNamespace
+
+    from contactmech.cli import _structure_checks
+    from contactmech.contact_core import (
+        HamiltonianSystem, HamiltonianVectorField, check_cartan_symmetry,
+        check_conformal_contactomorphism, check_dynamical_symmetry, dissipation_residual,
+    )
+    from contactmech.expr import hamiltonian_chart, lagrangian_chart
+    from contactmech.fields import AmbientVectorField
+    from contactmech.lagrangian import LagrangianSystem
+    from contactmech.lifts import CompleteLiftField, VectorFieldQ, VectorFieldQR
+    from contactmech.momentum import GeneratorFamily, momentum_dissipation_check, reeb_annihilation_check
+    from contactmech.symmetry import SymmetryCandidate, classify
+
+    points = np.random.default_rng(seed).uniform(-1.0, 1.0, size=(4, 3))
+    parameters = dict(zip(PARAMS, params))
+    zero = ScalarField.from_source("0", ("q1", "p1", "z") if side == "hamiltonian" else lagrangian_chart(1))
+    if side == "lagrangian":
+        field = ScalarField(_mechanics_tree(tree, "qd1"), lagrangian_chart(1), parameters)
+        system = LagrangianSystem(1, field)
+        translation = VectorFieldQ.from_expressions(1, ["1"])
+        checks = [
+            lambda: classify(system, SymmetryCandidate("t", "on_Q", translation), points),
+            lambda: classify(system, SymmetryCandidate("s", "on_QxR", VectorFieldQR.from_expressions(1, ["q1"], "2*z")),
+                             points),
+            lambda: momentum_dissipation_check(GeneratorFamily("t", "lagrangian", (translation,)), system, points),
+            lambda: reeb_annihilation_check(GeneratorFamily("t", "lagrangian", (translation,)), system, points),
+            lambda: check_dynamical_symmetry(system, CompleteLiftField(translation), points),
+        ]
+    else:
+        field = ScalarField(_mechanics_tree(tree, "p1"), hamiltonian_chart(1), parameters)
+        system = HamiltonianSystem(1, field)
+        shift = AmbientVectorField.from_sources(["1", "0", "0"], system.chart)
+        flow = HamiltonianVectorField(field)
+        checks = [
+            lambda: check_conformal_contactomorphism(flow, points),
+            lambda: check_cartan_symmetry(system, flow, zero, zero, points),
+            lambda: check_dynamical_symmetry(system, shift, points),
+            lambda: momentum_dissipation_check(GeneratorFamily("t", "hamiltonian", (shift,)), system, points),
+            lambda: reeb_annihilation_check(GeneratorFamily("t", "hamiltonian", (shift,)), system, points),
+        ]
+    checks.append(lambda: dissipation_residual(system, field, points))
+    scenario = SimpleNamespace(system=system, kind=side)
+    checks.append(lambda: _structure_checks(scenario, points, 1.0))
+    for check in checks:
+        try:
+            result = check()
+        except (ArithmeticError, np.linalg.LinAlgError):
+            continue  # an explicit failure: the run exits 2 with the message
+        pairs = ([(e["residual"], e["pass"]) for e in result] if isinstance(result, list)
+                 else _results(result))
+        for residual, passed in pairs:
+            if residual is not None and not math.isfinite(residual):
+                assert not passed

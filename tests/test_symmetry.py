@@ -316,6 +316,28 @@ class TestClassify:
             assert report.passes[cls] is not None and not report.passes[cls]
         assert math.isnan(report.dissipation_residual)
 
+    def test_repeated_classify_compiles_nothing(self, monkeypatch):
+        from contactmech import _tape
+
+        compiled = []
+        for name in ("value", "jet", "values", "jets"):
+            original = getattr(_tape, f"compile_{name}")
+
+            def counting(*args, _original=original, _name=name):
+                compiled.append(_name)
+                return _original(*args)
+
+            monkeypatch.setattr(_tape, f"compile_{name}", counting)
+        sys = damped_oscillator()
+        candidate = SymmetryCandidate("rotation", "on_Q", VectorFieldQ.from_expressions(2, ["-q2", "q1"]))
+        points = points_for(sys)
+        classify(sys, candidate, points)
+        assert compiled  # the fields compile on first use ...
+        compiled.clear()
+        classify(sys, candidate, points)
+        classify(sys, candidate, points)
+        assert compiled == []  # ... and never again, the implied Cartan data included
+
     def test_implication_chain_on_infinitesimal_symmetries(self):
         # infinitesimal pass -> noether(0,0) pass -> lie pass
         for sys, comps in (
