@@ -181,6 +181,10 @@ def _as_states(points, dim: int) -> np.ndarray:
     return mat
 
 
+# the most rows a kernel sees at once; bounds the (rows, dim, dim) temporaries
+BLOCK_ROWS = 1024
+
+
 def _rows(kernel, states: np.ndarray) -> np.ndarray:
     """``kernel(states)``, one row per point, as one block or else row by row.
 
@@ -188,8 +192,12 @@ def _rows(kernel, states: np.ndarray) -> np.ndarray:
     arithmetic (a domain or regularity error, a floating-point exception) the
     kernel runs again on each one-row block in order, with floating-point
     exceptions off: the first failing point raises its own error, and the
-    other rows get what float arithmetic gives them.
+    other rows get what float arithmetic gives them.  Longer samples go
+    through in blocks of ``BLOCK_ROWS``, in order.
     """
+    if states.shape[0] > BLOCK_ROWS:
+        return np.concatenate([_rows(kernel, states[k : k + BLOCK_ROWS])
+                               for k in range(0, states.shape[0], BLOCK_ROWS)])
     try:
         with np.errstate(all="raise"):
             return kernel(states)

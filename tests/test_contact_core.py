@@ -382,6 +382,21 @@ class TestDissipation:
         with pytest.raises(ValueError):
             dissipation_residual(sys, sys.hamiltonian, [])
 
+    @pytest.mark.parametrize("block_rows", [4, cc.BLOCK_ROWS])
+    def test_first_failing_point_raises_in_any_block(self, monkeypatch, block_rows):
+        from contactmech.lagrangian import LagrangianSystem, RegularityError
+
+        # W = qd1 is degenerate at rows 5 and 6; row 5 is the first failing point
+        sys = LagrangianSystem(1, ScalarField.from_source("qd1^3/6 - 0.1*z", ("q1", "qd1", "z")))
+        points = np.random.default_rng(3).uniform(0.5, 1.0, size=(10, 3))
+        points[5, 1], points[6, 1] = 3e-12, 1e-12
+        monkeypatch.setattr(cc, "BLOCK_ROWS", block_rows)
+        with pytest.raises(RegularityError, match="velocity Hessian 3e-12 is degenerate"):
+            dissipation_residual(sys, sys.lagrangian, points)
+        residual = dissipation_residual(sys, sys.lagrangian, np.delete(points, [5, 6], axis=0))
+        monkeypatch.setattr(cc, "BLOCK_ROWS", 1024)
+        assert residual == dissipation_residual(sys, sys.lagrangian, np.delete(points, [5, 6], axis=0))
+
     def test_weak_leibniz_product(self):
         # dissipated f times conserved g is dissipated: use the Legendre side
         # of the 2D damped oscillator, f = angular momentum, g = f/H
