@@ -12,8 +12,9 @@ columns of an (N, m) block of points, with numpy ufuncs in place of the math
 functions.  They are exact only where nothing goes wrong: a guard that any
 row hits, a branch that the rows do not all take, and an integral exponent
 that differs between rows raise :class:`BlockFallback` instead of the
-row's error.  The caller runs them under ``np.errstate(all="raise")`` and
-evaluates such a block row by row with the functions above.
+row's error.  The caller runs them under ``np.errstate(all="raise",
+under="ignore")`` and evaluates such a block row by row with the functions
+above.
 
 Tracing runs the operations over *symbolic* scalars: a Python float when the
 number is known at compile time (literals, parameters and every subtree

@@ -26,10 +26,10 @@ dynamics.  Every check here and in :mod:`contactmech.momentum` and
 :mod:`contactmech.symmetry` reduces this kernel over its sample points.
 
 :func:`_worst_rows` runs a check's kernel on the whole block under
-``np.errstate(all="raise")``.  Any error there reruns the kernel one row at a
-time, so a failing sample raises what a loop over the points would raise at
-the first failing point, and a row that only overflows gets the inf or NaN
-of float arithmetic.  Residuals reduce with one NaN-propagating max over
+``np.errstate(all="raise", under="ignore")``.  Any error there reruns the
+kernel one row at a time, so a failing sample raises what a loop over the
+points would raise at the first failing point, and a row that only
+overflows gets the inf or NaN of float arithmetic.  Residuals reduce with one NaN-propagating max over
 axis 0.
 """
 
@@ -188,7 +188,8 @@ BLOCK_ROWS = 1024
 def _rows(kernel, states: np.ndarray) -> np.ndarray:
     """``kernel(states)``, one row per point, as one block or else row by row.
 
-    The block runs under ``np.errstate(all="raise")``.  If it raises anything
+    The block runs with floating-point exceptions raised, except underflow,
+    which float arithmetic on one point never reports.  If it raises anything
     arithmetic (a domain or regularity error, a floating-point exception) the
     kernel runs again on each one-row block in order, with floating-point
     exceptions off: the first failing point raises its own error, and the
@@ -199,7 +200,7 @@ def _rows(kernel, states: np.ndarray) -> np.ndarray:
         return np.concatenate([_rows(kernel, states[k : k + BLOCK_ROWS])
                                for k in range(0, states.shape[0], BLOCK_ROWS)])
     try:
-        with np.errstate(all="raise"):
+        with np.errstate(all="raise", under="ignore"):
             return kernel(states)
     except (ArithmeticError, ValueError, np.linalg.LinAlgError):
         pass
@@ -318,6 +319,7 @@ class HamiltonianSystem(DarbouxChart):
         if tuple(hamiltonian.chart) != self.chart:
             raise ValueError(f"Hamiltonian chart {hamiltonian.chart} does not match {self.chart}")
         self.hamiltonian = hamiltonian
+        self.vector_field = HamiltonianVectorField(hamiltonian)
         self._jet = _JetMemo(hamiltonian)
 
     def jet(self, u) -> Jet2:
@@ -337,12 +339,10 @@ class HamiltonianSystem(DarbouxChart):
         return self.jets(U).gradient[:, -1]
 
     def dynamics_block(self, U) -> np.ndarray:
-        return _darboux_field_rows(self.jets(U), U[:, self.n : 2 * self.n], self.n)
+        return self.vector_field.value_block(U)
 
     def dynamics_and_jacobian_block(self, U):
-        jets = self.jets(U)
-        P = U[:, self.n : 2 * self.n]
-        return _darboux_field_rows(jets, P, self.n), _darboux_jacobian_rows(jets, P, self.n)
+        return self.vector_field.value_and_jacobian_block(U)
 
     # ... and at one point
 

@@ -358,10 +358,12 @@ class ScalarField:
 
     # -- blocks of points: one call for the rows of an (N, m) array ----------
     #
-    # A block is computed under np.errstate(all="raise").  Where a guard or a
-    # branch cannot serve every row, or a floating-point exception occurs, it
-    # is computed again row by row with value_at / jet_at: the first failing
-    # row raises its own error, and inf and NaN entries are those of the rows.
+    # A block is computed with floating-point exceptions raised, except
+    # underflow, which float arithmetic on one point never reports either.
+    # Where a guard or a branch cannot serve every row, or a floating-point
+    # exception occurs, it is computed again row by row with value_at /
+    # jet_at: the first failing row raises its own error, and inf and NaN
+    # entries are those of the rows.  A block of no rows gives empty results.
 
     def _block(self, points) -> np.ndarray:
         block = np.asarray(points, dtype=float)
@@ -376,13 +378,15 @@ class ScalarField:
         block = self._block(points)
         if block.shape[1] == 0:
             raise ValueError("a jet needs a nonempty 1-d point")
+        count, m = block.shape
+        if count == 0:
+            return JetBlock(np.empty(0), np.empty((0, m)), np.empty((0, m, m)))
         fn = self.__dict__.get("_jets_code") or self._compiled("jets")
         try:
-            with np.errstate(all="raise"):
+            with np.errstate(all="raise", under="ignore"):
                 return fn(block)
         except (ArithmeticError, ValueError):
             pass
-        count, m = block.shape
         out = JetBlock(np.empty(count), np.empty((count, m)), np.empty((count, m, m)))
         for k, point in enumerate(block):
             jet = self.jet_at(point)
@@ -392,9 +396,11 @@ class ScalarField:
     def values_at(self, points) -> np.ndarray:
         """The values (N,) at the rows of ``points``."""
         block = self._block(points)
+        if block.shape[0] == 0:
+            return np.empty(0)
         fn = self.__dict__.get("_values_code") or self._compiled("values")
         try:
-            with np.errstate(all="raise"):
+            with np.errstate(all="raise", under="ignore"):
                 return fn(block)
         except (ArithmeticError, ValueError):
             return np.array([self.value_at(point) for point in block], dtype=float)

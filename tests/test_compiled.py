@@ -352,11 +352,30 @@ def test_blocks_match_the_rows_on_random_trees(tree, block, params):
         ("exp(x)", [[1.0, 0.0, 0.0], [1000.0, 0.0, 0.0]]),  # an overflow in row 2
         ("big*big*x + y", [[0.5, 1.0, 0.0], [0.0, 1.0, 0.0]]),  # inf, and inf*0 = NaN
         ("2 + a", [[0.5, 1.0, 0.0], [0.0, 1.0, 0.0]]),
+        ("exp(x) * y", [[1.0, 1.0, 0.0], [-800.0, 1.0, 0.0]]),  # underflow to 0 in row 2
+        ("x*y*y", [[1e-160, 1e-80, 0.0], [1.0, 1.0, 0.0]]),  # a subnormal value in row 1
     ],
 )
 def test_blocks_match_the_rows(source, block):
     field = ScalarField.from_source(source, CHART, {"a": 0.5, "big": 1e200})
     assert_block_matches_rows(field, np.array(block))
+
+
+@pytest.mark.parametrize("source, block", [
+    ("exp(x) * y", [[1.0, 1.0, 0.0], [-800.0, 1.0, 0.0]]),
+    ("x*y*y", [[1e-160, 1e-80, 0.0], [1.0, 1.0, 0.0]]),
+])
+def test_underflow_keeps_the_block(source, block, monkeypatch):
+    # underflow is not an error of float arithmetic, so no row is evaluated alone
+    field = ScalarField.from_source(source, CHART)
+
+    def row(self, point):
+        raise AssertionError("the block fell back to rows")
+
+    monkeypatch.setattr(ScalarField, "jet_at", row)
+    monkeypatch.setattr(ScalarField, "value_at", row)
+    field.jets_at(np.array(block))
+    field.values_at(np.array(block))
 
 
 def test_block_shape_is_checked():
@@ -365,8 +384,11 @@ def test_block_shape_is_checked():
         field.jets_at(np.zeros((2, 2)))
     with pytest.raises(ValueError):
         field.values_at(np.zeros(3))
-    jets = field.jets_at(np.zeros((0, 3)))
-    assert jets.value.shape == (0,) and jets.hessian.shape == (0, 3, 3)
+    for source in ("x*y", "x^y", "log(0 - 1)"):
+        field = ScalarField.from_source(source, CHART)
+        jets = field.jets_at(np.zeros((0, 3)))
+        assert jets.value.shape == (0,) and jets.gradient.shape == (0, 3) and jets.hessian.shape == (0, 3, 3)
+        assert field.values_at(np.zeros((0, 3))).shape == (0,)
 
 
 # -- every check on random systems: a finite residual or an explicit failure ----------

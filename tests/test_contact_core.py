@@ -397,6 +397,18 @@ class TestDissipation:
         monkeypatch.setattr(cc, "BLOCK_ROWS", 1024)
         assert residual == dissipation_residual(sys, sys.lagrangian, np.delete(points, [5, 6], axis=0))
 
+    def test_underflow_keeps_the_block(self):
+        # exp(-800) underflows to 0 in row 2; float arithmetic gives the same, so no rerun
+        calls = []
+
+        def kernel(U):
+            calls.append(len(U))
+            return np.exp(U)
+
+        rows = cc._rows(kernel, np.array([[0.0, 1.0], [-800.0, 0.0]]))
+        assert calls == [2]
+        assert np.array_equal(rows, [[1.0, np.e], [0.0, 1.0]])
+
     def test_weak_leibniz_product(self):
         # dissipated f times conserved g is dissipated: use the Legendre side
         # of the 2D damped oscillator, f = angular momentum, g = f/H
