@@ -16,6 +16,10 @@ row's error.  The caller runs them under ``np.errstate(all="raise",
 under="ignore")`` and evaluates such a block row by row with the functions
 above.
 
+:func:`compile_field` emits a vector field from the same jet trace: a
+caller's assembler writes the field's entries from the symbolic jet, and
+only the lines those entries need are kept.
+
 Tracing runs the operations over *symbolic* scalars: a Python float when the
 number is known at compile time (literals, parameters and every subtree
 built from them alone), otherwise the name of a local of the generated
@@ -40,13 +44,15 @@ from __future__ import annotations
 
 import math
 import operator
+import re
 
 import numpy as np
 
 from .ad import DomainError, Jet2, JetBlock
 from .expr import Binary, Call, Num, Unary, Var
 
-__all__ = ["BlockFallback", "compile_value", "compile_jet", "compile_values", "compile_jets"]
+__all__ = ["BlockFallback", "FieldWriter", "compile_value", "compile_jet", "compile_values", "compile_jets",
+           "compile_field"]
 
 # integral exponents up to this size are taken by repeated multiplication
 # (exact for negative bases); larger ones go through exp/log, as in ad.power
@@ -830,3 +836,114 @@ def compile_jets(tree, chart, parameters: dict):
         return JetBlock(out, flat[:, g_index], flat[:, h_index])
 
     return jets
+
+
+# -- vector fields from one jet trace ------------------------------------------------
+
+
+class FieldWriter:
+    """The traced jet of a field, for the code that assembles a vector field from it.
+
+    Entries are source names: a local, an input ``x{i}`` or a bound number
+    (``k0`` is the structural zero).  Lines written here run after the
+    trace, so the tree's guards raise first.
+    """
+
+    def __init__(self, tracer: _JetTracer, jet: _Jet):
+        self._tracer = tracer
+        self._jet = jet
+
+    def value(self) -> str:
+        return self._tracer.ref(self._jet.v)
+
+    def gradient(self, i: int) -> str:
+        return self._tracer.ref(self._jet.g.get(i, 0.0))
+
+    def _hessian(self, i: int, j: int):
+        return self._jet.h.get((min(i, j), max(i, j)), 0.0)
+
+    def hessian(self, i: int, j: int) -> str:
+        return self._tracer.ref(self._hessian(i, j))
+
+    def known_hessian(self, i: int, j: int):
+        """The Hessian entry's number when it is fixed at compile time (0.0 when
+        structurally zero), else None."""
+        entry = self._hessian(i, j)
+        return None if type(entry) is str else entry
+
+    def coordinate(self, i: int) -> str:
+        return f"x{i}"
+
+    def number(self, value: float) -> str:
+        return self._tracer.ref(float(value))
+
+    def bind(self, name: str, obj) -> str:
+        """Make ``obj`` callable from the code as ``name``."""
+        self._tracer.namespace[name] = obj
+        return name
+
+    @staticmethod
+    def pack(items) -> str:
+        """The source of a tuple of the given sources."""
+        return f"({', '.join(items)},)"
+
+    def names(self, count: int) -> list:
+        """``count`` new local names."""
+        return [self._tracer.fresh() for _ in range(count)]
+
+    def let(self, expression: str) -> str:
+        """A new local holding ``expression``."""
+        (name,) = self.names(1)
+        self.line(f"{name} = {expression}")
+        return name
+
+    def line(self, statement: str) -> None:
+        self._tracer.lines.append(f"    {statement}")
+
+
+# a top-level line that cannot raise: t = a op b with op one of + - *, or t = -a
+_PURE = re.compile(r"    (t\d+) = (?:-?[tkx]\d+|[tkx]\d+ [-+*] [tkx]\d+)")
+_LOCAL = re.compile(r"\bt\d+\b")
+
+
+def _live(lines: list, results) -> list:
+    """The lines that the results need, in order.
+
+    Only a pure line (see ``_PURE``) whose local nothing later reads is
+    dropped.  Every other statement is kept whole: a guard, a call that may
+    raise, a branch with its blocks.
+    """
+    statements = []
+    for line in lines:
+        if line.startswith("        ") or line.startswith("    else:"):
+            statements[-1].append(line)
+        else:
+            statements.append([line])
+    live = set(_LOCAL.findall(" ".join(results)))
+    kept = []
+    for statement in reversed(statements):
+        pure = _PURE.fullmatch(statement[0]) if len(statement) == 1 else None
+        if pure is not None and pure.group(1) not in live:
+            continue
+        for line in statement:
+            live.update(_LOCAL.findall(line))
+        kept.append(statement)
+    return [line for statement in reversed(kept) for line in statement]
+
+
+def compile_field(tree, chart, parameters: dict, assemble):
+    """``f(x) -> tuple``: a vector field assembled from the tree's jet at x.
+
+    ``assemble(writer)`` writes the field through a :class:`FieldWriter` and
+    returns the source names of its entries.  The arithmetic of jet entries
+    that the field does not read is dropped (see :func:`_live`).
+    """
+    tracer = _JetTracer(chart, parameters)
+    result = _trace(tracer, tree)
+    if result is None:
+        return tracer.function("")
+    if not isinstance(result, _Jet):
+        result = _Jet(result, {}, {})
+    entries = assemble(FieldWriter(tracer, result))
+    tracer.lines = _live(tracer.lines, entries)
+    return tracer.function(f"return {', '.join(entries)},")

@@ -323,7 +323,7 @@ def _build_families(cfg, system, params, kind: str):
                     gens.append(AmbientVectorField.from_sources(sources, system.chart, params))
             except ValueError as exc:  # a ParseError or a malformed field
                 raise ConfigError(gpath, str(exc)) from exc
-        expect_invariance = bool(f.get("expect_invariance", True))
+        expect_invariance = _expect(f, "expect_invariance", bool, path, default=True)
         try:
             family = GeneratorFamily(label, side, tuple(gens))
         except ValueError as exc:

@@ -15,8 +15,8 @@ verbatim to the Lagrangian chart of :mod:`contactmech.lagrangian`.
 Checks run over blocks of sample points: systems, vector fields and
 quantities have ``*_block`` methods that take an (N, dim) array and return
 one row per point, and the per-point methods used only by checks and tests
-are one-row adapters over them.  The integrator keeps the per-point
-``dynamics`` and the one-entry jet memo.
+are one-row adapters over them.  The integrator steps through each system's
+``dynamics_code``, its vector field emitted from the trace of H or L.
 
 One block kernel, ``_dissipation_rows(system, f, U)`` = |X_H(f) + R(H) f| per
 row, is zero where f dissipates at the energy's rate.  L_{X_H} eta = -R(H) eta
@@ -39,6 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _tape
 from .ad import Jet2, JetBlock
 from .expr import ScalarField, hamiltonian_chart
 from .fields import (
@@ -46,6 +47,7 @@ from .fields import (
     LinearCombinationQuantity,
     QuotientQuantity,
     _one_row,
+    _point_matmul,
     _rowdot,
     _vecmat,
     lie_bracket_value,
@@ -213,29 +215,6 @@ def _worst_rows(kernel, states: np.ndarray):
     return np.max(_rows(kernel, states), axis=0)
 
 
-class _JetMemo:
-    """A field's jet at the last point asked for, shared by repeated queries.
-
-    Only the per-point path of the integrator uses it (stage k1 of RK4 reuses
-    the jet of the energy monitor); checks evaluate blocks of points.
-    """
-
-    __slots__ = ("field", "key", "jet")
-
-    def __init__(self, field: ScalarField):
-        self.field = field
-        self.key = None
-        self.jet = None
-
-    def __call__(self, u) -> Jet2:
-        u = np.asarray(u, dtype=float)
-        key = u.tobytes()
-        if key != self.key:
-            self.jet = self.field.jet_at(u)
-            self.key = key
-        return self.jet
-
-
 # -- the Darboux chart and Hamiltonian systems --------------------------------
 
 
@@ -278,16 +257,6 @@ class DarbouxChart:
         return self.reeb_block(_one_row(u))[0]
 
 
-def _darboux_field_value(jet: Jet2, p: np.ndarray, n: int) -> np.ndarray:
-    # the integrator's per-point form of _darboux_field_rows
-    G = jet.gradient
-    out = np.empty(2 * n + 1)
-    out[:n] = G[n : 2 * n]
-    out[n : 2 * n] = -(G[:n] + p * G[2 * n])
-    out[2 * n] = p @ G[n : 2 * n] - jet.value
-    return out
-
-
 def _darboux_field_rows(jets: JetBlock, P: np.ndarray, n: int) -> np.ndarray:
     """X_f at each row, from the jets of f and the momenta P."""
     G = jets.gradient
@@ -320,10 +289,10 @@ class HamiltonianSystem(DarbouxChart):
             raise ValueError(f"Hamiltonian chart {hamiltonian.chart} does not match {self.chart}")
         self.hamiltonian = hamiltonian
         self.vector_field = HamiltonianVectorField(hamiltonian)
-        self._jet = _JetMemo(hamiltonian)
+        self._dynamics_code = None
 
     def jet(self, u) -> Jet2:
-        return self._jet(u)
+        return self.hamiltonian.jet_at(u)
 
     def jets(self, U) -> JetBlock:
         return self.hamiltonian.jets_at(U)
@@ -353,9 +322,29 @@ class HamiltonianSystem(DarbouxChart):
     def reeb_rate(self, u) -> float:
         return float(self.reeb_rate_block(_one_row(u))[0])
 
+    def dynamics_code(self):
+        """``f(x) -> tuple``: the contact Hamiltonian field at the coordinates x.
+
+        Compiled on first use from the trace of H, of which it computes the
+        value and gradient only.  It gives the per-point sums of the Darboux
+        field: p·dH/dp goes through numpy's ``@`` on the two vectors, which
+        fuses multiply-adds where ``dynamics_block`` sums with ``einsum``.
+        """
+        if self._dynamics_code is None:
+            H = self.hamiltonian
+            self._dynamics_code = _tape.compile_field(H.ast, self.chart, H._param_env, self._darboux)
+        return self._dynamics_code
+
+    def _darboux(self, out) -> list:
+        n = self.n
+        G = [out.gradient(i) for i in range(2 * n + 1)]
+        p = [out.coordinate(n + i) for i in range(n)]
+        dp = [out.let(f"-({G[i]} + {p[i]} * {G[2 * n]})") for i in range(n)]
+        dz = out.let(f"{out.bind('_matmul', _point_matmul)}({out.pack(p)}, {out.pack(G[n : 2 * n])}) - {out.value()}")
+        return [*G[n : 2 * n], *dp, dz]
+
     def dynamics(self, u) -> np.ndarray:
-        u = np.asarray(u, dtype=float)
-        return _darboux_field_value(self.jet(u), u[self.n : 2 * self.n], self.n)
+        return np.array(self.dynamics_code()(np.asarray(u, dtype=float).tolist()))
 
     def dynamics_jacobian(self, u):
         value, jacobian = self.dynamics_and_jacobian_block(_one_row(u))
@@ -471,10 +460,9 @@ def jacobi_bracket_at(f: ScalarField, g: ScalarField, x: ContactPoint) -> float:
     if f.chart != g.chart:
         raise ValueError("bracket arguments must share one chart")
     u = x.to_array()
-    jf = f.jet_at(u)
     jg = g.jet_at(u)
-    xf = _darboux_field_value(jf, x.p, x.n)
-    return float(jg.gradient @ xf + jg.value * jf.gradient[-1])
+    xf = HamiltonianVectorField(f).value(u)
+    return float(jg.gradient @ xf + jg.value * f.jet_at(u).gradient[-1])
 
 
 def contact_form_lie_derivative_at(X, x: ContactPoint) -> OneFormValue:

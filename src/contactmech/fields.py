@@ -44,6 +44,11 @@ def _one_row(u) -> np.ndarray:
     return u.reshape(1, -1)
 
 
+def _point_matmul(a, b):
+    """a @ b in numpy, for the vectors or matrices of one point, as Python floats."""
+    return (np.array(a) @ np.array(b)).tolist()
+
+
 def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """a[k] @ b[k] for every row k."""
     return np.einsum("ij,ij->i", a, b)

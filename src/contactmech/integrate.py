@@ -4,6 +4,12 @@ Classical RK4 (or explicit Euler) applied to the first-order form of the
 dynamics: the Herglotz field (dq = v, W a = b, dz = L) on the Lagrangian
 side, the contact Hamiltonian field on the Darboux side.  Steps are fixed so
 runs are bit-for-bit reproducible.
+
+The steps run on Python floats through the system's emitted
+``dynamics_code``.  CPython rounds every operation and never fuses a
+multiply-add, so the elementwise RK4 sums equal those of numpy arrays.
+Each state is written to one (steps+1, dim) array, and the monitors read
+that row.
 """
 
 from __future__ import annotations
@@ -118,30 +124,32 @@ def integrate_lagrangian(system, ic, cfg: IntegratorConfig) -> Trajectory:
     states = np.empty((steps + 1, dim))
     series = {name: np.empty(steps + 1) for name in monitors}
 
-    def record(k: int, u: np.ndarray) -> None:
+    def record(k: int, u: list) -> None:
         states[k] = u
         for name, quantity in monitors.items():
-            series[name][k] = quantity.value_at(u)
+            series[name][k] = quantity.value_at(states[k])
 
-    rhs = system.dynamics
-    u = u0.copy()
+    rhs = system.dynamics_code()
+    half, sixth = 0.5 * h, h / 6.0
+    u = u0.tolist()
     try:
         record(0, u)
     except ArithmeticError as exc:
         raise IntegrationError(f"cannot evaluate at the initial state: {exc}") from exc
     for k in range(steps):
         try:
+            # the sums of the array form, element by element and in its order
             if cfg.method == "rk4":
                 k1 = rhs(u)
-                k2 = rhs(u + (0.5 * h) * k1)
-                k3 = rhs(u + (0.5 * h) * k2)
-                k4 = rhs(u + h * k3)
-                u = u + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+                k2 = rhs([x + half * d for x, d in zip(u, k1)])
+                k3 = rhs([x + half * d for x, d in zip(u, k2)])
+                k4 = rhs([x + h * d for x, d in zip(u, k3)])
+                u = [x + sixth * (d1 + 2.0 * d2 + 2.0 * d3 + d4) for x, d1, d2, d3, d4 in zip(u, k1, k2, k3, k4)]
             else:
-                u = u + h * rhs(u)
-            if not np.all(np.isfinite(u)):
+                u = [x + h * d for x, d in zip(u, rhs(u))]
+            if not all(map(math.isfinite, u)):
                 raise IntegrationError(
-                    f"state became non-finite at t={times[k + 1]:g} (step {k + 1}): {u}",
+                    f"state became non-finite at t={times[k + 1]:g} (step {k + 1}): {np.array(u)}",
                     partial=_truncate(times, states, series, system.chart, k),
                 )
             record(k + 1, u)

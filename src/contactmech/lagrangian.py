@@ -22,10 +22,12 @@ of :mod:`contactmech.contact_core` applies to (q, v, z) verbatim.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import _tape
 from .ad import Jet2, JetBlock
 from .contact_core import (
     ContactPoint,
@@ -33,10 +35,9 @@ from .contact_core import (
     TangentValue,
     _as_states,
     _ChartTriple,
-    _JetMemo,
 )
 from .expr import ScalarField, lagrangian_chart
-from .fields import _matvec, _one_row, _rowdot, _vecmat
+from .fields import _matvec, _one_row, _point_matmul, _rowdot, _vecmat
 
 __all__ = [
     "RegularityError",
@@ -61,6 +62,44 @@ JACOBIAN_FD_STEP = 1e-5
 
 class RegularityError(ArithmeticError):
     """The velocity Hessian is (numerically) singular at the evaluation point."""
+
+
+def _degenerate(w: float):
+    raise RegularityError(f"velocity Hessian {w:g} is degenerate")
+
+
+def _raiser(exc: Exception):
+    """A function that raises a new exception like ``exc``."""
+
+    def fail():
+        raise type(exc)(*exc.args)
+
+    return fail
+
+
+class _JetMemo:
+    """The jet of L at the last point asked for.
+
+    The integrator's per-step monitors read it at each recorded state: the
+    E_L monitor and the f_* momentum monitors (VerticalMomentumQuantity)
+    share one jet there.  The dynamics are emitted code and never read it;
+    checks evaluate blocks of points.
+    """
+
+    __slots__ = ("field", "key", "jet")
+
+    def __init__(self, field: ScalarField):
+        self.field = field
+        self.key = None
+        self.jet = None
+
+    def __call__(self, u) -> Jet2:
+        u = np.asarray(u, dtype=float)
+        key = u.tobytes()
+        if key != self.key:
+            self.jet = self.field.jet_at(u)
+            self.key = key
+        return self.jet
 
 
 @dataclass(frozen=True)
@@ -89,6 +128,7 @@ class LagrangianSystem:
         self.lagrangian = lagrangian
         self.regularity_rtol = float(regularity_rtol)
         self._jet = _JetMemo(lagrangian)
+        self._dynamics_code = None
 
     # -- jets ------------------------------------------------------------
 
@@ -114,33 +154,30 @@ class LagrangianSystem:
         n = self.n
         return self.jet(u).hessian[n : 2 * n, n : 2 * n].copy()
 
-    def _threshold(self, largest: float) -> float:
-        """The regularity threshold of a velocity Hessian whose largest |entry| is ``largest``."""
-        return self.regularity_rtol * max(1.0, largest ** self.n)
+    def _thresholds(self, largest: np.ndarray) -> np.ndarray:
+        """The regularity thresholds rtol * max(1, largest**n) of velocity Hessians
+        whose largest |entry| is ``largest``.
 
-    def _regularity_threshold(self, W: np.ndarray) -> float:
-        return self._threshold(float(np.max(np.abs(W))))
+        The power is Python's float power, applied over an object array:
+        numpy's float64 power differs from it in the last bit on some inputs,
+        and overflows to inf where Python raises OverflowError.  ``fmax``
+        keeps Python's max(1.0, nan) = 1.0.
+        """
+        powers = np.power(largest.astype(object), self.n).astype(float)
+        return self.regularity_rtol * np.fmax(1.0, powers)
 
     def is_regular(self, u) -> bool:
         W = self.velocity_hessian(u)
-        return abs(np.linalg.det(W)) > self._regularity_threshold(W)
-
-    def _solve_velocity_hessian(self, W: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-        # n >= 2; acceleration divides by the one entry when n = 1
-        if abs(np.linalg.det(W)) <= self._regularity_threshold(W):
-            raise RegularityError("velocity Hessian is degenerate")
-        return np.linalg.solve(W, rhs)
+        return abs(np.linalg.det(W)) > self._thresholds(np.max(np.abs(W))[None])[0]
 
     def _solve_velocity_hessian_block(self, W: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         """Solve W[k] x = rhs[k] for each row; the first degenerate row raises."""
-        largest = np.max(np.abs(W), axis=(1, 2)).tolist()
-        threshold = np.array([self._threshold(value) for value in largest])
+        threshold = self._thresholds(np.max(np.abs(W), axis=(1, 2)))
         if self.n == 1:
             w = W[:, 0, 0]
             degenerate = np.abs(w) <= threshold
             if degenerate.any():
-                w_bad = float(w[np.argmax(degenerate)])
-                raise RegularityError(f"velocity Hessian {w_bad:g} is degenerate")
+                _degenerate(float(w[np.argmax(degenerate)]))
             return rhs / w[:, None]
         if np.any(np.abs(np.linalg.det(W)) <= threshold):
             raise RegularityError("velocity Hessian is degenerate")
@@ -220,32 +257,93 @@ class LagrangianSystem:
     def reeb_rate(self, u) -> float:
         return float(self.reeb_rate_block(_one_row(u))[0])
 
-    # -- the integrator's per-point dynamics ------------------------------------
+    # -- the integrator's dynamics: emitted from the trace of L ------------------
 
-    def acceleration(self, u) -> np.ndarray:
+    def dynamics_code(self):
+        """``f(x) -> tuple``: the Herglotz field (v, a, L) at the coordinates x.
+
+        Compiled on first use from the trace of L (see :meth:`_herglotz`),
+        with the regularity tolerance of that time.  It rounds as numpy does
+        on the arrays of one point, and raises what :meth:`dynamics_block`
+        raises on that row.
+        """
+        if self._dynamics_code is None:
+            lagrangian = self.lagrangian
+            self._dynamics_code = _tape.compile_field(
+                lagrangian.ast, self.chart, lagrangian._param_env, self._herglotz)
+        return self._dynamics_code
+
+    def _herglotz(self, out) -> list:
+        """Write the Herglotz field from the jet of L; returns its entries.
+
+        b is written term by term in the order of the dense formula, with
+        structural zeros as 0.0, so it rounds as numpy does.  Sums of
+        products stay in numpy, whose BLAS fuses multiply-adds: B_vq v where
+        L couples q and v, and the solve.
+        """
         n = self.n
-        u = np.asarray(u, dtype=float)
-        jet = self.jet(u)
-        G, B = jet.gradient, jet.hessian
+        value = out.value()
+        v = [out.coordinate(n + i) for i in range(n)]
+        b = [f"{out.gradient(i)} + {out.gradient(2 * n)} * {out.gradient(n + i)}" for i in range(n)]
         if n == 1:
-            w = B[1, 1]
-            scale = abs(w) if abs(w) > 1.0 else 1.0
-            if abs(w) <= self.regularity_rtol * scale:
-                raise RegularityError(f"velocity Hessian {float(w):g} is degenerate")
-            b = G[0] + G[2] * G[1] - B[1, 0] * u[1] - B[1, 2] * jet.value
-            return np.array([b / w])
-        v = u[n : 2 * n]
-        b = G[:n] + G[-1] * G[n : 2 * n] - B[n : 2 * n, :n] @ v - B[n : 2 * n, -1] * jet.value
-        return self._solve_velocity_hessian(B[n : 2 * n, n : 2 * n], b)
+            b = [f"{b[0]} - {out.hessian(1, 0)} * {v[0]}"]
+        elif any(out.known_hessian(n + i, j) != 0.0 for i in range(n) for j in range(n)):
+            coupling = out.names(n)
+            rows = out.pack(out.pack(out.hessian(n + i, j) for j in range(n)) for i in range(n))
+            out.line(f"{out.pack(coupling)} = {out.bind('_matmul', _point_matmul)}({rows}, {out.pack(v)})")
+            b = [f"{head} - {term}" for head, term in zip(b, coupling)]
+        # else numpy's B_vq v is 0.0 where v is finite; where it is not, b is
+        # not finite either, and the solve gives NaN with or without it
+        b = [out.let(f"{head} - {out.hessian(n + i, 2 * n)} * {value}") for i, head in enumerate(b)]
+        return [*v, *self._accelerations(out, b), value]
+
+    def _accelerations(self, out, b: list) -> list:
+        """Write the solve of W a = b; returns a.
+
+        A W fixed at compile time is checked for regularity there, once; if
+        it is degenerate, the code raises that error after the trace.  W = I
+        gives a = b where every b_i is finite.  LAPACK's substitution gives
+        the same numbers there, though it may turn a -0.0 into 0.0, which
+        reaches no state that does not itself hold a -0.0.
+        """
+        n = self.n
+        known = [[out.known_hessian(n + i, n + j) for j in range(n)] for i in range(n)]
+        constant = not any(entry is None for row in known for entry in row)
+        if constant:
+            try:
+                self._solve_velocity_hessian_block(np.array([known]), np.zeros((1, n)))
+            except (ArithmeticError, np.linalg.LinAlgError) as exc:
+                out.line(f"{out.bind('_singular', _raiser(exc))}()")
+                return b
+        if n == 1:
+            w = out.hessian(1, 1)
+            if not constant:
+                for helper in (abs, max, _degenerate):
+                    out.bind(helper.__name__, helper)
+                rtol, one = out.number(self.regularity_rtol), out.number(1.0)
+                out.line(f"if abs({w}) <= {rtol} * max({one}, abs({w})): _degenerate({w})")
+            return b if known[0][0] == 1.0 else [out.let(f"{b[0]} / {w}")]
+        W = out.pack(out.pack(out.hessian(n + i, n + j) for j in range(n)) for i in range(n))
+        solve = f"{out.bind('_solve', self._solve_one)}({W}, {out.pack(b)})"
+        a = out.names(n)
+        if constant and np.array_equal(known, np.eye(n)):
+            low, high = out.number(-math.inf), out.number(math.inf)
+            out.line(f"if {' and '.join(f'{low} < {x} < {high}' for x in b)}:")
+            out.line(f"    {out.pack(a)} = {out.pack(b)}")
+            out.line("else:")
+            out.line(f"    {out.pack(a)} = {solve}")
+        else:
+            out.line(f"{out.pack(a)} = {solve}")
+        return a
+
+    def _solve_one(self, W, b) -> list:
+        return self._solve_velocity_hessian_block(np.array([W]), np.array([b]))[0].tolist()
 
     def dynamics(self, u) -> np.ndarray:
-        n = self.n
-        u = np.asarray(u, dtype=float)
-        out = np.empty(self.dim)
-        out[:n] = u[n : 2 * n]
-        out[n : 2 * n] = self.acceleration(u)
-        out[-1] = self.jet(u).value
-        return out
+        return np.array(self.dynamics_code()(np.asarray(u, dtype=float).tolist()))
+
+    def acceleration(self, u) -> np.ndarray:
+        return self.dynamics(u)[self.n : 2 * self.n]
 
     def dynamics_jacobian(self, u):
         """Value and Jacobian of the Herglotz field.
@@ -339,7 +437,7 @@ def herglotz_residual(sys: LagrangianSystem, traj) -> float:
     times = np.asarray(traj.times, dtype=float)
     h = times[1] - times[0]
     n = sys.n
-    G = np.array([sys.lagrangian.jet_at(u).gradient for u in states])
+    G = sys.jets(states).gradient
     momenta = G[:, n : 2 * n]
     dpdt = (momenta[2:] - momenta[:-2]) / (2 * h)
     inner = G[1:-1]

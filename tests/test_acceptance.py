@@ -33,6 +33,7 @@ from contactmech.symmetry import (
 
 from helpers import (
     damped_oscillator,
+    darboux_field,
     fd_gradient,
     fd_hessian,
     free_particle,
@@ -119,7 +120,7 @@ def _jacobi_defect(f, g, h, u, n, step=1e-4):
 
     def outer(a, inner):
         ja = a.jet_at(u)
-        xa = cc._darboux_field_value(ja, u[n : 2 * n], n)
+        xa = darboux_field(ja, u[n : 2 * n], n)
         grad = np.empty(u.shape[0])
         for k in range(u.shape[0]):
             up, um = u.copy(), u.copy()

@@ -394,6 +394,20 @@ class TestConfigSurface:
         assert len(err) == 1 and err[0].startswith(f"config error: {path}: ")
         assert message in err[0]
 
+    @pytest.mark.parametrize(
+        "value, message",
+        [("no", "expected bool, got str"), (0, "expected bool, got int"), (None, "expected bool, got NoneType")],
+        ids=["string_value", "int_value", "null_value"],
+    )
+    def test_expect_invariance_must_be_a_bool(self, in_tmp, tmp_path, capsys, value, message):
+        family = dict(BASE_CONFIG["generator_families"][0], expect_invariance=value)
+        config = dict(BASE_CONFIG, generator_families=[family])
+        assert run_scenario(write_config(tmp_path, config)) == 2
+        err = capsys.readouterr().err.splitlines()
+        path = "$.generator_families[0].expect_invariance"
+        assert len(err) == 1 and err[0].startswith(f"config error: {path}: ")
+        assert message in err[0]
+
 
 class TestTolScale:
     def test_symmetry_entries_compare_against_the_reported_tolerance(self, in_tmp):

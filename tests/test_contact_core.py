@@ -39,7 +39,7 @@ from contactmech.lagrangian import TQRPoint
 from contactmech.lifts import CompleteLiftField, VectorFieldQ, VectorFieldQR
 from contactmech.sampling import regular_states
 
-from helpers import random_hamiltonian, random_lagrangian, random_polynomial_source
+from helpers import darboux_field, random_hamiltonian, random_lagrangian, random_polynomial_source
 
 RNG = np.random.default_rng(2024)
 
@@ -260,7 +260,7 @@ def _bracket_value(f, g, u, n):
 def _outer_bracket_fd(f, inner, u, n, step=1e-4):
     """{f, B} with dB by central differences; B is a plain function of u."""
     jf = f.jet_at(u)
-    xf = cc._darboux_field_value(jf, u[n : 2 * n], n)
+    xf = darboux_field(jf, u[n : 2 * n], n)
     grad = np.empty(u.shape[0])
     for k in range(u.shape[0]):
         up, um = u.copy(), u.copy()

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from contactmech.contact_core import ContactPoint, HamiltonianSystem
 from contactmech.expr import ScalarField, hamiltonian_chart, lagrangian_chart
@@ -15,7 +17,13 @@ from contactmech.integrate import (
 )
 from contactmech.lagrangian import LagrangianSystem, TQRPoint
 
-from helpers import damped_oscillator, free_particle
+from helpers import (
+    damped_oscillator,
+    free_particle,
+    random_polynomial_source,
+    reference_field,
+    reference_integration,
+)
 
 
 def oscillator_solution(times, omega=1.0, gamma=0.1, q0=1.0, v0=0.0):
@@ -204,9 +212,146 @@ class TestFailureModes:
                     sys, TQRPoint([3.0], [3.0], 0.0), IntegratorConfig(step=1.0, t_final=40.0)
                 )
 
+    def test_nonfinite_state_is_printed_as_numpy_prints_it(self):
+        sys = LagrangianSystem(1, ScalarField.from_source("0.5*qd1^2 + 0.25*q1^4", lagrangian_chart(1)))
+        cfg = IntegratorConfig(step=1.0, t_final=40.0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            states, _, last = reference_integration(sys, [3.0, 3.0, 0.0], cfg, lambda u: reference_field(sys, u))
+            with pytest.raises(IntegrationError) as err:
+                integrate_lagrangian(sys, TQRPoint([3.0], [3.0], 0.0), cfg)
+        k = len(states)
+        assert str(err.value) == f"state became non-finite at t={k * 1.0:g} (step {k}): {last}"
+        assert "nan" in str(err.value) and "inf" in str(err.value) and "e+170" in str(err.value)
+        assert np.array_equal(err.value.partial.states, states)
+
     def test_monitor_failure_at_initial_state(self):
         sys = free_particle()
         bad = ScalarField.from_source("log(q1)", lagrangian_chart(1))
         cfg = IntegratorConfig(step=0.1, t_final=1.0, monitors={"bad": bad})
         with pytest.raises(IntegrationError, match="initial state"):
             integrate_lagrangian(sys, TQRPoint([-1.0], [1.0], 0.0), cfg)
+
+
+# -- the emitted dynamics ---------------------------------------------------------------
+
+
+def _lagrangian_source(kind: str, n: int, rng) -> str:
+    """A Lagrangian of one structure: its velocity Hessian W and how L couples v to q and z."""
+    q, v = [f"q{i}" for i in range(1, n + 1)], [f"qd{i}" for i in range(1, n + 1)]
+    c = [f"{x:.3f}" for x in rng.uniform(-1.0, 1.0, 4)]
+    kinetic = "0.5*(" + " + ".join(f"{x}^2" for x in v) + ")"
+    potential = random_polynomial_source(rng, q, degree=3, terms=3)
+    if kind == "separable":  # W = I, no coupling
+        return f"{kinetic} - ({potential}) - {c[0]}*z"
+    if kind == "qv":  # W = I, B_vq != 0
+        return f"{kinetic} + {c[0]}*q1*{v[-1]} + {c[1]}*{q[-1]}^2*qd1 - ({potential})"
+    if kind == "z":  # W = I, dL/dz depends on v, B_vz != 0
+        return f"{kinetic} - {c[0]}*z + {c[1]}*z*qd1 + {c[2]}*sin(z)*{v[-1]} - ({potential})"
+    # with a domain error where q1 < -1.5, which comes before a singular W
+    if kind == "constant":  # a constant W, singular for some draws
+        M = rng.integers(-2, 3, size=(n, n)).astype(float)
+        terms = [f"{M[i, j]:.1f}*{v[i]}*{v[j]}" for i in range(n) for j in range(n)]
+        return " + ".join(terms) + f" - ({potential}) - {c[0]}*z - sqrt(1.5 + q1)"
+    # W depends on the point and is singular where qd1 = -1
+    return f"{kinetic} + qd1^3/6 + {c[0]}*q1*qd1*{v[-1]} + {c[1]}*z*{v[-1]}^2 - ({potential}) - sqrt(1.5 + q1)"
+
+
+def _outcome(fn):
+    with np.errstate(all="ignore"):
+        try:
+            return np.asarray(fn(), dtype=float), None
+        except Exception as exc:  # type and message are what get compared
+            return None, (type(exc), str(exc))
+
+
+def _same(got, want) -> bool:
+    """Equal as floats: every bit of each nonzero entry, a zero of either sign, any NaN."""
+    return np.array_equal(got, want, equal_nan=True)
+
+
+_coordinates = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, -1.5, 1e160, math.inf, math.nan]),
+                         st.floats(-2.0, 2.0))
+_kinds = st.sampled_from(["separable", "qv", "z", "constant", "varying", "hamiltonian"])
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(kind=_kinds, n=st.integers(1, 4), seed=st.integers(0, 2**16), rtol=st.sampled_from([1e-10, 0.05, 2.0]),
+       data=st.data())
+def test_emitted_field_matches_the_array_path(kind, n, seed, rtol, data):
+    # the block path's stacked BLAS calls may give a zero the other sign, and
+    # its Darboux dz sums p.dH/dp by einsum, where the point does by @; the
+    # sources use no exp or log, whose numpy ufuncs differ from math's
+    rng = np.random.default_rng(seed)
+    if kind == "hamiltonian":
+        chart = hamiltonian_chart(n)
+        source = random_polynomial_source(rng, chart, degree=3, terms=5) + " + 0.3*sin(z)*p1"
+        system = HamiltonianSystem(n, ScalarField.from_source(source, chart))
+    else:
+        L = ScalarField.from_source(_lagrangian_source(kind, n, rng), lagrangian_chart(n))
+        system = LagrangianSystem(n, L, regularity_rtol=rtol)
+    u = np.array(data.draw(st.lists(_coordinates, min_size=2 * n + 1, max_size=2 * n + 1)))
+    got, error = _outcome(lambda: system.dynamics_code()(u.tolist()))
+    block, block_error = _outcome(lambda: system.dynamics_block(u[None])[0])
+    point, point_error = _outcome(lambda: reference_field(system, u))
+    assert error == block_error == point_error
+    if error is None:
+        assert _same(got, point)
+        assert _same(got[: 2 * n], block[: 2 * n])
+        assert kind == "hamiltonian" or _same(got, block)
+        with np.errstate(all="ignore"):
+            assert system.dynamics(u).tobytes() == got.tobytes()
+
+
+@pytest.mark.parametrize("rtol", [1e-10, 0.5, 2.0])
+def test_emitted_regularity_test_of_one_degree_of_freedom(rtol):
+    # W = 1 + qd1: singular at qd1 = -1, and below rtol * max(1, |W|) everywhere once rtol >= 1
+    system = LagrangianSystem(1, ScalarField.from_source("0.5*qd1^2 + qd1^3/6 - q1", lagrangian_chart(1)),
+                              regularity_rtol=rtol)
+    for qd1 in (-1.0, -1.0 + 1e-12, 0.0, 0.2, 1.5, 3.0):
+        u = np.array([0.3, qd1, 0.0])
+        got, error = _outcome(lambda: system.dynamics_code()(u.tolist()))
+        block, block_error = _outcome(lambda: system.dynamics_block(u[None])[0])
+        assert error == block_error
+        assert error is not None or got.tobytes() == block.tobytes()
+
+
+def _long_trajectory_systems():
+    """The five systems of the benchmark's long_trajectory workload, with its monitors."""
+    def lagrangian(n, source, monitors):
+        chart = lagrangian_chart(n)
+        return LagrangianSystem(n, ScalarField.from_source(source, chart)), {
+            name: ScalarField.from_source(text, chart) for name, text in monitors.items()}
+
+    r2 = lambda n: "(" + " + ".join(f"q{i}^2" for i in range(1, n + 1)) + ")"
+    kinetic = lambda n: "0.5*(" + " + ".join(f"qd{i}^2" for i in range(1, n + 1)) + ")"
+    cases = [
+        (*lagrangian(2, f"{kinetic(2)} - 0.5*1.1^2*{r2(2)} - 0.1*z", {"ell": "q1*qd2 - q2*qd1"}),
+         [0.7, -0.2, 0.3, 0.8, 0.0]),
+        (*lagrangian(2, "0.5*(qd1^2 + qd2^2) - 0.5*0.9*(q1 - q2)^2 - 0.25*(q1 - q2)^4 - 0.1*z",
+                     {"f": "qd1 + qd2", "d": "q1 - q2"}), [0.4, -0.6, 0.7, 0.9, 0.0]),
+        (*lagrangian(4, f"{kinetic(4)} - sqrt(1 + {r2(4)}) - 0.1*sin({r2(4)}) - 0.05*exp(-{r2(4)})"
+                        " - 0.15*z - 0.03*sin(z)", {"f": "q1*qd2 - q2*qd1", "rate": "-0.15 - 0.03*cos(z)"}),
+         [0.8, 0.1, -0.2, 0.3, -0.1, 0.7, 0.2, -0.4, 0.0]),
+        (*lagrangian(6, f"{kinetic(6)} - 0.5*{r2(6)} - 0.25*{r2(6)}^2 - 0.1*z", {"f": "q3*qd4 - q4*qd3"}),
+         [0.0, 0.0, 0.7, -0.1, 0.2, -0.3, 0.0, 0.0, 0.2, 0.8, -0.1, 0.4, 0.0]),
+    ]
+    chart = hamiltonian_chart(3)
+    H = ScalarField.from_source(f"0.5*(p1^2 + p2^2 + p3^2) + 0.5*{r2(3)} + 0.1*{r2(3)}^2 + 0.1*z", chart)
+    cases.append((HamiltonianSystem(3, H), {"f": ScalarField.from_source("q1*p2 - q2*p1", chart)},
+                  [0.7, -0.1, 0.3, 0.1, 0.8, -0.2, 0.0]))
+    return cases
+
+
+@pytest.mark.parametrize("method", ["rk4", "euler"])
+def test_integrator_matches_an_array_loop(method):
+    # the loop's field is the per-point numpy one: dynamics_block evaluates
+    # exp and log with numpy's ufuncs, which differ from math's in the last bit
+    for system, monitors, u0 in _long_trajectory_systems():
+        cfg = IntegratorConfig(step=0.01, t_final=3.0, method=method, monitors=monitors)
+        states, series, last = reference_integration(system, u0, cfg, lambda u: reference_field(system, u))
+        assert last is None
+        traj = integrate_lagrangian(system, u0, cfg)
+        assert traj.states.tobytes() == states.tobytes()
+        assert traj.monitors.keys() == series.keys()
+        for name in series:
+            assert traj.monitors[name].tobytes() == series[name].tobytes(), name

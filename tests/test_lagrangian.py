@@ -91,6 +91,30 @@ class TestRegularity:
         x = TQRPoint([0.0, 0.0], [1.0, 1.0], 0.0)
         assert np.array_equal(velocity_hessian_at(sys, x), np.eye(2))
 
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_thresholds_follow_the_scalar_rule(self, n):
+        # the rule one row at a time: Python's float power, which raises on overflow
+        def _threshold(largest):
+            return sys.regularity_rtol * max(1.0, largest**n)
+
+        sys = system_from("0.5*qd1^2", n=n)
+        special = [0.0, 5e-324, 2.2250738585072014e-308, 1.0, 1e200, np.inf, np.nan]
+        spread = np.random.default_rng(n).uniform(0.5, 50.0, 500)
+        for largest in [*special, *spread]:
+            try:
+                want, want_error = _threshold(float(largest)), None
+            except OverflowError as exc:
+                want, want_error = None, str(exc)
+            try:
+                got, error = sys._thresholds(np.array([largest]))[0], None
+            except OverflowError as exc:
+                got, error = None, str(exc)
+            assert error == want_error
+            assert got is None or np.float64(got).tobytes() == np.float64(want).tobytes()
+        thresholds = sys._thresholds(np.array([0.0, 5e-324, 1.0, *spread]))
+        want = [_threshold(x) for x in [0.0, 5e-324, 1.0, *spread]]
+        assert thresholds.tobytes() == np.array(want).tobytes()
+
 
 class TestReebField:
     def test_no_velocity_z_coupling(self):
