@@ -192,6 +192,19 @@ def _expect(cfg: dict, key: str, kind, path: str, default=None, required=False):
     return value
 
 
+def _number(value, path: str) -> float:
+    """A JSON number as a float; a bool is not one."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(path, f"expected a number, got {type(value).__name__}")
+    return float(value)
+
+
+def _vector(cfg: dict, key: str, path: str) -> np.ndarray:
+    """The required list ``cfg[key]`` of numbers as an array."""
+    values = _expect(cfg, key, list, path, required=True)
+    return np.array([_number(v, f"{path}.{key}[{i}]") for i, v in enumerate(values)])
+
+
 def _parse_field(source: str, chart, params: dict, path: str) -> ScalarField:
     try:
         return ScalarField.from_source(source, chart, params)
@@ -221,12 +234,16 @@ class Scenario:
 def _build_system(cfg: dict):
     sys_cfg = _expect(cfg, "system", dict, "$", required=True)
     params = dict(_expect(sys_cfg, "params", dict, "$.system", default={}))
+    for key, value in params.items():
+        _number(value, f"$.system.params.{key}")
     if "builtin" in sys_cfg:
         name = _expect(sys_cfg, "builtin", str, "$.system", required=True)
         if name not in BUILTINS:
             raise ConfigError(
                 "$.system.builtin", f"unknown builtin {name!r}; try 'contactmech list-systems'"
             )
+        if _expect(params, "n", int, "$.system.params", default=1) < 1:
+            raise ConfigError("$.system.params.n", "n must be a positive integer")
         merged = dict(BUILTINS[name]["defaults"])
         merged.update(params)
         system = BUILTINS[name]["build"](merged)
@@ -250,11 +267,9 @@ def _build_initial_state(cfg, kind: str, n: int) -> np.ndarray | None:
     state_cfg = _expect(cfg, "initial_state", dict, "$")
     if state_cfg is None:
         return None
-    q = np.asarray(_expect(state_cfg, "q", list, "$.initial_state", required=True), dtype=float)
+    q = _vector(state_cfg, "q", "$.initial_state")
     fiber_key = "p" if kind == "hamiltonian" else ("qd" if "qd" in state_cfg else "v")
-    fiber = np.asarray(
-        _expect(state_cfg, fiber_key, list, "$.initial_state", required=True), dtype=float
-    )
+    fiber = _vector(state_cfg, fiber_key, "$.initial_state")
     z = _expect(state_cfg, "z", float, "$.initial_state", default=0.0)
     if q.shape != (n,) or fiber.shape != (n,):
         raise ConfigError("$.initial_state", f"q and {fiber_key} must have length n={n}")
@@ -273,6 +288,8 @@ def _build_candidates(cfg, system, params, kind: str):
         if not isinstance(c, dict):
             raise ConfigError(path, "expected an object")
         name = _expect(c, "name", str, path, default=f"candidate{idx}")
+        if any(earlier.name == name for earlier, _ in out):
+            raise ConfigError(f"{path}.name", f"candidate {name!r} is named twice")
         ckind = _expect(c, "kind", str, path, required=True)
         comps = _expect(c, "components", list, path, required=True)
         if len(comps) != system.n:
@@ -360,17 +377,23 @@ def load_scenario(config_path: str, *, seed=None) -> Scenario:
         except ValueError as exc:
             raise ConfigError("$.integrator", str(exc)) from exc
 
+    candidates = _build_candidates(cfg, system, params, kind)
+    families = _build_families(cfg, system, params, kind)
+
+    # the trajectory's other columns: time, coordinates, energy, candidate series
+    columns = {"t", *system.chart, system.default_monitor()[0]}
+    columns.update(f"{prefix}_{c.name}" for c, _ in candidates for prefix in ("f", "quot"))
     monitors = []
     for idx, m in enumerate(_expect(cfg, "monitors", list, "$", default=[])):
         path = f"$.monitors[{idx}]"
         if not isinstance(m, dict):
             raise ConfigError(path, "expected an object")
         mname = _expect(m, "name", str, path, required=True)
+        if mname in columns:
+            raise ConfigError(f"{path}.name", f"{mname!r} is already a column of the trajectory")
+        columns.add(mname)
         msrc = _expect(m, "expression", str, path, required=True)
         monitors.append((mname, _parse_field(msrc, system.chart, params, f"{path}.expression")))
-
-    candidates = _build_candidates(cfg, system, params, kind)
-    families = _build_families(cfg, system, params, kind)
 
     checks = {"structure": True, "symmetries": True, "momentum": True, "quotients": True}
     for key, value in _expect(cfg, "checks", dict, "$", default={}).items():

@@ -46,6 +46,8 @@ from .fields import (
     EtaPairingQuantity,
     LinearCombinationQuantity,
     QuotientQuantity,
+    _field_jacobian_row,
+    _field_value_row,
     _one_row,
     _point_matmul,
     _rowdot,
@@ -187,27 +189,35 @@ def _as_states(points, dim: int) -> np.ndarray:
 BLOCK_ROWS = 1024
 
 
-def _rows(kernel, states: np.ndarray) -> np.ndarray:
+def _rows(kernel, states: np.ndarray, offset: int = 0) -> np.ndarray:
     """``kernel(states)``, one row per point, as one block or else row by row.
 
     The block runs with floating-point exceptions raised, except underflow,
     which float arithmetic on one point never reports.  If it raises anything
     arithmetic (a domain or regularity error, a floating-point exception) the
     kernel runs again on each one-row block in order, with floating-point
-    exceptions off: the first failing point raises its own error, and the
-    other rows get what float arithmetic gives them.  Longer samples go
-    through in blocks of ``BLOCK_ROWS``, in order.
+    exceptions off: the first failing point raises its own error (an
+    arithmetic one with its index among ``states``, plus ``offset``, as the
+    attribute ``row``), and the other rows get what float arithmetic gives
+    them.  Longer samples go through in blocks of ``BLOCK_ROWS``, in order.
     """
     if states.shape[0] > BLOCK_ROWS:
-        return np.concatenate([_rows(kernel, states[k : k + BLOCK_ROWS])
+        return np.concatenate([_rows(kernel, states[k : k + BLOCK_ROWS], offset + k)
                                for k in range(0, states.shape[0], BLOCK_ROWS)])
     try:
         with np.errstate(all="raise", under="ignore"):
             return kernel(states)
     except (ArithmeticError, ValueError, np.linalg.LinAlgError):
         pass
+    rows = []
     with np.errstate(all="ignore"):
-        return np.concatenate([kernel(states[k : k + 1]) for k in range(states.shape[0])])
+        for k in range(states.shape[0]):
+            try:
+                rows.append(kernel(states[k : k + 1]))
+            except ArithmeticError as exc:
+                exc.row = offset + k
+                raise
+    return np.concatenate(rows)
 
 
 def _worst_rows(kernel, states: np.ndarray):
@@ -326,9 +336,9 @@ class HamiltonianSystem(DarbouxChart):
         """``f(x) -> tuple``: the contact Hamiltonian field at the coordinates x.
 
         Compiled on first use from the trace of H, of which it computes the
-        value and gradient only.  It gives the per-point sums of the Darboux
-        field: p·dH/dp goes through numpy's ``@`` on the two vectors, which
-        fuses multiply-adds where ``dynamics_block`` sums with ``einsum``.
+        value and gradient only.  It gives the sums of ``dynamics_block``:
+        p·dH/dp goes through numpy's ``@`` on the two vectors, as
+        ``_rowdot`` sums each row there.
         """
         if self._dynamics_code is None:
             H = self.hamiltonian
@@ -380,12 +390,8 @@ class HamiltonianVectorField:
         P = U[:, self.n : 2 * self.n]
         return _darboux_field_rows(jets, P, self.n), _darboux_jacobian_rows(jets, P, self.n)
 
-    def value(self, u) -> np.ndarray:
-        return self.value_block(_one_row(u))[0]
-
-    def value_and_jacobian(self, u):
-        value, jacobian = self.value_and_jacobian_block(_one_row(u))
-        return value[0], jacobian[0]
+    value = _field_value_row
+    value_and_jacobian = _field_jacobian_row
 
 
 # -- generic chart machinery ---------------------------------------------------

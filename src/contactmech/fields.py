@@ -1,16 +1,18 @@
 """Vector fields and derived scalar quantities over a coordinate chart.
 
-A vector field exposes ``value(u)`` and ``value_and_jacobian(u)`` on raw
-coordinate vectors; a scalar quantity exposes ``value_at(u)`` and
-``value_and_gradient_at(u)``.  Both also take blocks of points: an (N, dim)
-array ``U`` gives ``value_block(U)`` (N, dim), ``value_and_jacobian_block(U)``
-with Jacobians (N, dim, dim), and ``value_and_gradient_block(U)`` with values
-(N,) and gradients (N, dim).  The checks use the block methods; the
-per-point ``value``, ``value_and_jacobian`` and ``value_and_gradient_at`` are
-one-row adapters over them.  Expression-backed
+Everything here is evaluated over blocks of points: an (N, dim) array ``U``
+gives a vector field's ``value_block(U)`` (N, dim) and
+``value_and_jacobian_block(U)`` with Jacobians (N, dim, dim), and a scalar
+quantity's ``values_at(U)`` (N,) and ``value_and_gradient_block(U)`` with
+values (N,) and gradients (N, dim).  Each derived quantity has one formula,
+``value_and_gradient_block``, and its ``values_at`` reads the values from it.
+The per-point methods, ``value(u)`` and ``value_and_jacobian(u)`` of a field
+and ``value_at(u)`` and ``value_and_gradient_at(u)`` of a quantity, are the
+shared one-row adapters below, bound in each class body.  Expression-backed
 :class:`~contactmech.expr.ScalarField` objects already satisfy the quantity
-interface; the classes here cover quantities that have no closed-form
-expression tree (pairings with the contact form, quotients, lifted momenta).
+interface, with values compiled on their own; the classes here cover
+quantities that have no closed-form expression tree (pairings with the
+contact form, quotients, lifted momenta).
 """
 
 from __future__ import annotations
@@ -50,8 +52,13 @@ def _point_matmul(a, b):
 
 
 def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a[k] @ b[k] for every row k."""
-    return np.einsum("ij,ij->i", a, b)
+    """a[k] @ b[k] for every row k, summed as numpy's ``@`` sums the vectors of one point.
+
+    A stack of (1, n) @ (n, 1) products over contiguous rows takes the path
+    of the one-point dot product; einsum, or the same stack over strided
+    slices, sums in another order and differs in the last bit.
+    """
+    return (np.ascontiguousarray(a)[:, None, :] @ np.ascontiguousarray(b)[:, :, None])[:, 0, 0]
 
 
 def _vecmat(v: np.ndarray, M: np.ndarray) -> np.ndarray:
@@ -62,6 +69,36 @@ def _vecmat(v: np.ndarray, M: np.ndarray) -> np.ndarray:
 def _matvec(M: np.ndarray, v: np.ndarray) -> np.ndarray:
     """M[k] @ v[k] for every row k."""
     return (M @ v[:, :, None])[:, :, 0]
+
+
+# -- the per-point methods, as one-row adapters over the block methods ------------
+
+
+def _field_value_row(field, u) -> np.ndarray:
+    """``value(u)`` of a vector field."""
+    return field.value_block(_one_row(u))[0]
+
+
+def _field_jacobian_row(field, u):
+    """``value_and_jacobian(u)`` of a vector field."""
+    value, jacobian = field.value_and_jacobian_block(_one_row(u))
+    return value[0], jacobian[0]
+
+
+def _values_block(quantity, U) -> np.ndarray:
+    """``values_at(U)`` of a quantity: the values of its value_and_gradient_block."""
+    return quantity.value_and_gradient_block(U)[0]
+
+
+def _value_row(quantity, u) -> float:
+    """``value_at(u)`` of a quantity."""
+    return float(quantity.values_at(_one_row(u))[0])
+
+
+def _gradient_row(quantity, u):
+    """``value_and_gradient_at(u)`` of a quantity."""
+    value, gradient = quantity.value_and_gradient_block(_one_row(u))
+    return float(value[0]), gradient[0]
 
 
 # -- vector fields -----------------------------------------------------------
@@ -101,12 +138,8 @@ class AmbientVectorField:
         jets = [c.jets_at(U) for c in self.components]
         return np.column_stack([j.value for j in jets]), np.stack([j.gradient for j in jets], axis=1)
 
-    def value(self, u) -> np.ndarray:
-        return self.value_block(_one_row(u))[0]
-
-    def value_and_jacobian(self, u):
-        val, jac = self.value_and_jacobian_block(_one_row(u))
-        return val[0], jac[0]
+    value = _field_value_row
+    value_and_jacobian = _field_jacobian_row
 
 
 @dataclass(frozen=True)
@@ -128,12 +161,8 @@ class ConstantVectorField:
         dim = len(self.chart)
         return self.value_block(U), np.zeros((len(U), dim, dim))
 
-    def value(self, u) -> np.ndarray:
-        return self.vector
-
-    def value_and_jacobian(self, u):
-        dim = len(self.chart)
-        return self.vector, np.zeros((dim, dim))
+    value = _field_value_row
+    value_and_jacobian = _field_jacobian_row
 
 
 @dataclass(frozen=True)
@@ -170,12 +199,8 @@ class VectorFieldSum:
             jac = jac + c * j
         return val, jac
 
-    def value(self, u) -> np.ndarray:
-        return self.value_block(_one_row(u))[0]
-
-    def value_and_jacobian(self, u):
-        val, jac = self.value_and_jacobian_block(_one_row(u))
-        return val[0], jac[0]
+    value = _field_value_row
+    value_and_jacobian = _field_jacobian_row
 
 
 @dataclass(frozen=True)
@@ -225,17 +250,15 @@ class EtaPairingQuantity:
     def chart(self):
         return self.vector_field.chart
 
-    def value_at(self, u) -> float:
-        return float(self.geometry.eta(u) @ self.vector_field.value(u))
-
     def value_and_gradient_block(self, U):
         eta = self.geometry.eta_block(U)
         deta = self.geometry.eta_jacobian_block(U)
         val, jac = self.vector_field.value_and_jacobian_block(U)
         return _rowdot(eta, val), _matvec(deta, val) + _vecmat(eta, jac)
 
-    def value_and_gradient_at(self, u):
-        return _gradient_row(self, u)
+    values_at = _values_block
+    value_at = _value_row
+    value_and_gradient_at = _gradient_row
 
 
 @dataclass(frozen=True)
@@ -254,9 +277,6 @@ class QuotientQuantity:
             raise DomainError("quotient denominator vanishes at the evaluation point")
         return value
 
-    def value_at(self, u) -> float:
-        return self.num.value_at(u) / self._den_value(self.den.value_at(u))
-
     def value_and_gradient_block(self, U):
         fv, fg = self.num.value_and_gradient_block(U)
         hv, hg = self.den.value_and_gradient_block(U)
@@ -264,8 +284,9 @@ class QuotientQuantity:
         q = fv / hv
         return q, (fg - q[:, None] * hg) / hv[:, None]
 
-    def value_and_gradient_at(self, u):
-        return _gradient_row(self, u)
+    values_at = _values_block
+    value_at = _value_row
+    value_and_gradient_at = _gradient_row
 
 
 @dataclass(frozen=True)
@@ -277,16 +298,14 @@ class ProductQuantity:
     def chart(self):
         return self.left.chart
 
-    def value_at(self, u) -> float:
-        return self.left.value_at(u) * self.right.value_at(u)
-
     def value_and_gradient_block(self, U):
         av, ag = self.left.value_and_gradient_block(U)
         bv, bg = self.right.value_and_gradient_block(U)
         return av * bv, av[:, None] * bg + bv[:, None] * ag
 
-    def value_and_gradient_at(self, u):
-        return _gradient_row(self, u)
+    values_at = _values_block
+    value_at = _value_row
+    value_and_gradient_at = _gradient_row
 
 
 @dataclass(frozen=True)
@@ -303,9 +322,6 @@ class LinearCombinationQuantity:
     def chart(self):
         return self.terms[0][1].chart
 
-    def value_at(self, u) -> float:
-        return self.constant + sum(c * q.value_at(u) for c, q in self.terms)
-
     def value_and_gradient_block(self, U):
         total = self.constant
         grad = None
@@ -315,13 +331,8 @@ class LinearCombinationQuantity:
             grad = c * g if grad is None else grad + c * g
         return total, grad
 
-    def value_and_gradient_at(self, u):
-        return _gradient_row(self, u)
-
-
-def _gradient_row(quantity, u):
-    """value_and_gradient_at as the one-row block of value_and_gradient_block."""
-    value, gradient = quantity.value_and_gradient_block(_one_row(u))
-    return float(value[0]), gradient[0]
+    values_at = _values_block
+    value_at = _value_row
+    value_and_gradient_at = _gradient_row
 
 

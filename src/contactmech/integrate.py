@@ -8,8 +8,12 @@ runs are bit-for-bit reproducible.
 The steps run on Python floats through the system's emitted
 ``dynamics_code``.  CPython rounds every operation and never fuses a
 multiply-add, so the elementwise RK4 sums equal those of numpy arrays.
-Each state is written to one (steps+1, dim) array, and the monitors read
-that row.
+Each state is written to one (steps+1, dim) array.  The monitors are
+evaluated after the loop, as one block over the states: each monitor's
+``values_at`` in one kernel of :func:`~contactmech.contact_core._rows`.
+Failures are reported as a loop would report them that evaluated the
+monitors at each state before taking the next step: the first failing row
+(row-major, monitors in dict order) wins over a later failing step.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .contact_core import _as_point
+from .contact_core import _as_point, _rows
 
 __all__ = [
     "IntegratorConfig",
@@ -92,15 +96,6 @@ class Trajectory:
         return self.monitors[name]
 
 
-def _truncate(times, states, monitors, chart, upto: int) -> Trajectory:
-    return Trajectory(
-        times[: upto + 1],
-        states[: upto + 1],
-        {name: series[: upto + 1] for name, series in monitors.items()},
-        chart,
-    )
-
-
 def integrate_lagrangian(system, ic, cfg: IntegratorConfig) -> Trajectory:
     """Integrate a system's dynamics from ``ic``, a chart record or array.
 
@@ -122,20 +117,12 @@ def integrate_lagrangian(system, ic, cfg: IntegratorConfig) -> Trajectory:
     h = cfg.step
     times = np.arange(steps + 1) * h
     states = np.empty((steps + 1, dim))
-    series = {name: np.empty(steps + 1) for name in monitors}
-
-    def record(k: int, u: list) -> None:
-        states[k] = u
-        for name, quantity in monitors.items():
-            series[name][k] = quantity.value_at(states[k])
+    states[0] = u0
 
     rhs = system.dynamics_code()
     half, sixth = 0.5 * h, h / 6.0
     u = u0.tolist()
-    try:
-        record(0, u)
-    except ArithmeticError as exc:
-        raise IntegrationError(f"cannot evaluate at the initial state: {exc}") from exc
+    failure, cause = None, None  # the first failing step's message and error
     for k in range(steps):
         try:
             # the sums of the array form, element by element and in its order
@@ -147,18 +134,32 @@ def integrate_lagrangian(system, ic, cfg: IntegratorConfig) -> Trajectory:
                 u = [x + sixth * (d1 + 2.0 * d2 + 2.0 * d3 + d4) for x, d1, d2, d3, d4 in zip(u, k1, k2, k3, k4)]
             else:
                 u = [x + h * d for x, d in zip(u, rhs(u))]
-            if not all(map(math.isfinite, u)):
-                raise IntegrationError(
-                    f"state became non-finite at t={times[k + 1]:g} (step {k + 1}): {np.array(u)}",
-                    partial=_truncate(times, states, series, system.chart, k),
-                )
-            record(k + 1, u)
         except ArithmeticError as exc:
-            raise IntegrationError(
-                f"dynamics evaluation failed at t={times[k]:g} (step {k + 1}): {exc}",
-                partial=_truncate(times, states, series, system.chart, k),
-            ) from exc
-    return Trajectory(times, states, series, system.chart)
+            failure, cause = f"dynamics evaluation failed at t={times[k]:g} (step {k + 1}): {exc}", exc
+            break
+        if not all(map(math.isfinite, u)):
+            failure = f"state became non-finite at t={times[k + 1]:g} (step {k + 1}): {np.array(u)}"
+            break
+        states[k + 1] = u
+    count = steps + 1 if failure is None else k + 1  # the states written
+
+    def recorded(upto: int) -> Trajectory:
+        """The trajectory of the first ``upto`` states, with their monitor series."""
+        columns = _rows(lambda U: np.column_stack([q.values_at(U) for q in monitors.values()]), states[:upto])
+        series = dict(zip(monitors, np.ascontiguousarray(columns.T)))
+        return Trajectory(times[:upto], states[:upto], series, system.chart)
+
+    try:
+        traj = recorded(count)
+    except ArithmeticError as exc:
+        j = exc.row
+        if j == 0:
+            raise IntegrationError(f"cannot evaluate at the initial state: {exc}") from exc
+        raise IntegrationError(f"dynamics evaluation failed at t={times[j - 1]:g} (step {j}): {exc}",
+                               partial=recorded(j)) from exc
+    if failure is not None:
+        raise IntegrationError(failure, partial=traj) from cause
+    return traj
 
 
 integrate_hamiltonian = integrate_lagrangian

@@ -37,7 +37,16 @@ from .contact_core import (
     _ChartTriple,
 )
 from .expr import ScalarField, lagrangian_chart
-from .fields import _matvec, _one_row, _point_matmul, _rowdot, _vecmat
+from .fields import (
+    _gradient_row,
+    _matvec,
+    _one_row,
+    _point_matmul,
+    _rowdot,
+    _value_row,
+    _values_block,
+    _vecmat,
+)
 
 __all__ = [
     "RegularityError",
@@ -77,31 +86,6 @@ def _raiser(exc: Exception):
     return fail
 
 
-class _JetMemo:
-    """The jet of L at the last point asked for.
-
-    The integrator's per-step monitors read it at each recorded state: the
-    E_L monitor and the f_* momentum monitors (VerticalMomentumQuantity)
-    share one jet there.  The dynamics are emitted code and never read it;
-    checks evaluate blocks of points.
-    """
-
-    __slots__ = ("field", "key", "jet")
-
-    def __init__(self, field: ScalarField):
-        self.field = field
-        self.key = None
-        self.jet = None
-
-    def __call__(self, u) -> Jet2:
-        u = np.asarray(u, dtype=float)
-        key = u.tobytes()
-        if key != self.key:
-            self.jet = self.field.jet_at(u)
-            self.key = key
-        return self.jet
-
-
 @dataclass(frozen=True)
 class TQRPoint(_ChartTriple):
     """A bundle point (q, v, z) on TQ x R."""
@@ -127,13 +111,12 @@ class LagrangianSystem:
         self.chart = expected
         self.lagrangian = lagrangian
         self.regularity_rtol = float(regularity_rtol)
-        self._jet = _JetMemo(lagrangian)
         self._dynamics_code = None
 
     # -- jets ------------------------------------------------------------
 
     def jet(self, u) -> Jet2:
-        return self._jet(u)
+        return self.lagrangian.jet_at(u)
 
     def jets(self, U) -> JetBlock:
         return self.lagrangian.jets_at(U)
@@ -144,11 +127,6 @@ class LagrangianSystem:
         """Fiber derivative dL/dv at u."""
         n = self.n
         return self.jet(u).gradient[n : 2 * n].copy()
-
-    def energy(self, u) -> float:
-        n = self.n
-        jet = self.jet(u)
-        return float(u[n : 2 * n] @ jet.gradient[n : 2 * n] - jet.value)
 
     def velocity_hessian(self, u) -> np.ndarray:
         n = self.n
@@ -381,14 +359,12 @@ class EnergyQuantity:
     def chart(self):
         return self.system.chart
 
-    def value_at(self, u) -> float:
-        return self.system.energy(np.asarray(u, dtype=float))
-
     def value_and_gradient_block(self, U):
         return self.system.hamiltonian_value_and_gradient_block(U)
 
-    def value_and_gradient_at(self, u):
-        return self.system.hamiltonian_value_and_gradient(u)
+    values_at = _values_block
+    value_at = _value_row
+    value_and_gradient_at = _gradient_row
 
 
 # -- spec surface on TQRPoint --------------------------------------------------
@@ -396,7 +372,7 @@ class EnergyQuantity:
 
 def energy_at(sys: LagrangianSystem, x: TQRPoint) -> float:
     """E_L = v·dL/dv - L."""
-    return sys.energy(x.to_array())
+    return sys.hamiltonian_value_and_gradient(x.to_array())[0]
 
 
 def momenta_at(sys: LagrangianSystem, x: TQRPoint) -> np.ndarray:

@@ -24,7 +24,16 @@ import numpy as np
 
 from .contact_core import TangentValue, _as_point
 from .expr import ScalarField, free_variables, lagrangian_chart, parse, position_names
-from .fields import _matvec, _one_row, _rowdot, _vecmat
+from .fields import (
+    _field_jacobian_row,
+    _field_value_row,
+    _gradient_row,
+    _matvec,
+    _rowdot,
+    _value_row,
+    _values_block,
+    _vecmat,
+)
 
 __all__ = [
     "VectorFieldQ",
@@ -65,14 +74,8 @@ class VectorFieldQ:
     def z_dependent(self) -> bool:
         return False
 
-    def base_point(self, u: np.ndarray) -> np.ndarray:
-        return u[: self.n]
-
     def base_block(self, U: np.ndarray) -> np.ndarray:
         return U[:, : self.n]
-
-    def z_component_value(self, u) -> float:
-        return 0.0
 
     def z_component_values(self, U) -> np.ndarray:
         return np.zeros(len(U))
@@ -127,14 +130,8 @@ class VectorFieldQR:
     def z_dependent(self) -> bool:
         return True
 
-    def base_point(self, u: np.ndarray) -> np.ndarray:
-        return np.concatenate([u[: self.n], u[-1:]])
-
     def base_block(self, U: np.ndarray) -> np.ndarray:
         return np.concatenate([U[:, : self.n], U[:, -1:]], axis=1)
-
-    def z_component_value(self, u) -> float:
-        return self.z_component.value_at(u[-1:])
 
     def z_component_values(self, U) -> np.ndarray:
         return self.z_component.values_at(U[:, -1:])
@@ -201,12 +198,8 @@ class CompleteLiftField:
         J[:, -1, -1] = self.base.z_component_rates(U)
         return val, J
 
-    def value(self, u) -> np.ndarray:
-        return self.value_block(_one_row(u))[0]
-
-    def value_and_jacobian(self, u):
-        val, J = self.value_and_jacobian_block(_one_row(u))
-        return val[0], J[0]
+    value = _field_value_row
+    value_and_jacobian = _field_jacobian_row
 
 
 @dataclass(frozen=True)
@@ -233,12 +226,8 @@ class VerticalLiftField:
         J[:, n : 2 * n, -1] = dz
         return val, J
 
-    def value(self, u) -> np.ndarray:
-        return self.value_block(_one_row(u))[0]
-
-    def value_and_jacobian(self, u):
-        val, J = self.value_and_jacobian_block(_one_row(u))
-        return val[0], J[0]
+    value = _field_value_row
+    value_and_jacobian = _field_jacobian_row
 
 
 # -- pointwise lift evaluators ------------------------------------------------
@@ -286,15 +275,6 @@ class VerticalMomentumQuantity:
     def chart(self):
         return self.system.chart
 
-    def value_at(self, u) -> float:
-        # per point, for the integrator's monitors
-        u = np.asarray(u, dtype=float)
-        n = self.base.n
-        base = self.base.base_point(u)
-        values = np.array([c.jet_at(base).value for c in self.base.components])
-        p = self.system.jet(u).gradient[n : 2 * n]
-        return float(values @ p - self.base.z_component_value(u))
-
     def value_and_gradient_block(self, U):
         n = self.base.n
         values, jac_q, dz, _ = _component_rows(self.base, U)
@@ -307,6 +287,6 @@ class VerticalMomentumQuantity:
         grad[:, -1] -= self.base.z_component_rates(U)
         return value, grad
 
-    def value_and_gradient_at(self, u):
-        value, grad = self.value_and_gradient_block(_one_row(u))
-        return float(value[0]), grad[0]
+    values_at = _values_block
+    value_at = _value_row
+    value_and_gradient_at = _gradient_row

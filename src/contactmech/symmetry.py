@@ -24,7 +24,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import contact_core
-from .contact_core import CartanSymmetryCheck, ResidualCheck, _as_states, _worst_rows
+from .contact_core import CartanSymmetryCheck, ResidualCheck, _as_states, _rows, _worst_rows
 from .expr import ScalarField
 from .fields import LinearCombinationQuantity, _rowdot
 from .lagrangian import LagrangianSystem
@@ -134,8 +134,10 @@ class TrajectoryDissipation:
     scaled_drift: float
 
 
-def _rate_series(sys: LagrangianSystem, states: np.ndarray) -> np.ndarray:
-    return np.array([sys.jet(u).gradient[-1] for u in states])
+def _values_and_rates(sys: LagrangianSystem, f, states: np.ndarray):
+    """f and the rate dL/dz at each state, from one kernel over the block."""
+    rows = _rows(lambda U: np.column_stack([f.values_at(U), sys.jets(U).gradient[:, -1]]), states)
+    return rows[:, 0], rows[:, 1]
 
 
 def _cumulative_trapezoid(values: np.ndarray, h: float) -> np.ndarray:
@@ -149,8 +151,7 @@ def dissipation_check_along_trajectory(sys: LagrangianSystem, f, traj) -> Trajec
     if states.shape[0] < 3:
         raise ValueError("trajectory must have at least 3 samples")
     h = float(traj.times[1] - traj.times[0])
-    values = np.array([f.value_at(u) for u in states])
-    rates = _rate_series(sys, states)
+    values, rates = _values_and_rates(sys, f, states)
     dfdt = (values[2:] - values[:-2]) / (2 * h)
     ode_residual = float(np.max(np.abs(dfdt - rates[1:-1] * values[1:-1])))
     integral = _cumulative_trapezoid(rates, h)
@@ -165,9 +166,8 @@ def georgieva_functional(sys: LagrangianSystem, f, traj) -> np.ndarray:
     if states.shape[0] < 2:
         raise ValueError("trajectory must have at least 2 samples")
     h = float(traj.times[1] - traj.times[0])
-    values = np.array([f.value_at(u) for u in states])
-    integral = _cumulative_trapezoid(_rate_series(sys, states), h)
-    return values * np.exp(-integral)
+    values, rates = _values_and_rates(sys, f, states)
+    return values * np.exp(-_cumulative_trapezoid(rates, h))
 
 
 # -- classification -------------------------------------------------------------

@@ -140,8 +140,10 @@ def reference_field(system, u) -> np.ndarray:
 def reference_integration(system, u0, cfg, rhs):
     """Fixed-step RK4 or Euler over numpy arrays: (states, monitor series, last).
 
-    A failing step or monitor raises its own error.  A non-finite state
-    stops the run and is returned as ``last``, which is None otherwise.
+    The series are each monitor's ``values_at`` over the states, the block
+    the integrator evaluates.  A failing step or monitor raises its own
+    error.  A non-finite state stops the run and is returned as ``last``,
+    which is None otherwise.
     """
     monitors = dict(cfg.monitors)
     monitors.setdefault(*system.default_monitor())
@@ -163,5 +165,5 @@ def reference_integration(system, u0, cfg, rhs):
             break
         states.append(u)
     states = np.array(states)
-    series = {name: np.array([quantity.value_at(s) for s in states]) for name, quantity in monitors.items()}
+    series = {name: quantity.values_at(states) for name, quantity in monitors.items()}
     return states, series, last

@@ -409,6 +409,75 @@ class TestConfigSurface:
         assert message in err[0]
 
 
+    @pytest.mark.parametrize(
+        "system, path",
+        [
+            ({"builtin": "free_damped_particle", "params": {"gamma": "abc"}}, "$.system.params.gamma"),
+            ({"builtin": "free_damped_particle", "params": {"gamma": [1]}}, "$.system.params.gamma"),
+            ({"builtin": "free_damped_particle", "params": {"gamma": True}}, "$.system.params.gamma"),
+            ({"builtin": "free_damped_particle", "params": {"n": "two"}}, "$.system.params.n"),
+            ({"builtin": "free_damped_particle", "params": {"n": 0}}, "$.system.params.n"),
+            ({"builtin": "free_damped_particle", "params": {"n": 1.5}}, "$.system.params.n"),
+            ({"type": "lagrangian", "n": 1, "expression": "0.5*qd1^2 - gamma*z", "params": {"gamma": "abc"}},
+             "$.system.params.gamma"),
+            ({"type": "lagrangian", "n": 1, "expression": "0.5*qd1^2 - gamma*z", "params": {"gamma": None}},
+             "$.system.params.gamma"),
+        ],
+        ids=["string_param", "list_param", "bool_param", "string_n", "zero_n", "fractional_n",
+             "inline_string_param", "inline_null_param"],
+    )
+    def test_non_numeric_parameter_is_a_config_error(self, in_tmp, tmp_path, capsys, system, path):
+        config = dict(BASE_CONFIG, system=system)
+        assert run_scenario(write_config(tmp_path, config)) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"config error: {path}: ")
+
+    @pytest.mark.parametrize(
+        "state, path",
+        [
+            ({"q": ["x"], "qd": [1.0]}, "$.initial_state.q[0]"),
+            ({"q": [None], "qd": [1.0]}, "$.initial_state.q[0]"),
+            ({"q": [0.0], "qd": [True]}, "$.initial_state.qd[0]"),
+            ({"q": [0.0], "v": [[1.0]]}, "$.initial_state.v[0]"),
+        ],
+        ids=["string_entry", "null_entry", "bool_entry", "nested_entry"],
+    )
+    def test_non_numeric_initial_state_is_a_config_error(self, in_tmp, tmp_path, capsys, state, path):
+        config = dict(BASE_CONFIG, initial_state=state)
+        assert run_scenario(write_config(tmp_path, config)) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"config error: {path}: expected a number")
+
+    @pytest.mark.parametrize("name", ["t", "q1", "qd1", "z", "E_L", "f_translation", "quot_scaling", "p"])
+    def test_monitor_name_of_another_column_is_a_config_error(self, in_tmp, tmp_path, capsys, name):
+        # BASE_CONFIG has the candidates translation and scaling and the monitor p
+        config = json.loads(json.dumps(BASE_CONFIG))
+        config["monitors"].append({"name": name, "expression": "qd1 + 5"})
+        assert run_scenario(write_config(tmp_path, config)) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("config error: $.monitors[1].name: ")
+
+    @pytest.mark.parametrize("name", ["H", "p1"])
+    def test_monitor_name_of_a_hamiltonian_column_is_a_config_error(self, in_tmp, tmp_path, capsys, name):
+        config = {
+            "system": {"type": "hamiltonian", "n": 1, "expression": "0.5*(p1^2 + q1^2) + 0.1*z"},
+            "initial_state": {"q": [1.0], "p": [0.0]},
+            "integrator": {"step": 0.1, "t_final": 1.0},
+            "monitors": [{"name": name, "expression": "q1"}],
+        }
+        assert run_scenario(write_config(tmp_path, config)) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("config error: $.monitors[0].name: ")
+
+    def test_repeated_candidate_name_is_a_config_error(self, in_tmp, tmp_path, capsys):
+        config = json.loads(json.dumps(BASE_CONFIG))
+        for candidate in config["candidates"]:
+            candidate["name"] = "x"
+        assert run_scenario(write_config(tmp_path, config)) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("config error: $.candidates[1].name: ")
+
+
 class TestTolScale:
     def test_symmetry_entries_compare_against_the_reported_tolerance(self, in_tmp):
         # the reported tolerances already carry tol_scale

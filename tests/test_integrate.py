@@ -7,8 +7,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from contactmech.contact_core import ContactPoint, HamiltonianSystem
+from contactmech.contact_core import BLOCK_ROWS, ContactPoint, HamiltonianSystem
 from contactmech.expr import ScalarField, hamiltonian_chart, lagrangian_chart
+from contactmech.fields import _rowdot
 from contactmech.integrate import (
     IntegrationError,
     IntegratorConfig,
@@ -231,6 +232,46 @@ class TestFailureModes:
         with pytest.raises(IntegrationError, match="initial state"):
             integrate_lagrangian(sys, TQRPoint([-1.0], [1.0], 0.0), cfg)
 
+    @staticmethod
+    def _log_monitor_failure(sys, u0, step, t_final):
+        """The run with a log(q1) monitor, and the first row j where q1 <= 0 on the run without it."""
+        log = ScalarField.from_source("log(q1)", lagrangian_chart(1))
+        cfg = IntegratorConfig(step=step, t_final=t_final, monitors={"log": log})
+        try:
+            clean = integrate_lagrangian(sys, u0, IntegratorConfig(step=step, t_final=t_final))
+        except IntegrationError as exc:
+            clean = exc.partial
+        j = int(np.argmax(clean.states[:, 0] <= 0.0))
+        assert j > 0
+        with pytest.raises(IntegrationError) as err:
+            integrate_lagrangian(sys, u0, cfg)
+        with pytest.raises(ArithmeticError) as cause:
+            log.value_at(clean.states[j])
+        assert str(err.value) == f"dynamics evaluation failed at t={(j - 1) * step:g} (step {j}): {cause.value}"
+        partial = err.value.partial
+        assert len(partial) == j and partial.monitors.keys() == {"log", "E_L"}
+        assert partial.states.tobytes() == clean.states[:j].tobytes()
+        assert partial.times.tobytes() == clean.times[:j].tobytes()
+        assert partial.monitors["log"].tobytes() == log.values_at(clean.states[:j]).tobytes()
+        assert partial.monitors["E_L"].tobytes() == clean.monitors["E_L"][:j].tobytes()
+        return j, clean
+
+    def test_monitor_failure_after_the_initial_state(self):
+        # the particle crosses q1 = 0 between rows 5 and 6
+        j, _ = self._log_monitor_failure(free_particle(gamma=0.0), TQRPoint([0.55], [-1.0], 0.0), 0.1, 1.0)
+        assert j == 6
+
+    def test_monitor_failure_wins_over_a_later_dynamics_failure(self):
+        # sqrt(q1 + 1) leaves its domain after q1 crosses 0, where log(q1) fails
+        sys = LagrangianSystem(1, ScalarField.from_source("0.5*qd1^2 - sqrt(q1 + 1)", lagrangian_chart(1)))
+        j, clean = self._log_monitor_failure(sys, TQRPoint([0.55], [-1.0], 0.0), 0.1, 5.0)
+        assert len(clean) < 51 and j < len(clean)  # the run without the monitor failed later
+
+    def test_monitor_failure_in_a_later_block_reports_its_step(self):
+        # q1 = 12.005 - t crosses 0 after the first block of rows
+        j, _ = self._log_monitor_failure(free_particle(gamma=0.0), TQRPoint([12.005], [-1.0], 0.0), 0.01, 13.0)
+        assert j == 1201 > BLOCK_ROWS
+
 
 # -- the emitted dynamics ---------------------------------------------------------------
 
@@ -274,12 +315,26 @@ _coordinates = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, -1.5, 1e160, mat
 _kinds = st.sampled_from(["separable", "qv", "z", "constant", "varying", "hamiltonian"])
 
 
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(1, 7), rows=st.integers(1, 30), strided=st.booleans(), seed=st.integers(0, 2**16))
+def test_rowdot_sums_each_row_as_numpy_sums_one_point(n, rows, strided, seed):
+    rng = np.random.default_rng(seed)
+
+    def block():
+        scale = 10.0 ** rng.uniform(-3.0, 3.0, size=(rows, 3 * n))
+        full = rng.normal(size=(rows, 3 * n)) * scale
+        return full[:, 1 : 3 * n : 3] if strided else np.ascontiguousarray(full[:, :n])
+
+    a, b = block(), block()
+    want = np.array([np.ascontiguousarray(a[k]) @ np.ascontiguousarray(b[k]) for k in range(rows)])
+    assert _rowdot(a, b).tobytes() == want.tobytes()
+
+
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(kind=_kinds, n=st.integers(1, 4), seed=st.integers(0, 2**16), rtol=st.sampled_from([1e-10, 0.05, 2.0]),
        data=st.data())
 def test_emitted_field_matches_the_array_path(kind, n, seed, rtol, data):
-    # the block path's stacked BLAS calls may give a zero the other sign, and
-    # its Darboux dz sums p.dH/dp by einsum, where the point does by @; the
+    # the block path's stacked BLAS calls may give a zero the other sign; the
     # sources use no exp or log, whose numpy ufuncs differ from math's
     rng = np.random.default_rng(seed)
     if kind == "hamiltonian":
@@ -296,8 +351,7 @@ def test_emitted_field_matches_the_array_path(kind, n, seed, rtol, data):
     assert error == block_error == point_error
     if error is None:
         assert _same(got, point)
-        assert _same(got[: 2 * n], block[: 2 * n])
-        assert kind == "hamiltonian" or _same(got, block)
+        assert _same(got, block)
         with np.errstate(all="ignore"):
             assert system.dynamics(u).tobytes() == got.tobytes()
 
@@ -355,3 +409,26 @@ def test_integrator_matches_an_array_loop(method):
         assert traj.monitors.keys() == series.keys()
         for name in series:
             assert traj.monitors[name].tobytes() == series[name].tobytes(), name
+
+
+def test_block_monitors_match_the_per_point_series():
+    # the monitors are evaluated over blocks: numpy's exp differs from
+    # math.exp (E_L of the n = 4 system) and numpy's square from the
+    # per-point code's x ** 2 (H of the Hamiltonian system) in the last bits
+    # of a few rows; every other series is bitwise the per-point one
+    for system, monitors, u0 in _long_trajectory_systems():
+        traj = integrate_lagrangian(system, u0, IntegratorConfig(step=0.01, t_final=20.0, monitors=monitors))
+        assert len(traj) == 2001
+        n = system.n
+        for name, series in traj.monitors.items():
+            if name == "E_L":  # the per-point energy v.dL/dv - L
+                jets = [system.lagrangian.jet_at(u) for u in traj.states]
+                want = np.array([u[n : 2 * n] @ jet.gradient[n : 2 * n] - jet.value
+                                 for u, jet in zip(traj.states, jets)])
+            else:
+                quantity = system.hamiltonian if name == "H" else monitors[name]
+                want = np.array([quantity.value_at(u) for u in traj.states])
+            if (n, name) in ((4, "E_L"), (3, "H")):
+                np.testing.assert_allclose(series, want, rtol=1e-14, atol=0.0)
+            else:
+                assert series.tobytes() == want.tobytes(), (n, name)
