@@ -6,7 +6,7 @@ symmetries, and verifies that the associated quantities dissipate at the
 energy's own rate.
 """
 
-from .ad import DomainError, Jet2, jet2_binary, jet2_unary, seed_variables
+from .ad import DomainError, Jet2
 from .contact_core import (
     ContactPoint,
     HamiltonianSystem,
@@ -27,9 +27,6 @@ __version__ = "0.1.0"
 __all__ = [
     "DomainError",
     "Jet2",
-    "seed_variables",
-    "jet2_binary",
-    "jet2_unary",
     "ParseError",
     "ScalarField",
     "parse",

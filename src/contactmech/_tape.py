@@ -2,10 +2,12 @@
 
 :func:`compile_value` and :func:`compile_jet` trace a tree a single time and
 return a function of the point's coordinates (a list of floats).  The value
-function follows float arithmetic; the jet function follows the
-second-order algebra of :mod:`contactmech.ad` and returns a
-:class:`~contactmech.ad.Jet2`.  Both raise exactly where evaluating the tree
-operation by operation would, with the same exception types.
+function follows float arithmetic; the jet function propagates value,
+gradient and Hessian by the second-order forward-mode rules of
+:class:`_JetTracer` and returns a :class:`~contactmech.ad.Jet2`.  Both raise
+exactly where evaluating the tree operation by operation would, with the same
+exception types.  The tests check them against ``tests/dense_ad.py``, which
+applies the same rules to dense arrays one operation at a time.
 
 :func:`compile_values` and :func:`compile_jets` emit the same traces over the
 columns of an (N, m) block of points, with numpy ufuncs in place of the math
@@ -55,7 +57,8 @@ __all__ = ["BlockFallback", "FieldWriter", "compile_value", "compile_jet", "comp
            "compile_field"]
 
 # integral exponents up to this size are taken by repeated multiplication
-# (exact for negative bases); larger ones go through exp/log, as in ad.power
+# (exact for negative bases); larger ones go through exp(e*log(a)), which
+# needs a positive base
 MAX_INT_POWER = 1024
 
 
@@ -481,10 +484,12 @@ class _Tracer:
 
 
 class _JetTracer(_Tracer):
-    """The jet algebra of :mod:`contactmech.ad` over sparse symbolic jets.
+    """Second-order forward-mode rules over sparse symbolic jets.
 
-    Entries are combined in the order ad combines its dense arrays.  Sparse
-    entries use ``None`` for a structural zero.
+    For c = f(a): g_c = f'(a) g_a and H_c = f'(a) H_a + f''(a) g_a g_a^T; the
+    binary rules are the product and quotient rules to second order.  Each
+    entry is combined in the order that ``tests/dense_ad.py`` combines its
+    dense arrays.  Sparse entries use ``None`` for a structural zero.
     """
 
     def __init__(self, chart, parameters: dict, block: bool = False):
@@ -530,7 +535,7 @@ class _JetTracer(_Tracer):
         return _Jet(v, {i: grad(i) for i in g_keys}, {k: hess(*k) for k in h_keys})
 
     def _scaled(self, a: _Jet, c, v) -> _Jet:
-        """Value v with every entry of a times c (ad.mul with a number)."""
+        """Value v with every entry of a times c (a jet times a number)."""
         return self._make(v, (a,), (c,), lambda i: self._times(c, a.g.get(i)),
                           lambda i, j: self._times(c, a.h.get((i, j))))
 
@@ -712,7 +717,7 @@ class _JetTracer(_Tracer):
         return self.unary("exp", self._scaled(log_a, e, self.mul(log_a.v, e)))
 
     def _int_power(self, a: _Jet, k: int) -> _Jet:
-        # repeated squaring, as ad._int_power
+        # repeated squaring: exact for negative bases, unlike exp(k*log(a))
         if k == 0:
             return _Jet(1.0, {}, {})
         if k < 0:
@@ -728,7 +733,7 @@ class _JetTracer(_Tracer):
             base = self._square(base)
 
     def _runtime_int_power(self, a: _Jet, e: str) -> _Jet:
-        # a**0 and a**1 are exact (ad returns a constant and a itself)
+        # a**0 and a**1 are exact: a constant 1 and a itself
         def chained():
             names = [self.fresh() for _ in range(3)]
             self.line(f"{', '.join(names)} = _int_power_chain({{0}}, {{1}})", a.v, e)

@@ -558,13 +558,10 @@ def _family_checks(scn: Scenario, states, tol_scale: float):
     for family, expect_invariance in scn.families:
         diss = momentum_dissipation_check(family, scn.system, states, tol=1e-8 * tol_scale)
         reeb = reeb_annihilation_check(family, scn.system, states, tol=1e-10 * tol_scale)
-        hyp_ok = bool(np.all(diss.hypothesis_ok))
         if expect_invariance:
-            ok = hyp_ok and bool(np.all(diss.dissipation_residuals <= diss.tolerance)) and bool(
-                np.all(reeb.reeb_residuals <= reeb.tolerance)
-            )
+            ok = diss.passed and bool(np.all(reeb.reeb_residuals <= reeb.tolerance))
         else:
-            ok = not hyp_ok
+            ok = not np.all(diss.hypothesis_ok)
         residuals = (diss.hypothesis_residuals, diss.dissipation_residuals,
                      reeb.eta_preservation_residuals, reeb.reeb_residuals)
         finite = all(np.all(np.isfinite(r)) for r in residuals)
@@ -596,26 +593,24 @@ def _family_checks(scn: Scenario, states, tol_scale: float):
     return entries, docs
 
 
-def _quotient_checks(scn: Scenario, traj: Trajectory, reports: list[dict], tol_scale: float):
+def _quotient_checks(traj: Trajectory, reports: list[dict], tol_scale: float):
     """Conservation of f/E_L along the trajectory for passing candidates."""
     entries = []
-    energy_key = "E_L" if scn.kind == "lagrangian" else "H"
-    energy = traj.monitors[energy_key]
     tol = 1e-6 * tol_scale
     for doc in reports:
         if doc.get("classification") is None:
             continue
         name = doc["name"]
-        key = f"f_{name}"
-        if key not in traj.monitors:
+        # the quot_ series exist on the Lagrangian side only (see _evaluate)
+        ratio = traj.monitors.get(f"quot_{name}")
+        if ratio is None:
             continue
-        if float(np.min(np.abs(energy))) < 1e-3:
+        if float(np.min(np.abs(traj.monitors["E_L"]))) < 1e-3:
             entries.append(
                 {"name": f"quotient.{name}", "residual": None, "tolerance": tol,
                  "pass": None, "note": "energy not bounded away from zero"}
             )
             continue
-        ratio = traj.monitors[key] / energy
         drift = float(np.max(np.abs(ratio - ratio[0])))
         entries.append(_check_entry(f"quotient.{name}", drift, tol, drift <= tol, _finite(drift)))
     return entries
@@ -685,7 +680,7 @@ def _evaluate(scn: Scenario, tol_scale: float):
         cfg = replace(scn.integrator, monitors=monitors)
         integrator_fn = integrate_lagrangian if scn.kind == "lagrangian" else integrate_hamiltonian
         traj = integrator_fn(system, scn.initial_state, cfg)
-        if scn.kind == "lagrangian" and scn.checks.get("quotients", True):
+        if scn.kind == "lagrangian" and scn.checks["quotients"]:
             energy = traj.monitors["E_L"]
             with np.errstate(divide="ignore", invalid="ignore"):
                 for candidate, _ in scn.candidates:
@@ -702,16 +697,16 @@ def _evaluate(scn: Scenario, tol_scale: float):
     entries = []
     candidate_docs = []
     family_docs = []
-    if scn.checks.get("structure", True):
+    if scn.checks["structure"]:
         entries.extend(_structure_checks(scn, states, tol_scale))
-    if scn.checks.get("symmetries", True) and scn.candidates:
+    if scn.checks["symmetries"] and scn.candidates:
         centries, candidate_docs = _candidate_checks(scn, states, traj, tol_scale)
         entries.extend(centries)
-    if scn.checks.get("momentum", True) and scn.families:
+    if scn.checks["momentum"] and scn.families:
         fentries, family_docs = _family_checks(scn, states, tol_scale)
         entries.extend(fentries)
-    if scn.checks.get("quotients", True) and traj is not None and candidate_docs:
-        entries.extend(_quotient_checks(scn, traj, candidate_docs, tol_scale))
+    if scn.checks["quotients"] and traj is not None and candidate_docs:
+        entries.extend(_quotient_checks(traj, candidate_docs, tol_scale))
 
     return traj, integration_doc, entries, candidate_docs, family_docs
 
@@ -721,8 +716,11 @@ def run_scenario(config_path: str, *, seed=None, tol_scale: float = 1.0) -> int:
 
     0 every enabled check passed, 1 some check failed, 2 the configuration
     was unusable or the numerics failed (one ``error:`` line on stderr).
+    ``tol_scale`` must be a finite number greater than 0.
     """
     try:
+        if not (isinstance(tol_scale, (int, float)) and 0.0 < tol_scale < math.inf):
+            raise ConfigError("tol_scale", f"expected a finite number > 0, got {tol_scale!r}")
         scn = load_scenario(config_path, seed=seed)
     except ConfigError as exc:
         print(f"config error: {exc}", file=_sys.stderr)

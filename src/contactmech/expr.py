@@ -41,7 +41,6 @@ __all__ = [
     "to_source",
     "free_variables",
     "ScalarField",
-    "eval_jet2",
     "position_names",
     "velocity_names",
     "momentum_names",
@@ -408,11 +407,6 @@ class ScalarField:
     def value_and_gradient_block(self, points):
         jets = self.jets_at(points)
         return jets.value, jets.gradient
-
-
-def eval_jet2(field: ScalarField, point) -> Jet2:
-    """Evaluate ``field`` with the chart variables as active jet variables."""
-    return field.jet_at(point)
 
 
 # -- chart naming conventions ------------------------------------------------

@@ -11,7 +11,10 @@ import numpy as np
 
 __all__ = ["SamplingError", "sample_states", "rejection_sample", "regular_states"]
 
+# |det| of the velocity Hessian below which regular_states rejects a point
 REJECT_BELOW = 1e-3
+# draws of ``count`` points that rejection_sample makes before it gives up
+MAX_ROUNDS = 200
 
 
 class SamplingError(ValueError):
@@ -25,7 +28,7 @@ def sample_states(seed, count: int, dim: int, box=(-1.0, 1.0)) -> np.ndarray:
     return rng.uniform(lo, hi, size=(count, dim))
 
 
-def rejection_sample(seed, count: int, dim: int, accept, box=(-1.0, 1.0), max_tries: int = 200) -> np.ndarray:
+def rejection_sample(seed, count: int, dim: int, accept, box=(-1.0, 1.0)) -> np.ndarray:
     """Sample until ``accept(u)`` holds for ``count`` points.
 
     ``accept`` may raise ArithmeticError to reject a point (domain errors
@@ -34,7 +37,7 @@ def rejection_sample(seed, count: int, dim: int, accept, box=(-1.0, 1.0), max_tr
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     lo, hi = box
     rows = []
-    for _ in range(max_tries):
+    for _ in range(MAX_ROUNDS):
         for u in rng.uniform(lo, hi, size=(count, dim)):
             try:
                 ok = accept(u)
@@ -45,14 +48,14 @@ def rejection_sample(seed, count: int, dim: int, accept, box=(-1.0, 1.0), max_tr
                 if len(rows) == count:
                     return np.array(rows)
     raise SamplingError(
-        f"could not draw {count} acceptable sample points in {max_tries} rounds"
+        f"could not draw {count} acceptable sample points in {MAX_ROUNDS} rounds"
     )
 
 
-def regular_states(sys, seed, count: int, box=(-1.0, 1.0), min_det: float = REJECT_BELOW) -> np.ndarray:
+def regular_states(sys, seed, count: int, box=(-1.0, 1.0)) -> np.ndarray:
     """Sample states where the system's velocity Hessian is safely invertible."""
 
     def accept(u):
-        return abs(np.linalg.det(sys.velocity_hessian(u))) >= min_det
+        return abs(np.linalg.det(sys.velocity_hessian(u))) >= REJECT_BELOW
 
     return rejection_sample(seed, count, sys.dim, accept, box)

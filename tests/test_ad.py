@@ -1,4 +1,4 @@
-"""Tests for the second-order forward-mode AD core."""
+"""Tests for the dense jet algebra that the compiled jets are checked against."""
 
 import math
 
@@ -7,9 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from contactmech import ad
-from contactmech.ad import DomainError, Jet2, constant, jet2_binary, jet2_unary, seed_variables
-
+import dense_ad as ad
+from dense_ad import DomainError, Jet2, constant, jet2_binary, jet2_unary, seed_variables
 from helpers import fd_gradient, fd_hessian
 
 

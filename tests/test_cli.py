@@ -494,6 +494,19 @@ class TestTolScale:
             assert entry["pass"] is expected, entry
         assert any(entry["pass"] for entry in entries)
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-1", "0"])
+    def test_invalid_tol_scale_is_a_config_error(self, in_tmp, capsys, value):
+        path = bundled_scenario_path("damped_free_particle.json")
+        # "--tol-scale=-inf": argparse reads a separate "-inf" as an option
+        assert main(["run", path, f"--tol-scale={value}"]) == 2
+        assert run_scenario(path, tol_scale=float(value)) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = captured.err.splitlines()
+        assert len(err) == 2 and err[0] == err[1]
+        assert err[0] == f"config error: tol_scale: expected a finite number > 0, got {float(value)!r}"
+        assert not (in_tmp / "out").exists()
+
 
 class TestMain:
     def test_list_systems(self, capsys):

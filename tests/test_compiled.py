@@ -1,7 +1,7 @@
-"""The compiled evaluator of ScalarField against the Jet2 algebra.
+"""The compiled evaluator of ScalarField against the dense jet algebra.
 
 The oracles below evaluate a tree node by node: the value oracle under float
-rules, the jet oracle with the operations of :mod:`contactmech.ad` wherever a
+rules, the jet oracle with the operations of :mod:`dense_ad` wherever a
 jet is involved and float rules for parameter-only subtrees.  The compiled
 functions must agree with them entry by entry and raise the same exception
 types at the same points.
@@ -14,9 +14,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from contactmech import ad
 from contactmech.ad import DomainError
 from contactmech.expr import Binary, Call, Num, ScalarField, Unary, Var, parse
+
+import dense_ad as ad
 
 CHART = ("x", "y", "z")
 PARAMS = ("a", "b")
