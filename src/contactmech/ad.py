@@ -1,10 +1,14 @@
-"""Containers for second-order jets, and the error type of their domain.
+"""Containers for second-order jets, the error type of their domain, and the
+rule that makes a block of points answer like a loop over its rows.
 
 A :class:`Jet2` carries the value, gradient and Hessian of a scalar at one
 point, and a :class:`JetBlock` the same at N points.  Both are filled by
 :class:`~contactmech.expr.ScalarField` from code that ``contactmech._tape``
 compiles once per field; that module holds the jet rules.  A ``Jet2`` has no
 arithmetic of its own.
+
+:func:`_rows` is the package's one fallback from a block to its rows: fields,
+checks and the integrator's monitors evaluate their blocks through it.
 """
 
 from __future__ import annotations
@@ -49,3 +53,49 @@ class JetBlock(NamedTuple):
     value: np.ndarray
     gradient: np.ndarray
     hessian: np.ndarray
+
+
+# the most rows a kernel sees at once; bounds the (rows, dim, dim) temporaries
+BLOCK_ROWS = 1024
+
+
+def _rows(kernel, states: np.ndarray, offset: int = 0, row=None, split: bool = True):
+    """``kernel(states)``, one row per point, as one block or else row by row.
+
+    The block runs with floating-point exceptions raised, except underflow,
+    which float arithmetic on one point never reports.  If it raises anything
+    arithmetic (a domain or regularity error, a floating-point exception) the
+    rows are computed again in order by ``row`` (the kernel itself unless
+    given) on each one-row block, with floating-point exceptions off: the
+    first failing point raises its own error (an arithmetic one with its
+    index among ``states``, plus ``offset``, as the attribute ``row``), and
+    the other rows get what float arithmetic gives them.  Unless ``split`` is
+    false, longer samples go through in blocks of ``BLOCK_ROWS``, in order.
+    The parts of a result that is a :class:`JetBlock` are joined field by
+    field.
+    """
+    if split and states.shape[0] > BLOCK_ROWS:
+        return _join([_rows(kernel, states[k : k + BLOCK_ROWS], offset + k, row)
+                      for k in range(0, states.shape[0], BLOCK_ROWS)])
+    try:
+        with np.errstate(all="raise", under="ignore"):
+            return kernel(states)
+    except (ArithmeticError, ValueError):
+        pass
+    row = kernel if row is None else row
+    parts = []
+    with np.errstate(all="ignore"):
+        for k in range(states.shape[0]):
+            try:
+                parts.append(row(states[k : k + 1]))
+            except ArithmeticError as exc:
+                exc.row = offset + k
+                raise
+    return _join(parts)
+
+
+def _join(parts: list):
+    """The results of consecutive row ranges as one result."""
+    if parts and isinstance(parts[0], JetBlock):
+        return JetBlock(*map(np.concatenate, zip(*parts)))
+    return np.concatenate(parts)

@@ -30,7 +30,6 @@ from .integrate import (
     IntegrationError,
     IntegratorConfig,
     Trajectory,
-    integrate_hamiltonian,
     integrate_lagrangian,
 )
 from .lagrangian import LagrangianSystem
@@ -601,10 +600,7 @@ def _quotient_checks(traj: Trajectory, reports: list[dict], tol_scale: float):
         if doc.get("classification") is None:
             continue
         name = doc["name"]
-        # the quot_ series exist on the Lagrangian side only (see _evaluate)
-        ratio = traj.monitors.get(f"quot_{name}")
-        if ratio is None:
-            continue
+        ratio = traj.monitors[f"quot_{name}"]
         if float(np.min(np.abs(traj.monitors["E_L"]))) < 1e-3:
             entries.append(
                 {"name": f"quotient.{name}", "residual": None, "tolerance": tol,
@@ -672,21 +668,17 @@ def _evaluate(scn: Scenario, tol_scale: float):
         monitors[name] = quantity
         for mname, mfield in scn.monitors:
             monitors[mname] = mfield
-        if scn.kind == "lagrangian":
-            for candidate, _ in scn.candidates:
-                monitors.setdefault(
-                    f"f_{candidate.name}", VerticalMomentumQuantity(system, candidate.field)
-                )
+        for candidate, _ in scn.candidates:
+            monitors.setdefault(
+                f"f_{candidate.name}", VerticalMomentumQuantity(system, candidate.field)
+            )
         cfg = replace(scn.integrator, monitors=monitors)
-        integrator_fn = integrate_lagrangian if scn.kind == "lagrangian" else integrate_hamiltonian
-        traj = integrator_fn(system, scn.initial_state, cfg)
-        if scn.kind == "lagrangian" and scn.checks["quotients"]:
+        traj = integrate_lagrangian(system, scn.initial_state, cfg)
+        if scn.candidates and scn.checks["quotients"]:
             energy = traj.monitors["E_L"]
             with np.errstate(divide="ignore", invalid="ignore"):
                 for candidate, _ in scn.candidates:
-                    key = f"f_{candidate.name}"
-                    if key in traj.monitors:
-                        traj.monitors[f"quot_{candidate.name}"] = traj.monitors[key] / energy
+                    traj.monitors[f"quot_{candidate.name}"] = traj.monitors[f"f_{candidate.name}"] / energy
         integration_doc = {
             "method": cfg.method,
             "step": cfg.step,
@@ -743,7 +735,7 @@ def run_scenario(config_path: str, *, seed=None, tol_scale: float = 1.0) -> int:
         "system": {
             "kind": scn.kind,
             "n": system.n,
-            "expression": (system.lagrangian if scn.kind == "lagrangian" else system.hamiltonian).describe(),
+            "expression": system.field.describe(),
             "params": scn.params,
         },
         "provenance": {

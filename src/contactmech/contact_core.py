@@ -25,12 +25,15 @@ symmetry where -eta(X) passes the same kernel, with no Jacobian of the
 dynamics.  Every check here and in :mod:`contactmech.momentum` and
 :mod:`contactmech.symmetry` reduces this kernel over its sample points.
 
-:func:`_worst_rows` runs a check's kernel on the whole block under
-``np.errstate(all="raise", under="ignore")``.  Any error there reruns the
-kernel one row at a time, so a failing sample raises what a loop over the
+:func:`_worst_rows` runs a check's kernel through :func:`contactmech.ad._rows`:
+on the whole block with floating-point exceptions raised, and on an error
+again one row at a time, so a failing sample raises what a loop over the
 points would raise at the first failing point, and a row that only
-overflows gets the inf or NaN of float arithmetic.  Residuals reduce with one NaN-propagating max over
-axis 0.
+overflows gets the inf or NaN of float arithmetic.  Residuals reduce with
+one NaN-propagating max over axis 0.
+
+The Darboux chart and both systems share their per-point adapters, ``jets``
+and ``dynamics_code`` through :class:`_Chart` and :class:`_System`.
 """
 
 from __future__ import annotations
@@ -40,7 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _tape
-from .ad import Jet2, JetBlock
+from .ad import BLOCK_ROWS, Jet2, JetBlock, _rows  # BLOCK_ROWS for importers of this module
 from .expr import ScalarField, hamiltonian_chart
 from .fields import (
     EtaPairingQuantity,
@@ -166,17 +169,12 @@ class OneFormValue(_ChartTriple):
         return float(self.cq @ v.dq + self.cp @ v.dp + self.cz * v.dz)
 
 
-def _as_point(x) -> np.ndarray:
-    """The coordinate array of a chart record, or of anything array-like."""
-    return x.to_array() if hasattr(x, "to_array") else np.asarray(x, dtype=float)
-
-
 def _as_states(points, dim: int) -> np.ndarray:
     """Normalize a list of points (or an array) to a (count, dim) matrix."""
     if isinstance(points, np.ndarray) and points.ndim == 2:
         mat = points
     else:
-        rows = [_as_point(p) for p in points]
+        rows = [_one_row(p)[0] for p in points]
         mat = np.array(rows, dtype=float) if rows else np.empty((0, dim))
     if mat.shape[0] == 0:
         raise ValueError("at least one sample point is required")
@@ -185,50 +183,61 @@ def _as_states(points, dim: int) -> np.ndarray:
     return mat
 
 
-# the most rows a kernel sees at once; bounds the (rows, dim, dim) temporaries
-BLOCK_ROWS = 1024
-
-
-def _rows(kernel, states: np.ndarray, offset: int = 0) -> np.ndarray:
-    """``kernel(states)``, one row per point, as one block or else row by row.
-
-    The block runs with floating-point exceptions raised, except underflow,
-    which float arithmetic on one point never reports.  If it raises anything
-    arithmetic (a domain or regularity error, a floating-point exception) the
-    kernel runs again on each one-row block in order, with floating-point
-    exceptions off: the first failing point raises its own error (an
-    arithmetic one with its index among ``states``, plus ``offset``, as the
-    attribute ``row``), and the other rows get what float arithmetic gives
-    them.  Longer samples go through in blocks of ``BLOCK_ROWS``, in order.
-    """
-    if states.shape[0] > BLOCK_ROWS:
-        return np.concatenate([_rows(kernel, states[k : k + BLOCK_ROWS], offset + k)
-                               for k in range(0, states.shape[0], BLOCK_ROWS)])
-    try:
-        with np.errstate(all="raise", under="ignore"):
-            return kernel(states)
-    except (ArithmeticError, ValueError, np.linalg.LinAlgError):
-        pass
-    rows = []
-    with np.errstate(all="ignore"):
-        for k in range(states.shape[0]):
-            try:
-                rows.append(kernel(states[k : k + 1]))
-            except ArithmeticError as exc:
-                exc.row = offset + k
-                raise
-    return np.concatenate(rows)
-
-
 def _worst_rows(kernel, states: np.ndarray):
     """The largest residual of each column of :func:`_rows`; NaN wherever one is NaN."""
     return np.max(_rows(kernel, states), axis=0)
 
 
+# -- the skeleton of charts and systems ----------------------------------------
+
+
+class _Chart:
+    """The per-point contact form and Reeb field of a chart: one-row adapters
+    over its ``eta_block``, ``eta_jacobian_block`` and ``reeb_block``."""
+
+    def eta(self, u) -> np.ndarray:
+        return self.eta_block(_one_row(u))[0]
+
+    def eta_jacobian(self, u) -> np.ndarray:
+        return self.eta_jacobian_block(_one_row(u))[0]
+
+    def reeb(self, u) -> np.ndarray:
+        return self.reeb_block(_one_row(u))[0]
+
+
+class _System(_Chart):
+    """A contact system given by one scalar ``field`` on its chart: H on the
+    Darboux chart, L on the bundle chart (whose energy E_L is then H).
+
+    A subclass provides the block methods and ``_assemble(out)``, which
+    writes the entries of its vector field from the trace of ``field``.
+    """
+
+    _dynamics_code = None
+
+    def jets(self, U) -> JetBlock:
+        return self.field.jets_at(U)
+
+    def hamiltonian_value_and_gradient(self, u):
+        value, gradient = self.hamiltonian_value_and_gradient_block(_one_row(u))
+        return float(value[0]), gradient[0]
+
+    def reeb_rate(self, u) -> float:
+        return float(self.reeb_rate_block(_one_row(u))[0])
+
+    def dynamics_code(self):
+        """``f(x) -> tuple``: the vector field at the coordinates x, compiled
+        on first use by :meth:`_assemble` from the trace of ``field``."""
+        if self._dynamics_code is None:
+            f = self.field
+            self._dynamics_code = _tape.compile_field(f.ast, self.chart, f._param_env, self._assemble)
+        return self._dynamics_code
+
+
 # -- the Darboux chart and Hamiltonian systems --------------------------------
 
 
-class DarbouxChart:
+class DarbouxChart(_Chart):
     """Closed-form contact geometry of (R^{2n+1}, dz - p·dq)."""
 
     def __init__(self, n: int):
@@ -257,15 +266,6 @@ class DarbouxChart:
         r[:, -1] = 1.0
         return r
 
-    def eta(self, u) -> np.ndarray:
-        return self.eta_block(_one_row(u))[0]
-
-    def eta_jacobian(self, u) -> np.ndarray:
-        return self.eta_jacobian_block(_one_row(u))[0]
-
-    def reeb(self, u) -> np.ndarray:
-        return self.reeb_block(_one_row(u))[0]
-
 
 def _darboux_field_rows(jets: JetBlock, P: np.ndarray, n: int) -> np.ndarray:
     """X_f at each row, from the jets of f and the momenta P."""
@@ -290,22 +290,22 @@ def _darboux_jacobian_rows(jets: JetBlock, P: np.ndarray, n: int) -> np.ndarray:
     return J
 
 
-class HamiltonianSystem(DarbouxChart):
+class HamiltonianSystem(DarbouxChart, _System):
     """A contact Hamiltonian system: the Darboux chart plus a Hamiltonian."""
 
     def __init__(self, n: int, hamiltonian: ScalarField):
         super().__init__(n)
         if tuple(hamiltonian.chart) != self.chart:
             raise ValueError(f"Hamiltonian chart {hamiltonian.chart} does not match {self.chart}")
-        self.hamiltonian = hamiltonian
+        self.field = hamiltonian
         self.vector_field = HamiltonianVectorField(hamiltonian)
-        self._dynamics_code = None
+
+    @property
+    def hamiltonian(self) -> ScalarField:
+        return self.field
 
     def jet(self, u) -> Jet2:
-        return self.hamiltonian.jet_at(u)
-
-    def jets(self, U) -> JetBlock:
-        return self.hamiltonian.jets_at(U)
+        return self.field.jet_at(u)
 
     # system data over blocks of points
 
@@ -323,29 +323,13 @@ class HamiltonianSystem(DarbouxChart):
     def dynamics_and_jacobian_block(self, U):
         return self.vector_field.value_and_jacobian_block(U)
 
-    # ... and at one point
+    def _assemble(self, out) -> list:
+        """Write the contact Hamiltonian field from the trace of H, of which it
+        reads the value and gradient only; returns its entries.
 
-    def hamiltonian_value_and_gradient(self, u):
-        value, gradient = self.hamiltonian_value_and_gradient_block(_one_row(u))
-        return float(value[0]), gradient[0]
-
-    def reeb_rate(self, u) -> float:
-        return float(self.reeb_rate_block(_one_row(u))[0])
-
-    def dynamics_code(self):
-        """``f(x) -> tuple``: the contact Hamiltonian field at the coordinates x.
-
-        Compiled on first use from the trace of H, of which it computes the
-        value and gradient only.  It gives the sums of ``dynamics_block``:
-        p·dH/dp goes through numpy's ``@`` on the two vectors, as
-        ``_rowdot`` sums each row there.
+        It gives the sums of ``dynamics_block``: p·dH/dp goes through numpy's
+        ``@`` on the two vectors, as ``_rowdot`` sums each row there.
         """
-        if self._dynamics_code is None:
-            H = self.hamiltonian
-            self._dynamics_code = _tape.compile_field(H.ast, self.chart, H._param_env, self._darboux)
-        return self._dynamics_code
-
-    def _darboux(self, out) -> list:
         n = self.n
         G = [out.gradient(i) for i in range(2 * n + 1)]
         p = [out.coordinate(n + i) for i in range(n)]
@@ -361,7 +345,7 @@ class HamiltonianSystem(DarbouxChart):
         return value[0], jacobian[0]
 
     def default_monitor(self):
-        return "H", self.hamiltonian
+        return "H", self.field
 
 
 @dataclass(frozen=True)

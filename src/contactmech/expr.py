@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ad import Jet2, JetBlock
+from .ad import Jet2, JetBlock, _rows
 
 __all__ = [
     "ParseError",
@@ -357,12 +357,14 @@ class ScalarField:
 
     # -- blocks of points: one call for the rows of an (N, m) array ----------
     #
-    # A block is computed with floating-point exceptions raised, except
-    # underflow, which float arithmetic on one point never reports either.
-    # Where a guard or a branch cannot serve every row, or a floating-point
-    # exception occurs, it is computed again row by row with value_at /
-    # jet_at: the first failing row raises its own error, and inf and NaN
-    # entries are those of the rows.  A block of no rows gives empty results.
+    # A block goes through ad._rows: where a guard or a branch cannot serve
+    # every row, or a floating-point exception other than underflow occurs,
+    # it is computed again row by row with jet_at / value_at, so the first
+    # failing row raises its own error, tagged with its index as ``row``, and
+    # inf and NaN entries are those of the rows.  The block is not split:
+    # numpy's ufuncs and the math functions of the rows can differ in the
+    # last bit, so splitting would change which rows come from which.  A
+    # block of no rows gives empty results.
 
     def _block(self, points) -> np.ndarray:
         block = np.asarray(points, dtype=float)
@@ -381,16 +383,11 @@ class ScalarField:
         if count == 0:
             return JetBlock(np.empty(0), np.empty((0, m)), np.empty((0, m, m)))
         fn = self.__dict__.get("_jets_code") or self._compiled("jets")
-        try:
-            with np.errstate(all="raise", under="ignore"):
-                return fn(block)
-        except (ArithmeticError, ValueError):
-            pass
-        out = JetBlock(np.empty(count), np.empty((count, m)), np.empty((count, m, m)))
-        for k, point in enumerate(block):
-            jet = self.jet_at(point)
-            out.value[k], out.gradient[k], out.hessian[k] = jet.value, jet.gradient, jet.hessian
-        return out
+        return _rows(fn, block, row=self._jet_row, split=False)
+
+    def _jet_row(self, U: np.ndarray) -> JetBlock:
+        jet = self.jet_at(U[0])
+        return JetBlock(np.array([jet.value]), jet.gradient[None], jet.hessian[None])
 
     def values_at(self, points) -> np.ndarray:
         """The values (N,) at the rows of ``points``."""
@@ -398,11 +395,7 @@ class ScalarField:
         if block.shape[0] == 0:
             return np.empty(0)
         fn = self.__dict__.get("_values_code") or self._compiled("values")
-        try:
-            with np.errstate(all="raise", under="ignore"):
-                return fn(block)
-        except (ArithmeticError, ValueError):
-            return np.array([self.value_at(point) for point in block], dtype=float)
+        return _rows(fn, block, row=lambda U: np.array([self.value_at(U[0])], dtype=float), split=False)
 
     def value_and_gradient_block(self, points):
         jets = self.jets_at(points)

@@ -10,7 +10,7 @@ The steps run on Python floats through the system's emitted
 multiply-add, so the elementwise RK4 sums equal those of numpy arrays.
 Each state is written to one (steps+1, dim) array.  The monitors are
 evaluated after the loop, as one block over the states: each monitor's
-``values_at`` in one kernel of :func:`~contactmech.contact_core._rows`.
+``values_at`` in one kernel of :func:`~contactmech.ad._rows`.
 Failures are reported as a loop would report them that evaluated the
 monitors at each state before taking the next step: the first failing row
 (row-major, monitors in dict order) wins over a later failing step.
@@ -23,7 +23,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .contact_core import _as_point, _rows
+from .ad import _rows
+from .fields import _one_row
 
 __all__ = [
     "IntegratorConfig",
@@ -89,12 +90,6 @@ class Trajectory:
     def step(self) -> float:
         return float(self.times[1] - self.times[0])
 
-    def final_state(self) -> np.ndarray:
-        return self.states[-1]
-
-    def monitor(self, name: str) -> np.ndarray:
-        return self.monitors[name]
-
 
 def integrate_lagrangian(system, ic, cfg: IntegratorConfig) -> Trajectory:
     """Integrate a system's dynamics from ``ic``, a chart record or array.
@@ -109,7 +104,7 @@ def integrate_lagrangian(system, ic, cfg: IntegratorConfig) -> Trajectory:
     """
     monitors = dict(cfg.monitors)
     monitors.setdefault(*system.default_monitor())
-    u0 = _as_point(ic)
+    u0 = _one_row(ic)[0]
     dim = system.dim
     if u0.shape != (dim,):
         raise ValueError(f"initial state has shape {u0.shape}, expected ({dim},)")

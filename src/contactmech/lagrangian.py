@@ -15,7 +15,7 @@ comes from expanding d/dt(dL/dv^i) along a second-order curve with dz/dt = L
 and equating it to the Herglotz right-hand side
 d/dt(dL/dv^i) - dL/dq^i = (dL/dv^i)(dL/dz).
 
-The class implements the same chart/system interface as
+The class shares its chart/system skeleton with
 :class:`contactmech.contact_core.HamiltonianSystem`, so every generic check
 of :mod:`contactmech.contact_core` applies to (q, v, z) verbatim.
 """
@@ -27,20 +27,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _tape
-from .ad import Jet2, JetBlock
+from .ad import Jet2
 from .contact_core import (
     ContactPoint,
     OneFormValue,
     TangentValue,
     _as_states,
     _ChartTriple,
+    _System,
 )
 from .expr import ScalarField, lagrangian_chart
 from .fields import (
     _gradient_row,
     _matvec,
-    _one_row,
     _point_matmul,
     _rowdot,
     _value_row,
@@ -95,7 +94,7 @@ class TQRPoint(_ChartTriple):
     z: float
 
 
-class LagrangianSystem:
+class LagrangianSystem(_System):
     """A contact Lagrangian system over the chart (q1..qn, qd1..qdn, z)."""
 
     def __init__(self, n: int, lagrangian: ScalarField, *, regularity_rtol: float = 1e-10):
@@ -109,17 +108,15 @@ class LagrangianSystem:
         self.n = n
         self.dim = 2 * n + 1
         self.chart = expected
-        self.lagrangian = lagrangian
+        self.field = lagrangian
         self.regularity_rtol = float(regularity_rtol)
-        self._dynamics_code = None
 
-    # -- jets ------------------------------------------------------------
+    @property
+    def lagrangian(self) -> ScalarField:
+        return self.field
 
     def jet(self, u) -> Jet2:
-        return self.lagrangian.jet_at(u)
-
-    def jets(self, U) -> JetBlock:
-        return self.lagrangian.jets_at(U)
+        return self.field.jet_at(u)
 
     # -- pointwise structure ----------------------------------------------
 
@@ -217,47 +214,17 @@ class LagrangianSystem:
         out[:, -1] = jets.value
         return out
 
-    # -- the same at one point -------------------------------------------------
-
-    def eta(self, u) -> np.ndarray:
-        return self.eta_block(_one_row(u))[0]
-
-    def eta_jacobian(self, u) -> np.ndarray:
-        return self.eta_jacobian_block(_one_row(u))[0]
-
-    def reeb(self, u) -> np.ndarray:
-        return self.reeb_block(_one_row(u))[0]
-
-    def hamiltonian_value_and_gradient(self, u):
-        energy, grad = self.hamiltonian_value_and_gradient_block(_one_row(u))
-        return float(energy[0]), grad[0]
-
-    def reeb_rate(self, u) -> float:
-        return float(self.reeb_rate_block(_one_row(u))[0])
-
     # -- the integrator's dynamics: emitted from the trace of L ------------------
 
-    def dynamics_code(self):
-        """``f(x) -> tuple``: the Herglotz field (v, a, L) at the coordinates x.
+    def _assemble(self, out) -> list:
+        """Write the Herglotz field (v, a, L) from the jet of L; returns its entries.
 
-        Compiled on first use from the trace of L (see :meth:`_herglotz`),
-        with the regularity tolerance of that time.  It rounds as numpy does
-        on the arrays of one point, and raises what :meth:`dynamics_block`
-        raises on that row.
-        """
-        if self._dynamics_code is None:
-            lagrangian = self.lagrangian
-            self._dynamics_code = _tape.compile_field(
-                lagrangian.ast, self.chart, lagrangian._param_env, self._herglotz)
-        return self._dynamics_code
-
-    def _herglotz(self, out) -> list:
-        """Write the Herglotz field from the jet of L; returns its entries.
-
-        b is written term by term in the order of the dense formula, with
-        structural zeros as 0.0, so it rounds as numpy does.  Sums of
-        products stay in numpy, whose BLAS fuses multiply-adds: B_vq v where
-        L couples q and v, and the solve.
+        The code uses the regularity tolerance of compile time, rounds as
+        numpy does on the arrays of one point, and raises what
+        :meth:`dynamics_block` raises on that row.  b is written term by term
+        in the order of the dense formula, with structural zeros as 0.0, so
+        it rounds as numpy does.  Sums of products stay in numpy, whose BLAS
+        fuses multiply-adds: B_vq v where L couples q and v, and the solve.
         """
         n = self.n
         value = out.value()

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .contact_core import TangentValue, _as_point
+from .contact_core import TangentValue
 from .expr import ScalarField, free_variables, lagrangian_chart, parse, position_names
 from .fields import (
     _field_jacobian_row,
@@ -238,7 +238,7 @@ def vertical_lift_Q(Y, x) -> TangentValue:
 
     For a field on Q x R this is the vertical lift of its projection to Q.
     """
-    return TangentValue.from_array(VerticalLiftField(Y).value(_as_point(x)))
+    return TangentValue.from_array(VerticalLiftField(Y).value(x))
 
 
 def complete_lift_Q(Y, x) -> TangentValue:
@@ -247,7 +247,7 @@ def complete_lift_Q(Y, x) -> TangentValue:
     For a field on Q x R this is the restriction of its complete lift to
     TQ x R, with z-component Z.
     """
-    return TangentValue.from_array(CompleteLiftField(Y).value(_as_point(x)))
+    return TangentValue.from_array(CompleteLiftField(Y).value(x))
 
 
 vertical_lift_QR = vertical_lift_Q

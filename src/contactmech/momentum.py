@@ -17,7 +17,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .contact_core import (
-    _as_point,
     _as_states,
     _dissipation_rows,
     _minus_eta,
@@ -76,9 +75,8 @@ class GeneratorFamily:
 
 def momentum_map_at(fam: GeneratorFamily, system, x) -> np.ndarray:
     """The momentum components (-eta(xi_k))(x), one per generator."""
-    u = _as_point(x)
     fields = fam.ambient_fields(system)
-    return np.array([-float(system.eta(u) @ f.value(u)) for f in fields])
+    return np.array([-float(system.eta(x) @ f.value(x)) for f in fields])
 
 
 @dataclass(frozen=True)

@@ -24,7 +24,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import contact_core
-from .contact_core import CartanSymmetryCheck, ResidualCheck, _as_states, _rows, _worst_rows
+from .ad import _rows
+from .contact_core import CartanSymmetryCheck, ResidualCheck, _as_states, _worst_rows
 from .expr import ScalarField
 from .fields import LinearCombinationQuantity, _rowdot
 from .lagrangian import LagrangianSystem

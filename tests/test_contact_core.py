@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from contactmech import ad
 from contactmech import contact_core as cc
 from contactmech.ad import DomainError
 from contactmech.contact_core import (
@@ -26,7 +27,7 @@ from contactmech.contact_core import (
     lie_bracket_at,
     reeb_at,
 )
-from contactmech.expr import ScalarField, hamiltonian_chart
+from contactmech.expr import ScalarField, hamiltonian_chart, lagrangian_chart
 from contactmech.fields import (
     AmbientVectorField,
     ConstantVectorField,
@@ -35,7 +36,7 @@ from contactmech.fields import (
     VectorFieldSum,
     lie_bracket_value,
 )
-from contactmech.lagrangian import TQRPoint
+from contactmech.lagrangian import LagrangianSystem, TQRPoint
 from contactmech.lifts import CompleteLiftField, VectorFieldQ, VectorFieldQR
 from contactmech.sampling import regular_states
 
@@ -72,6 +73,39 @@ class TestChartRecords:
         record = cls.from_array([0.5, -1.0, 2.0, 3.0, 0.25])
         assert record.n == 2
         np.testing.assert_array_equal(record.to_array(), [0.5, -1.0, 2.0, 3.0, 0.25])
+
+
+class TestPerPointAdapters:
+    """The per-point chart and system methods are row 0 of the block methods."""
+
+    CHART = ("eta", "eta_jacobian", "reeb")
+    SYSTEM = CHART + ("hamiltonian_value_and_gradient", "reeb_rate")
+
+    @staticmethod
+    def geometry(which):
+        if which == "chart":
+            return DarbouxChart(2)
+        if which == "hamiltonian":
+            return HamiltonianSystem(2, field_on(2, "0.5*(p1^2 + p2^2) + 0.5*q1^2*q2 - 0.3*z*p1"))
+        source = "0.5*(2 + sin(q1))*qd1^2 + 0.5*qd2^2 + 0.2*qd1*qd2 - 0.5*q2^2 - 0.1*z*qd1"
+        return LagrangianSystem(2, ScalarField.from_source(source, lagrangian_chart(2)))
+
+    @pytest.mark.parametrize("which", ["chart", "hamiltonian", "lagrangian"])
+    def test_adapters_are_row_zero_of_the_blocks(self, which):
+        geometry = self.geometry(which)
+        for u in np.random.default_rng(11).uniform(-1, 1, size=(4, 5)):
+            for name in self.CHART if which == "chart" else self.SYSTEM:
+                got = getattr(geometry, name)(u)
+                want = getattr(geometry, f"{name}_block")(u[None])
+                if isinstance(want, tuple):
+                    assert got[0] == want[0][0] and np.array_equal(got[1], want[1][0]), name
+                else:
+                    assert np.array_equal(got, want[0]), name
+
+    @pytest.mark.parametrize("which", ["hamiltonian", "lagrangian"])
+    def test_dynamics_code_is_compiled_once(self, which):
+        system = self.geometry(which)
+        assert system.dynamics_code() is system.dynamics_code()
 
 
 class TestContactForm:
@@ -382,19 +416,24 @@ class TestDissipation:
         with pytest.raises(ValueError):
             dissipation_residual(sys, sys.hamiltonian, [])
 
-    @pytest.mark.parametrize("block_rows", [4, cc.BLOCK_ROWS])
+    @pytest.mark.parametrize("block_rows", [4, ad.BLOCK_ROWS])
     def test_first_failing_point_raises_in_any_block(self, monkeypatch, block_rows):
-        from contactmech.lagrangian import LagrangianSystem, RegularityError
+        from contactmech.lagrangian import RegularityError
 
         # W = qd1 is degenerate at rows 5 and 6; row 5 is the first failing point
         sys = LagrangianSystem(1, ScalarField.from_source("qd1^3/6 - 0.1*z", ("q1", "qd1", "z")))
         points = np.random.default_rng(3).uniform(0.5, 1.0, size=(10, 3))
         points[5, 1], points[6, 1] = 3e-12, 1e-12
-        monkeypatch.setattr(cc, "BLOCK_ROWS", block_rows)
-        with pytest.raises(RegularityError, match="velocity Hessian 3e-12 is degenerate"):
+        kernel, seen = cc._dissipation_rows, []
+        monkeypatch.setattr(cc, "_dissipation_rows", lambda s, f, U: seen.append(len(U)) or kernel(s, f, U))
+        monkeypatch.setattr(ad, "BLOCK_ROWS", block_rows)
+        with pytest.raises(RegularityError, match="velocity Hessian 3e-12 is degenerate") as caught:
             dissipation_residual(sys, sys.lagrangian, points)
+        assert caught.value.row == 5
         residual = dissipation_residual(sys, sys.lagrangian, np.delete(points, [5, 6], axis=0))
-        monkeypatch.setattr(cc, "BLOCK_ROWS", 1024)
+        # the kernel only ever saw blocks of at most block_rows rows
+        assert 0 < max(seen) <= block_rows
+        monkeypatch.setattr(ad, "BLOCK_ROWS", 1024)
         assert residual == dissipation_residual(sys, sys.lagrangian, np.delete(points, [5, 6], axis=0))
 
     def test_underflow_keeps_the_block(self):

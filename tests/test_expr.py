@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from contactmech import ad
 from contactmech.ad import DomainError
 from contactmech.expr import (
     Binary,
@@ -162,6 +163,28 @@ class TestEvaluation:
             field.jet_at([-1.0])
         with pytest.raises(DomainError):
             field.value_at([-1.0])
+
+    def test_block_fallback_names_the_failing_row(self):
+        field = ScalarField.from_source("log(x)", ("x",))
+        block = np.array([[2.0], [-1.0], [3.0]])
+        for evaluate in (field.jets_at, field.values_at):
+            with pytest.raises(DomainError, match=r"^log requires a positive argument, got -1\.0$") as caught:
+                evaluate(block)
+            assert caught.value.row == 1
+
+    def test_blocks_are_not_split(self, monkeypatch):
+        # the compiled block code sees the whole block whatever BLOCK_ROWS is:
+        # its ufuncs and the rows' math functions may differ in the last bit
+        field = ScalarField.from_source("x^y", ("x", "y"))
+        seen = []
+        for name in ("values", "jets"):
+            code = field._compiled(name)
+            object.__setattr__(field, f"_{name}_code", lambda X, code=code: seen.append(len(X)) or code(X))
+        monkeypatch.setattr(ad, "BLOCK_ROWS", 2)
+        block = np.random.default_rng(0).uniform(1.0, 2.0, size=(5, 2))
+        field.values_at(block)
+        field.jets_at(block)
+        assert seen == [5, 5]
 
     def test_value_path_matches_jet_path(self):
         rng = np.random.default_rng(5)
