@@ -10,13 +10,13 @@ exception types.  The tests check them against ``tests/dense_ad.py``, which
 applies the same rules to dense arrays one operation at a time.
 
 :func:`compile_values` and :func:`compile_jets` emit the same traces over the
-columns of an (N, m) block of points, with numpy ufuncs in place of the math
-functions.  They are exact only where nothing goes wrong: a guard that any
-row hits, a branch that the rows do not all take, and an integral exponent
-that differs between rows raise :class:`BlockFallback` instead of the
-row's error.  The caller runs them through ``contactmech.ad._rows``, which
-raises floating-point exceptions other than underflow and evaluates such a
-block row by row with the functions above.
+columns of an (N, m) block of points, and row k of their result is, bit for
+bit, what the functions above give at point k: numpy does the correctly
+rounded arithmetic and ``sqrt`` over whole columns, and ``exp``, ``log``,
+``sin``, ``cos`` and ``**`` run entry by entry with the rows' own functions.
+Where some row would raise, the block raises (:class:`BlockFallback` for a
+guard or a branch that the rows do not all take); ``contactmech.ad._rows``
+then evaluates it row by row, so its errors are the rows' errors too.
 
 :func:`compile_field` emits a vector field from the same jet trace: a
 caller's assembler writes the field's entries from the symbolic jet, and
@@ -47,6 +47,7 @@ from __future__ import annotations
 import math
 import operator
 import re
+from itertools import repeat
 
 import numpy as np
 
@@ -156,17 +157,11 @@ def _nonzero(*entries):
     return mask
 
 
-def _uniform_int(exponent) -> int:
-    """The one integral exponent of every row; rows that differ fall back."""
-    flat = np.ravel(exponent)
-    if np.any(flat != flat[0]):
-        raise BlockFallback
-    return int(flat[0])
-
-
 def _block_int_power_chain(base, exponent):
-    k = _uniform_int(exponent)
-    if k < 0 and np.any(base == 0.0):
+    """``_int_power_chain`` for an exponent that every row shares; rows that differ fall back."""
+    flat = np.ravel(exponent)
+    k = int(flat[0])
+    if np.any(flat != k) or (k < 0 and np.any(base == 0.0)):
         raise BlockFallback
     return _power_chain(base, k)
 
@@ -200,11 +195,26 @@ _RUNTIME = {
     "_int_power_chain": _int_power_chain,
 }
 
+
+def _entrywise(fn):
+    """``fn`` of Python numbers over the entries of columns (and over numbers), as the rows apply it."""
+
+    def apply(*args):
+        args = [a.tolist() if isinstance(a, (np.ndarray, np.generic)) else a for a in args]
+        columns = [a for a in args if type(a) is list]
+        if not columns:
+            return fn(*args)
+        return np.fromiter(map(fn, *(a if type(a) is list else repeat(a) for a in args)), float, len(columns[0]))
+
+    return apply
+
+
+_pow = _entrywise(operator.pow)
 _BLOCK_RUNTIME = {
-    **{name: getattr(np, name) for name in _MATH},
+    **{name: np.sqrt if name == "sqrt" else _entrywise(fn) for name, fn in _MATH.items()},
+    "_pow": _pow,
     **{fail.__name__: _fallback for fail in _GUARDS},
     "isinf": np.isinf,
-    "int": _uniform_int,
     "_int_power_chain": _block_int_power_chain,
     "_any": np.any,
     "_all": np.all,
@@ -249,13 +259,14 @@ class _Tracer:
     """Float arithmetic over symbolic scalars, written out as Python lines.
 
     With ``block`` set the lines run over columns of points (see the module
-    docstring); only guards, branch conditions and the runtime helpers differ.
+    docstring); only guards, branch conditions, powers and runtime helpers differ.
     """
 
     def __init__(self, chart, parameters: dict, block: bool = False):
         self.inputs = {name: f"x{i}" for i, name in enumerate(chart)}
         self.parameters = parameters
         self.block = block
+        self.pow_source = "_pow({}, {})" if block else "{} ** {}"
         self.namespace = {"__builtins__": {}, **(_BLOCK_RUNTIME if block else _RUNTIME)}
         self.lines: list[str] = []
         self.indent = "    "
@@ -471,16 +482,16 @@ class _Tracer:
         if _known(b):
             if b < 0:
                 self.guard(_fail_div, a)
-            return self.op(operator.pow, "{} ** {}", a, int(b))
+            return self.op(operator.pow, self.pow_source, a, int(b))
         if self.block:
             self.line("if _any(({0} == k0) & ({1} < k0)): _fail_div({0})", a, b)
-        else:
-            self.line("if {0} == k0 and {1} < k0: _fail_div({0})", a, b)
+            return self.emit(self.pow_source, a, b)  # float ** int(b) is float ** b
+        self.line("if {0} == k0 and {1} < k0: _fail_div({0})", a, b)
         return self.emit("{} ** int({})", a, b)
 
     def _real_power(self, a, b):
         self.guard(_fail_root, a)
-        return self.op(operator.pow, "{} ** {}", a, b)
+        return self.op(operator.pow, self.pow_source, a, b)
 
 
 class _JetTracer(_Tracer):

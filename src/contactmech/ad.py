@@ -59,22 +59,21 @@ class JetBlock(NamedTuple):
 BLOCK_ROWS = 1024
 
 
-def _rows(kernel, states: np.ndarray, offset: int = 0, row=None, split: bool = True):
+def _rows(kernel, states: np.ndarray, offset: int = 0, row=None):
     """``kernel(states)``, one row per point, as one block or else row by row.
 
-    The block runs with floating-point exceptions raised, except underflow,
-    which float arithmetic on one point never reports.  If it raises anything
-    arithmetic (a domain or regularity error, a floating-point exception) the
-    rows are computed again in order by ``row`` (the kernel itself unless
-    given) on each one-row block, with floating-point exceptions off: the
-    first failing point raises its own error (an arithmetic one with its
-    index among ``states``, plus ``offset``, as the attribute ``row``), and
-    the other rows get what float arithmetic gives them.  Unless ``split`` is
-    false, longer samples go through in blocks of ``BLOCK_ROWS``, in order.
-    The parts of a result that is a :class:`JetBlock` are joined field by
-    field.
+    Blocks of at most ``BLOCK_ROWS`` rows run in order, with floating-point
+    exceptions raised except underflow, which float arithmetic on one point
+    never reports.  A block that raises anything arithmetic (a domain or
+    regularity error, a floating-point exception) is computed again by
+    ``row`` (the kernel itself unless given) on one-row blocks in order, with
+    floating-point exceptions off: the first failing point raises its own
+    error (an arithmetic one with its index among ``states``, plus ``offset``,
+    as the attribute ``row``), and the others get what float arithmetic gives
+    them.  So a kernel that computes each row as ``row`` does gives ``row``'s
+    results however the sample is cut.  :class:`JetBlock` parts are joined.
     """
-    if split and states.shape[0] > BLOCK_ROWS:
+    if states.shape[0] > BLOCK_ROWS:
         return _join([_rows(kernel, states[k : k + BLOCK_ROWS], offset + k, row)
                       for k in range(0, states.shape[0], BLOCK_ROWS)])
     try:

@@ -7,7 +7,8 @@ quantities, plus a JSON report carrying every residual with its tolerance.
 Exit code 0 means every enabled check passed, 1 means some check failed
 (a residual that is NaN or infinite fails its check), 2 means the
 configuration was unusable or the numerics failed (a domain error, a
-degenerate system, an integration that broke down, no usable sample points).
+degenerate system, an integration that broke down, no usable sample points,
+a trajectory or sample too large to allocate).
 """
 
 from __future__ import annotations
@@ -204,6 +205,13 @@ def _vector(cfg: dict, key: str, path: str) -> np.ndarray:
     return np.array([_number(v, f"{path}.{key}[{i}]") for i, v in enumerate(values)])
 
 
+def _column_name(name: str, path: str) -> str:
+    """``name``, which heads a CSV column as written, so it must need no quoting."""
+    if any(ch in name for ch in ',"\r\n'):
+        raise ConfigError(path, f"{name!r} cannot name a CSV column: it holds a comma, a quote or a line break")
+    return name
+
+
 def _parse_field(source: str, chart, params: dict, path: str) -> ScalarField:
     try:
         return ScalarField.from_source(source, chart, params)
@@ -286,7 +294,7 @@ def _build_candidates(cfg, system, params, kind: str):
         path = f"$.candidates[{idx}]"
         if not isinstance(c, dict):
             raise ConfigError(path, "expected an object")
-        name = _expect(c, "name", str, path, default=f"candidate{idx}")
+        name = _column_name(_expect(c, "name", str, path, default=f"candidate{idx}"), f"{path}.name")
         if any(earlier.name == name for earlier, _ in out):
             raise ConfigError(f"{path}.name", f"candidate {name!r} is named twice")
         ckind = _expect(c, "kind", str, path, required=True)
@@ -387,7 +395,7 @@ def load_scenario(config_path: str, *, seed=None) -> Scenario:
         path = f"$.monitors[{idx}]"
         if not isinstance(m, dict):
             raise ConfigError(path, "expected an object")
-        mname = _expect(m, "name", str, path, required=True)
+        mname = _column_name(_expect(m, "name", str, path, required=True), f"{path}.name")
         if mname in columns:
             raise ConfigError(f"{path}.name", f"{mname!r} is already a column of the trajectory")
         columns.add(mname)
@@ -647,8 +655,9 @@ def write_csv(path: str, traj: Trajectory) -> None:
     _atomic_write(path, "\n".join(rows) + "\n")
 
 
-# what the numerics can raise on a usable configuration
-_NUMERICAL_FAILURES = (ArithmeticError, IntegrationError, SamplingError, np.linalg.LinAlgError)
+# what the numerics can raise on a usable configuration, which may still ask
+# for more steps or samples than memory holds
+_NUMERICAL_FAILURES = (ArithmeticError, IntegrationError, SamplingError, np.linalg.LinAlgError, MemoryError)
 
 
 def _evaluate(scn: Scenario, tol_scale: float):
@@ -707,7 +716,8 @@ def run_scenario(config_path: str, *, seed=None, tol_scale: float = 1.0) -> int:
     """Run one scenario; returns the process exit code.
 
     0 every enabled check passed, 1 some check failed, 2 the configuration
-    was unusable or the numerics failed (one ``error:`` line on stderr).
+    was unusable or the numerics failed, or the trajectory or sample could
+    not be allocated (one ``error:`` line on stderr).
     ``tol_scale`` must be a finite number greater than 0.
     """
     try:

@@ -356,15 +356,8 @@ class ScalarField:
         return jet.value, jet.gradient
 
     # -- blocks of points: one call for the rows of an (N, m) array ----------
-    #
-    # A block goes through ad._rows: where a guard or a branch cannot serve
-    # every row, or a floating-point exception other than underflow occurs,
-    # it is computed again row by row with jet_at / value_at, so the first
-    # failing row raises its own error, tagged with its index as ``row``, and
-    # inf and NaN entries are those of the rows.  The block is not split:
-    # numpy's ufuncs and the math functions of the rows can differ in the
-    # last bit, so splitting would change which rows come from which.  A
-    # block of no rows gives empty results.
+    # Row k is jet_at / value_at at point k, bit for bit; the first failing
+    # row's error is raised with its index as ``row`` (see ad._rows).
 
     def _block(self, points) -> np.ndarray:
         block = np.asarray(points, dtype=float)
@@ -383,7 +376,7 @@ class ScalarField:
         if count == 0:
             return JetBlock(np.empty(0), np.empty((0, m)), np.empty((0, m, m)))
         fn = self.__dict__.get("_jets_code") or self._compiled("jets")
-        return _rows(fn, block, row=self._jet_row, split=False)
+        return _rows(fn, block, row=self._jet_row)
 
     def _jet_row(self, U: np.ndarray) -> JetBlock:
         jet = self.jet_at(U[0])
@@ -395,7 +388,7 @@ class ScalarField:
         if block.shape[0] == 0:
             return np.empty(0)
         fn = self.__dict__.get("_values_code") or self._compiled("values")
-        return _rows(fn, block, row=lambda U: np.array([self.value_at(U[0])], dtype=float), split=False)
+        return _rows(fn, block, row=lambda U: np.array([self.value_at(U[0])], dtype=float))
 
     def value_and_gradient_block(self, points):
         jets = self.jets_at(points)

@@ -27,6 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._tape import _pow
 from .ad import Jet2
 from .contact_core import (
     ContactPoint,
@@ -133,13 +134,9 @@ class LagrangianSystem(_System):
         """The regularity thresholds rtol * max(1, largest**n) of velocity Hessians
         whose largest |entry| is ``largest``.
 
-        The power is Python's float power, applied over an object array:
-        numpy's float64 power differs from it in the last bit on some inputs,
-        and overflows to inf where Python raises OverflowError.  ``fmax``
-        keeps Python's max(1.0, nan) = 1.0.
+        The power is the rows' float power (``_tape._pow``); ``fmax`` keeps max(1.0, nan) = 1.0.
         """
-        powers = np.power(largest.astype(object), self.n).astype(float)
-        return self.regularity_rtol * np.fmax(1.0, powers)
+        return self.regularity_rtol * np.fmax(1.0, _pow(largest, self.n))
 
     def is_regular(self, u) -> bool:
         W = self.velocity_hessian(u)

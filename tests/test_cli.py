@@ -281,6 +281,19 @@ class TestExitCodes:
         assert len(err) == 1 and err[0].startswith("config error: $.integrator: ")
         assert message in err[0]
 
+    @pytest.mark.parametrize(
+        "change",
+        [{"integrator": {"step": 0.001, "t_final": 1e11}}, {"sample": {"count": 10**14}}],
+        ids=["steps", "samples"],
+    )
+    def test_sizes_that_cannot_be_allocated_exit_two(self, in_tmp, tmp_path, capsys, change):
+        # 1e14 float rows exceed any 64-bit address space, so the allocation fails at once
+        config = dict(json.loads(json.dumps(BASE_CONFIG)), **change)
+        assert run_scenario(write_config(tmp_path, config)) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert not (tmp_path / "out").exists()
+
     def test_sine_of_infinity_exits_two(self, in_tmp, tmp_path, capsys):
         # big*big overflows to inf, so sin(inf*q1) leaves its domain wherever q1 != 0
         config = {
@@ -468,6 +481,16 @@ class TestConfigSurface:
         assert run_scenario(write_config(tmp_path, config)) == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("config error: $.monitors[0].name: ")
+
+    @pytest.mark.parametrize("name", ["p,x", 'p"x', "p\rx", "p\nx"])
+    @pytest.mark.parametrize("section", ["monitors", "candidates"])
+    def test_name_that_needs_csv_quoting_is_a_config_error(self, in_tmp, tmp_path, capsys, section, name):
+        config = json.loads(json.dumps(BASE_CONFIG))
+        config[section][0]["name"] = name
+        assert run_scenario(write_config(tmp_path, config)) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"config error: $.{section}[0].name: ")
+        assert not (tmp_path / "out").exists()
 
     def test_repeated_candidate_name_is_a_config_error(self, in_tmp, tmp_path, capsys):
         config = json.loads(json.dumps(BASE_CONFIG))

@@ -172,19 +172,27 @@ class TestEvaluation:
                 evaluate(block)
             assert caught.value.row == 1
 
-    def test_blocks_are_not_split(self, monkeypatch):
-        # the compiled block code sees the whole block whatever BLOCK_ROWS is:
-        # its ufuncs and the rows' math functions may differ in the last bit
+    def test_long_blocks_are_chunked_and_match_their_rows(self):
+        # y is integral in the first 1,200 rows only, so the value of x^y
+        # takes both sides of its branch in the second chunk, which the value
+        # path then computes row by row
         field = ScalarField.from_source("x^y", ("x", "y"))
         seen = []
         for name in ("values", "jets"):
             code = field._compiled(name)
             object.__setattr__(field, f"_{name}_code", lambda X, code=code: seen.append(len(X)) or code(X))
-        monkeypatch.setattr(ad, "BLOCK_ROWS", 2)
-        block = np.random.default_rng(0).uniform(1.0, 2.0, size=(5, 2))
-        field.values_at(block)
-        field.jets_at(block)
-        assert seen == [5, 5]
+        rng = np.random.default_rng(0)
+        block = np.column_stack([rng.uniform(0.5, 2.0, 2500), rng.uniform(-3.0, 3.0, 2500)])
+        block[:1200, 1] = np.round(block[:1200, 1])
+        values = field.values_at(block)
+        jets = field.jets_at(block)
+        chunks = [ad.BLOCK_ROWS, ad.BLOCK_ROWS, 2500 - 2 * ad.BLOCK_ROWS]
+        assert seen == chunks + chunks
+        assert np.array_equal(values, [field.value_at(u) for u in block])
+        rows = [field.jet_at(u) for u in block]
+        assert np.array_equal(jets.value, [jet.value for jet in rows])
+        assert np.array_equal(jets.gradient, [jet.gradient for jet in rows])
+        assert np.array_equal(jets.hessian, [jet.hessian for jet in rows])
 
     def test_value_path_matches_jet_path(self):
         rng = np.random.default_rng(5)
