@@ -8,7 +8,8 @@ Exit code 0 means every enabled check passed, 1 means some check failed
 (a residual that is NaN or infinite fails its check), 2 means the
 configuration was unusable or the numerics failed (a domain error, a
 degenerate system, an integration that broke down, no usable sample points,
-a trajectory or sample too large to allocate).
+a trajectory or sample too large to allocate) or an output path could not be
+written.
 """
 
 from __future__ import annotations
@@ -632,16 +633,23 @@ def _json_default(obj):
 
 
 def _atomic_write(path: str, text: str) -> None:
+    """Write ``text`` to ``path`` through a temporary file beside it; an
+    OSError names ``path`` and why it cannot be written."""
     directory = os.path.dirname(os.path.abspath(path)) or "."
-    os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    try:
+        os.makedirs(directory, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    except OSError as exc:
+        raise OSError(f"cannot write {path!r}: {exc.strerror}: {directory!r}") from exc
     try:
         with os.fdopen(fd, "w") as handle:
             handle.write(text)
         os.replace(tmp, path)
-    except BaseException:
+    except BaseException as exc:
         if os.path.exists(tmp):
             os.unlink(tmp)
+        if isinstance(exc, OSError):
+            raise OSError(f"cannot write {path!r}: {exc.strerror}") from exc
         raise
 
 
@@ -716,8 +724,9 @@ def run_scenario(config_path: str, *, seed=None, tol_scale: float = 1.0) -> int:
     """Run one scenario; returns the process exit code.
 
     0 every enabled check passed, 1 some check failed, 2 the configuration
-    was unusable or the numerics failed, or the trajectory or sample could
-    not be allocated (one ``error:`` line on stderr).
+    was unusable or the numerics failed, the trajectory or sample could
+    not be allocated, or an output could not be written (one ``error:``
+    line on stderr).
     ``tol_scale`` must be a finite number greater than 0.
     """
     try:
@@ -735,10 +744,6 @@ def run_scenario(config_path: str, *, seed=None, tol_scale: float = 1.0) -> int:
     system = scn.system
 
     all_pass = all(e["pass"] is not False for e in entries)
-
-    if traj is not None and scn.csv_path:
-        write_csv(scn.csv_path, traj)
-
     report = {
         "schema_version": REPORT_SCHEMA_VERSION,
         "scenario": scn.name,
@@ -761,8 +766,14 @@ def run_scenario(config_path: str, *, seed=None, tol_scale: float = 1.0) -> int:
         "outputs": {"csv": scn.csv_path if traj is not None else None},
         "pass": bool(all_pass),
     }
-    if scn.report_path:
-        _atomic_write(scn.report_path, json.dumps(report, indent=2, default=_json_default) + "\n")
+    try:
+        if traj is not None and scn.csv_path:
+            write_csv(scn.csv_path, traj)
+        if scn.report_path:
+            _atomic_write(scn.report_path, json.dumps(report, indent=2, default=_json_default) + "\n")
+    except OSError as exc:
+        print(f"error: {' '.join(str(exc).split())}", file=_sys.stderr)
+        return 2
 
     for e in entries:
         status = {True: "pass", False: "FAIL", None: "skip"}[e["pass"]]

@@ -43,14 +43,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _tape
-from .ad import BLOCK_ROWS, Jet2, JetBlock, _rows  # BLOCK_ROWS for importers of this module
+from .ad import Jet2, JetBlock, _rows
 from .expr import ScalarField, hamiltonian_chart
 from .fields import (
     EtaPairingQuantity,
     LinearCombinationQuantity,
     QuotientQuantity,
-    _field_jacobian_row,
-    _field_value_row,
+    _at_point,
+    _Field,
     _one_row,
     _point_matmul,
     _rowdot,
@@ -196,13 +196,13 @@ class _Chart:
     over its ``eta_block``, ``eta_jacobian_block`` and ``reeb_block``."""
 
     def eta(self, u) -> np.ndarray:
-        return self.eta_block(_one_row(u))[0]
+        return _at_point(self, self.eta_block, u)
 
     def eta_jacobian(self, u) -> np.ndarray:
-        return self.eta_jacobian_block(_one_row(u))[0]
+        return _at_point(self, self.eta_jacobian_block, u)
 
     def reeb(self, u) -> np.ndarray:
-        return self.reeb_block(_one_row(u))[0]
+        return _at_point(self, self.reeb_block, u)
 
 
 class _System(_Chart):
@@ -219,11 +219,11 @@ class _System(_Chart):
         return self.field.jets_at(U)
 
     def hamiltonian_value_and_gradient(self, u):
-        value, gradient = self.hamiltonian_value_and_gradient_block(_one_row(u))
-        return float(value[0]), gradient[0]
+        value, gradient = _at_point(self, self.hamiltonian_value_and_gradient_block, u)
+        return float(value), gradient
 
     def reeb_rate(self, u) -> float:
-        return float(self.reeb_rate_block(_one_row(u))[0])
+        return float(_at_point(self, self.reeb_rate_block, u))
 
     def dynamics_code(self):
         """``f(x) -> tuple``: the vector field at the coordinates x, compiled
@@ -341,15 +341,14 @@ class HamiltonianSystem(DarbouxChart, _System):
         return np.array(self.dynamics_code()(np.asarray(u, dtype=float).tolist()))
 
     def dynamics_jacobian(self, u):
-        value, jacobian = self.dynamics_and_jacobian_block(_one_row(u))
-        return value[0], jacobian[0]
+        return _at_point(self, self.dynamics_and_jacobian_block, u)
 
     def default_monitor(self):
         return "H", self.field
 
 
 @dataclass(frozen=True)
-class HamiltonianVectorField:
+class HamiltonianVectorField(_Field):
     """X_f for a scalar f on the Darboux chart, with its exact Jacobian."""
 
     function: ScalarField
@@ -373,9 +372,6 @@ class HamiltonianVectorField:
         jets = self.function.jets_at(U)
         P = U[:, self.n : 2 * self.n]
         return _darboux_field_rows(jets, P, self.n), _darboux_jacobian_rows(jets, P, self.n)
-
-    value = _field_value_row
-    value_and_jacobian = _field_jacobian_row
 
 
 # -- generic chart machinery ---------------------------------------------------

@@ -7,8 +7,10 @@ quantity's ``values_at(U)`` (N,) and ``value_and_gradient_block(U)`` with
 values (N,) and gradients (N, dim).  Each derived quantity has one formula,
 ``value_and_gradient_block``, and its ``values_at`` reads the values from it.
 The per-point methods, ``value(u)`` and ``value_and_jacobian(u)`` of a field
-and ``value_at(u)`` and ``value_and_gradient_at(u)`` of a quantity, are the
-shared one-row adapters below, bound in each class body.  Expression-backed
+and ``value_at(u)`` and ``value_and_gradient_at(u)`` of a quantity, are
+one-row adapters that every class inherits from :class:`_Field` or
+:class:`_Quantity`; a point whose length is not the chart's is a
+``ValueError``.  Expression-backed
 :class:`~contactmech.expr.ScalarField` objects already satisfy the quantity
 interface, with values compiled on their own; the classes here cover
 quantities that have no closed-form expression tree (pairings with the
@@ -74,38 +76,45 @@ def _matvec(M: np.ndarray, v: np.ndarray) -> np.ndarray:
 # -- the per-point methods, as one-row adapters over the block methods ------------
 
 
-def _field_value_row(field, u) -> np.ndarray:
-    """``value(u)`` of a vector field."""
-    return field.value_block(_one_row(u))[0]
+def _at_point(owner, block, u):
+    """``block`` of ``owner`` on the point u as a one-row block: row 0 of each result."""
+    U = _one_row(u)
+    if U.shape[1] != len(owner.chart):
+        raise ValueError(f"point has {U.shape[1]} coordinates, chart has {len(owner.chart)}")
+    out = block(U)
+    return tuple(part[0] for part in out) if isinstance(out, tuple) else out[0]
 
 
-def _field_jacobian_row(field, u):
-    """``value_and_jacobian(u)`` of a vector field."""
-    value, jacobian = field.value_and_jacobian_block(_one_row(u))
-    return value[0], jacobian[0]
+class _Field:
+    """``value(u)`` and ``value_and_jacobian(u)`` of a vector field with block methods."""
+
+    def value(self, u) -> np.ndarray:
+        return _at_point(self, self.value_block, u)
+
+    def value_and_jacobian(self, u):
+        return _at_point(self, self.value_and_jacobian_block, u)
 
 
-def _values_block(quantity, U) -> np.ndarray:
-    """``values_at(U)`` of a quantity: the values of its value_and_gradient_block."""
-    return quantity.value_and_gradient_block(U)[0]
+class _Quantity:
+    """``values_at(U)``, the values of ``value_and_gradient_block``, and the
+    per-point ``value_at(u)`` and ``value_and_gradient_at(u)`` of a quantity."""
 
+    def values_at(self, U) -> np.ndarray:
+        return self.value_and_gradient_block(U)[0]
 
-def _value_row(quantity, u) -> float:
-    """``value_at(u)`` of a quantity."""
-    return float(quantity.values_at(_one_row(u))[0])
+    def value_at(self, u) -> float:
+        return float(_at_point(self, self.values_at, u))
 
-
-def _gradient_row(quantity, u):
-    """``value_and_gradient_at(u)`` of a quantity."""
-    value, gradient = quantity.value_and_gradient_block(_one_row(u))
-    return float(value[0]), gradient[0]
+    def value_and_gradient_at(self, u):
+        value, gradient = _at_point(self, self.value_and_gradient_block, u)
+        return float(value), gradient
 
 
 # -- vector fields -----------------------------------------------------------
 
 
 @dataclass(frozen=True)
-class AmbientVectorField:
+class AmbientVectorField(_Field):
     """A vector field given componentwise by scalar fields on one chart."""
 
     components: tuple[ScalarField, ...]
@@ -138,12 +147,9 @@ class AmbientVectorField:
         jets = [c.jets_at(U) for c in self.components]
         return np.column_stack([j.value for j in jets]), np.stack([j.gradient for j in jets], axis=1)
 
-    value = _field_value_row
-    value_and_jacobian = _field_jacobian_row
-
 
 @dataclass(frozen=True)
-class ConstantVectorField:
+class ConstantVectorField(_Field):
     vector: np.ndarray
     chart: tuple[str, ...]
 
@@ -161,12 +167,9 @@ class ConstantVectorField:
         dim = len(self.chart)
         return self.value_block(U), np.zeros((len(U), dim, dim))
 
-    value = _field_value_row
-    value_and_jacobian = _field_jacobian_row
-
 
 @dataclass(frozen=True)
-class VectorFieldSum:
+class VectorFieldSum(_Field):
     """A real linear combination of vector fields on a shared chart."""
 
     terms: tuple  # of (coefficient, vector field)
@@ -198,9 +201,6 @@ class VectorFieldSum:
             val = val + c * v
             jac = jac + c * j
         return val, jac
-
-    value = _field_value_row
-    value_and_jacobian = _field_jacobian_row
 
 
 @dataclass(frozen=True)
@@ -240,7 +240,7 @@ def lie_bracket_value(X, Y, u) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class EtaPairingQuantity:
+class EtaPairingQuantity(_Quantity):
     """The function u -> eta(X)(u) for the contact form of ``geometry``."""
 
     geometry: object
@@ -256,13 +256,9 @@ class EtaPairingQuantity:
         val, jac = self.vector_field.value_and_jacobian_block(U)
         return _rowdot(eta, val), _matvec(deta, val) + _vecmat(eta, jac)
 
-    values_at = _values_block
-    value_at = _value_row
-    value_and_gradient_at = _gradient_row
-
 
 @dataclass(frozen=True)
-class QuotientQuantity:
+class QuotientQuantity(_Quantity):
     """num/den; evaluation where den vanishes is a domain error."""
 
     num: object
@@ -284,13 +280,9 @@ class QuotientQuantity:
         q = fv / hv
         return q, (fg - q[:, None] * hg) / hv[:, None]
 
-    values_at = _values_block
-    value_at = _value_row
-    value_and_gradient_at = _gradient_row
-
 
 @dataclass(frozen=True)
-class ProductQuantity:
+class ProductQuantity(_Quantity):
     left: object
     right: object
 
@@ -303,13 +295,9 @@ class ProductQuantity:
         bv, bg = self.right.value_and_gradient_block(U)
         return av * bv, av[:, None] * bg + bv[:, None] * ag
 
-    values_at = _values_block
-    value_at = _value_row
-    value_and_gradient_at = _gradient_row
-
 
 @dataclass(frozen=True)
-class LinearCombinationQuantity:
+class LinearCombinationQuantity(_Quantity):
     terms: tuple  # of (coefficient, quantity)
     constant: float = 0.0
 
@@ -330,9 +318,5 @@ class LinearCombinationQuantity:
             total = total + c * v
             grad = c * g if grad is None else grad + c * g
         return total, grad
-
-    values_at = _values_block
-    value_at = _value_row
-    value_and_gradient_at = _gradient_row
 
 

@@ -110,6 +110,8 @@ def integrate_lagrangian(system, ic, cfg: IntegratorConfig) -> Trajectory:
         raise ValueError(f"initial state has shape {u0.shape}, expected ({dim},)")
     steps = cfg.steps
     h = cfg.step
+    if (steps + 1) * dim > np.iinfo(np.intp).max // 8:  # beyond numpy's largest array
+        raise MemoryError(f"cannot allocate {steps + 1} states of {dim} coordinates")
     times = np.arange(steps + 1) * h
     states = np.empty((steps + 1, dim))
     states[0] = u0

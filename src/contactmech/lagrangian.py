@@ -38,15 +38,7 @@ from .contact_core import (
     _System,
 )
 from .expr import ScalarField, lagrangian_chart
-from .fields import (
-    _gradient_row,
-    _matvec,
-    _point_matmul,
-    _rowdot,
-    _value_row,
-    _values_block,
-    _vecmat,
-)
+from .fields import _matvec, _point_matmul, _Quantity, _rowdot, _vecmat
 
 __all__ = [
     "RegularityError",
@@ -314,7 +306,7 @@ class LagrangianSystem(_System):
 
 
 @dataclass(frozen=True)
-class EnergyQuantity:
+class EnergyQuantity(_Quantity):
     """E_L as a scalar quantity on the (q, v, z) chart."""
 
     system: LagrangianSystem
@@ -326,9 +318,8 @@ class EnergyQuantity:
     def value_and_gradient_block(self, U):
         return self.system.hamiltonian_value_and_gradient_block(U)
 
-    values_at = _values_block
-    value_at = _value_row
-    value_and_gradient_at = _gradient_row
+    # perfbench's tracer wraps this name in this class's own __dict__
+    value_at = _Quantity.value_at
 
 
 # -- spec surface on TQRPoint --------------------------------------------------

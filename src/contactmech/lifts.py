@@ -24,16 +24,7 @@ import numpy as np
 
 from .contact_core import TangentValue
 from .expr import ScalarField, free_variables, lagrangian_chart, parse, position_names
-from .fields import (
-    _field_jacobian_row,
-    _field_value_row,
-    _gradient_row,
-    _matvec,
-    _rowdot,
-    _value_row,
-    _values_block,
-    _vecmat,
-)
+from .fields import _Field, _matvec, _Quantity, _rowdot, _vecmat
 
 __all__ = [
     "VectorFieldQ",
@@ -89,7 +80,8 @@ class VectorFieldQR:
     """Y = Y^i(q, z) d/dq^i + Z(z) d/dz on Q x R.
 
     The z-component may depend on z only; a position-dependent Z would make
-    the complete lift leave TQ x R, so it is rejected here.
+    the complete lift leave TQ x R, so Z must be a field over the chart
+    ('z',), whose expression can name no other coordinate.
     """
 
     n: int
@@ -106,11 +98,6 @@ class VectorFieldQR:
                 raise ValueError(f"component chart {c.chart} must be {expected}")
         if tuple(self.z_component.chart) != ("z",):
             raise ValueError("the z component must be a field over the chart ('z',)")
-        stray = free_variables(self.z_component.ast) - {"z"} - set(self.z_component.parameters)
-        if stray:
-            raise ValueError(
-                f"the z component may depend only on z, found {sorted(stray)}"
-            )
 
     @classmethod
     def from_expressions(cls, n, q_sources, z_source, parameters=None) -> "VectorFieldQR":
@@ -156,7 +143,7 @@ def _component_rows(Y, U: np.ndarray):
 
 
 @dataclass(frozen=True)
-class CompleteLiftField:
+class CompleteLiftField(_Field):
     """The (restricted) complete lift as a differentiable ambient field."""
 
     base: object  # VectorFieldQ or VectorFieldQR
@@ -198,12 +185,12 @@ class CompleteLiftField:
         J[:, -1, -1] = self.base.z_component_rates(U)
         return val, J
 
-    value = _field_value_row
-    value_and_jacobian = _field_jacobian_row
+    # perfbench's tracer wraps this name in this class's own __dict__
+    value_and_jacobian = _Field.value_and_jacobian
 
 
 @dataclass(frozen=True)
-class VerticalLiftField:
+class VerticalLiftField(_Field):
     """The vertical lift as a differentiable ambient field."""
 
     base: object
@@ -225,9 +212,6 @@ class VerticalLiftField:
         J[:, n : 2 * n, :n] = jac_q
         J[:, n : 2 * n, -1] = dz
         return val, J
-
-    value = _field_value_row
-    value_and_jacobian = _field_jacobian_row
 
 
 # -- pointwise lift evaluators ------------------------------------------------
@@ -255,7 +239,7 @@ complete_lift_QR = complete_lift_Q
 
 
 @dataclass(frozen=True)
-class VerticalMomentumQuantity:
+class VerticalMomentumQuantity(_Quantity):
     """The quantity Y^V(L) - Z on (q, v, z), built directly from Y and L.
 
     For a field on Q the z-component vanishes and this is Y^V(L), the
@@ -287,6 +271,6 @@ class VerticalMomentumQuantity:
         grad[:, -1] -= self.base.z_component_rates(U)
         return value, grad
 
-    values_at = _values_block
-    value_at = _value_row
-    value_and_gradient_at = _gradient_row
+    # perfbench's tracer wraps these names in this class's own __dict__
+    value_at = _Quantity.value_at
+    value_and_gradient_at = _Quantity.value_and_gradient_at

@@ -22,7 +22,13 @@ class SamplingError(ValueError):
 
 
 def sample_states(seed, count: int, dim: int, box=(-1.0, 1.0)) -> np.ndarray:
-    """A (count, dim) matrix of uniform samples from the box."""
+    """A (count, dim) matrix of uniform samples from the box.
+
+    A matrix beyond numpy's largest array is a MemoryError, as one too large
+    for memory is.
+    """
+    if count * dim > np.iinfo(np.intp).max // 8:
+        raise MemoryError(f"cannot allocate {count} sample points of {dim} coordinates")
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     lo, hi = box
     return rng.uniform(lo, hi, size=(count, dim))
@@ -35,10 +41,9 @@ def rejection_sample(seed, count: int, dim: int, accept, box=(-1.0, 1.0)) -> np.
     count as rejection).
     """
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    lo, hi = box
     rows = []
     for _ in range(MAX_ROUNDS):
-        for u in rng.uniform(lo, hi, size=(count, dim)):
+        for u in sample_states(rng, count, dim, box):
             try:
                 ok = accept(u)
             except ArithmeticError:

@@ -283,16 +283,40 @@ class TestExitCodes:
 
     @pytest.mark.parametrize(
         "change",
-        [{"integrator": {"step": 0.001, "t_final": 1e11}}, {"sample": {"count": 10**14}}],
-        ids=["steps", "samples"],
+        [{"integrator": {"step": 0.001, "t_final": 1e11}}, {"sample": {"count": 10**14}},
+         {"integrator": {"step": 0.001, "t_final": 1e16}}, {"sample": {"count": 10**19}}],
+        ids=["steps", "samples", "steps_beyond_numpy", "samples_beyond_numpy"],
     )
     def test_sizes_that_cannot_be_allocated_exit_two(self, in_tmp, tmp_path, capsys, change):
-        # 1e14 float rows exceed any 64-bit address space, so the allocation fails at once
+        # 1e14 float rows exceed any 64-bit address space, so the allocation fails at
+        # once; 1e19 rows exceed the largest array numpy can index, so none is tried
         config = dict(json.loads(json.dumps(BASE_CONFIG)), **change)
         assert run_scenario(write_config(tmp_path, config)) == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ")
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "blocker, output, message",
+        [("out/run.csv/", {"csv": "out/run.csv"}, "cannot write 'out/run.csv': Is a directory"),
+         ("out/report.json/", {"report": "out/report.json"}, "cannot write 'out/report.json': Is a directory"),
+         ("out", {"csv": "out/run.csv"}, "cannot write 'out/run.csv': File exists: ")],
+        ids=["csv_is_a_directory", "report_is_a_directory", "under_a_regular_file"],
+    )
+    def test_unwritable_output_exits_two(self, in_tmp, tmp_path, capsys, blocker, output, message):
+        if blocker.endswith("/"):
+            (tmp_path / blocker).mkdir(parents=True)
+        else:
+            (tmp_path / blocker).write_text("")
+        config = json.loads(json.dumps(BASE_CONFIG))
+        config["integrator"]["t_final"] = 0.01
+        config["output"] = output
+        assert run_scenario(write_config(tmp_path, config)) == 2
+        captured = capsys.readouterr()
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {message}")
+        assert "scenario" not in captured.out
+        assert [p.name for p in tmp_path.rglob("*.tmp")] == []
 
     def test_sine_of_infinity_exits_two(self, in_tmp, tmp_path, capsys):
         # big*big overflows to inf, so sin(inf*q1) leaves its domain wherever q1 != 0

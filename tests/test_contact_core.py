@@ -32,12 +32,21 @@ from contactmech.fields import (
     AmbientVectorField,
     ConstantVectorField,
     DynamicsVectorField,
+    EtaPairingQuantity,
+    LinearCombinationQuantity,
     ProductQuantity,
+    QuotientQuantity,
     VectorFieldSum,
     lie_bracket_value,
 )
-from contactmech.lagrangian import LagrangianSystem, TQRPoint
-from contactmech.lifts import CompleteLiftField, VectorFieldQ, VectorFieldQR
+from contactmech.lagrangian import EnergyQuantity, LagrangianSystem, TQRPoint
+from contactmech.lifts import (
+    CompleteLiftField,
+    VectorFieldQ,
+    VectorFieldQR,
+    VerticalLiftField,
+    VerticalMomentumQuantity,
+)
 from contactmech.sampling import regular_states
 
 from helpers import darboux_field, random_hamiltonian, random_lagrangian, random_polynomial_source
@@ -76,10 +85,16 @@ class TestChartRecords:
 
 
 class TestPerPointAdapters:
-    """The per-point chart and system methods are row 0 of the block methods."""
+    """Every per-point adapter is row 0 of its block method, bit for bit."""
 
-    CHART = ("eta", "eta_jacobian", "reeb")
-    SYSTEM = CHART + ("hamiltonian_value_and_gradient", "reeb_rate")
+    CHART = (("eta", "eta_block"), ("eta_jacobian", "eta_jacobian_block"), ("reeb", "reeb_block"))
+    SYSTEM = CHART + (("hamiltonian_value_and_gradient", "hamiltonian_value_and_gradient_block"),
+                      ("reeb_rate", "reeb_rate_block"))
+    FIELD = (("value", "value_block"), ("value_and_jacobian", "value_and_jacobian_block"))
+    QUANTITY = (("value_at", "values_at"), ("value_and_gradient_at", "value_and_gradient_block"))
+    FIELDS = ["ambient", "constant", "sum", "hamiltonian_field", "complete_lift", "vertical_lift"]
+    QUANTITIES = ["eta_pairing", "quotient", "product", "linear_combination", "vertical_momentum", "energy"]
+    SUBJECTS = ["chart", "hamiltonian", "lagrangian", *FIELDS, *QUANTITIES]
 
     @staticmethod
     def geometry(which):
@@ -90,17 +105,59 @@ class TestPerPointAdapters:
         source = "0.5*(2 + sin(q1))*qd1^2 + 0.5*qd2^2 + 0.2*qd1*qd2 - 0.5*q2^2 - 0.1*z*qd1"
         return LagrangianSystem(2, ScalarField.from_source(source, lagrangian_chart(2)))
 
-    @pytest.mark.parametrize("which", ["chart", "hamiltonian", "lagrangian"])
+    @classmethod
+    def subject(cls, which):
+        """An object on a 5-dimensional chart and its (per-point, block) method pairs."""
+        if which == "chart":
+            return cls.geometry(which), cls.CHART
+        if which == "hamiltonian":
+            return cls.geometry(which), cls.SYSTEM + (("dynamics_jacobian", "dynamics_and_jacobian_block"),)
+        if which == "lagrangian":
+            return cls.geometry(which), cls.SYSTEM
+        H, L = cls.geometry("hamiltonian"), cls.geometry("lagrangian")
+        ambient = AmbientVectorField.from_sources(["p1", "q1*q2", "z", "sin(q1)", "p2^2"], H.chart)
+        constant = ConstantVectorField([1.0, -2.0, 0.5, 0.0, 3.0], H.chart)
+        Y = VectorFieldQR.from_expressions(2, ["q1*q2 + z", "sin(q2)"], "0.5*z")
+        if which in cls.FIELDS:
+            return {
+                "ambient": ambient,
+                "constant": constant,
+                "sum": VectorFieldSum(((2.0, ambient), (-0.5, constant))),
+                "hamiltonian_field": H.vector_field,
+                "complete_lift": CompleteLiftField(Y),
+                "vertical_lift": VerticalLiftField(Y),
+            }[which], cls.FIELD
+        eta = EtaPairingQuantity(H, ambient)
+        return {
+            "eta_pairing": eta,
+            "quotient": QuotientQuantity(eta, field_on(2, "2 + q1^2")),
+            "product": ProductQuantity(eta, H.field),
+            "linear_combination": LinearCombinationQuantity(((2.0, eta), (-1.0, H.field)), 0.5),
+            "vertical_momentum": VerticalMomentumQuantity(L, Y),
+            "energy": EnergyQuantity(L),
+        }[which], cls.QUANTITY
+
+    @pytest.mark.parametrize("which", SUBJECTS)
     def test_adapters_are_row_zero_of_the_blocks(self, which):
-        geometry = self.geometry(which)
+        subject, pairs = self.subject(which)
         for u in np.random.default_rng(11).uniform(-1, 1, size=(4, 5)):
-            for name in self.CHART if which == "chart" else self.SYSTEM:
-                got = getattr(geometry, name)(u)
-                want = getattr(geometry, f"{name}_block")(u[None])
-                if isinstance(want, tuple):
-                    assert got[0] == want[0][0] and np.array_equal(got[1], want[1][0]), name
-                else:
-                    assert np.array_equal(got, want[0]), name
+            for name, block in pairs:
+                got = getattr(subject, name)(u)
+                want = getattr(subject, block)(u[None])
+                if not isinstance(want, tuple):
+                    got, want = (got,), (want,)
+                for part, rows in zip(got, want, strict=True):
+                    # a scalar is a Python float, a row an array
+                    assert type(part) is (float if rows.ndim == 1 else np.ndarray), name
+                    assert np.asarray(part).tobytes() == rows[0].tobytes(), name
+
+    @pytest.mark.parametrize("which", SUBJECTS)
+    def test_a_point_off_the_chart_is_rejected(self, which):
+        subject, pairs = self.subject(which)
+        for u in ([1.0], np.arange(7.0)):
+            for name, _ in pairs:
+                with pytest.raises(ValueError, match=f"^point has {len(u)} coordinates, chart has 5$"):
+                    getattr(subject, name)(u)
 
     @pytest.mark.parametrize("which", ["hamiltonian", "lagrangian"])
     def test_dynamics_code_is_compiled_once(self, which):

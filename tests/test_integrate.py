@@ -7,7 +7,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from contactmech.contact_core import BLOCK_ROWS, ContactPoint, HamiltonianSystem
+from contactmech.ad import BLOCK_ROWS
+from contactmech.contact_core import ContactPoint, HamiltonianSystem
 from contactmech.expr import ScalarField, hamiltonian_chart, lagrangian_chart
 from contactmech.fields import _rowdot
 from contactmech.integrate import (
