@@ -2,7 +2,10 @@
 
 A scenario names a system (builtin or inline expression), an initial state
 and integrator settings, candidate symmetries, generator families, and check
-toggles.  Running it writes a CSV with the trajectory and all monitored
+toggles.  A builtin is a Lagrangian source template and the parameters it
+declares, and is built like an inline Lagrangian; every expression of a
+scenario is a JSON string read by ``_field``, whose errors cite its JSON path.
+Running it writes a CSV with the trajectory and all monitored
 quantities, plus a JSON report carrying every residual with its tolerance.
 Exit code 0 means every enabled check passed, 1 means some check failed
 (a residual that is NaN or infinite fails its check), 2 means the
@@ -26,7 +29,7 @@ import numpy as np
 
 from . import symmetry
 from .contact_core import HamiltonianSystem, _flat_rows, _worst_rows, lie_derivative_eta_block
-from .expr import ParseError, ScalarField, hamiltonian_chart, lagrangian_chart
+from .expr import ScalarField, hamiltonian_chart, lagrangian_chart, position_names
 from .fields import AmbientVectorField, DynamicsVectorField, _rowdot
 from .integrate import (
     IntegrationError,
@@ -56,70 +59,23 @@ class ConfigError(ValueError):
 # -- builtin systems -----------------------------------------------------------
 
 
-def _sum_of_squares(names) -> str:
-    return " + ".join(f"{n}^2" for n in names)
+def _sum_of_squares(prefix: str, n: int) -> str:
+    return " + ".join(f"{prefix}{i}^2" for i in range(1, n + 1))
 
 
-def _free_damped_particle(params):
-    n = int(params.get("n", 1))
-    gamma = float(params.get("gamma", 0.2))
-    src = f"0.5*({_sum_of_squares([f'qd{i}' for i in range(1, n + 1)])}) - gamma*z"
-    field = ScalarField.from_source(src, lagrangian_chart(n), {"gamma": gamma})
-    return LagrangianSystem(n, field)
+def _free_damped_particle_candidates(n: int) -> list[dict]:
+    q = position_names(n)
+    translations = [{"name": f"translation_{name}", "kind": "on_Q",
+                     "components": ["1" if other == name else "0" for other in q]} for name in q]
+    return [*translations, {"name": "scaling", "kind": "on_QxR", "components": list(q), "z_component": "2*z"}]
 
 
-def _free_damped_particle_candidates(params):
-    n = int(params.get("n", 1))
-    out = []
-    for i in range(n):
-        comps = ["0"] * n
-        comps[i] = "1"
-        out.append({"name": f"translation_q{i + 1}", "kind": "on_Q", "components": comps})
-    out.append(
-        {
-            "name": "scaling",
-            "kind": "on_QxR",
-            "components": [f"q{i + 1}" for i in range(n)],
-            "z_component": "2*z",
-        }
-    )
-    return out
-
-
-def _damped_oscillator(params):
-    n = int(params.get("n", 2))
-    omega = float(params.get("omega", 1.0))
-    gamma = float(params.get("gamma", 0.1))
-    qd = [f"qd{i}" for i in range(1, n + 1)]
-    q = [f"q{i}" for i in range(1, n + 1)]
-    src = f"0.5*({_sum_of_squares(qd)}) - 0.5*omega^2*({_sum_of_squares(q)}) - gamma*z"
-    field = ScalarField.from_source(
-        src, lagrangian_chart(n), {"omega": omega, "gamma": gamma}
-    )
-    return LagrangianSystem(n, field)
-
-
-def _damped_oscillator_candidates(params):
-    if int(params.get("n", 2)) != 2:
-        return []
-    return [{"name": "rotation", "kind": "on_Q", "components": ["-q2", "q1"]}]
-
-
-def _central_potential_damped(params):
-    k = float(params.get("k", 1.0))
-    gamma = float(params.get("gamma", 0.1))
-    src = "0.5*(qd1^2 + qd2^2) + k/sqrt(q1^2 + q2^2) - gamma*z"
-    field = ScalarField.from_source(src, lagrangian_chart(2), {"k": k, "gamma": gamma})
-    return LagrangianSystem(2, field)
-
-
-def _central_potential_candidates(params):
-    return [{"name": "rotation", "kind": "on_Q", "components": ["-q2", "q1"]}]
-
-
+# each builtin is a Lagrangian source and its documented candidates for n
+# degrees of freedom, and the parameters it declares, with their defaults;
+# one without an "n" default is written for n = 2 only
 BUILTINS = {
     "free_damped_particle": {
-        "build": _free_damped_particle,
+        "source": lambda n: f"0.5*({_sum_of_squares('qd', n)}) - gamma*z",
         "defaults": {"n": 1, "gamma": 0.2},
         "lagrangian": "0.5*(qd1^2 + ... + qdn^2) - gamma*z",
         "doc": "Free particle with linear-in-z damping; momenta p_i = qd_i decay "
@@ -128,24 +84,36 @@ BUILTINS = {
         "candidates": _free_damped_particle_candidates,
     },
     "damped_oscillator": {
-        "build": _damped_oscillator,
+        "source": lambda n: (
+            f"0.5*({_sum_of_squares('qd', n)}) - 0.5*omega^2*({_sum_of_squares('q', n)}) - gamma*z"
+        ),
         "defaults": {"n": 2, "omega": 1.0, "gamma": 0.1},
         "lagrangian": "0.5*sum(qd_i^2) - 0.5*omega^2*sum(q_i^2) - gamma*z",
         "doc": "Isotropic damped oscillator; for n=2 the angular momentum "
         "q1*qd2 - q2*qd1 decays like exp(-gamma t).",
         "symmetries": "rotation -q2 d/dq1 + q1 d/dq2 for n=2 (infinitesimal, Noether with a=g=0, Lie)",
-        "candidates": _damped_oscillator_candidates,
+        "candidates": lambda n: (
+            [{"name": "rotation", "kind": "on_Q", "components": ["-q2", "q1"]}] if n == 2 else []
+        ),
     },
     "central_potential_damped": {
-        "build": _central_potential_damped,
+        "source": lambda n: "0.5*(qd1^2 + qd2^2) + k/sqrt(q1^2 + q2^2) - gamma*z",
         "defaults": {"k": 1.0, "gamma": 0.1},
         "lagrangian": "0.5*(qd1^2 + qd2^2) + k/sqrt(q1^2 + q2^2) - gamma*z",
         "doc": "Planar Kepler-type attraction with contact damping (keep q away "
         "from the origin).",
         "symmetries": "rotation -q2 d/dq1 + q1 d/dq2 (infinitesimal)",
-        "candidates": _central_potential_candidates,
+        "candidates": lambda n: [{"name": "rotation", "kind": "on_Q", "components": ["-q2", "q1"]}],
     },
 }
+
+
+def _builtin_system(name: str, params: dict) -> LagrangianSystem:
+    """The builtin ``name`` at ``params``, which hold a value for each declared parameter."""
+    n = params.get("n", 2)
+    constants = {key: value for key, value in params.items() if key != "n"}
+    source = BUILTINS[name]["source"](n)
+    return LagrangianSystem(n, ScalarField.from_source(source, lagrangian_chart(n), constants))
 
 
 def list_builtins() -> str:
@@ -156,7 +124,7 @@ def list_builtins() -> str:
     """
     lines = []
     for name, info in BUILTINS.items():
-        system = info["build"](dict(info["defaults"]))
+        system = _builtin_system(name, info["defaults"])
         lines.append(name)
         lines.append(f"  L          : {system.lagrangian.describe()}")
         lines.append(f"  form       : {info['lagrangian']}")
@@ -213,7 +181,10 @@ def _column_name(name: str, path: str) -> str:
     return name
 
 
-def _parse_field(source: str, chart, params: dict, path: str) -> ScalarField:
+def _field(source, chart, params: dict, path: str) -> ScalarField:
+    """The JSON string ``source`` as a field on ``chart``."""
+    if not isinstance(source, str):
+        raise ConfigError(path, f"expected str, got {type(source).__name__}")
     try:
         return ScalarField.from_source(source, chart, params)
     except ValueError as exc:  # a ParseError or an unbound identifier
@@ -250,12 +221,14 @@ def _build_system(cfg: dict):
             raise ConfigError(
                 "$.system.builtin", f"unknown builtin {name!r}; try 'contactmech list-systems'"
             )
+        merged = dict(BUILTINS[name]["defaults"])
+        for key in params:
+            if key not in merged:
+                raise ConfigError(f"$.system.params.{key}", f"unknown parameter; {name} takes {list(merged)}")
         if _expect(params, "n", int, "$.system.params", default=1) < 1:
             raise ConfigError("$.system.params.n", "n must be a positive integer")
-        merged = dict(BUILTINS[name]["defaults"])
         merged.update(params)
-        system = BUILTINS[name]["build"](merged)
-        return "lagrangian", system, merged
+        return "lagrangian", _builtin_system(name, merged), merged
     kind = _expect(sys_cfg, "type", str, "$.system", required=True)
     if kind not in ("lagrangian", "hamiltonian"):
         raise ConfigError("$.system.type", f"expected 'lagrangian' or 'hamiltonian', got {kind!r}")
@@ -264,11 +237,10 @@ def _build_system(cfg: dict):
         raise ConfigError("$.system.n", "n must be a positive integer")
     source = _expect(sys_cfg, "expression", str, "$.system", required=True)
     numeric_params = {k: float(v) for k, v in params.items()}
-    if kind == "lagrangian":
-        field = _parse_field(source, lagrangian_chart(n), numeric_params, "$.system.expression")
-        return kind, LagrangianSystem(n, field), numeric_params
-    field = _parse_field(source, hamiltonian_chart(n), numeric_params, "$.system.expression")
-    return kind, HamiltonianSystem(n, field), numeric_params
+    chart = lagrangian_chart(n) if kind == "lagrangian" else hamiltonian_chart(n)
+    system_type = LagrangianSystem if kind == "lagrangian" else HamiltonianSystem
+    field = _field(source, chart, numeric_params, "$.system.expression")
+    return kind, system_type(n, field), numeric_params
 
 
 def _build_initial_state(cfg, kind: str, n: int) -> np.ndarray | None:
@@ -285,11 +257,9 @@ def _build_initial_state(cfg, kind: str, n: int) -> np.ndarray | None:
 
 
 def _build_candidates(cfg, system, params, kind: str):
-    if kind != "lagrangian":
-        if cfg.get("candidates"):
-            raise ConfigError("$.candidates", "symmetry candidates require a Lagrangian system")
-        return []
     raw = _expect(cfg, "candidates", list, "$", default=[])
+    if raw and kind != "lagrangian":
+        raise ConfigError("$.candidates", "symmetry candidates require a Lagrangian system")
     out = []
     for idx, c in enumerate(raw):
         path = f"$.candidates[{idx}]"
@@ -302,23 +272,18 @@ def _build_candidates(cfg, system, params, kind: str):
         comps = _expect(c, "components", list, path, required=True)
         if len(comps) != system.n:
             raise ConfigError(f"{path}.components", f"expected {system.n} component expressions")
-        try:
-            if ckind == "on_Q":
-                field = VectorFieldQ.from_expressions(system.n, comps, params)
-            elif ckind == "on_QxR":
-                z_src = _expect(c, "z_component", str, path, default="0")
-                field = VectorFieldQR.from_expressions(system.n, comps, z_src, params)
-            else:
-                raise ConfigError(f"{path}.kind", f"expected 'on_Q' or 'on_QxR', got {ckind!r}")
-        except ParseError as exc:
-            raise ConfigError(f"{path}.components", str(exc)) from exc
-        except ValueError as exc:
-            raise ConfigError(path, str(exc)) from exc
+        if ckind not in ("on_Q", "on_QxR"):
+            raise ConfigError(f"{path}.kind", f"expected 'on_Q' or 'on_QxR', got {ckind!r}")
+        chart = position_names(system.n) + (("z",) if ckind == "on_QxR" else ())
+        fields = [_field(s, chart, params, f"{path}.components[{i}]") for i, s in enumerate(comps)]
+        if ckind == "on_Q":
+            field = VectorFieldQ(system.n, fields)
+        else:
+            z_field = _field(c.get("z_component", "0"), ("z",), params, f"{path}.z_component")
+            field = VectorFieldQR(system.n, fields, z_field)
         cartan = None
         if "a" in c or "g" in c:
-            a = _parse_field(str(c.get("a", "0")), system.chart, params, f"{path}.a")
-            g = _parse_field(str(c.get("g", "0")), system.chart, params, f"{path}.g")
-            cartan = (a, g)
+            cartan = tuple(_field(c.get(key, "0"), system.chart, params, f"{path}.{key}") for key in "ag")
         expect = _expect(c, "expect", str, path, default="pass")
         if expect not in ("pass", "fail"):
             raise ConfigError(f"{path}.expect", "expected 'pass' or 'fail'")
@@ -336,23 +301,24 @@ def _build_families(cfg, system, params, kind: str):
         label = _expect(f, "label", str, path, default=f"family{idx}")
         side = _expect(f, "side", str, path, default=kind)
         gens_cfg = _expect(f, "generators", list, path, required=True)
+        lagrangian = side == "lagrangian"
+        chart = position_names(system.n) if lagrangian else system.chart
         gens = []
         for gdx, sources in enumerate(gens_cfg):
             gpath = f"{path}.generators[{gdx}]"
-            if not isinstance(sources, list):
-                raise ConfigError(gpath, "expected a list of component expressions")
-            try:
-                if side == "lagrangian":
-                    gens.append(VectorFieldQ.from_expressions(system.n, sources, params))
-                else:
-                    gens.append(AmbientVectorField.from_sources(sources, system.chart, params))
-            except ValueError as exc:  # a ParseError or a malformed field
-                raise ConfigError(gpath, str(exc)) from exc
+            if not isinstance(sources, list) or len(sources) != len(chart):
+                raise ConfigError(gpath, f"expected a list of {len(chart)} component expressions")
+            fields = [_field(s, chart, params, f"{gpath}[{i}]") for i, s in enumerate(sources)]
+            gens.append(VectorFieldQ(system.n, fields) if lagrangian else AmbientVectorField(fields))
         expect_invariance = _expect(f, "expect_invariance", bool, path, default=True)
         try:
             family = GeneratorFamily(label, side, tuple(gens))
         except ValueError as exc:
             raise ConfigError(path, str(exc)) from exc
+        try:
+            family.ambient_fields(system)
+        except ValueError as exc:  # a lagrangian-side family on a Hamiltonian system
+            raise ConfigError(f"{path}.side", str(exc)) from exc
         out.append((family, expect_invariance))
     return out
 
@@ -401,7 +367,7 @@ def load_scenario(config_path: str, *, seed=None) -> Scenario:
             raise ConfigError(f"{path}.name", f"{mname!r} is already a column of the trajectory")
         columns.add(mname)
         msrc = _expect(m, "expression", str, path, required=True)
-        monitors.append((mname, _parse_field(msrc, system.chart, params, f"{path}.expression")))
+        monitors.append((mname, _field(msrc, system.chart, params, f"{path}.expression")))
 
     checks = {"structure": True, "symmetries": True, "momentum": True, "quotients": True}
     for key, value in _expect(cfg, "checks", dict, "$", default={}).items():

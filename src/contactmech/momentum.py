@@ -23,6 +23,7 @@ from .contact_core import (
     _worst_rows,
     lie_derivative_eta_block,
 )
+from .expr import lagrangian_chart
 from .fields import _rowdot
 from .lifts import CompleteLiftField, VectorFieldQ
 
@@ -70,6 +71,9 @@ class GeneratorFamily:
                         f"generator chart {g.chart} does not match system chart {system.chart}"
                     )
             return list(self.generators)
+        chart = lagrangian_chart(self.generators[0].n)
+        if tuple(system.chart) != chart:
+            raise ValueError(f"a lagrangian-side family needs a Lagrangian system on {chart}, got {system.chart}")
         return [CompleteLiftField(g) for g in self.generators]
 
 

@@ -8,6 +8,7 @@ import pytest
 
 from contactmech.cli import (
     BUILTINS,
+    _builtin_system,
     bundled_scenario_path,
     list_builtins,
     main,
@@ -115,7 +116,7 @@ class TestReportContract:
         from contactmech.integrate import IntegratorConfig, integrate_lagrangian
         from contactmech.lagrangian import TQRPoint
 
-        sys_obj = BUILTINS["free_damped_particle"]["build"]({"n": 1, "gamma": 0.2})
+        sys_obj = _builtin_system("free_damped_particle", {"n": 1, "gamma": 0.2})
         traj = integrate_lagrangian(
             sys_obj, TQRPoint([0.0], [1.0], 0.0), IntegratorConfig(step=0.01, t_final=1.0)
         )
@@ -331,6 +332,49 @@ class TestExitCodes:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ")
 
+    @pytest.mark.parametrize("replacement", [None, 0, "x", [], {}], ids=["null", "zero", "string", "list", "object"])
+    def test_every_leaf_replaced_gives_an_exit_code(self, in_tmp, tmp_path, capsys, replacement):
+        # each leaf of a small valid scenario in turn replaced by a value of another JSON type
+        config = {
+            "name": "sweep",
+            "system": {"builtin": "free_damped_particle", "params": {"n": 1, "gamma": 0.2}},
+            "initial_state": {"q": [0.0], "qd": [1.0], "z": 0.0},
+            "integrator": {"method": "rk4", "step": 0.1, "t_final": 1.0},
+            "monitors": [{"name": "p", "expression": "qd1"}],
+            "candidates": [
+                {"name": "translation", "kind": "on_Q", "components": ["1"]},
+                {"name": "scaling", "kind": "on_QxR", "components": ["q1"], "z_component": "2*z",
+                 "a": "0", "g": "0", "expect": "pass"},
+            ],
+            "generator_families": [
+                {"label": "translations", "side": "lagrangian", "generators": [["1"]], "expect_invariance": True}
+            ],
+            "checks": {"structure": True},
+            "sample": {"count": 5, "box": [-1.0, 1.0], "seed": 7},
+            "output": {"csv": "out/run.csv", "report": "out/report.json"},
+        }
+        assert run_scenario(write_config(tmp_path, config)) == 0
+        capsys.readouterr()
+
+        def leaves(node, path=()):
+            if not isinstance(node, (dict, list)):
+                yield path
+                return
+            for key, child in (node.items() if isinstance(node, dict) else enumerate(node)):
+                yield from leaves(child, (*path, key))
+
+        for path in leaves(config):
+            mutated = json.loads(json.dumps(config))
+            parent = mutated
+            for key in path[:-1]:
+                parent = parent[key]
+            parent[path[-1]] = replacement
+            code = run_scenario(write_config(tmp_path, mutated))
+            err = capsys.readouterr().err.splitlines()
+            assert code in (0, 1, 2), path
+            if code == 2:
+                assert len(err) == 1 and err[0].startswith(("config error: ", "error: ")), (path, err)
+
     def test_non_finite_residual_fails_with_a_note(self, in_tmp, tmp_path):
         # big*big overflows to inf, so H and every residual are NaN
         config = {
@@ -524,6 +568,102 @@ class TestConfigSurface:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("config error: $.candidates[1].name: ")
 
+    @pytest.mark.parametrize(
+        "config, path",
+        [
+            ({"system": {"type": "lagrangian", "n": 1}}, "$.system"),
+            (dict(BASE_CONFIG, monitors=[{"name": "m", "expression": "qd1 +"}]), "$.monitors[0].expression"),
+            ({"system": {"type": "lagrangian", "n": 1, "expression": "0.5*qd1^2 - * z"}}, "$.system.expression"),
+            ({"system": {"type": "newtonian", "n": 1, "expression": "0.5*qd1^2"}}, "$.system.type"),
+            ({"system": {"type": "lagrangian", "n": 0, "expression": "0.5*qd1^2"}}, "$.system.n"),
+            ({"system": {"type": "hamiltonian", "n": 1, "expression": "0.5*p1^2 + 0.1*z"},
+              "candidates": [{"kind": "on_Q", "components": ["1"]}]}, "$.candidates"),
+            ({"system": {"type": "hamiltonian", "n": 1, "expression": "0.5*p1^2 + 0.1*z"},
+              "candidates": 0}, "$.candidates"),
+            (dict(BASE_CONFIG, candidates=["translation"]), "$.candidates[0]"),
+            (dict(BASE_CONFIG, generator_families=[["1"]]), "$.generator_families[0]"),
+            (dict(BASE_CONFIG, monitors=["qd1"]), "$.monitors[0]"),
+            (dict(BASE_CONFIG, candidates=[{"kind": "on_Q", "components": ["1", "0"]}]), "$.candidates[0].components"),
+            (dict(BASE_CONFIG, candidates=[{"kind": "on_R", "components": ["1"]}]), "$.candidates[0].kind"),
+            (dict(BASE_CONFIG, candidates=[{"kind": "on_Q", "components": ["1"], "expect": "maybe"}]),
+             "$.candidates[0].expect"),
+            (dict(BASE_CONFIG, generator_families=[{"generators": ["1"]}]), "$.generator_families[0].generators[0]"),
+            (dict(BASE_CONFIG, generator_families=[{"side": "poisson", "generators": [["1", "0", "0"]]}]),
+             "$.generator_families[0]"),
+            ([BASE_CONFIG], "$"),
+            ({"system": {"builtin": "free_damped_particle"}, "integrator": {"step": 0.1, "t_final": 1.0}},
+             "$.initial_state"),
+        ],
+        ids=["missing_key", "monitor_parse_error", "system_parse_error", "system_type", "system_n",
+             "candidates_on_hamiltonian", "numeric_candidates_on_hamiltonian", "candidate_not_object", "family_not_object", "monitor_not_object",
+             "component_count", "candidate_kind", "candidate_expect", "generator_not_list", "family_side",
+             "top_level_not_object", "integrator_without_initial_state"],
+    )
+    def test_config_error_names_its_path(self, in_tmp, tmp_path, capsys, config, path):
+        assert run_scenario(write_config(tmp_path, config)) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"config error: {path}: ")
+
+    @pytest.mark.parametrize(
+        "candidate, path, message",
+        [
+            ({"components": [1]}, "$.candidates[0].components[0]", "expected str, got int"),
+            ({"components": ["q1 +"]}, "$.candidates[0].components[0]", "offset 4"),
+            ({"z_component": "2*"}, "$.candidates[0].z_component", "offset 2"),
+            ({"z_component": "q1"}, "$.candidates[0].z_component", "unbound identifiers ['q1']"),
+            ({"z_component": 2}, "$.candidates[0].z_component", "expected str, got int"),
+            ({"a": 0}, "$.candidates[0].a", "expected str, got int"),
+            ({"g": None}, "$.candidates[0].g", "expected str, got NoneType"),
+            ({"g": "q1 + p1"}, "$.candidates[0].g", "unbound identifiers ['p1']"),
+        ],
+        ids=["numeric_component", "component_parse_error", "z_parse_error", "z_of_a_position",
+             "numeric_z", "numeric_a", "null_g", "unbound_g"],
+    )
+    def test_expression_error_names_its_entry(self, in_tmp, tmp_path, capsys, candidate, path, message):
+        config = json.loads(json.dumps(BASE_CONFIG))
+        config["candidates"] = [dict(config["candidates"][1], **candidate)]
+        assert run_scenario(write_config(tmp_path, config)) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"config error: {path}: ")
+        assert message in err[0]
+
+    @pytest.mark.parametrize("generators, path", [
+        ([[2]], "$.generator_families[0].generators[0][0]"),
+        ([["1"], ["q1", None]], "$.generator_families[0].generators[1]"),
+        ([["1"], ["qd1"]], "$.generator_families[0].generators[1][0]"),
+    ], ids=["numeric_component", "component_count", "velocity_in_a_field_on_q"])
+    def test_generator_error_names_its_entry(self, in_tmp, tmp_path, capsys, generators, path):
+        config = json.loads(json.dumps(BASE_CONFIG))
+        config["generator_families"][0]["generators"] = generators
+        assert run_scenario(write_config(tmp_path, config)) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"config error: {path}: ")
+
+    @pytest.mark.parametrize("system, path", [
+        ({"builtin": "free_damped_particle", "params": {"omega": 3}}, "$.system.params.omega"),
+        ({"builtin": "central_potential_damped", "params": {"n": 3}}, "$.system.params.n"),
+        ({"builtin": "central_potential_damped", "params": {"n": 2}}, "$.system.params.n"),
+        ({"builtin": "damped_oscillator", "params": {"z": 1.0}}, "$.system.params.z"),
+    ], ids=["omega_of_a_free_particle", "n_3_of_a_planar_builtin", "n_2_of_a_planar_builtin", "z"])
+    def test_undeclared_builtin_parameter_is_a_config_error(self, in_tmp, tmp_path, capsys, system, path):
+        config = {"system": system, "sample": {"count": 5}}
+        assert run_scenario(write_config(tmp_path, config)) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"config error: {path}: unknown parameter")
+
+    @pytest.mark.parametrize("expression", ["0.5*p1^2 + 0.5*q1^2 + 0.1*z", "0.5*p1^2 + 0.1*z"])
+    def test_lagrangian_side_family_on_a_hamiltonian_system_is_a_config_error(
+        self, in_tmp, tmp_path, capsys, expression
+    ):
+        config = {
+            "system": {"type": "hamiltonian", "n": 1, "expression": expression},
+            "generator_families": [{"label": "translations", "side": "lagrangian", "generators": [["1"]]}],
+            "sample": {"count": 5, "seed": 1},
+        }
+        assert run_scenario(write_config(tmp_path, config)) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("config error: $.generator_families[0].side: ")
+
 
 class TestTolScale:
     def test_symmetry_entries_compare_against_the_reported_tolerance(self, in_tmp):
@@ -579,16 +719,16 @@ class TestCatalog:
             if line.startswith("  L          : "):
                 parse(line.removeprefix("  L          : "))
         for name, info in BUILTINS.items():
-            system = info["build"](dict(info["defaults"]))
+            system = _builtin_system(name, info["defaults"])
             parse(system.lagrangian.describe())
 
     def test_every_documented_symmetry_classifies(self):
         for name, info in BUILTINS.items():
             params = dict(info["defaults"])
-            system = info["build"](params)
+            system = _builtin_system(name, params)
             box = (0.25, 1.0) if name == "central_potential_damped" else (-1.0, 1.0)
             points = regular_states(system, np.random.default_rng(13), 30, box)
-            for cand_cfg in info["candidates"](params):
+            for cand_cfg in info["candidates"](system.n):
                 if cand_cfg["kind"] == "on_Q":
                     field = VectorFieldQ.from_expressions(
                         system.n, cand_cfg["components"], params

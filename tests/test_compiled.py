@@ -167,6 +167,9 @@ def test_compiled_matches_oracle_on_random_trees(tree, point, params):
         "2^x + x^2.5 + x^-3 + x^1025 + x^0",
         "a^x * b^y",
         "sqrt(x^2 + y^2) * log(1 + z^2) / (1 + exp(-x))",
+        # an exponent integral where z = 0 only: the run-time integral power there
+        "x^(2 + z^3)",
+        "x^(z^3 - 1)",  # ... negative, so 0 at the origin divides by zero
     ],
 )
 def test_compiled_matches_oracle_on_powers(source):
@@ -356,6 +359,12 @@ def test_blocks_match_the_rows_on_random_trees(tree, block, params):
         ("x*y*y", [[1e-160, 1e-80, 0.0], [1.0, 1.0, 0.0]]),  # a subnormal value in row 1
         # log magnifies a last-bit difference of exp(x*log(0.5)) about 1e6-fold
         ("(0.5^x)^log(x)", [[1e-6, 0.0, 0.0]]),
+        # exponents integral at run time where z = 0: one shared k, then k != 0 rows only
+        ("x^(2 + z^3)", [[0.7, 0.0, 0.0], [-0.8, 0.9, 0.0], [0.0, 0.0, 0.0]]),
+        ("x^(2 + z^3)", [[0.7, 0.0, 1.3], [1.2, -0.4, 0.3]]),
+        ("x^(2 + z^3)", [[0.7, 0.0, 0.0], [0.7, 0.0, 1.3]]),  # both kinds of row: row by row
+        ("x^(z^3 - 1)", [[0.5, 0.0, 0.0], [-0.8, 0.9, 0.0]]),
+        ("x^(z^3 - 1)", [[0.5, 0.0, 0.0], [0.0, 0.0, 0.0]]),  # division by zero in row 2
     ],
 )
 def test_blocks_match_the_rows(source, block):
@@ -378,6 +387,29 @@ def test_underflow_keeps_the_block(source, block, monkeypatch):
     monkeypatch.setattr(ScalarField, "value_at", row)
     field.jets_at(np.array(block))
     field.values_at(np.array(block))
+
+
+def test_run_time_integral_exponent_over_a_block(monkeypatch):
+    field = ScalarField.from_source("x^(z^3 - 1)", CHART)
+    block = np.array([[0.5, 0.0, 0.0], [-0.5, 0.0, 0.0], [0.0, 0.0, 0.0]])
+    for evaluate in (field.jets_at, field.values_at):
+        with pytest.raises(DomainError, match="division by zero") as failure:
+            evaluate(block)
+        assert failure.value.row == 2
+
+    rows = []
+    jet_at = ScalarField.jet_at
+
+    def spy(self, point):
+        rows.append(list(point))
+        return jet_at(self, point)
+
+    monkeypatch.setattr(ScalarField, "jet_at", spy)
+    field = ScalarField.from_source("x^(2 + z^3)", CHART)
+    field.jets_at(np.array([[0.7, 0.0, 0.0], [-0.8, 0.9, 0.0]]))
+    assert rows == []  # one integral exponent for every row keeps the block
+    field.jets_at(np.array([[0.7, 0.0, 0.0], [0.7, 0.0, 1.3]]))
+    assert rows == [[0.7, 0.0, 0.0], [0.7, 0.0, 1.3]]
 
 
 def test_block_code_raises_no_power_itself():

@@ -213,3 +213,19 @@ class TestConstruction:
         fam = GeneratorFamily("wrong", "hamiltonian", (gen,))
         with pytest.raises(ValueError):
             momentum_map_at(fam, sys, np.zeros(3))
+
+    @pytest.mark.parametrize("source", ["0.5*p1^2 + 0.5*q1^2 + 0.1*z", "0.5*p1^2 + 0.1*z"])
+    def test_lagrangian_side_family_needs_a_lagrangian_system(self, source):
+        # (q, p, z) has the dimension of (q, qd, z), but p is no velocity to lift into
+        sys = HamiltonianSystem(1, ScalarField.from_source(source, hamiltonian_chart(1)))
+        fam = GeneratorFamily("translations", "lagrangian", (VectorFieldQ.from_expressions(1, ["1"]),))
+        with pytest.raises(ValueError, match="lagrangian-side family needs a Lagrangian system"):
+            fam.ambient_fields(sys)
+        points = np.random.default_rng(0).uniform(-1.0, 1.0, size=(5, 3))
+        with pytest.raises(ValueError):
+            momentum_dissipation_check(fam, sys, points)
+
+    def test_lagrangian_side_family_needs_its_own_dimension(self):
+        fam = GeneratorFamily("translations", "lagrangian", (VectorFieldQ.from_expressions(1, ["1"]),))
+        with pytest.raises(ValueError):
+            fam.ambient_fields(damped_oscillator(n=2))
