@@ -868,6 +868,7 @@ class FieldWriter:
     def __init__(self, tracer: _JetTracer, jet: _Jet):
         self._tracer = tracer
         self._jet = jet
+        self._lets = {}
 
     def value(self) -> str:
         return self._tracer.ref(self._jet.v)
@@ -908,10 +909,11 @@ class FieldWriter:
         return [self._tracer.fresh() for _ in range(count)]
 
     def let(self, expression: str) -> str:
-        """A new local holding ``expression``."""
-        (name,) = self.names(1)
-        self.line(f"{name} = {expression}")
-        return name
+        """A local holding ``expression``; the same expression reuses its local."""
+        if expression not in self._lets:
+            (self._lets[expression],) = self.names(1)
+            self.line(f"{self._lets[expression]} = {expression}")
+        return self._lets[expression]
 
     def line(self, statement: str) -> None:
         self._tracer.lines.append(f"    {statement}")

@@ -63,16 +63,19 @@ def _sum_of_squares(prefix: str, n: int) -> str:
     return " + ".join(f"{prefix}{i}^2" for i in range(1, n + 1))
 
 
-def _free_damped_particle_candidates(n: int) -> list[dict]:
+def _free_damped_particle_candidates(n: int) -> list[tuple[str, dict]]:
     q = position_names(n)
-    translations = [{"name": f"translation_{name}", "kind": "on_Q",
-                     "components": ["1" if other == name else "0" for other in q]} for name in q]
-    return [*translations, {"name": "scaling", "kind": "on_QxR", "components": list(q), "z_component": "2*z"}]
+    translations = [("infinitesimal", {"name": f"translation_{name}", "kind": "on_Q",
+                                       "components": ["1" if other == name else "0" for other in q]})
+                    for name in q]
+    scaling = {"name": "scaling", "kind": "on_QxR", "components": list(q), "z_component": "2*z"}
+    return [*translations, ("generalized", scaling)]
 
 
 # each builtin is a Lagrangian source and its documented candidates for n
-# degrees of freedom, and the parameters it declares, with their defaults;
-# one without an "n" default is written for n = 2 only
+# degrees of freedom, each a scenario's candidate config with its class, and
+# the parameters it declares, with their defaults; one without an "n"
+# default is written for n = 2 only
 BUILTINS = {
     "free_damped_particle": {
         "source": lambda n: f"0.5*({_sum_of_squares('qd', n)}) - gamma*z",
@@ -80,7 +83,6 @@ BUILTINS = {
         "lagrangian": "0.5*(qd1^2 + ... + qdn^2) - gamma*z",
         "doc": "Free particle with linear-in-z damping; momenta p_i = qd_i decay "
         "like exp(-gamma t) and p_i/E_L is constant.",
-        "symmetries": "translations d/dq_i (infinitesimal); scaling q_i d/dq_i + 2z d/dz (generalized)",
         "candidates": _free_damped_particle_candidates,
     },
     "damped_oscillator": {
@@ -91,10 +93,9 @@ BUILTINS = {
         "lagrangian": "0.5*sum(qd_i^2) - 0.5*omega^2*sum(q_i^2) - gamma*z",
         "doc": "Isotropic damped oscillator; for n=2 the angular momentum "
         "q1*qd2 - q2*qd1 decays like exp(-gamma t).",
-        "symmetries": "rotation -q2 d/dq1 + q1 d/dq2 for n=2 (infinitesimal, Noether with a=g=0, Lie)",
-        "candidates": lambda n: (
-            [{"name": "rotation", "kind": "on_Q", "components": ["-q2", "q1"]}] if n == 2 else []
-        ),
+        "candidates": lambda n: [
+            ("infinitesimal", {"name": "rotation", "kind": "on_Q", "components": ["-q2", "q1"]}),
+        ] if n == 2 else [],
     },
     "central_potential_damped": {
         "source": lambda n: "0.5*(qd1^2 + qd2^2) + k/sqrt(q1^2 + q2^2) - gamma*z",
@@ -102,8 +103,9 @@ BUILTINS = {
         "lagrangian": "0.5*(qd1^2 + qd2^2) + k/sqrt(q1^2 + q2^2) - gamma*z",
         "doc": "Planar Kepler-type attraction with contact damping (keep q away "
         "from the origin).",
-        "symmetries": "rotation -q2 d/dq1 + q1 d/dq2 (infinitesimal)",
-        "candidates": lambda n: [{"name": "rotation", "kind": "on_Q", "components": ["-q2", "q1"]}],
+        "candidates": lambda n: [
+            ("infinitesimal", {"name": "rotation", "kind": "on_Q", "components": ["-q2", "q1"]}),
+        ],
     },
 }
 
@@ -120,7 +122,9 @@ def list_builtins() -> str:
     """Human-readable catalog of the builtin systems.
 
     The L line shows the concrete expression for the default parameters, so
-    it parses as-is; `form` is the general shape for other dimensions.
+    it parses as-is; `form` is the general shape for other dimensions.  Each
+    candidate line gives a documented symmetry's class and its candidate
+    config as JSON, ready to paste into a scenario's ``candidates``.
     """
     lines = []
     for name, info in BUILTINS.items():
@@ -129,7 +133,8 @@ def list_builtins() -> str:
         lines.append(f"  L          : {system.lagrangian.describe()}")
         lines.append(f"  form       : {info['lagrangian']}")
         lines.append(f"  defaults   : {info['defaults']}")
-        lines.append(f"  symmetries : {info['symmetries']}")
+        for cls, candidate in info["candidates"](system.n):
+            lines.append(f"  candidate  : {cls} {json.dumps(candidate)}")
         lines.append(f"  {info['doc']}")
         lines.append("")
     return "\n".join(lines).rstrip() + "\n"
@@ -159,6 +164,13 @@ def _expect(cfg: dict, key: str, kind, path: str, default=None, required=False):
     if not isinstance(value, kind):
         raise ConfigError(f"{path}.{key}", f"expected {kind.__name__}, got {type(value).__name__}")
     return value
+
+
+def _keys(cfg: dict, path: str, allowed: tuple, owner: str) -> None:
+    """Reject a key of ``cfg`` outside ``allowed``, which would otherwise be ignored."""
+    for key in cfg:
+        if key not in allowed:
+            raise ConfigError(f"{path}.{key}", f"unknown key; {owner} takes {list(allowed)}")
 
 
 def _number(value, path: str) -> float:
@@ -216,6 +228,7 @@ def _build_system(cfg: dict):
     for key, value in params.items():
         _number(value, f"$.system.params.{key}")
     if "builtin" in sys_cfg:
+        _keys(sys_cfg, "$.system", ("builtin", "params"), "a builtin system")
         name = _expect(sys_cfg, "builtin", str, "$.system", required=True)
         if name not in BUILTINS:
             raise ConfigError(
@@ -229,6 +242,7 @@ def _build_system(cfg: dict):
             raise ConfigError("$.system.params.n", "n must be a positive integer")
         merged.update(params)
         return "lagrangian", _builtin_system(name, merged), merged
+    _keys(sys_cfg, "$.system", ("type", "n", "expression", "params"), "an inline system")
     kind = _expect(sys_cfg, "type", str, "$.system", required=True)
     if kind not in ("lagrangian", "hamiltonian"):
         raise ConfigError("$.system.type", f"expected 'lagrangian' or 'hamiltonian', got {kind!r}")
@@ -247,8 +261,11 @@ def _build_initial_state(cfg, kind: str, n: int) -> np.ndarray | None:
     state_cfg = _expect(cfg, "initial_state", dict, "$")
     if state_cfg is None:
         return None
-    q = _vector(state_cfg, "q", "$.initial_state")
     fiber_key = "p" if kind == "hamiltonian" else ("qd" if "qd" in state_cfg else "v")
+    if fiber_key == "qd" and "v" in state_cfg:
+        raise ConfigError("$.initial_state.v", "conflicts with qd; give the velocities once")
+    _keys(state_cfg, "$.initial_state", ("q", fiber_key, "z"), f"a {kind} initial_state")
+    q = _vector(state_cfg, "q", "$.initial_state")
     fiber = _vector(state_cfg, fiber_key, "$.initial_state")
     z = _expect(state_cfg, "z", float, "$.initial_state", default=0.0)
     if q.shape != (n,) or fiber.shape != (n,):
@@ -269,11 +286,13 @@ def _build_candidates(cfg, system, params, kind: str):
         if any(earlier.name == name for earlier, _ in out):
             raise ConfigError(f"{path}.name", f"candidate {name!r} is named twice")
         ckind = _expect(c, "kind", str, path, required=True)
+        if ckind not in ("on_Q", "on_QxR"):
+            raise ConfigError(f"{path}.kind", f"expected 'on_Q' or 'on_QxR', got {ckind!r}")
+        z_key = ("z_component",) if ckind == "on_QxR" else ()
+        _keys(c, path, ("name", "kind", "components", *z_key, "a", "g", "expect"), f"an {ckind} candidate")
         comps = _expect(c, "components", list, path, required=True)
         if len(comps) != system.n:
             raise ConfigError(f"{path}.components", f"expected {system.n} component expressions")
-        if ckind not in ("on_Q", "on_QxR"):
-            raise ConfigError(f"{path}.kind", f"expected 'on_Q' or 'on_QxR', got {ckind!r}")
         chart = position_names(system.n) + (("z",) if ckind == "on_QxR" else ())
         fields = [_field(s, chart, params, f"{path}.components[{i}]") for i, s in enumerate(comps)]
         if ckind == "on_Q":
@@ -298,6 +317,7 @@ def _build_families(cfg, system, params, kind: str):
         path = f"$.generator_families[{idx}]"
         if not isinstance(f, dict):
             raise ConfigError(path, "expected an object")
+        _keys(f, path, ("label", "side", "generators", "expect_invariance"), "a generator family")
         label = _expect(f, "label", str, path, default=f"family{idx}")
         side = _expect(f, "side", str, path, default=kind)
         gens_cfg = _expect(f, "generators", list, path, required=True)
@@ -333,6 +353,8 @@ def load_scenario(config_path: str, *, seed=None) -> Scenario:
         raise ConfigError("$", f"invalid JSON: {exc}") from exc
     if not isinstance(cfg, dict):
         raise ConfigError("$", "top-level value must be an object")
+    _keys(cfg, "$", ("name", "system", "initial_state", "integrator", "monitors", "candidates",
+                     "generator_families", "checks", "sample", "output"), "a scenario")
 
     kind, system, params = _build_system(cfg)
     name = _expect(cfg, "name", str, "$", default=os.path.basename(config_path))
@@ -343,6 +365,7 @@ def load_scenario(config_path: str, *, seed=None) -> Scenario:
     if integrator_cfg is not None:
         if initial_state is None:
             raise ConfigError("$.initial_state", "required when an integrator is configured")
+        _keys(integrator_cfg, "$.integrator", ("method", "step", "t_final"), "the integrator")
         step = _expect(integrator_cfg, "step", float, "$.integrator", required=True)
         t_final = _expect(integrator_cfg, "t_final", float, "$.integrator", required=True)
         method = _expect(integrator_cfg, "method", str, "$.integrator", default="rk4")
@@ -362,6 +385,7 @@ def load_scenario(config_path: str, *, seed=None) -> Scenario:
         path = f"$.monitors[{idx}]"
         if not isinstance(m, dict):
             raise ConfigError(path, "expected an object")
+        _keys(m, path, ("name", "expression"), "a monitor")
         mname = _column_name(_expect(m, "name", str, path, required=True), f"{path}.name")
         if mname in columns:
             raise ConfigError(f"{path}.name", f"{mname!r} is already a column of the trajectory")
@@ -378,6 +402,7 @@ def load_scenario(config_path: str, *, seed=None) -> Scenario:
         checks[key] = value
 
     sample = _expect(cfg, "sample", dict, "$", default={})
+    _keys(sample, "$.sample", ("count", "box", "seed"), "the sample")
     count = _expect(sample, "count", int, "$.sample", default=100)
     if count < 1:
         raise ConfigError("$.sample.count", f"expected a positive integer, got {count}")
@@ -392,6 +417,7 @@ def load_scenario(config_path: str, *, seed=None) -> Scenario:
         raise ConfigError("$.sample.seed", f"expected a non-negative integer, got {seed}")
 
     output = _expect(cfg, "output", dict, "$", default={})
+    _keys(output, "$.output", ("csv", "report"), "the output")
     csv_path = _expect(output, "csv", str, "$.output")
     report_path = _expect(output, "report", str, "$.output")
 

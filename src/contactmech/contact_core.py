@@ -51,8 +51,8 @@ from .fields import (
     QuotientQuantity,
     _at_point,
     _Field,
+    _dot_source,
     _one_row,
-    _point_matmul,
     _rowdot,
     _vecmat,
     lie_bracket_value,
@@ -325,16 +325,13 @@ class HamiltonianSystem(DarbouxChart, _System):
 
     def _assemble(self, out) -> list:
         """Write the contact Hamiltonian field from the trace of H, of which it
-        reads the value and gradient only; returns its entries.
-
-        It gives the sums of ``dynamics_block``: p·dH/dp goes through numpy's
-        ``@`` on the two vectors, as ``_rowdot`` sums each row there.
-        """
+        reads the value and gradient only; returns its entries, which equal
+        ``dynamics_block``'s bit for bit."""
         n = self.n
         G = [out.gradient(i) for i in range(2 * n + 1)]
         p = [out.coordinate(n + i) for i in range(n)]
         dp = [out.let(f"-({G[i]} + {p[i]} * {G[2 * n]})") for i in range(n)]
-        dz = out.let(f"{out.bind('_matmul', _point_matmul)}({out.pack(p)}, {out.pack(G[n : 2 * n])}) - {out.value()}")
+        dz = out.let(f"{_dot_source(p, G[n : 2 * n])} - {out.value()}")
         return [*G[n : 2 * n], *dp, dz]
 
     def dynamics(self, u) -> np.ndarray:

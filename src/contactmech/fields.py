@@ -48,19 +48,19 @@ def _one_row(u) -> np.ndarray:
     return u.reshape(1, -1)
 
 
-def _point_matmul(a, b):
-    """a @ b in numpy, for the vectors or matrices of one point, as Python floats."""
-    return (np.array(a) @ np.array(b)).tolist()
-
-
 def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a[k] @ b[k] for every row k, summed as numpy's ``@`` sums the vectors of one point.
+    """The sum over the last axis of ``a * b``, taken left to right.
 
-    A stack of (1, n) @ (n, 1) products over contiguous rows takes the path
-    of the one-point dot product; einsum, or the same stack over strided
-    slices, sums in another order and differs in the last bit.
+    This is the package's one paired dot product: a0*b0 + a1*b1 + ... rounded
+    as CPython rounds it on floats, term by term, with a -0.0 kept.  Emitted
+    code writes the same sum through :func:`_dot_source`.
     """
-    return (np.ascontiguousarray(a)[:, None, :] @ np.ascontiguousarray(b)[:, :, None])[:, 0, 0]
+    return np.add.accumulate(a * b, axis=-1)[..., -1]
+
+
+def _dot_source(a, b) -> str:
+    """The source of :func:`_rowdot` over the sources a and b: ``a0 * b0 + a1 * b1 + ...``."""
+    return " + ".join(f"{x} * {y}" for x, y in zip(a, b))
 
 
 def _vecmat(v: np.ndarray, M: np.ndarray) -> np.ndarray:

@@ -38,7 +38,7 @@ from .contact_core import (
     _System,
 )
 from .expr import ScalarField, lagrangian_chart
-from .fields import _matvec, _point_matmul, _Quantity, _rowdot, _vecmat
+from .fields import _dot_source, _Quantity, _rowdot, _vecmat
 
 __all__ = [
     "RegularityError",
@@ -195,7 +195,7 @@ class LagrangianSystem(_System):
         jets = self.jets(U)
         G, B = jets.gradient, jets.hessian
         V = U[:, n : 2 * n]
-        b = (G[:, :n] + G[:, -1, None] * G[:, n : 2 * n] - _matvec(B[:, n : 2 * n, :n], V)
+        b = (G[:, :n] + G[:, -1, None] * G[:, n : 2 * n] - _rowdot(B[:, n : 2 * n, :n], V[:, None, :])
              - B[:, n : 2 * n, -1] * jets.value[:, None])
         out = np.empty((len(U), self.dim))
         out[:, :n] = V
@@ -208,27 +208,21 @@ class LagrangianSystem(_System):
     def _assemble(self, out) -> list:
         """Write the Herglotz field (v, a, L) from the jet of L; returns its entries.
 
-        The code uses the regularity tolerance of compile time, rounds as
-        numpy does on the arrays of one point, and raises what
-        :meth:`dynamics_block` raises on that row.  b is written term by term
-        in the order of the dense formula, with structural zeros as 0.0, so
-        it rounds as numpy does.  Sums of products stay in numpy, whose BLAS
-        fuses multiply-adds: B_vq v where L couples q and v, and the solve.
+        The code uses the regularity tolerance of compile time and raises
+        what :meth:`dynamics_block` raises on that row.  b is written term by
+        term in the order of the dense formula, B_vq v as ``_rowdot`` sums it,
+        with structural zeros as 0.0, so b has the block's bits; only the
+        solve of a W other than I stays in numpy.
         """
         n = self.n
         value = out.value()
         v = [out.coordinate(n + i) for i in range(n)]
-        b = [f"{out.gradient(i)} + {out.gradient(2 * n)} * {out.gradient(n + i)}" for i in range(n)]
-        if n == 1:
-            b = [f"{b[0]} - {out.hessian(1, 0)} * {v[0]}"]
-        elif any(out.known_hessian(n + i, j) != 0.0 for i in range(n) for j in range(n)):
-            coupling = out.names(n)
-            rows = out.pack(out.pack(out.hessian(n + i, j) for j in range(n)) for i in range(n))
-            out.line(f"{out.pack(coupling)} = {out.bind('_matmul', _point_matmul)}({rows}, {out.pack(v)})")
-            b = [f"{head} - {term}" for head, term in zip(b, coupling)]
-        # else numpy's B_vq v is 0.0 where v is finite; where it is not, b is
-        # not finite either, and the solve gives NaN with or without it
-        b = [out.let(f"{head} - {out.hessian(n + i, 2 * n)} * {value}") for i, head in enumerate(b)]
+        b = [
+            out.let(f"{out.gradient(i)} + {out.gradient(2 * n)} * {out.gradient(n + i)}"
+                    f" - {out.let(_dot_source((out.hessian(n + i, j) for j in range(n)), v))}"
+                    f" - {out.hessian(n + i, 2 * n)} * {value}")
+            for i in range(n)
+        ]
         return [*v, *self._accelerations(out, b), value]
 
     def _accelerations(self, out, b: list) -> list:

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import functools
+import operator
+
 import numpy as np
 
 from contactmech.contact_core import HamiltonianSystem
@@ -91,18 +94,25 @@ def fd_hessian(fn, u, h=4e-5) -> np.ndarray:
 # -- per-point references for the emitted dynamics ------------------------------------
 
 
+def dot(a, b) -> float:
+    """a0*b0 + a1*b1 + ... on Python floats, summed left to right as CPython sums it."""
+    a, b = np.asarray(a, dtype=float).tolist(), np.asarray(b, dtype=float).tolist()
+    return functools.reduce(operator.add, map(operator.mul, a, b))
+
+
 def darboux_field(jet, p, n) -> np.ndarray:
-    """X_H at one point from the jet of H, summed as numpy sums the vectors of one point."""
+    """X_H at one point from the jet of H, with p·dH/dp summed left to right."""
     G = jet.gradient
     out = np.empty(2 * n + 1)
     out[:n] = G[n : 2 * n]
     out[n : 2 * n] = -(G[:n] + p * G[2 * n])
-    out[2 * n] = p @ G[n : 2 * n] - jet.value
+    out[2 * n] = dot(p, G[n : 2 * n]) - jet.value
     return out
 
 
 def herglotz_field(system, u) -> np.ndarray:
-    """The Herglotz field at one point from the jet of L, in numpy on that point.
+    """The Herglotz field at one point from the jet of L, in numpy on that point,
+    with B_vq v summed left to right.
 
     The regularity test is the velocity Hessian's determinant against
     rtol * max(1, largest |entry| ** n); n = 1 divides by the one entry.
@@ -111,17 +121,18 @@ def herglotz_field(system, u) -> np.ndarray:
     jet = system.lagrangian.jet_at(u)
     G, B = jet.gradient, jet.hessian
     W = B[n : 2 * n, n : 2 * n]
+    v = u[n : 2 * n]
+    coupling = np.array([dot(B[n + i, :n], v) for i in range(n)])
+    b = G[:n] + G[-1] * G[n : 2 * n] - coupling - B[n : 2 * n, -1] * jet.value
     out = np.empty(system.dim)
-    out[:n] = u[n : 2 * n]
+    out[:n] = v
     out[-1] = jet.value
     if n == 1:
         w = B[1, 1]
         if abs(w) <= system.regularity_rtol * max(1.0, abs(w)):
             raise RegularityError(f"velocity Hessian {float(w):g} is degenerate")
-        out[1] = (G[0] + G[2] * G[1] - B[1, 0] * u[1] - B[1, 2] * jet.value) / w
+        out[1] = b[0] / w
         return out
-    v = u[n : 2 * n]
-    b = G[:n] + G[-1] * G[n : 2 * n] - B[n : 2 * n, :n] @ v - B[n : 2 * n, -1] * jet.value
     largest = float(np.max(np.abs(W)))
     if abs(np.linalg.det(W)) <= system.regularity_rtol * max(1.0, largest**n):
         raise RegularityError("velocity Hessian is degenerate")

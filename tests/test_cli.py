@@ -15,9 +15,6 @@ from contactmech.cli import (
     run_scenario,
 )
 from contactmech.expr import parse
-from contactmech.sampling import regular_states
-from contactmech.symmetry import SymmetryCandidate, classify
-from contactmech.lifts import VectorFieldQ, VectorFieldQR
 
 
 @pytest.fixture
@@ -281,6 +278,49 @@ class TestExitCodes:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("config error: $.integrator: ")
         assert message in err[0]
+
+    @pytest.mark.parametrize(
+        "edit, path, message",
+        [
+            # a misspelled key in each object
+            (lambda c: c.update(integrater=c.pop("integrator")), "$.integrater", "unknown key"),
+            (lambda c: c.update(candidate=c.pop("candidates")), "$.candidate", "unknown key"),
+            (lambda c: c["system"].update(parms=c["system"].pop("params")), "$.system.parms", "unknown key"),
+            (lambda c: c.update(system={"type": "lagrangian", "n": 1, "expresion": "0.5*qd1^2"}),
+             "$.system.expresion", "unknown key"),
+            (lambda c: c["initial_state"].update(zz=0.0), "$.initial_state.zz", "unknown key"),
+            (lambda c: c["integrator"].update(stepsize=0.1), "$.integrator.stepsize", "unknown key"),
+            (lambda c: c["sample"].update(counts=10), "$.sample.counts", "unknown key"),
+            (lambda c: c["output"].update(cvs="out/x.csv"), "$.output.cvs", "unknown key"),
+            (lambda c: c["monitors"][0].update(expr=c["monitors"][0].pop("expression")),
+             "$.monitors[0].expr", "unknown key"),
+            (lambda c: c["candidates"][1].update(expects="pass"), "$.candidates[1].expects", "unknown key"),
+            (lambda c: c["generator_families"][0].update(labels="x"), "$.generator_families[0].labels",
+             "unknown key"),
+            # keys that conflict with another key, or do not apply
+            (lambda c: c["system"].update(expression="0.5*qd1^2"), "$.system.expression",
+             "unknown key; a builtin system takes ['builtin', 'params']"),
+            (lambda c: c["initial_state"].update(v=[2.0]), "$.initial_state.v", "conflicts with qd"),
+            (lambda c: c["initial_state"].update(p=[2.0]), "$.initial_state.p",
+             "unknown key; a lagrangian initial_state takes ['q', 'qd', 'z']"),
+            (lambda c: c.update(system={"type": "hamiltonian", "n": 1, "expression": "0.5*p1^2 + 0.1*z"},
+                                initial_state={"q": [0.0], "p": [1.0], "qd": [1.0]}, candidates=[],
+                                generator_families=[]),
+             "$.initial_state.qd", "unknown key; a hamiltonian initial_state takes ['q', 'p', 'z']"),
+            (lambda c: c["candidates"][0].update(z_component="2*z"), "$.candidates[0].z_component",
+             "unknown key; an on_Q candidate takes"),
+        ],
+        ids=["top_integrator", "top_candidates", "system_params", "inline_system", "initial_state",
+             "integrator", "sample", "output", "monitor", "candidate", "family", "builtin_and_expression",
+             "qd_and_v", "p_in_lagrangian_state", "qd_in_hamiltonian_state", "z_component_on_Q"],
+    )
+    def test_unknown_or_conflicting_key_is_a_config_error(self, in_tmp, tmp_path, capsys, edit, path, message):
+        config = json.loads(json.dumps(BASE_CONFIG))
+        edit(config)
+        assert run_scenario(write_config(tmp_path, config)) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"config error: {path}: {message}"), err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
         "change",
@@ -722,21 +762,24 @@ class TestCatalog:
             system = _builtin_system(name, info["defaults"])
             parse(system.lagrangian.describe())
 
-    def test_every_documented_symmetry_classifies(self):
-        for name, info in BUILTINS.items():
-            params = dict(info["defaults"])
-            system = _builtin_system(name, params)
-            box = (0.25, 1.0) if name == "central_potential_damped" else (-1.0, 1.0)
-            points = regular_states(system, np.random.default_rng(13), 30, box)
-            for cand_cfg in info["candidates"](system.n):
-                if cand_cfg["kind"] == "on_Q":
-                    field = VectorFieldQ.from_expressions(
-                        system.n, cand_cfg["components"], params
-                    )
-                else:
-                    field = VectorFieldQR.from_expressions(
-                        system.n, cand_cfg["components"], cand_cfg["z_component"], params
-                    )
-                candidate = SymmetryCandidate(cand_cfg["name"], cand_cfg["kind"], field)
-                report = classify(system, candidate, points)
-                assert report.classification is not None, (name, cand_cfg["name"])
+    def test_every_documented_symmetry_classifies(self, in_tmp, tmp_path):
+        # each candidate line of list-systems, pasted into a scenario of its builtin
+        documented = {}
+        for line in list_builtins().splitlines():
+            if line and not line.startswith(" "):
+                name = line
+            elif line.startswith("  candidate  : "):
+                cls, config = line.removeprefix("  candidate  : ").split(" ", 1)
+                documented.setdefault(name, []).append((cls, json.loads(config)))
+        assert documented.keys() == BUILTINS.keys()
+        for name, candidates in documented.items():
+            info = BUILTINS[name]
+            assert candidates == info["candidates"](_builtin_system(name, info["defaults"]).n)
+            box = [0.25, 1.0] if name == "central_potential_damped" else [-1.0, 1.0]
+            config = {"system": {"builtin": name}, "candidates": [c for _, c in candidates],
+                      "checks": {"structure": False}, "sample": {"count": 30, "box": box, "seed": 13},
+                      "output": {"report": "report.json"}}
+            assert run_scenario(write_config(tmp_path, config)) == 0, name
+            report = json.loads((tmp_path / "report.json").read_text())
+            got = [doc["classification"] for doc in report["candidates"]]
+            assert got == [cls for cls, _ in candidates], name
