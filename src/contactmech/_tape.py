@@ -20,7 +20,9 @@ then evaluates it row by row, so its errors are the rows' errors too.
 
 :func:`compile_field` emits a vector field from the same jet trace: a
 caller's assembler writes the field's entries from the symbolic jet, and
-only the lines those entries need are kept.
+only the lines those entries need are kept.  :func:`compile_stepper` writes
+those lines into a fixed-step RK4 or Euler loop, once per stage, so the
+integration runs in one function on locals.
 
 Tracing runs the operations over *symbolic* scalars: a Python float when the
 number is known at compile time (literals, parameters and every subtree
@@ -39,7 +41,9 @@ No text of the expression reaches the generated source.  Chart variables
 become ``x0, x1, ...``; every number is bound by name (``k0, k1, ...``) in
 the function's namespace; the other names are the locals ``t0, t1, ...``,
 the math functions and the ``_fail_*`` helpers that raise
-:class:`~contactmech.ad.DomainError`.
+:class:`~contactmech.ad.DomainError`.  A stepper adds the state ``y0, y1,
+...`` and the stage derivatives ``d1_0, ...`` as locals, and copies every
+bound name into a local once per call.
 """
 
 from __future__ import annotations
@@ -55,7 +59,7 @@ from .ad import DomainError, Jet2, JetBlock
 from .expr import Binary, Call, Num, Unary, Var
 
 __all__ = ["BlockFallback", "FieldWriter", "compile_value", "compile_jet", "compile_values", "compile_jets",
-           "compile_field"]
+           "compile_field", "compile_stepper"]
 
 # integral exponents up to this size are taken by repeated multiplication
 # (exact for negative bases); larger ones go through exp(e*log(a)), which
@@ -949,19 +953,94 @@ def _live(lines: list, results) -> list:
     return [line for statement in reversed(kept) for line in statement]
 
 
+def _assembled(tree, chart, parameters: dict, assemble):
+    """The tracer holding a field's live lines, and the source names of its
+    entries (None when every run raises)."""
+    tracer = _JetTracer(chart, parameters)
+    result = _trace(tracer, tree)
+    if result is None:
+        return tracer, None
+    if not isinstance(result, _Jet):
+        result = _Jet(result, {}, {})
+    entries = assemble(FieldWriter(tracer, result))
+    tracer.lines = _live(tracer.lines, entries)
+    return tracer, entries
+
+
 def compile_field(tree, chart, parameters: dict, assemble):
     """``f(x) -> tuple``: a vector field assembled from the tree's jet at x.
 
     ``assemble(writer)`` writes the field through a :class:`FieldWriter` and
     returns the source names of its entries.  The arithmetic of jet entries
-    that the field does not read is dropped (see :func:`_live`).
+    that the field does not read is dropped (see :func:`_live`).  The
+    integrator does not call it: :func:`compile_stepper` writes the same
+    lines into its loop.
     """
-    tracer = _JetTracer(chart, parameters)
-    result = _trace(tracer, tree)
-    if result is None:
-        return tracer.function("")
-    if not isinstance(result, _Jet):
-        result = _Jet(result, {}, {})
-    entries = assemble(FieldWriter(tracer, result))
-    tracer.lines = _live(tracer.lines, entries)
-    return tracer.function(f"return {', '.join(entries)},")
+    tracer, entries = _assembled(tree, chart, parameters, assemble)
+    return tracer.function("" if entries is None else f"return {', '.join(entries)},")
+
+
+# the stages after the first: the factor of the previous stage's derivative in
+# the next stage's input
+_STAGES = {"rk4": ("half", "half", "h"), "euler": ()}
+_INPUT = re.compile(r"\bx(\d+)\b")
+
+
+def compile_stepper(tree, chart, parameters: dict, assemble, method: str):
+    """``run(u, steps, states, h) -> (k, stop)``: ``steps`` fixed steps of size h
+    of the field of :func:`compile_field` from the state u, by ``"rk4"`` or
+    ``"euler"``, each new state written to row k + 1 of ``states``, a
+    C-contiguous float array.
+
+    The loop and the field are one function: one local per coordinate, and
+    the field's lines written out at every stage with each derivative in
+    locals.  Stages and updates are the sums of the array form, in its order:
+    ``y + half * d`` at a stage, ``y + sixth * (d1 + 2.0 * d2 + 2.0 * d3 + d4)``
+    for RK4 and ``y + h * d`` for Euler.  ``k`` is the number of steps taken
+    and ``stop`` is None, or what ended step k + 1: the ArithmeticError a stage
+    raised, or the new state as a tuple when not all of it is finite.
+    """
+    tracer, entries = _assembled(tree, chart, parameters, assemble)
+    m = len(tracer.inputs)
+    x, y = list(tracer.inputs.values()), [f"y{i}" for i in range(m)]
+    # the first stage reads the state itself; each later one reads x = y + c * d
+    loop = [_INPUT.sub(r"y\1", line) for line in tracer.lines]
+    if entries is not None:
+        derivatives = []  # the locals of each earlier stage's derivative
+        current = [_INPUT.sub(r"y\1", entry) for entry in entries]
+        for number, factor in enumerate(_STAGES[method], start=1):
+            d = [f"d{number}_{i}" for i in range(m)]
+            loop += [f"    {a} = {b}" for a, b in zip(d, current)]
+            loop += [f"    {a} = {b} + {factor} * {c}" for a, b, c in zip(x, y, d)]
+            loop += tracer.lines
+            derivatives.append(d)
+            current = entries
+        if method == "rk4":
+            loop += [f"    {a} = {a} + sixth * ({d1} + 2.0 * {d2} + 2.0 * {d3} + {d4})"
+                     for a, d1, d2, d3, d4 in zip(y, *derivatives, current)]
+        else:
+            loop += [f"    {a} = {a} + h * {d}" for a, d in zip(y, current)]
+        loop += [f"    if not ({' and '.join(f'isfinite({a})' for a in y)}):",
+                 f"        return k, ({', '.join(y)},)",
+                 f"    j = (k + 1) * {m}",
+                 *(f"    out[j + {i}] = {a}" for i, a in enumerate(y))]
+    namespace = tracer.namespace
+    namespace.update(range=range, memoryview=memoryview, isfinite=math.isfinite, ArithmeticError=ArithmeticError)
+    bound = [name for name in namespace if name != "__builtins__"]
+    namespace["_bound"] = tuple(namespace[name] for name in bound)
+    source = "\n".join([
+        "def run(u, steps, states, h):",
+        f"    {', '.join(bound)}, = _bound",  # every name the loop reads is a local
+        f"    {', '.join(y)}, = u",
+        "    half, sixth = 0.5 * h, h / 6.0",
+        "    out = memoryview(states).cast('B').cast('d')",
+        "    try:",
+        "        for k in range(steps):",
+        *("        " + line for line in loop),
+        "    except ArithmeticError as exc:",
+        "        return k, exc",
+        "    return steps, None",
+        "",
+    ])
+    exec(compile(source, "<contactmech compiled stepper>", "exec"), namespace)
+    return namespace.pop("run")

@@ -648,10 +648,11 @@ def _atomic_write(path: str, text: str) -> None:
 def write_csv(path: str, traj: Trajectory) -> None:
     """Trajectory CSV: t, chart coordinates, then monitor columns (17 digits)."""
     columns = ["t", *traj.chart, *traj.monitors.keys()]
+    data = [traj.times, *traj.states.T, *traj.monitors.values()]
+    row = ",".join(["%.17g"] * len(data))
     rows = [",".join(columns)]
-    data = [traj.times, *traj.states.T, *(traj.monitors[k] for k in traj.monitors)]
-    for k in range(len(traj)):
-        rows.append(",".join(f"{col[k]:.17g}" for col in data))
+    for start in range(0, len(traj), 256):  # 256 rows at a time, so few Python floats are alive at once
+        rows += [row % values for values in zip(*(column[start : start + 256].tolist() for column in data))]
     _atomic_write(path, "\n".join(rows) + "\n")
 
 

@@ -15,8 +15,10 @@ verbatim to the Lagrangian chart of :mod:`contactmech.lagrangian`.
 Checks run over blocks of sample points: systems, vector fields and
 quantities have ``*_block`` methods that take an (N, dim) array and return
 one row per point, and the per-point methods used only by checks and tests
-are one-row adapters over them.  The integrator steps through each system's
-``dynamics_code``, its vector field emitted from the trace of H or L.
+are one-row adapters over them.  The integrator runs each system's
+``stepper``, its RK4 or Euler loop emitted with the vector field from the
+trace of H or L; ``dynamics_code`` is that field alone, for the per-point
+``dynamics``.
 
 One block kernel, ``_dissipation_rows(system, f, U)`` = |X_H(f) + R(H) f| per
 row, is zero where f dissipates at the energy's rate.  L_{X_H} eta = -R(H) eta
@@ -32,8 +34,8 @@ points would raise at the first failing point, and a row that only
 overflows gets the inf or NaN of float arithmetic.  Residuals reduce with
 one NaN-propagating max over axis 0.
 
-The Darboux chart and both systems share their per-point adapters, ``jets``
-and ``dynamics_code`` through :class:`_Chart` and :class:`_System`.
+The Darboux chart and both systems share their per-point adapters, ``jets``,
+``dynamics_code`` and ``stepper`` through :class:`_Chart` and :class:`_System`.
 """
 
 from __future__ import annotations
@@ -166,7 +168,14 @@ class OneFormValue(_ChartTriple):
         return self.cp
 
     def pair(self, v: TangentValue) -> float:
-        return float(self.cq @ v.dq + self.cp @ v.dp + self.cz * v.dz)
+        return _pair(self.to_array(), v.to_array())
+
+
+def _pair(a: np.ndarray, b: np.ndarray) -> float:
+    """a·b for two vectors of one length, summed left to right as ``_rowdot`` sums it."""
+    if a.shape != b.shape:
+        raise ValueError(f"cannot pair vectors of shapes {a.shape} and {b.shape}")
+    return float(_rowdot(a, b))
 
 
 def _as_states(points, dim: int) -> np.ndarray:
@@ -232,6 +241,16 @@ class _System(_Chart):
             f = self.field
             self._dynamics_code = _tape.compile_field(f.ast, self.chart, f._param_env, self._assemble)
         return self._dynamics_code
+
+    def stepper(self, method: str):
+        """``run(u, steps, states, h) -> (k, stop)``: the integration loop of
+        ``method`` with this vector field written into it, compiled on first
+        use for each method (see :func:`contactmech._tape.compile_stepper`)."""
+        steppers = self.__dict__.setdefault("_steppers", {})
+        if method not in steppers:
+            f = self.field
+            steppers[method] = _tape.compile_stepper(f.ast, self.chart, f._param_env, self._assemble, method)
+        return steppers[method]
 
 
 # -- the Darboux chart and Hamiltonian systems --------------------------------
@@ -375,7 +394,7 @@ class HamiltonianVectorField(_Field):
 
 
 def eta_pairing(geometry, u, vector: np.ndarray) -> float:
-    return float(geometry.eta(u) @ vector)
+    return _pair(geometry.eta(u), np.asarray(vector, dtype=float))
 
 
 def _flat_rows(geometry, U, V) -> np.ndarray:
@@ -422,7 +441,7 @@ def reeb_at(x: ContactPoint) -> TangentValue:
 
 
 def flat_at(x: ContactPoint, v: TangentValue) -> OneFormValue:
-    eta_v = v.dz - x.p @ v.dq
+    eta_v = v.dz - _pair(x.p, v.dq)
     return OneFormValue(-v.dp - eta_v * x.p, v.dq, eta_v)
 
 
@@ -430,7 +449,7 @@ def flat_inverse_at(x: ContactPoint, alpha: OneFormValue) -> TangentValue:
     """The unique v with flat(v) = alpha (closed-form chart inverse)."""
     dq = alpha.cp
     dp = -(alpha.cq + alpha.cz * x.p)
-    dz = alpha.cz + x.p @ alpha.cp
+    dz = alpha.cz + _pair(x.p, alpha.cp)
     return TangentValue(dq, dp, dz)
 
 
@@ -445,7 +464,7 @@ def jacobi_bracket_at(f: ScalarField, g: ScalarField, x: ContactPoint) -> float:
     u = x.to_array()
     jg = g.jet_at(u)
     xf = HamiltonianVectorField(f).value(u)
-    return float(jg.gradient @ xf + jg.value * f.jet_at(u).gradient[-1])
+    return float(_pair(jg.gradient, xf) + jg.value * f.jet_at(u).gradient[-1])
 
 
 def contact_form_lie_derivative_at(X, x: ContactPoint) -> OneFormValue:

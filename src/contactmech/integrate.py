@@ -5,15 +5,19 @@ dynamics: the Herglotz field (dq = v, W a = b, dz = L) on the Lagrangian
 side, the contact Hamiltonian field on the Darboux side.  Steps are fixed so
 runs are bit-for-bit reproducible.
 
-The steps run on Python floats through the system's emitted
-``dynamics_code``.  CPython rounds every operation and never fuses a
-multiply-add, so the elementwise RK4 sums equal those of numpy arrays.
-Each state is written to one (steps+1, dim) array.  The monitors are
-evaluated after the loop, as one block over the states: each monitor's
-``values_at`` in one kernel of :func:`~contactmech.ad._rows`.
-Failures are reported as a loop would report them that evaluated the
-monitors at each state before taking the next step: the first failing row
-(row-major, monitors in dict order) wins over a later failing step.
+The loop is one call of the system's ``stepper(method)``: a function
+emitted with the vector field written into every stage, that steps on one
+Python float local per coordinate (see
+:func:`contactmech._tape.compile_stepper`).  CPython rounds every operation
+and never fuses a multiply-add, so its stage and update sums equal those of
+numpy arrays.  Each state is written to one (steps+1, dim) array, and the
+stepper returns the step it stopped at with the error or non-finite state
+that stopped it.  The monitors are evaluated after the loop, as one block
+over the states: each monitor's ``values_at`` in one kernel of
+:func:`~contactmech.ad._rows`.  Failures are reported as a loop would report
+them that evaluated the monitors at each state before taking the next step:
+the first failing row (row-major, monitors in dict order) wins over a later
+failing step.
 """
 
 from __future__ import annotations
@@ -116,29 +120,13 @@ def integrate_lagrangian(system, ic, cfg: IntegratorConfig) -> Trajectory:
     states = np.empty((steps + 1, dim))
     states[0] = u0
 
-    rhs = system.dynamics_code()
-    half, sixth = 0.5 * h, h / 6.0
-    u = u0.tolist()
-    failure, cause = None, None  # the first failing step's message and error
-    for k in range(steps):
-        try:
-            # the sums of the array form, element by element and in its order
-            if cfg.method == "rk4":
-                k1 = rhs(u)
-                k2 = rhs([x + half * d for x, d in zip(u, k1)])
-                k3 = rhs([x + half * d for x, d in zip(u, k2)])
-                k4 = rhs([x + h * d for x, d in zip(u, k3)])
-                u = [x + sixth * (d1 + 2.0 * d2 + 2.0 * d3 + d4) for x, d1, d2, d3, d4 in zip(u, k1, k2, k3, k4)]
-            else:
-                u = [x + h * d for x, d in zip(u, rhs(u))]
-        except ArithmeticError as exc:
-            failure, cause = f"dynamics evaluation failed at t={times[k]:g} (step {k + 1}): {exc}", exc
-            break
-        if not all(map(math.isfinite, u)):
-            failure = f"state became non-finite at t={times[k + 1]:g} (step {k + 1}): {np.array(u)}"
-            break
-        states[k + 1] = u
-    count = steps + 1 if failure is None else k + 1  # the states written
+    done, stop = system.stepper(cfg.method)(u0.tolist(), steps, states, h)
+    failure, cause = None, None  # the failing step's message and error
+    if isinstance(stop, ArithmeticError):
+        failure, cause = f"dynamics evaluation failed at t={times[done]:g} (step {done + 1}): {stop}", stop
+    elif stop is not None:
+        failure = f"state became non-finite at t={times[done + 1]:g} (step {done + 1}): {np.array(stop)}"
+    count = done + 1  # the states written
 
     def recorded(upto: int) -> Trajectory:
         """The trajectory of the first ``upto`` states, with their monitor series."""

@@ -80,7 +80,7 @@ class GeneratorFamily:
 def momentum_map_at(fam: GeneratorFamily, system, x) -> np.ndarray:
     """The momentum components (-eta(xi_k))(x), one per generator."""
     fields = fam.ambient_fields(system)
-    return np.array([-float(system.eta(x) @ f.value(x)) for f in fields])
+    return np.array([_minus_eta(system, f).value_at(x) for f in fields])
 
 
 @dataclass(frozen=True)

@@ -148,6 +148,40 @@ def reference_field(system, u) -> np.ndarray:
     return darboux_field(system.hamiltonian.jet_at(u), u[system.n : 2 * system.n], system.n)
 
 
+def reference_states(u0, cfg, rhs):
+    """Fixed-step RK4 or Euler over numpy arrays: (states, stop).
+
+    The run stops at the first step that raises an ArithmeticError or gives
+    a state that is not finite; ``stop`` is that error or state, None when
+    every step was taken.  ``states`` are the states before it.
+    """
+    h = cfg.step
+    u = np.asarray(u0, dtype=float)
+    states = [u]
+    for _ in range(cfg.steps):
+        try:
+            if cfg.method == "rk4":
+                k1 = rhs(u)
+                k2 = rhs(u + (0.5 * h) * k1)
+                k3 = rhs(u + (0.5 * h) * k2)
+                k4 = rhs(u + h * k3)
+                u = u + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            else:
+                u = u + h * rhs(u)
+        except ArithmeticError as exc:
+            return states, exc
+        if not np.all(np.isfinite(u)):
+            return states, u
+        states.append(u)
+    return states, None
+
+
+def _monitors(system, cfg) -> dict:
+    monitors = dict(cfg.monitors)
+    monitors.setdefault(*system.default_monitor())
+    return monitors
+
+
 def reference_integration(system, u0, cfg, rhs):
     """Fixed-step RK4 or Euler over numpy arrays: (states, monitor series, last).
 
@@ -156,25 +190,44 @@ def reference_integration(system, u0, cfg, rhs):
     error.  A non-finite state stops the run and is returned as ``last``,
     which is None otherwise.
     """
-    monitors = dict(cfg.monitors)
-    monitors.setdefault(*system.default_monitor())
-    h = cfg.step
-    u = np.asarray(u0, dtype=float)
-    states = [u]
-    last = None
-    for _ in range(cfg.steps):
-        if cfg.method == "rk4":
-            k1 = rhs(u)
-            k2 = rhs(u + (0.5 * h) * k1)
-            k3 = rhs(u + (0.5 * h) * k2)
-            k4 = rhs(u + h * k3)
-            u = u + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        else:
-            u = u + h * rhs(u)
-        if not np.all(np.isfinite(u)):
-            last = u
-            break
-        states.append(u)
+    states, last = reference_states(u0, cfg, rhs)
+    if isinstance(last, ArithmeticError):
+        raise last
     states = np.array(states)
-    series = {name: quantity.values_at(states) for name, quantity in monitors.items()}
+    series = {name: quantity.values_at(states) for name, quantity in _monitors(system, cfg).items()}
     return states, series, last
+
+
+def reference_outcome(system, u0, cfg, rhs):
+    """What ``integrate_lagrangian`` gives, from :func:`reference_states` and
+    per-point monitors: (states, series, message, cause).
+
+    ``message`` is None for a run that completes.  Otherwise it is the
+    IntegrationError's message, ``cause`` the type of the error that caused
+    it (None for a non-finite state), and states and series are its partial
+    trajectory, None when it has none.  The monitors are evaluated state by
+    state, each in dict order, so the first failing state wins over a later
+    failing step.
+    """
+    monitors = _monitors(system, cfg)
+    times = np.arange(cfg.steps + 1) * cfg.step
+    states, stop = reference_states(u0, cfg, rhs)
+    k = len(states) - 1  # the failing step is k + 1
+    message, cause = None, None
+    if isinstance(stop, ArithmeticError):
+        message, cause = f"dynamics evaluation failed at t={times[k]:g} (step {k + 1}): {stop}", type(stop)
+    elif stop is not None:
+        message = f"state became non-finite at t={times[k + 1]:g} (step {k + 1}): {stop}"
+    for j, u in enumerate(states):
+        try:
+            for quantity in monitors.values():
+                quantity.value_at(u)
+        except ArithmeticError as exc:
+            cause = type(exc)
+            if j == 0:
+                return None, None, f"cannot evaluate at the initial state: {exc}", cause
+            message = f"dynamics evaluation failed at t={times[j - 1]:g} (step {j}): {exc}"
+            states = states[:j]
+            break
+    states = np.array(states)
+    return states, {name: quantity.values_at(states) for name, quantity in monitors.items()}, message, cause

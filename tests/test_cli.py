@@ -13,8 +13,10 @@ from contactmech.cli import (
     list_builtins,
     main,
     run_scenario,
+    write_csv,
 )
 from contactmech.expr import parse
+from contactmech.integrate import Trajectory
 
 
 @pytest.fixture
@@ -783,3 +785,17 @@ class TestCatalog:
             report = json.loads((tmp_path / "report.json").read_text())
             got = [doc["classification"] for doc in report["candidates"]]
             assert got == [cls for cls, _ in candidates], name
+
+
+def test_csv_cells_are_17_significant_digits_of_each_float(tmp_path):
+    # rows in several chunks, with NaN, +-inf, -0.0 and exponents of +-20
+    rng = np.random.default_rng(8)
+    table = rng.normal(size=(2100, 8)) * 10.0 ** rng.integers(-20, 21, size=(2100, 8))
+    for special in (np.nan, np.inf, -np.inf, -0.0, 0.0):
+        table[rng.random(table.shape) < 0.03] = special
+    traj = Trajectory(np.arange(2100) * 0.1, table[:, :5], {"f": table[:, 5], "g": table[:, 6], "h": table[:, 7]},
+                      ("q1", "qd1", "q2", "qd2", "z"))
+    write_csv(str(tmp_path / "out.csv"), traj)
+    data = [traj.times, *table.T]
+    want = ["t,q1,qd1,q2,qd2,z,f,g,h", *(",".join(f"{column[k]:.17g}" for column in data) for k in range(2100))]
+    assert (tmp_path / "out.csv").read_text() == "\n".join(want) + "\n"

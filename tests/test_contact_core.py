@@ -49,7 +49,7 @@ from contactmech.lifts import (
 )
 from contactmech.sampling import regular_states
 
-from helpers import darboux_field, random_hamiltonian, random_lagrangian, random_polynomial_source
+from helpers import darboux_field, dot, random_hamiltonian, random_lagrangian, random_polynomial_source
 
 RNG = np.random.default_rng(2024)
 
@@ -177,6 +177,30 @@ class TestContactForm:
     def test_componentwise(self):
         val = contact_form_at(ContactPoint([0.0, 0.0], [1.0, -1.0], 0.0))
         assert np.array_equal(val.cq, [-1.0, 1.0])
+
+
+def test_per_point_pairings_sum_left_to_right():
+    # numpy's one-point @ may fuse a multiply-add or sum pairwise; these sum as CPython does
+    rng = np.random.default_rng(5)
+    n = 4
+    chart = hamiltonian_chart(n)
+    f = ScalarField.from_source(random_polynomial_source(rng, chart, degree=3, terms=6), chart)
+    g = ScalarField.from_source(random_polynomial_source(rng, chart, degree=3, terms=6), chart)
+    for u, a, b in rng.uniform(-2.0, 2.0, size=(50, 3, 2 * n + 1)):
+        x, v, alpha = ContactPoint.from_array(u), TangentValue.from_array(a), OneFormValue.from_array(b)
+        assert alpha.pair(v) == dot(b, a)
+        assert cc.eta_pairing(DarbouxChart(n), u, a) == dot(DarbouxChart(n).eta(u), a)
+        assert flat_at(x, v).cz == v.dz - dot(x.p, v.dq)
+        assert flat_inverse_at(x, alpha).dz == alpha.cz + dot(x.p, alpha.cp)
+        jg = g.jet_at(u)
+        want = dot(jg.gradient, HamiltonianVectorField(f).value(u)) + jg.value * f.jet_at(u).gradient[-1]
+        assert jacobi_bracket_at(f, g, x) == want
+    # vectors of other lengths are not paired, however numpy would broadcast them
+    x = ContactPoint([0.1], [0.2], 0.0)
+    with pytest.raises(ValueError, match="cannot pair"):
+        flat_inverse_at(x, OneFormValue([1.0, 2.0], [3.0, 4.0], 1.0))
+    with pytest.raises(ValueError, match="cannot pair"):
+        cc.eta_pairing(DarbouxChart(1), x.to_array(), [1.0])
 
 
 class TestReeb:

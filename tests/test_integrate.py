@@ -18,7 +18,7 @@ from contactmech.integrate import (
     integrate_hamiltonian,
     integrate_lagrangian,
 )
-from contactmech.lagrangian import LagrangianSystem, TQRPoint
+from contactmech.lagrangian import LagrangianSystem, RegularityError, TQRPoint
 
 from helpers import (
     damped_oscillator,
@@ -27,6 +27,8 @@ from helpers import (
     dot,
     reference_field,
     reference_integration,
+    reference_outcome,
+    reference_states,
 )
 
 
@@ -345,21 +347,25 @@ def test_rowdot_sums_left_to_right_as_cpython_does(n, rows, batch, strided, spec
     assert np.array_equal(np.signbit(got[number]), np.signbit(want[number]))
 
 
+def _random_system(kind: str, n: int, seed: int, rtol: float):
+    """A system of one of ``_kinds``: a Hamiltonian, or a Lagrangian from :func:`_lagrangian_source`."""
+    rng = np.random.default_rng(seed)
+    if kind == "hamiltonian":
+        chart = hamiltonian_chart(n)
+        source = random_polynomial_source(rng, chart, degree=3, terms=5)
+        source += " + 0.3*sin(z)*p1 + 0.1*exp(q1)*p1 - 0.1*log(1 + q1^2)"
+        return HamiltonianSystem(n, ScalarField.from_source(source, chart))
+    L = ScalarField.from_source(_lagrangian_source(kind, n, rng), lagrangian_chart(n))
+    return LagrangianSystem(n, L, regularity_rtol=rtol)
+
+
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(kind=_kinds, n=st.integers(1, 4), seed=st.integers(0, 2**16), rtol=st.sampled_from([1e-10, 0.05, 2.0]),
        data=st.data())
 def test_emitted_field_matches_the_array_path(kind, n, seed, rtol, data):
     # equal up to the sign of a zero: where W = I the emitted code takes a = b,
     # and LAPACK's solve may turn a -0.0 into 0.0
-    rng = np.random.default_rng(seed)
-    if kind == "hamiltonian":
-        chart = hamiltonian_chart(n)
-        source = random_polynomial_source(rng, chart, degree=3, terms=5)
-        source += " + 0.3*sin(z)*p1 + 0.1*exp(q1)*p1 - 0.1*log(1 + q1^2)"
-        system = HamiltonianSystem(n, ScalarField.from_source(source, chart))
-    else:
-        L = ScalarField.from_source(_lagrangian_source(kind, n, rng), lagrangian_chart(n))
-        system = LagrangianSystem(n, L, regularity_rtol=rtol)
+    system = _random_system(kind, n, seed, rtol)
     u = np.array(data.draw(st.lists(_coordinates, min_size=2 * n + 1, max_size=2 * n + 1)))
     got, error = _outcome(lambda: system.dynamics_code()(u.tolist()))
     block, block_error = _outcome(lambda: system.dynamics_block(u[None])[0])
@@ -463,3 +469,97 @@ def test_block_monitors_match_the_per_point_series():
                 quantity = system.hamiltonian if name == "H" else monitors[name]
                 want = np.array([quantity.value_at(u) for u in traj.states])
             assert series.tobytes() == want.tobytes(), (n, name)
+
+
+# -- the emitted stepper ---------------------------------------------------------------
+
+
+def _integrated(system, u0, cfg):
+    """integrate_lagrangian's (states, series, message, cause) in the form of ``reference_outcome``."""
+    try:
+        traj = integrate_lagrangian(system, u0, cfg)
+    except IntegrationError as exc:
+        cause = None if exc.__cause__ is None else type(exc.__cause__)
+        if exc.partial is None:
+            return None, None, str(exc), cause
+        return exc.partial.states, exc.partial.monitors, str(exc), cause
+    return traj.states, traj.monitors, None, None
+
+
+def _assert_same_outcome(system, u0, cfg, *, exact=True):
+    """The integrator and the array loop agree: states, monitor series, and the
+    message, cause and partial trajectory of a failure.
+
+    With ``exact`` False a zero may differ in sign (see
+    ``test_emitted_field_matches_the_array_path``).
+    """
+    with np.errstate(all="ignore"):
+        got = _integrated(system, u0, cfg)
+        want = reference_outcome(system, u0, cfg, lambda u: reference_field(system, u))
+    same = (lambda a, b: a.tobytes() == b.tobytes()) if exact else _same
+    (states, series, message, cause), (ref_states, ref_series, ref_message, ref_cause) = got, want
+    assert (message, cause) == (ref_message, ref_cause)
+    assert (states is None) == (ref_states is None)
+    if states is not None:
+        assert states.shape == ref_states.shape and same(states, ref_states)
+        assert series.keys() == ref_series.keys()
+        for name in series:
+            assert same(series[name], ref_series[name]), name
+    return got
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(kind=_kinds, n=st.integers(1, 4), seed=st.integers(0, 2**16), rtol=st.sampled_from([1e-10, 0.05]),
+       method=st.sampled_from(["rk4", "euler"]), steps=st.integers(20, 60), step=st.sampled_from([0.01, 0.1, 0.4]),
+       guarded=st.booleans(), special=st.integers(0, 9), data=st.data())
+def test_emitted_stepper_matches_the_array_loop(kind, n, seed, rtol, method, steps, step, guarded, special, data):
+    # the sources of the emitted-field property; large steps run into domain
+    # errors, singular W and overflow, and the log monitor may fail before them
+    system = _random_system(kind, n, seed, rtol)
+    u0 = data.draw(st.lists(st.floats(-2.0, 2.0), min_size=2 * n + 1, max_size=2 * n + 1))
+    if special == 0:  # one coordinate that is zero, huge or not finite
+        u0[data.draw(st.integers(0, 2 * n))] = data.draw(st.sampled_from([0.0, -0.0, 1e160, math.inf, math.nan]))
+    monitors = {"log": ScalarField.from_source("log(1.2 + q1)", system.chart)} if guarded else {}
+    _assert_same_outcome(system, u0, IntegratorConfig(step=step, t_final=steps * step, method=method,
+                                                      monitors=monitors), exact=False)
+
+
+class TestEmittedStepper:
+    def test_identity_w_with_a_non_finite_b_takes_the_solve(self):
+        # b = -4e300 q1^3 overflows at q1 = 1e3, so a = b is not taken
+        system = LagrangianSystem(2, ScalarField.from_source("0.5*(qd1^2 + qd2^2) - 1e300*q1^4 - 0.1*z",
+                                                             lagrangian_chart(2)))
+        for method in ("rk4", "euler"):
+            _, _, message, _ = _assert_same_outcome(system, [1e3, 0.5, 0.0, 0.1, 0.0],
+                                                    IntegratorConfig(step=0.1, t_final=2.0, method=method))
+            assert message.startswith("state became non-finite at t=0.1 (step 1): ")
+
+    def test_constant_degenerate_w_raises_at_the_first_step(self):
+        system = LagrangianSystem(2, ScalarField.from_source("0.5*(qd1 + qd2)^2 - q1^2", lagrangian_chart(2)))
+        for method in ("rk4", "euler"):
+            states, _, message, cause = _assert_same_outcome(system, [0.3, 0.1, 0.2, -0.4, 0.0],
+                                                             IntegratorConfig(step=0.1, t_final=1.0, method=method))
+            assert message == "dynamics evaluation failed at t=0 (step 1): velocity Hessian is degenerate"
+            assert cause is RegularityError and len(states) == 1
+
+    @pytest.mark.parametrize("stage, q0", [(2, 0.26), (3, 0.2813), (4, 0.3)])
+    def test_a_failing_stage_names_its_step(self, stage, q0):
+        # q1 falls through 0, where the guard of sqrt(q1) raises; q0 sets the
+        # stage of step 3 that first reads a negative q1
+        system = LagrangianSystem(1, ScalarField.from_source("0.5*qd1^2 - q1 + 0*sqrt(q1)", lagrangian_chart(1)))
+        cfg = IntegratorConfig(step=0.1, t_final=1.0)
+        calls = []
+        reference_states([q0, -1.0, 0.0], cfg, lambda u: (calls.append(u), reference_field(system, u))[1])
+        assert len(calls) == 8 + stage
+        states, _, message, _ = _assert_same_outcome(system, [q0, -1.0, 0.0], cfg)
+        assert message.startswith("dynamics evaluation failed at t=0.2 (step 3): sqrt of a jet requires")
+        assert len(states) == 3
+
+    def test_a_non_finite_last_coordinate_stops_the_run(self):
+        # H = p^2/2 - z^2 from p = 0: by Euler only z moves, by dz = z^2, until
+        # z*z overflows to inf (z^2 would raise instead)
+        system = HamiltonianSystem(1, ScalarField.from_source("0.5*p1*p1 - z*z", hamiltonian_chart(1)))
+        states, _, message, _ = _assert_same_outcome(system, [0.2, 0.0, 1.0],
+                                                     IntegratorConfig(step=0.5, t_final=20.0, method="euler"))
+        assert message == f"state became non-finite at t={len(states) * 0.5:g} (step {len(states)}): [0.2 0.  inf]"
+        assert np.all(states[:, :2] == [0.2, 0.0]) and np.all(np.isfinite(states))

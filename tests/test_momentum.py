@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from contactmech.contact_core import HamiltonianSystem, check_dynamical_symmetry, dissipation_residual
+from contactmech.contact_core import HamiltonianSystem, _minus_eta, check_dynamical_symmetry, dissipation_residual
 from contactmech.expr import ScalarField, hamiltonian_chart, lagrangian_chart
 from contactmech.fields import AmbientVectorField, EtaPairingQuantity, LinearCombinationQuantity
 from contactmech.lagrangian import LagrangianSystem, TQRPoint
@@ -65,6 +65,18 @@ class TestMomentumMap:
         for u in rng.uniform(-1, 1, size=(10, 5)):
             j = momentum_map_at(fam, sys, u)
             assert j[2] == pytest.approx(a * j[0] + b * j[1], abs=1e-13)
+
+    def test_equals_the_block_momentum_bit_for_bit(self):
+        # the one-row adapter of -eta(X): numpy's one-point @ rounds otherwise
+        sys = damped_oscillator(n=3)
+        fam = GeneratorFamily("lifted", "lagrangian", (
+            VectorFieldQ.from_expressions(3, ["-q2", "q1", "0"]),
+            VectorFieldQ.from_expressions(3, ["0.3*q3", "q1*q2 - 0.7", "-1.1*q1"]),
+        ))
+        U = np.random.default_rng(4).uniform(-2.0, 2.0, size=(500, 7))
+        want = np.column_stack([_minus_eta(sys, f).values_at(U) for f in fam.ambient_fields(sys)])
+        got = np.array([momentum_map_at(fam, sys, u) for u in U])
+        assert got.tobytes() == want.tobytes()
 
     def test_lagrangian_side_matches_vertical_momentum(self):
         sys = damped_oscillator()
