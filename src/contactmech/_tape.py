@@ -42,8 +42,10 @@ become ``x0, x1, ...``; every number is bound by name (``k0, k1, ...``) in
 the function's namespace; the other names are the locals ``t0, t1, ...``,
 the math functions and the ``_fail_*`` helpers that raise
 :class:`~contactmech.ad.DomainError`.  A stepper adds the state ``y0, y1,
-...`` and the stage derivatives ``d1_0, ...`` as locals, and copies every
-bound name into a local once per call.
+...`` and the stage derivatives ``d1_0, ...`` as locals; every stage reads
+its input ``x0, x1, ...``, the first a copy of the state, so an entry that
+names an input never sees the state it updates.  It copies every bound name
+into a local once per call.
 """
 
 from __future__ import annotations
@@ -983,7 +985,6 @@ def compile_field(tree, chart, parameters: dict, assemble):
 # the stages after the first: the factor of the previous stage's derivative in
 # the next stage's input
 _STAGES = {"rk4": ("half", "half", "h"), "euler": ()}
-_INPUT = re.compile(r"\bx(\d+)\b")
 
 
 def compile_stepper(tree, chart, parameters: dict, assemble, method: str):
@@ -992,9 +993,9 @@ def compile_stepper(tree, chart, parameters: dict, assemble, method: str):
     ``"euler"``, each new state written to row k + 1 of ``states``, a
     C-contiguous float array.
 
-    The loop and the field are one function: one local per coordinate, and
-    the field's lines written out at every stage with each derivative in
-    locals.  Stages and updates are the sums of the array form, in its order:
+    The loop and the field are one function: locals for the state (``y``) and
+    for each stage's input (``x``, the field's own names), and the field's
+    lines written out at every stage with each derivative in locals.  Stages and updates are the sums of the array form, in its order:
     ``y + half * d`` at a stage, ``y + sixth * (d1 + 2.0 * d2 + 2.0 * d3 + d4)``
     for RK4 and ``y + h * d`` for Euler.  ``k`` is the number of steps taken
     and ``stop`` is None, or what ended step k + 1: the ArithmeticError a stage
@@ -1003,23 +1004,22 @@ def compile_stepper(tree, chart, parameters: dict, assemble, method: str):
     tracer, entries = _assembled(tree, chart, parameters, assemble)
     m = len(tracer.inputs)
     x, y = list(tracer.inputs.values()), [f"y{i}" for i in range(m)]
-    # the first stage reads the state itself; each later one reads x = y + c * d
-    loop = [_INPUT.sub(r"y\1", line) for line in tracer.lines]
+    # every stage reads its input x, the first x = y: an entry may name an x,
+    # so the update, which writes y, reads the state it replaces
+    loop = [f"    {a} = {b}" for a, b in zip(x, y)] + tracer.lines
     if entries is not None:
         derivatives = []  # the locals of each earlier stage's derivative
-        current = [_INPUT.sub(r"y\1", entry) for entry in entries]
         for number, factor in enumerate(_STAGES[method], start=1):
             d = [f"d{number}_{i}" for i in range(m)]
-            loop += [f"    {a} = {b}" for a, b in zip(d, current)]
+            loop += [f"    {a} = {b}" for a, b in zip(d, entries)]
             loop += [f"    {a} = {b} + {factor} * {c}" for a, b, c in zip(x, y, d)]
             loop += tracer.lines
             derivatives.append(d)
-            current = entries
         if method == "rk4":
             loop += [f"    {a} = {a} + sixth * ({d1} + 2.0 * {d2} + 2.0 * {d3} + {d4})"
-                     for a, d1, d2, d3, d4 in zip(y, *derivatives, current)]
+                     for a, d1, d2, d3, d4 in zip(y, *derivatives, entries)]
         else:
-            loop += [f"    {a} = {a} + h * {d}" for a, d in zip(y, current)]
+            loop += [f"    {a} = {a} + h * {d}" for a, d in zip(y, entries)]
         loop += [f"    if not ({' and '.join(f'isfinite({a})' for a in y)}):",
                  f"        return k, ({', '.join(y)},)",
                  f"    j = (k + 1) * {m}",

@@ -352,7 +352,11 @@ def _random_system(kind: str, n: int, seed: int, rtol: float):
     rng = np.random.default_rng(seed)
     if kind == "hamiltonian":
         chart = hamiltonian_chart(n)
-        source = random_polynomial_source(rng, chart, degree=3, terms=5)
+        if n > 1 and rng.random() < 0.75:  # p_n only in a unit term: dH/dp_n is the coordinate q1 itself
+            others = [name for name in chart if name != f"p{n}"]
+            source = random_polynomial_source(rng, others, degree=3, terms=5) + f" + q1*p{n}"
+        else:
+            source = random_polynomial_source(rng, chart, degree=3, terms=5)
         source += " + 0.3*sin(z)*p1 + 0.1*exp(q1)*p1 - 0.1*log(1 + q1^2)"
         return HamiltonianSystem(n, ScalarField.from_source(source, chart))
     L = ScalarField.from_source(_lagrangian_source(kind, n, rng), lagrangian_chart(n))
@@ -554,6 +558,16 @@ class TestEmittedStepper:
         states, _, message, _ = _assert_same_outcome(system, [q0, -1.0, 0.0], cfg)
         assert message.startswith("dynamics evaluation failed at t=0.2 (step 3): sqrt of a jet requires")
         assert len(states) == 3
+
+    @pytest.mark.parametrize("method", ["rk4", "euler"])
+    @pytest.mark.parametrize("source", ["q1*p2 - q2*p1 + 0.1*z", "0.5*p1^2 + q1*p2"])
+    def test_an_entry_that_is_a_coordinate_reads_the_old_state(self, source, method):
+        # dH/dp2 = q1 (and dH/dp1 = -q2) read the stage input itself; the
+        # update of q2 comes after that of q1 and must not see it
+        system = HamiltonianSystem(2, ScalarField.from_source(source, hamiltonian_chart(2)))
+        states, _, message, _ = _assert_same_outcome(system, [1.0, -0.4, 1.0, 0.8, 0.1],
+                                                     IntegratorConfig(step=0.1, t_final=2.0, method=method))
+        assert message is None and len(states) == 21
 
     def test_a_non_finite_last_coordinate_stops_the_run(self):
         # H = p^2/2 - z^2 from p = 0: by Euler only z moves, by dz = z^2, until
