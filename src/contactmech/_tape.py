@@ -18,11 +18,11 @@ Where some row would raise, the block raises (:class:`BlockFallback` for a
 guard or a branch that the rows do not all take); ``contactmech.ad._rows``
 then evaluates it row by row, so its errors are the rows' errors too.
 
-:func:`compile_field` emits a vector field from the same jet trace: a
-caller's assembler writes the field's entries from the symbolic jet, and
-only the lines those entries need are kept.  :func:`compile_stepper` writes
-those lines into a fixed-step RK4 or Euler loop, once per stage, so the
-integration runs in one function on locals.
+:func:`compile_stepper` emits a vector field from the same jet trace: a
+caller's assembler writes the field's entries from the symbolic jet, only
+the lines those entries need are kept, and they are written into a
+fixed-step RK4 or Euler loop, once per stage, so the integration runs in one
+function on locals.
 
 Tracing runs the operations over *symbolic* scalars: a Python float when the
 number is known at compile time (literals, parameters and every subtree
@@ -61,7 +61,7 @@ from .ad import DomainError, Jet2, JetBlock
 from .expr import Binary, Call, Num, Unary, Var
 
 __all__ = ["BlockFallback", "FieldWriter", "compile_value", "compile_jet", "compile_values", "compile_jets",
-           "compile_field", "compile_stepper"]
+           "compile_stepper"]
 
 # integral exponents up to this size are taken by repeated multiplication
 # (exact for negative bases); larger ones go through exp(e*log(a)), which
@@ -955,33 +955,6 @@ def _live(lines: list, results) -> list:
     return [line for statement in reversed(kept) for line in statement]
 
 
-def _assembled(tree, chart, parameters: dict, assemble):
-    """The tracer holding a field's live lines, and the source names of its
-    entries (None when every run raises)."""
-    tracer = _JetTracer(chart, parameters)
-    result = _trace(tracer, tree)
-    if result is None:
-        return tracer, None
-    if not isinstance(result, _Jet):
-        result = _Jet(result, {}, {})
-    entries = assemble(FieldWriter(tracer, result))
-    tracer.lines = _live(tracer.lines, entries)
-    return tracer, entries
-
-
-def compile_field(tree, chart, parameters: dict, assemble):
-    """``f(x) -> tuple``: a vector field assembled from the tree's jet at x.
-
-    ``assemble(writer)`` writes the field through a :class:`FieldWriter` and
-    returns the source names of its entries.  The arithmetic of jet entries
-    that the field does not read is dropped (see :func:`_live`).  The
-    integrator does not call it: :func:`compile_stepper` writes the same
-    lines into its loop.
-    """
-    tracer, entries = _assembled(tree, chart, parameters, assemble)
-    return tracer.function("" if entries is None else f"return {', '.join(entries)},")
-
-
 # the stages after the first: the factor of the previous stage's derivative in
 # the next stage's input
 _STAGES = {"rk4": ("half", "half", "h"), "euler": ()}
@@ -989,9 +962,13 @@ _STAGES = {"rk4": ("half", "half", "h"), "euler": ()}
 
 def compile_stepper(tree, chart, parameters: dict, assemble, method: str):
     """``run(u, steps, states, h) -> (k, stop)``: ``steps`` fixed steps of size h
-    of the field of :func:`compile_field` from the state u, by ``"rk4"`` or
-    ``"euler"``, each new state written to row k + 1 of ``states``, a
+    from the state u, by ``"rk4"`` or ``"euler"``, of a vector field assembled
+    from the tree's jet, each new state written to row k + 1 of ``states``, a
     C-contiguous float array.
+
+    ``assemble(writer)`` writes the field through a :class:`FieldWriter` and
+    returns the source names of its entries.  The arithmetic of jet entries
+    that the field does not read is dropped (see :func:`_live`).
 
     The loop and the field are one function: locals for the state (``y``) and
     for each stage's input (``x``, the field's own names), and the field's
@@ -1001,7 +978,14 @@ def compile_stepper(tree, chart, parameters: dict, assemble, method: str):
     and ``stop`` is None, or what ended step k + 1: the ArithmeticError a stage
     raised, or the new state as a tuple when not all of it is finite.
     """
-    tracer, entries = _assembled(tree, chart, parameters, assemble)
+    tracer = _JetTracer(chart, parameters)
+    result = _trace(tracer, tree)
+    entries = None  # every run raises
+    if result is not None:
+        if not isinstance(result, _Jet):
+            result = _Jet(result, {}, {})
+        entries = assemble(FieldWriter(tracer, result))
+        tracer.lines = _live(tracer.lines, entries)
     m = len(tracer.inputs)
     x, y = list(tracer.inputs.values()), [f"y{i}" for i in range(m)]
     # every stage reads its input x, the first x = y: an entry may name an x,

@@ -159,9 +159,7 @@ def _expect(cfg: dict, key: str, kind, path: str, default=None, required=False):
     value = cfg[key]
     if kind is float and isinstance(value, (int, float)) and not isinstance(value, bool):
         return float(value)
-    if kind is int and isinstance(value, int) and not isinstance(value, bool):
-        return value
-    if not isinstance(value, kind):
+    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):  # a JSON bool is no int
         raise ConfigError(f"{path}.{key}", f"expected {kind.__name__}, got {type(value).__name__}")
     return value
 

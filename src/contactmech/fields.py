@@ -204,7 +204,7 @@ class VectorFieldSum(_Field):
 
 
 @dataclass(frozen=True)
-class DynamicsVectorField:
+class DynamicsVectorField(_Field):
     """The dynamics vector field of a contact system, as a field object."""
 
     system: object
@@ -219,9 +219,6 @@ class DynamicsVectorField:
     def value_and_jacobian_block(self, U):
         """Only for a system with an exact block Jacobian (the Hamiltonian side)."""
         return self.system.dynamics_and_jacobian_block(U)
-
-    def value(self, u) -> np.ndarray:
-        return self.system.dynamics(u)
 
     def value_and_jacobian(self, u):
         return self.system.dynamics_jacobian(u)

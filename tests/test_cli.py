@@ -635,11 +635,16 @@ class TestConfigSurface:
             ([BASE_CONFIG], "$"),
             ({"system": {"builtin": "free_damped_particle"}, "integrator": {"step": 0.1, "t_final": 1.0}},
              "$.initial_state"),
+            # a JSON bool where an int belongs
+            (dict(BASE_CONFIG, sample={"count": True}), "$.sample.count"),
+            ({"system": {"type": "lagrangian", "n": True, "expression": "0.5*qd1^2"}},
+             "$.system.n"),
+            (dict(BASE_CONFIG, sample={"seed": True}), "$.sample.seed"),
         ],
         ids=["missing_key", "monitor_parse_error", "system_parse_error", "system_type", "system_n",
              "candidates_on_hamiltonian", "numeric_candidates_on_hamiltonian", "candidate_not_object", "family_not_object", "monitor_not_object",
              "component_count", "candidate_kind", "candidate_expect", "generator_not_list", "family_side",
-             "top_level_not_object", "integrator_without_initial_state"],
+             "top_level_not_object", "integrator_without_initial_state", "bool_count", "bool_n", "bool_seed"],
     )
     def test_config_error_names_its_path(self, in_tmp, tmp_path, capsys, config, path):
         assert run_scenario(write_config(tmp_path, config)) == 2

@@ -89,7 +89,7 @@ class TestPerPointAdapters:
 
     CHART = (("eta", "eta_block"), ("eta_jacobian", "eta_jacobian_block"), ("reeb", "reeb_block"))
     SYSTEM = CHART + (("hamiltonian_value_and_gradient", "hamiltonian_value_and_gradient_block"),
-                      ("reeb_rate", "reeb_rate_block"))
+                      ("reeb_rate", "reeb_rate_block"), ("dynamics", "dynamics_block"))
     FIELD = (("value", "value_block"), ("value_and_jacobian", "value_and_jacobian_block"))
     QUANTITY = (("value_at", "values_at"), ("value_and_gradient_at", "value_and_gradient_block"))
     FIELDS = ["ambient", "constant", "sum", "hamiltonian_field", "complete_lift", "vertical_lift"]
@@ -160,9 +160,11 @@ class TestPerPointAdapters:
                     getattr(subject, name)(u)
 
     @pytest.mark.parametrize("which", ["hamiltonian", "lagrangian"])
-    def test_dynamics_code_is_compiled_once(self, which):
+    def test_stepper_is_compiled_once_per_method(self, which):
         system = self.geometry(which)
-        assert system.dynamics_code() is system.dynamics_code()
+        rk4, euler = system.stepper("rk4"), system.stepper("euler")
+        assert rk4 is not euler
+        assert system.stepper("rk4") is rk4 and system.stepper("euler") is euler
 
 
 class TestContactForm:

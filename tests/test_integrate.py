@@ -363,23 +363,53 @@ def _random_system(kind: str, n: int, seed: int, rtol: float):
     return LagrangianSystem(n, L, regularity_rtol=rtol)
 
 
+def _euler_step(system, u):
+    """One Euler step of size 1.0 from u by the system's stepper, in the form of
+    ``_reference_step``: the next state, the non-finite state that stopped
+    it, or the type and message of the error it raised."""
+    states = np.empty((2, system.dim))
+    with np.errstate(all="ignore"):
+        k, stop = system.stepper("euler")(u.tolist(), 1, states, 1.0)
+    if isinstance(stop, ArithmeticError):
+        return "error", (type(stop), str(stop))
+    return ("stop", np.array(stop)) if k == 0 else ("state", states[1])
+
+
+def _reference_step(system, u):
+    """One Euler step of size 1.0 from u by :func:`reference_states` on :func:`reference_field`."""
+    cfg = IntegratorConfig(step=1.0, t_final=1.0, method="euler")
+    with np.errstate(all="ignore"):
+        states, stop = reference_states(u, cfg, lambda x: reference_field(system, x))
+    if isinstance(stop, ArithmeticError):
+        return "error", (type(stop), str(stop))
+    return ("stop", stop) if stop is not None else ("state", states[1])
+
+
+def _same_step(got, want, *, exact=False) -> bool:
+    """The same error, or the same state: bit for bit, or with ``exact`` False
+    up to the sign of a zero (see ``_same``)."""
+    if got[0] != want[0] or got[0] == "error":
+        return got == want
+    return got[1].tobytes() == want[1].tobytes() if exact else _same(got[1], want[1])
+
+
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(kind=_kinds, n=st.integers(1, 4), seed=st.integers(0, 2**16), rtol=st.sampled_from([1e-10, 0.05, 2.0]),
        data=st.data())
 def test_emitted_field_matches_the_array_path(kind, n, seed, rtol, data):
-    # equal up to the sign of a zero: where W = I the emitted code takes a = b,
-    # and LAPACK's solve may turn a -0.0 into 0.0
+    # the field emitted into the stepper, seen through one Euler step of size
+    # 1.0, equal up to the sign of a zero: where W = I the emitted code takes
+    # a = b, and LAPACK's solve may turn a -0.0 into 0.0
     system = _random_system(kind, n, seed, rtol)
     u = np.array(data.draw(st.lists(_coordinates, min_size=2 * n + 1, max_size=2 * n + 1)))
-    got, error = _outcome(lambda: system.dynamics_code()(u.tolist()))
+    assert _same_step(_euler_step(system, u), _reference_step(system, u))
     block, block_error = _outcome(lambda: system.dynamics_block(u[None])[0])
     point, point_error = _outcome(lambda: reference_field(system, u))
-    assert error == block_error == point_error
-    if error is None:
-        assert _same(got, point)
-        assert _same(got, block)
-        with np.errstate(all="ignore"):
-            assert system.dynamics(u).tobytes() == got.tobytes()
+    adapter, adapter_error = _outcome(lambda: system.dynamics(u))
+    assert block_error == point_error == adapter_error
+    if block_error is None:
+        assert _same(block, point)
+        assert adapter.tobytes() == block.tobytes()
 
 
 @pytest.mark.parametrize("kind, n, source", [
@@ -398,12 +428,14 @@ def test_emitted_field_sums_left_to_right(kind, n, source):
     U = np.random.default_rng(1).uniform(-2.0, 2.0, size=(32, 2 * n + 1))
     block = system.dynamics_block(U)
     for u, row in zip(U, block):
-        got = np.array(system.dynamics_code()(u.tolist()))
-        assert got.tobytes() == row.tobytes() == reference_field(system, u).tobytes()
-    if kind == "hamiltonian":  # plain float code: only numbers and the rows' runtime are bound
-        runtime = list(_RUNTIME.values())
-        assert all(type(obj) is float or any(obj is f for f in runtime)
-                   for name, obj in system.dynamics_code().__globals__.items() if name != "__builtins__")
+        step = _euler_step(system, u)
+        assert step[0] == "state" and _same_step(step, _reference_step(system, u), exact=True)
+        assert system.dynamics(u).tobytes() == row.tobytes() == reference_field(system, u).tobytes()
+    if kind == "hamiltonian":  # plain float code: only numbers, the rows' runtime and the loop's own names are bound
+        allowed = [*_RUNTIME.values(), range, memoryview, math.isfinite, ArithmeticError]
+        assert all(type(obj) is float or any(obj is f for f in allowed)
+                   for name, obj in system.stepper("euler").__globals__.items()
+                   if name not in ("__builtins__", "_bound"))
 
 
 @pytest.mark.parametrize("rtol", [1e-10, 0.5, 2.0])
@@ -413,10 +445,11 @@ def test_emitted_regularity_test_of_one_degree_of_freedom(rtol):
                               regularity_rtol=rtol)
     for qd1 in (-1.0, -1.0 + 1e-12, 0.0, 0.2, 1.5, 3.0):
         u = np.array([0.3, qd1, 0.0])
-        got, error = _outcome(lambda: system.dynamics_code()(u.tolist()))
+        step = _euler_step(system, u)
+        assert _same_step(step, _reference_step(system, u), exact=True)
         block, block_error = _outcome(lambda: system.dynamics_block(u[None])[0])
-        assert error == block_error
-        assert error is not None or got.tobytes() == block.tobytes()
+        assert block_error == (step[1] if step[0] == "error" else None)
+        assert block_error is not None or block.tobytes() == reference_field(system, u).tobytes()
 
 
 def _long_trajectory_systems():
