@@ -124,6 +124,8 @@ class _ChartTriple:
     @classmethod
     def from_array(cls, u):
         u = np.asarray(u, dtype=float)
+        if u.ndim == 1 and (u.shape[0] < 3 or u.shape[0] % 2 == 0):
+            raise ValueError(f"a chart record has 2n+1 >= 3 coordinates, got {u.shape[0]}")
         n = (u.shape[0] - 1) // 2
         return cls(u[:n], u[n : 2 * n], u[2 * n])
 
@@ -233,6 +235,9 @@ class _System(_Chart):
 
     def dynamics(self, u) -> np.ndarray:
         return _at_point(self, self.dynamics_block, u)
+
+    def dynamics_jacobian(self, u):
+        return _at_point(self, self.dynamics_and_jacobian_block, u)
 
     def stepper(self, method: str):
         """``run(u, steps, states, h) -> (k, stop)``: the integration loop of
@@ -345,11 +350,9 @@ class HamiltonianSystem(DarbouxChart, _System):
         dz = out.let(f"{_dot_source(p, G[n : 2 * n])} - {out.value()}")
         return [*G[n : 2 * n], *dp, dz]
 
-    # perfbench's tracer wraps this name in this class's own __dict__
+    # perfbench's tracer wraps these names in this class's own __dict__
     dynamics = _System.dynamics
-
-    def dynamics_jacobian(self, u):
-        return _at_point(self, self.dynamics_and_jacobian_block, u)
+    dynamics_jacobian = _System.dynamics_jacobian
 
     def default_monitor(self):
         return "H", self.field

@@ -40,6 +40,7 @@ __all__ = [
     "parse",
     "to_source",
     "free_variables",
+    "derivative",
     "ScalarField",
     "position_names",
     "velocity_names",
@@ -282,6 +283,60 @@ def free_variables(node: Node) -> set[str]:
     if isinstance(node, Call):
         return free_variables(node.arg)
     return free_variables(node.left) | free_variables(node.right)
+
+
+# -- symbolic derivative -----------------------------------------------------
+
+
+def derivative(node: Node, name: str, known: dict) -> Node:
+    """The tree of d(node)/d(name) for a chart variable ``name``; ``known``
+    maps the parameters to their numbers.  Subtrees free of ``name`` are left
+    out, and an exponent of known numbers alone takes the jet's own rule:
+    nothing for e = 0, da for e = 1 and e * a^(e-1) * da otherwise (one that
+    raises, raises here).  Compiled as a :class:`ScalarField`, its jets are
+    derivatives of ``node`` one order up.
+    """
+    return _derivative(node, name, known) or Num(node.span, 0.0)
+
+
+def _times(a, d):  # None is a zero; a factor d = 1 drops, and compiling folds a factor -1
+    return None if a is None or d is None else a if d == Num(d.span, 1.0) else Binary(a.span, "mul", a, d)
+
+
+def _plus(a, b):
+    return a if b is None else b if a is None else Binary(a.span, "add", a, b)
+
+
+def _derivative(node: Node, name: str, known: dict):
+    """d(node)/d(name) as a tree, or None where it is zero."""
+    span, minus = node.span, Num(node.span, -1.0)
+    if isinstance(node, (Num, Var)):
+        return Num(span, 1.0) if node == Var(span, name) else None
+    if isinstance(node, Unary):
+        return _times(minus, _derivative(node.operand, name, known))
+    if isinstance(node, Call):
+        a = node.arg
+        outer = {"sin": Call(span, "cos", a), "cos": Unary(span, "neg", Call(span, "sin", a)), "exp": node,
+                 "log": Binary(span, "div", Num(span, 1.0), a), "sqrt": Binary(span, "div", Num(span, 0.5), node)}
+        return _times(outer[node.func], _derivative(a, name, known))
+    a, b = node.left, node.right
+    da, db = _derivative(a, name, known), _derivative(b, name, known)
+    if node.op in ("add", "sub"):
+        return _plus(da, db if node.op == "add" else _times(minus, db))
+    if node.op == "mul":
+        return _plus(_times(a, db), _times(b, da))
+    if node.op == "div":  # (da - (a/b) db) / b, defined wherever a/b is
+        top = _plus(da, _times(minus, _times(node, db)))
+        return None if top is None else Binary(span, "div", top, b)
+    # a^b: b a^(b-1) da + a^b log(a) db
+    e = ScalarField(b, (), known).value_at(()) if free_variables(b) <= known.keys() else None
+    if e in (0.0, 1.0):
+        power = da if e == 1.0 else None
+    else:
+        exponent, lowered = (b, Binary(span, "sub", b, Num(span, 1.0))) if e is None else (
+            Num(span, e), Num(span, e - 1.0))
+        power = _times(Binary(span, "mul", exponent, Binary(span, "pow", a, lowered)), da)
+    return _plus(power, _times(node, _times(Call(span, "log", a), db)))
 
 
 # -- evaluation --------------------------------------------------------------

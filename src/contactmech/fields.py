@@ -205,7 +205,8 @@ class VectorFieldSum(_Field):
 
 @dataclass(frozen=True)
 class DynamicsVectorField(_Field):
-    """The dynamics vector field of a contact system, as a field object."""
+    """The dynamics vector field of a contact system, as a field object, with
+    the system's exact Jacobian on either side."""
 
     system: object
 
@@ -217,11 +218,7 @@ class DynamicsVectorField(_Field):
         return self.system.dynamics_block(U)
 
     def value_and_jacobian_block(self, U):
-        """Only for a system with an exact block Jacobian (the Hamiltonian side)."""
         return self.system.dynamics_and_jacobian_block(U)
-
-    def value_and_jacobian(self, u):
-        return self.system.dynamics_jacobian(u)
 
 
 def lie_bracket_value(X, Y, u) -> np.ndarray:

@@ -13,7 +13,9 @@ where W is the velocity Hessian of L and
 
 comes from expanding d/dt(dL/dv^i) along a second-order curve with dz/dt = L
 and equating it to the Herglotz right-hand side
-d/dt(dL/dv^i) - dL/dq^i = (dL/dv^i)(dL/dz).
+d/dt(dL/dv^i) - dL/dq^i = (dL/dv^i)(dL/dz).  Its exact Jacobian solves
+W J_a = db - (dW) a, with the third derivatives of L read from the jets of
+the fields dL/dv^i (:func:`contactmech.expr.derivative`), built on first use.
 
 The class shares its chart/system skeleton with
 :class:`contactmech.contact_core.HamiltonianSystem`, so every generic check
@@ -24,6 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -37,7 +40,7 @@ from .contact_core import (
     _ChartTriple,
     _System,
 )
-from .expr import ScalarField, lagrangian_chart
+from .expr import ScalarField, derivative, lagrangian_chart, velocity_names
 from .fields import _dot_source, _Quantity, _rowdot, _vecmat
 
 __all__ = [
@@ -55,10 +58,6 @@ __all__ = [
     "herglotz_residual",
     "legendre_at",
 ]
-
-
-# central-difference step of the acceleration rows of dynamics_jacobian
-JACOBIAN_FD_STEP = 1e-5
 
 
 class RegularityError(ArithmeticError):
@@ -135,17 +134,18 @@ class LagrangianSystem(_System):
         return abs(np.linalg.det(W)) > self._thresholds(np.max(np.abs(W))[None])[0]
 
     def _solve_velocity_hessian_block(self, W: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-        """Solve W[k] x = rhs[k] for each row; the first degenerate row raises."""
+        """Solve W[k] x = rhs[k] for each row, rhs (N, n) or (N, n, m); the first degenerate row raises."""
         threshold = self._thresholds(np.max(np.abs(W), axis=(1, 2)))
+        columns = rhs if rhs.ndim == 3 else rhs[:, :, None]
         if self.n == 1:
             w = W[:, 0, 0]
             degenerate = np.abs(w) <= threshold
             if degenerate.any():
                 _degenerate(float(w[np.argmax(degenerate)]))
-            return rhs / w[:, None]
+            return (columns / w[:, None, None]).reshape(rhs.shape)
         if np.any(np.abs(np.linalg.det(W)) <= threshold):
             raise RegularityError("velocity Hessian is degenerate")
-        return np.linalg.solve(W, rhs[:, :, None])[:, :, 0]
+        return np.linalg.solve(W, columns).reshape(rhs.shape)
 
     # -- chart geometry (contact form of L), over blocks of points -------------
 
@@ -202,6 +202,31 @@ class LagrangianSystem(_System):
         out[:, n : 2 * n] = self._solve_velocity_hessian_block(B[:, n : 2 * n, n : 2 * n], b)
         out[:, -1] = jets.value
         return out
+
+    @cached_property
+    def _momentum_fields(self) -> tuple:
+        """The fields dL/dv_i, built on the first Jacobian: their jets carry L's third derivatives."""
+        f = self.field
+        return tuple(ScalarField(derivative(f.ast, name, f.parameters), f.chart, f.parameters)
+                     for name in velocity_names(self.n))
+
+    def dynamics_and_jacobian_block(self, U):
+        """The Herglotz field and its exact Jacobian at each row: [0 I 0] in the dq
+        rows, dL in the dz row and W J_a = db - (dW) a in the others, one stacked
+        solve, where the third derivatives of L are the Hessians T_i of dL/dv_i."""
+        n, v = self.n, slice(self.n, 2 * self.n)
+        value, jets = self.dynamics_block(U), self.jets(U)
+        G, B = jets.gradient, jets.hessian
+        T = np.stack([p.jets_at(U).hessian for p in self._momentum_fields], axis=1)
+        rhs = (B[:, :n] + B[:, -1, None] * G[:, v, None] + G[:, -1, None, None] * B[:, v]
+               - _rowdot(T[..., :n], U[:, None, None, v]) - B[:, v, -1, None] * G[:, None]
+               - T[..., -1] * jets.value[:, None, None] - _rowdot(T[..., v], value[:, None, None, v]))
+        rhs[:, :, v] -= B[:, v, :n]
+        J = np.zeros((len(U), self.dim, self.dim))
+        J[:, range(n), range(n, 2 * n)] = 1.0
+        J[:, v] = self._solve_velocity_hessian_block(B[:, v, v], rhs)
+        J[:, -1] = G
+        return value, J
 
     # -- the integrator's dynamics: emitted from the trace of L ------------------
 
@@ -267,33 +292,12 @@ class LagrangianSystem(_System):
     def _solve_one(self, W, b) -> list:
         return self._solve_velocity_hessian_block(np.array([W]), np.array([b]))[0].tolist()
 
-    # perfbench's tracer wraps this name in this class's own __dict__
+    # perfbench's tracer wraps these names in this class's own __dict__
     dynamics = _System.dynamics
+    dynamics_jacobian = _System.dynamics_jacobian
 
     def acceleration(self, u) -> np.ndarray:
         return self.dynamics(u)[self.n : 2 * self.n]
-
-    def dynamics_jacobian(self, u):
-        """Value and Jacobian of the Herglotz field.
-
-        The dq and dz rows are exact; the acceleration rows use central
-        finite differences (third derivatives of L are not carried by the
-        jets).  No check uses it; it is the reference for Lie brackets.
-        """
-        n = self.n
-        u = np.asarray(u, dtype=float)
-        value = self.dynamics(u)
-        J = np.zeros((self.dim, self.dim))
-        J[range(n), range(n, 2 * n)] = 1.0
-        step = JACOBIAN_FD_STEP
-        for a in range(self.dim):
-            up = u.copy()
-            um = u.copy()
-            up[a] += step
-            um[a] -= step
-            J[n : 2 * n, a] = (self.acceleration(up) - self.acceleration(um)) / (2 * step)
-        J[-1] = self.jet(u).gradient
-        return value, J
 
     def default_monitor(self):
         return "E_L", EnergyQuantity(self)

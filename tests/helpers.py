@@ -67,6 +67,16 @@ def fd_gradient(fn, u, h=1e-5) -> np.ndarray:
     return out
 
 
+def fd_jacobian(fn, u, h=1e-5) -> np.ndarray:
+    """Central-difference Jacobian of a vector function of a vector: column k is dfn/du_k.
+
+    On a system's ``dynamics`` this is the stencil that the exact Herglotz
+    Jacobian replaced, kept as its oracle.
+    """
+    u = np.asarray(u, dtype=float)
+    return np.column_stack([(fn(u + e) - fn(u - e)) / (2 * h) for e in h * np.eye(u.shape[0])])
+
+
 def fd_hessian(fn, u, h=4e-5) -> np.ndarray:
     """Hessian by cross differences of function values.
 

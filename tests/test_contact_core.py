@@ -82,6 +82,10 @@ class TestChartRecords:
         record = cls.from_array([0.5, -1.0, 2.0, 3.0, 0.25])
         assert record.n == 2
         np.testing.assert_array_equal(record.to_array(), [0.5, -1.0, 2.0, 3.0, 0.25])
+        # a length other than 2n+1 >= 3 would drop coordinates
+        for u in ([1.0, 2.0, 3.0, 4.0], [1.0], []):
+            with pytest.raises(ValueError, match=f"^a chart record has 2n\\+1 >= 3 coordinates, got {len(u)}$"):
+                cls.from_array(u)
 
 
 class TestPerPointAdapters:
@@ -89,7 +93,8 @@ class TestPerPointAdapters:
 
     CHART = (("eta", "eta_block"), ("eta_jacobian", "eta_jacobian_block"), ("reeb", "reeb_block"))
     SYSTEM = CHART + (("hamiltonian_value_and_gradient", "hamiltonian_value_and_gradient_block"),
-                      ("reeb_rate", "reeb_rate_block"), ("dynamics", "dynamics_block"))
+                      ("reeb_rate", "reeb_rate_block"), ("dynamics", "dynamics_block"),
+                      ("dynamics_jacobian", "dynamics_and_jacobian_block"))
     FIELD = (("value", "value_block"), ("value_and_jacobian", "value_and_jacobian_block"))
     QUANTITY = (("value_at", "values_at"), ("value_and_gradient_at", "value_and_gradient_block"))
     FIELDS = ["ambient", "constant", "sum", "hamiltonian_field", "complete_lift", "vertical_lift"]
@@ -110,9 +115,7 @@ class TestPerPointAdapters:
         """An object on a 5-dimensional chart and its (per-point, block) method pairs."""
         if which == "chart":
             return cls.geometry(which), cls.CHART
-        if which == "hamiltonian":
-            return cls.geometry(which), cls.SYSTEM + (("dynamics_jacobian", "dynamics_and_jacobian_block"),)
-        if which == "lagrangian":
+        if which in ("hamiltonian", "lagrangian"):
             return cls.geometry(which), cls.SYSTEM
         H, L = cls.geometry("hamiltonian"), cls.geometry("lagrangian")
         ambient = AmbientVectorField.from_sources(["p1", "q1*q2", "z", "sin(q1)", "p2^2"], H.chart)
@@ -627,8 +630,8 @@ class TestDynamicalSymmetry:
     def test_consistency_with_dissipation_residual(self):
         # the check computes eta([X_H, X]) as the dissipation residual
         # X_H(eta(X)) + R(H) eta(X); compare it with the bracket built from
-        # the dynamics Jacobian: exact (Darboux) on random Hamiltonians, with
-        # finite-difference acceleration rows (Herglotz) on complete lifts
+        # the exact dynamics Jacobian, Darboux on random Hamiltonians and
+        # Herglotz on complete lifts
         rng = np.random.default_rng(83)
         cases = []
         for n in (1, 2):

@@ -1,11 +1,15 @@
-"""Contact Lagrangian structure: energy, contact form, Reeb field, Herglotz dynamics."""
+"""Contact Lagrangian structure: energy, contact form, Reeb field, Herglotz dynamics and its Jacobian."""
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from contactmech import contact_core as cc
+from contactmech.ad import DomainError
 from contactmech.cli import bundled_scenario_path, run_scenario
 from contactmech.expr import ScalarField, lagrangian_chart
+from contactmech.fields import DynamicsVectorField, lie_bracket_value
 from contactmech.integrate import IntegratorConfig, integrate_lagrangian
 from contactmech.lagrangian import (
     LagrangianSystem,
@@ -26,7 +30,7 @@ from contactmech.momentum import GeneratorFamily, momentum_dissipation_check
 from contactmech.sampling import regular_states
 from contactmech.symmetry import SymmetryCandidate, classify
 
-from helpers import damped_oscillator, free_particle, random_lagrangian
+from helpers import damped_oscillator, fd_jacobian, free_particle, random_lagrangian
 
 
 def system_from(source, n=1, **params):
@@ -260,14 +264,104 @@ class TestClosedFormFlow:
         assert np.max(np.abs(traj.monitors["E_L"] - expected)) <= 1e-7
 
 
+class TestConformalDynamics:
+    """The paper's identity L_xi eta_L = a eta_L, with a = dL/dz = -R_L(E_L)."""
+
+    @pytest.mark.parametrize("sys", [
+        random_lagrangian(np.random.default_rng(31), 2),
+        system_from("0.5*qd1^2 + 0.3*z*qd1 - 0.2*sin(z)*qd1^2 - 0.5*q1^2 + 0.1*exp(z)*q1"),
+    ], ids=["random", "z_coupled"])
+    def test_dynamics_is_a_conformal_contactomorphism(self, sys):
+        points = regular_states(sys, np.random.default_rng(37), 20)
+        xi = DynamicsVectorField(sys)
+        result = cc.check_conformal_contactomorphism(xi, points, geometry=sys)
+        assert result.is_conformal
+        rate = sys.jets(points).gradient[:, -1]
+        np.testing.assert_allclose(result.a_values, rate, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(result.a_values, -sys.reeb_rate_block(points), rtol=0, atol=1e-12)
+        assert cc.check_dynamical_symmetry(sys, xi, points).residual <= 1e-12
+
+
+# terms of a Lagrangian over n degrees of freedom, each with a coefficient c:
+# couplings of v to z and q, and the five functions
+_TERMS = [
+    "{c}*z*qd1 + {c}*z^2*qd{n}",
+    "{c}*q1*qd{n} + {c}*q{n}^2*qd1*qd{n}",
+    "{c}*exp(0.5*q{n})*qd1^2",
+    "{c}*log(2 + z^2)*qd{n}^2 - {c}*cos(q1)*z",
+    "{c}*sin(z)*qd1*qd{n}",
+    "{c}*sqrt(2 + qd1^2 + q1^2)",
+    "{c}*qd{n}^3 + {c}*z*q1^2",
+]
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(n=st.integers(1, 3), terms=st.lists(st.tuples(st.sampled_from(_TERMS), st.floats(-0.3, 0.3)),
+                                           min_size=1, max_size=5),
+       seed=st.integers(0, 2**16))
+def test_exact_herglotz_jacobian_matches_the_stencil(n, terms, seed):
+    kinetic = " + ".join(f"qd{i}^2" for i in range(1, n + 1))
+    source = f"0.5*({kinetic})" + "".join(f" + {t.format(c=f'{c:.6f}', n=n)}" for t, c in terms)
+    sys = LagrangianSystem(n, ScalarField.from_source(source, lagrangian_chart(n)))
+    points = regular_states(sys, np.random.default_rng(seed), 4)
+    Y = CompleteLiftField(VectorFieldQR.from_expressions(
+        n, [f"q{i % n + 1}*z - sin(q{i})" for i in range(1, n + 1)], "0.5*z"))
+    xi = DynamicsVectorField(sys)
+    values, jacobians = sys.dynamics_and_jacobian_block(points)
+    for u, value, J in zip(points, values, jacobians):
+        # the rows of the block are the per-point calls, bit for bit
+        point_value, point_J = sys.dynamics_jacobian(u)
+        assert point_value.tobytes() == value.tobytes() and point_J.tobytes() == J.tobytes()
+        # within the stencil's own error: its O(h^2) truncation, about a third
+        # of its change from step 2h to h, and its roundoff
+        stencil = fd_jacobian(sys.dynamics, u)
+        error = np.abs(stencil - fd_jacobian(sys.dynamics, u, h=2e-5)) + 1e-9 * max(1.0, np.max(np.abs(J)))
+        assert np.all(np.abs(J - stencil) <= error)
+        # the whole bracket [xi, Y], acceleration rows included
+        y, y_jac = Y.value_and_jacobian(u)
+        bracket = lie_bracket_value(xi, Y, u)
+        assert np.all(np.abs(bracket - (y_jac @ value - stencil @ y)) <= error @ np.abs(y) + 1e-12)
+
+
+class TestHerglotzJacobian:
+    def test_damped_oscillator_jacobian_is_exact(self):
+        sys = damped_oscillator(n=2, omega=2.0, gamma=0.25)
+        points = np.array([[0.5, -1.0, 0.25, 2.0, 3.0], [0.0, 0.0, 0.0, 0.0, 0.0]])
+        _, jacobians = sys.dynamics_and_jacobian_block(points)
+        for u, J in zip(points, jacobians):
+            q, v = u[:2], u[2:4]
+            want = np.zeros((5, 5))
+            want[[0, 1], [2, 3]] = 1.0
+            want[2:4, :4] = [[-4.0, 0.0, -0.25, 0.0], [0.0, -4.0, 0.0, -0.25]]
+            want[4] = [*(-4.0 * q), *v, -0.25]  # dL
+            np.testing.assert_array_equal(J, want)
+
+    def test_momentum_fields_are_built_on_the_first_jacobian(self):
+        sys = damped_oscillator()
+        sys.dynamics_block(np.zeros((1, 5)))
+        assert "_momentum_fields" not in sys.__dict__
+        sys.dynamics_jacobian(np.zeros(5))
+        assert len(sys.__dict__["_momentum_fields"]) == 2
+
+    def test_a_third_derivative_outside_the_domain_raises_in_its_row(self):
+        # at z = 0 the exponent z^3 is 0, so L = 0.5*qd1^2 + 1 near qd1 = 0, but
+        # dL/dqd1 = qd1 + z^3*qd1^(z^3 - 1) has no jet at qd1 = 0
+        sys = system_from("0.5*qd1^2 + qd1^(z^3)")
+        points = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 0.0]])
+        assert np.all(np.isfinite(sys.dynamics_block(points)))
+        with pytest.raises(DomainError, match="division by zero") as failure:
+            sys.dynamics_and_jacobian_block(points)
+        assert failure.value.row == 1
+
+
 class TestNoFiniteDifferenceJacobian:
     def test_no_check_uses_the_stencil(self, monkeypatch, tmp_path):
-        # every residual of the checks is exact: none may reach the
-        # finite-difference acceleration rows of dynamics_jacobian
-        def stencil(self, u):
-            raise AssertionError("a check used the finite-difference Jacobian")
+        # no check and no CLI run needs the Herglotz Jacobian: a dynamical
+        # symmetry is checked as the dissipation of -eta(X)
+        def jacobian(self, U):
+            raise AssertionError("a check used the Herglotz Jacobian")
 
-        monkeypatch.setattr(LagrangianSystem, "dynamics_jacobian", stencil)
+        monkeypatch.setattr(LagrangianSystem, "dynamics_and_jacobian_block", jacobian)
         sys = damped_oscillator()
         points = regular_states(sys, np.random.default_rng(5), 20)
         zero = ScalarField.from_source("0", sys.chart)
