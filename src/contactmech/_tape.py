@@ -58,16 +58,10 @@ from itertools import repeat
 import numpy as np
 
 from .ad import DomainError, Jet2, JetBlock
-from .expr import Binary, Call, Num, Unary, Var
+from .expr import MAX_INT_POWER, Binary, Call, Num, Unary, Var
 
 __all__ = ["BlockFallback", "FieldWriter", "compile_value", "compile_jet", "compile_values", "compile_jets",
            "compile_stepper"]
-
-# integral exponents up to this size are taken by repeated multiplication
-# (exact for negative bases); larger ones go through exp(e*log(a)), which
-# needs a positive base
-MAX_INT_POWER = 1024
-
 
 def _fail_div(_value):
     raise DomainError("division by zero")
@@ -874,7 +868,6 @@ class FieldWriter:
     def __init__(self, tracer: _JetTracer, jet: _Jet):
         self._tracer = tracer
         self._jet = jet
-        self._lets = {}
 
     def value(self) -> str:
         return self._tracer.ref(self._jet.v)
@@ -915,11 +908,9 @@ class FieldWriter:
         return [self._tracer.fresh() for _ in range(count)]
 
     def let(self, expression: str) -> str:
-        """A local holding ``expression``; the same expression reuses its local."""
-        if expression not in self._lets:
-            (self._lets[expression],) = self.names(1)
-            self.line(f"{self._lets[expression]} = {expression}")
-        return self._lets[expression]
+        """A local holding ``expression``, from the trace's table of right-hand
+        sides: an expression written before, here or by the trace, reuses its local."""
+        return self._tracer.emit("{}", expression)
 
     def line(self, statement: str) -> None:
         self._tracer.lines.append(f"    {statement}")

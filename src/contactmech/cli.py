@@ -28,7 +28,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import symmetry
-from .contact_core import HamiltonianSystem, _flat_rows, _worst_rows, lie_derivative_eta_block
+from .ad import _rows
+from .contact_core import DEFAULT_TOL, HamiltonianSystem, _flat_rows, _worst_rows, lie_derivative_eta_block
 from .expr import ScalarField, hamiltonian_chart, lagrangian_chart, position_names
 from .fields import AmbientVectorField, DynamicsVectorField, _rowdot
 from .integrate import (
@@ -525,6 +526,9 @@ def _candidate_checks(scn: Scenario, states, traj, tol_scale: float):
                 "seed": scn.seed,
             },
         )
+        if traj is not None and report.classification == "noether":
+            # the f_ column is Y^V(L) - Z; a Noether candidate's quantity adds g
+            traj.monitors[f"f_{candidate.name}"] = _rows(report.dissipated.values_at, traj.states)
         if expect == "pass":
             # the report's tolerances already carry tol_scale
             ok = report.classification is not None and (
@@ -554,7 +558,7 @@ def _family_checks(scn: Scenario, states, tol_scale: float):
     entries = []
     docs = []
     for family, expect_invariance in scn.families:
-        diss = momentum_dissipation_check(family, scn.system, states, tol=1e-8 * tol_scale)
+        diss = momentum_dissipation_check(family, scn.system, states, tol=DEFAULT_TOL * tol_scale)
         reeb = reeb_annihilation_check(family, scn.system, states, tol=1e-10 * tol_scale)
         if expect_invariance:
             ok = diss.passed and bool(np.all(reeb.reeb_residuals <= reeb.tolerance))
@@ -682,11 +686,6 @@ def _evaluate(scn: Scenario, tol_scale: float):
             )
         cfg = replace(scn.integrator, monitors=monitors)
         traj = integrate_lagrangian(system, scn.initial_state, cfg)
-        if scn.candidates and scn.checks["quotients"]:
-            energy = traj.monitors["E_L"]
-            with np.errstate(divide="ignore", invalid="ignore"):
-                for candidate, _ in scn.candidates:
-                    traj.monitors[f"quot_{candidate.name}"] = traj.monitors[f"f_{candidate.name}"] / energy
         integration_doc = {
             "method": cfg.method,
             "step": cfg.step,
@@ -702,6 +701,11 @@ def _evaluate(scn: Scenario, tol_scale: float):
     if scn.checks["symmetries"] and scn.candidates:
         centries, candidate_docs = _candidate_checks(scn, states, traj, tol_scale)
         entries.extend(centries)
+    if traj is not None and scn.candidates and scn.checks["quotients"]:
+        energy = traj.monitors["E_L"]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for candidate, _ in scn.candidates:
+                traj.monitors[f"quot_{candidate.name}"] = traj.monitors[f"f_{candidate.name}"] / energy
     if scn.checks["momentum"] and scn.families:
         fentries, family_docs = _family_checks(scn, states, tol_scale)
         entries.extend(fentries)

@@ -19,12 +19,15 @@ are one-row adapters over them, ``dynamics`` among them.  The integrator
 runs each system's ``stepper``, its RK4 or Euler loop emitted with the vector
 field from the trace of H or L, the one place the field is emitted.
 
-One block kernel, ``_dissipation_rows(system, f, U)`` = |X_H(f) + R(H) f| per
-row, is zero where f dissipates at the energy's rate.  L_{X_H} eta = -R(H) eta
-gives eta([X_H, X]) = X_H(eta(X)) + R(H) eta(X), so X is a dynamical
-symmetry where -eta(X) passes the same kernel, with no Jacobian of the
-dynamics.  Every check here and in :mod:`contactmech.momentum` and
-:mod:`contactmech.symmetry` reduces this kernel over its sample points.
+One block kernel, ``_dissipation_rows(system, f, U)``, gives the signed
+Jacobi bracket {H, f} = X_H(f) + R(H) f at each row, zero where f
+dissipates at the energy's rate.  :func:`jacobi_bracket_at` is one row of
+it, on the Hamiltonian f, and every residual check takes its absolute value.
+L_{X_H} eta = -R(H) eta gives eta([X_H, X]) = X_H(eta(X)) + R(H) eta(X), so
+X is a dynamical symmetry where -eta(X) passes the same kernel, with no
+Jacobian of the dynamics.  Every check here and in
+:mod:`contactmech.momentum` and :mod:`contactmech.symmetry` reduces this
+kernel over its sample points.
 
 :func:`_worst_rows` runs a check's kernel through :func:`contactmech.ad._rows`:
 on the whole block with floating-point exceptions raised, and on an error
@@ -453,13 +456,11 @@ def hamiltonian_vector_field_at(sys: HamiltonianSystem, x: ContactPoint) -> Tang
 
 
 def jacobi_bracket_at(f: ScalarField, g: ScalarField, x: ContactPoint) -> float:
-    """{f, g} = X_f(g) + g R(f) on the Darboux chart."""
+    """{f, g} = X_f(g) + g R(f) on the Darboux chart: one row of ``_dissipation_rows``."""
     if f.chart != g.chart:
         raise ValueError("bracket arguments must share one chart")
-    u = x.to_array()
-    jg = g.jet_at(u)
-    xf = HamiltonianVectorField(f).value(u)
-    return float(_pair(jg.gradient, xf) + jg.value * f.jet_at(u).gradient[-1])
+    system = HamiltonianSystem((len(f.chart) - 1) // 2, f)
+    return float(_at_point(system, lambda U: _dissipation_rows(system, g, U), x))
 
 
 def contact_form_lie_derivative_at(X, x: ContactPoint) -> OneFormValue:
@@ -477,15 +478,15 @@ def lie_bracket_at(X, Y, x: ContactPoint) -> TangentValue:
 
 
 def _dissipation_rows(system, f, U) -> np.ndarray:
-    """|X_H(f) + R(H) f| at each row; zero where f dissipates at the energy's rate."""
+    """{H, f} = X_H(f) + R(H) f at each row, signed; zero where f dissipates at the energy's rate."""
     val, grad = f.value_and_gradient_block(U)
-    return np.abs(_rowdot(grad, system.dynamics_block(U)) + system.reeb_rate_block(U) * val)
+    return _rowdot(grad, system.dynamics_block(U)) + system.reeb_rate_block(U) * val
 
 
 def dissipation_residual(system, f, points) -> float:
     """max |X_H(f) + R(H) f| over the sample; zero certifies dissipation."""
     states = _as_states(points, system.dim)
-    return float(_worst_rows(lambda U: _dissipation_rows(system, f, U), states))
+    return float(_worst_rows(lambda U: np.abs(_dissipation_rows(system, f, U)), states))
 
 
 def conserved_quotient(f, h) -> QuotientQuantity:

@@ -62,6 +62,12 @@ class ParseError(ValueError):
         super().__init__(f"{message} at offset {offset}{hint}")
 
 
+# integral exponents up to this size are taken by repeated multiplication
+# (exact for negative bases); larger ones go through exp(e*log(a)), which
+# needs a positive base
+MAX_INT_POWER = 1024
+
+
 # -- abstract syntax ---------------------------------------------------------
 
 
@@ -293,8 +299,9 @@ def derivative(node: Node, name: str, known: dict) -> Node:
     maps the parameters to their numbers.  Subtrees free of ``name`` are left
     out, and an exponent of known numbers alone takes the jet's own rule:
     nothing for e = 0, da for e = 1 and e * a^(e-1) * da otherwise (one that
-    raises, raises here).  Compiled as a :class:`ScalarField`, its jets are
-    derivatives of ``node`` one order up.
+    raises, raises here), with a^(e-1) written a^e / a for e = -``MAX_INT_POWER``.
+    Compiled as a :class:`ScalarField`, its jets are derivatives of ``node``
+    one order up.
     """
     return _derivative(node, name, known) or Num(node.span, 0.0)
 
@@ -335,7 +342,10 @@ def _derivative(node: Node, name: str, known: dict):
     else:
         exponent, lowered = (b, Binary(span, "sub", b, Num(span, 1.0))) if e is None else (
             Num(span, e), Num(span, e - 1.0))
-        power = _times(Binary(span, "mul", exponent, Binary(span, "pow", a, lowered)), da)
+        power = Binary(span, "pow", a, lowered)
+        if e == -MAX_INT_POWER:  # e - 1 leaves the integral powers; a^e / a keeps a^e's domain
+            power = Binary(span, "div", Binary(span, "pow", a, exponent), a)
+        power = _times(Binary(span, "mul", exponent, power), da)
     return _plus(power, _times(node, _times(Call(span, "log", a), db)))
 
 

@@ -222,12 +222,12 @@ class DynamicsVectorField(_Field):
 
 
 def lie_bracket_value(X, Y, u) -> np.ndarray:
-    """[X, Y] at u, componentwise X(Y^k) - Y(X^k)."""
+    """[X, Y] at u, componentwise X(Y^k) - Y(X^k), each pairing summed left to right."""
     if X.chart != Y.chart:
         raise ValueError("lie bracket requires fields on the same chart")
     xval, xjac = X.value_and_jacobian(u)
     yval, yjac = Y.value_and_jacobian(u)
-    return yjac @ xval - xjac @ yval
+    return _rowdot(yjac, xval) - _rowdot(xjac, yval)
 
 
 # -- derived scalar quantities -----------------------------------------------

@@ -68,15 +68,6 @@ def _degenerate(w: float):
     raise RegularityError(f"velocity Hessian {w:g} is degenerate")
 
 
-def _raiser(exc: Exception):
-    """A function that raises a new exception like ``exc``."""
-
-    def fail():
-        raise type(exc)(*exc.args)
-
-    return fail
-
-
 @dataclass(frozen=True)
 class TQRPoint(_ChartTriple):
     """A bundle point (q, v, z) on TQ x R."""
@@ -129,22 +120,26 @@ class LagrangianSystem(_System):
         """
         return self.regularity_rtol * np.fmax(1.0, _pow(largest, self.n))
 
+    def _regularity(self, W: np.ndarray) -> tuple:
+        """(d, degenerate, regular) for each row of W (N, n, n): d is w when n = 1, else
+        |det W|, and |d| is <= or > its ``_thresholds``; a NaN W is neither."""
+        threshold = self._thresholds(np.max(np.abs(W), axis=(1, 2)))
+        d = W[:, 0, 0] if self.n == 1 else np.abs(np.linalg.det(W))
+        return d, np.abs(d) <= threshold, np.abs(d) > threshold
+
     def is_regular(self, u) -> bool:
-        W = self.velocity_hessian(u)
-        return abs(np.linalg.det(W)) > self._thresholds(np.max(np.abs(W))[None])[0]
+        return bool(self._regularity(self.velocity_hessian(u)[None])[2][0])
 
     def _solve_velocity_hessian_block(self, W: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         """Solve W[k] x = rhs[k] for each row, rhs (N, n) or (N, n, m); the first degenerate row raises."""
-        threshold = self._thresholds(np.max(np.abs(W), axis=(1, 2)))
+        d, degenerate, _ = self._regularity(W)
+        if degenerate.any():
+            if self.n == 1:
+                _degenerate(float(d[np.argmax(degenerate)]))
+            raise RegularityError("velocity Hessian is degenerate")
         columns = rhs if rhs.ndim == 3 else rhs[:, :, None]
         if self.n == 1:
-            w = W[:, 0, 0]
-            degenerate = np.abs(w) <= threshold
-            if degenerate.any():
-                _degenerate(float(w[np.argmax(degenerate)]))
-            return (columns / w[:, None, None]).reshape(rhs.shape)
-        if np.any(np.abs(np.linalg.det(W)) <= threshold):
-            raise RegularityError("velocity Hessian is degenerate")
+            return (columns / d[:, None, None]).reshape(rhs.shape)
         return np.linalg.solve(W, columns).reshape(rhs.shape)
 
     # -- chart geometry (contact form of L), over blocks of points -------------
@@ -253,24 +248,19 @@ class LagrangianSystem(_System):
     def _accelerations(self, out, b: list) -> list:
         """Write the solve of W a = b; returns a.
 
-        A W fixed at compile time is checked for regularity there, once; if
-        it is degenerate, the code raises that error after the trace.  W = I
-        gives a = b where every b_i is finite.  LAPACK's substitution gives
-        the same numbers there, though it may turn a -0.0 into 0.0, which
-        reaches no state that does not itself hold a -0.0.
+        The code tests every W but a constant w, or W = I, that ``_regularity``
+        finds regular, so a degenerate constant W raises where a varying one
+        would.  W = I gives a = b where every b_i is finite.  LAPACK's
+        substitution gives the same numbers there, though it may turn a -0.0
+        into 0.0, which reaches no state that does not itself hold a -0.0.
         """
         n = self.n
         known = [[out.known_hessian(n + i, n + j) for j in range(n)] for i in range(n)]
-        constant = not any(entry is None for row in known for entry in row)
-        if constant:
-            try:
-                self._solve_velocity_hessian_block(np.array([known]), np.zeros((1, n)))
-            except (ArithmeticError, np.linalg.LinAlgError) as exc:
-                out.line(f"{out.bind('_singular', _raiser(exc))}()")
-                return b
+        fixed = (n == 1 and known[0][0] is not None) or np.array_equal(known, np.eye(n))
+        fixed = fixed and not self._regularity(np.array([known]))[1][0]
         if n == 1:
             w = out.hessian(1, 1)
-            if not constant:
+            if not fixed:
                 for helper in (abs, max, _degenerate):
                     out.bind(helper.__name__, helper)
                 rtol, one = out.number(self.regularity_rtol), out.number(1.0)
@@ -279,7 +269,7 @@ class LagrangianSystem(_System):
         W = out.pack(out.pack(out.hessian(n + i, n + j) for j in range(n)) for i in range(n))
         solve = f"{out.bind('_solve', self._solve_one)}({W}, {out.pack(b)})"
         a = out.names(n)
-        if constant and np.array_equal(known, np.eye(n)):
+        if fixed:
             low, high = out.number(-math.inf), out.number(math.inf)
             out.line(f"if {' and '.join(f'{low} < {x} < {high}' for x in b)}:")
             out.line(f"    {out.pack(a)} = {out.pack(b)}")

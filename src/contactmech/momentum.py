@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .contact_core import (
+    DEFAULT_TOL,
     _as_states,
     _dissipation_rows,
     _minus_eta,
@@ -102,7 +103,7 @@ class MomentumDissipationCheck:
 
 
 def momentum_dissipation_check(
-    fam: GeneratorFamily, system, points, *, tol: float = 1e-8
+    fam: GeneratorFamily, system, points, *, tol: float = DEFAULT_TOL
 ) -> MomentumDissipationCheck:
     """Check that each momentum component dissipates at the Hamiltonian's rate.
 
@@ -115,7 +116,7 @@ def momentum_dissipation_check(
     def kernel(f, U):
         _, h_grad = system.hamiltonian_value_and_gradient_block(U)
         hypothesis = np.abs(_rowdot(h_grad, f.value_block(U)))
-        return np.column_stack([hypothesis, _dissipation_rows(system, _minus_eta(system, f), U)])
+        return np.column_stack([hypothesis, np.abs(_dissipation_rows(system, _minus_eta(system, f), U))])
 
     worst = np.array([_worst_rows(lambda U: kernel(f, U), states)
                       for f in fam.ambient_fields(system)])
@@ -140,7 +141,7 @@ class ReebAnnihilationCheck:
 
 
 def reeb_annihilation_check(
-    fam: GeneratorFamily, system, points, *, tol: float = 1e-8
+    fam: GeneratorFamily, system, points, *, tol: float = DEFAULT_TOL
 ) -> ReebAnnihilationCheck:
     """Check R(J_k) = 0 per generator, flagging actions that fail to preserve eta."""
     states = _as_states(points, system.dim)

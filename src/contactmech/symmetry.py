@@ -5,7 +5,7 @@ specificity, each with its dissipated quantity:
 
     infinitesimal  (Y on Q):      Y^C(L) = 0,        f = Y^V(L)
     generalized    (Y on Q x R):  Y^C(L) = -R_L(f)L, f = Y^V(L) - Z
-    noether        (given a, g):  Y^C Cartan,        f = Y^V(L) - Z - g
+    noether        (given a, g):  Y^C Cartan,        f = Y^V(L) - Z + g
     lie:                          Y^C dynamical,     f = -eta_L(Y^C)
 
 A quantity f dissipates when it satisfies df/dt = (dL/dz) f along the flow;
@@ -46,7 +46,7 @@ __all__ = [
     "classify",
 ]
 
-TOL_EXACT = 1e-8
+TOL_EXACT = contact_core.DEFAULT_TOL
 
 
 @dataclass(frozen=True)
@@ -103,14 +103,12 @@ def generalized_symmetry_residual(
 def noether_symmetry_check(
     sys: LagrangianSystem, Y, a: ScalarField, g: ScalarField, points, *, tol=TOL_EXACT
 ) -> CartanSymmetryCheck:
-    """Cartan check of Y^C on (TQ x R, eta_L, E_L); f = Y^V(L) - Z - g."""
+    """Cartan check of Y^C on (TQ x R, eta_L, E_L); f = Y^V(L) - Z + g, the
+    negated Cartan quantity eta_L(Y^C) - g, since Y^V(L) - Z = -eta_L(Y^C)."""
     cartan = contact_core.check_cartan_symmetry(
         sys, CompleteLiftField(Y), a, g, points, tol=tol
     )
-    dissipated = LinearCombinationQuantity(
-        ((1.0, VerticalMomentumQuantity(sys, Y)), (-1.0, g))
-    )
-    return replace(cartan, dissipated=dissipated)
+    return replace(cartan, dissipated=LinearCombinationQuantity(((-1.0, cartan.dissipated),)))
 
 
 def lie_symmetry_residual(
@@ -229,7 +227,7 @@ def _describe_quantity(candidate: SymmetryCandidate, cls: str) -> str:
         zc = candidate.field.z_component.describe()
         base = f"vertical lift of ({comps}) applied to L, minus z-component ({zc})"
     if cls == "noether":
-        base += ", minus the Cartan g"
+        base += ", plus the Cartan g"
     return base
 
 

@@ -74,8 +74,22 @@ class TestBundledScenarios:
         assert quotient and quotient[0]["pass"] is True
         assert quotient[0]["residual"] <= 1e-6
 
+    def test_damped_particle_noether(self, in_tmp):
+        # classified noether with g = 1/gamma; its CSV columns carry f = qd1 + g
+        assert run_scenario(bundled_scenario_path("damped_particle_noether.json")) == 0
+        report = json.loads(open("out/damped_particle_noether.report.json").read())
+        assert report["candidates"][0]["classification"] == "noether"
+        assert all(check["pass"] for check in report["checks"])
+        with open("out/damped_particle_noether.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        f = np.array([float(r["f_shift"]) for r in rows])
+        qd1 = np.array([float(r["qd1"]) for r in rows])
+        np.testing.assert_allclose(f, qd1 + 5.0, rtol=0, atol=1e-14)
+        quot = np.array([float(r["quot_shift"]) for r in rows])
+        assert np.max(np.abs(quot - quot[0])) <= 1e-6
+
     @pytest.mark.parametrize(
-        "name", ["damped_free_particle.json", "damped_oscillator_rotation.json"]
+        "name", ["damped_free_particle.json", "damped_oscillator_rotation.json", "damped_particle_noether.json"]
     )
     def test_report_is_deterministic(self, tmp_path, monkeypatch, name):
         reports = []

@@ -200,6 +200,10 @@ def test_per_point_pairings_sum_left_to_right():
         jg = g.jet_at(u)
         want = dot(jg.gradient, HamiltonianVectorField(f).value(u)) + jg.value * f.jet_at(u).gradient[-1]
         assert jacobi_bracket_at(f, g, x) == want
+        X, Y = HamiltonianVectorField(f), HamiltonianVectorField(g)
+        (xval, xjac), (yval, yjac) = X.value_and_jacobian(u), Y.value_and_jacobian(u)
+        want = [dot(yrow, xval) - dot(xrow, yval) for xrow, yrow in zip(xjac, yjac)]
+        assert lie_bracket_value(X, Y, u).tolist() == want
     # vectors of other lengths are not paired, however numpy would broadcast them
     x = ContactPoint([0.1], [0.2], 0.0)
     with pytest.raises(ValueError, match="cannot pair"):
@@ -371,6 +375,12 @@ class TestJacobiBracket:
     def test_mismatched_charts_rejected(self):
         with pytest.raises(ValueError):
             jacobi_bracket_at(field_on(1, "q1"), field_on(2, "q1"), ContactPoint([0.0], [0.0], 0.0))
+        # one chart, but not the Darboux chart (q1..qn, p1..pn, z) of the
+        # HamiltonianSystem whose dissipation kernel the bracket is a row of
+        chart = ("x", "y", "w")
+        f, g = ScalarField.from_source("x*y", chart), ScalarField.from_source("w", chart)
+        with pytest.raises(ValueError, match="Hamiltonian chart .* does not match"):
+            jacobi_bracket_at(f, g, ContactPoint([0.1], [0.2], 0.3))
 
 
 def _bracket_value(f, g, u, n):

@@ -283,8 +283,10 @@ class TestConformalDynamics:
 
 
 # terms of a Lagrangian over n degrees of freedom, each with a coefficient c:
-# couplings of v to z and q, and the five functions
+# couplings of v to z and q, the five functions, quotients and a first power
 _TERMS = [
+    "{c}*qd{n}^2/(1 + q1^2) + {c}*q1/(2 + qd1^2)",
+    "{c}*(z*qd1^2 + qd{n}^3)^1 - {c}*z*qd{n}/(2 + q1)",
     "{c}*z*qd1 + {c}*z^2*qd{n}",
     "{c}*q1*qd{n} + {c}*q{n}^2*qd1*qd{n}",
     "{c}*exp(0.5*q{n})*qd1^2",
@@ -352,6 +354,16 @@ class TestHerglotzJacobian:
         with pytest.raises(DomainError, match="division by zero") as failure:
             sys.dynamics_and_jacobian_block(points)
         assert failure.value.row == 1
+
+    def test_the_largest_negative_integral_power(self):
+        # d/dqd1 of qd1^(-1024) is -1024*qd1^(-1024)/qd1: the power -1025 is
+        # beyond the integral limit, where a negative base has no jet
+        sys = system_from("0.5*qd1^2 + 1e-3*qd1^(-1024)")
+        _, J = sys.dynamics_jacobian(np.array([0.0, -1.0, 0.0]))
+        np.testing.assert_allclose(J, [[0.0, 1.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.024, 0.0]], rtol=1e-14, atol=0)
+        u = np.array([0.0, -1.01, 0.3])
+        _, J = sys.dynamics_jacobian(u)
+        assert np.max(np.abs(J - fd_jacobian(sys.dynamics, u))) <= 1e-9
 
 
 class TestNoFiniteDifferenceJacobian:

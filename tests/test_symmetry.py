@@ -289,6 +289,19 @@ class TestClassify:
         assert report.classification == "infinitesimal"
         assert all(report.dissipated.value_at(u) == 0.0 for u in points_for(sys, 5))
 
+    def test_noether_quantity_adds_the_cartan_g(self):
+        # Y = d/dq1 shifts the linear potential: Y^C(E_L) = 1 = g R_L(E_L) with
+        # g = 1/gamma, so f = Y^V(L) + g = qd1 + 1/gamma dissipates
+        params = {"gamma": 0.2}
+        sys = LagrangianSystem(1, ScalarField.from_source("0.5*qd1^2 - q1 - gamma*z", ("q1", "qd1", "z"), params))
+        a, g = (ScalarField.from_source(s, sys.chart, params) for s in ("0", "1/gamma"))
+        candidate = SymmetryCandidate("shift", "on_Q", VectorFieldQ.from_expressions(1, ["1"]), (a, g))
+        report = classify(sys, candidate, points_for(sys))
+        assert report.classification == "noether"
+        assert report.dissipation_residual <= 1e-12
+        assert report.dissipated_description == "vertical lift of (1) applied to L, plus the Cartan g"
+        assert report.dissipated.value_at(np.array([0.3, 0.7, -0.2])) == pytest.approx(0.7 + 5.0, abs=1e-14)
+
     def test_noether_not_tested_without_cartan_data(self):
         sys = free_particle(gamma=0.2)
         candidate = SymmetryCandidate(
