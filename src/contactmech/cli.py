@@ -28,7 +28,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import symmetry
-from .ad import _rows
 from .contact_core import DEFAULT_TOL, HamiltonianSystem, _flat_rows, _worst_rows, lie_derivative_eta_block
 from .expr import ScalarField, hamiltonian_chart, lagrangian_chart, position_names
 from .fields import AmbientVectorField, DynamicsVectorField, _rowdot
@@ -399,6 +398,10 @@ def load_scenario(config_path: str, *, seed=None) -> Scenario:
         if not isinstance(value, bool):
             raise ConfigError(f"$.checks.{key}", f"expected bool, got {type(value).__name__}")
         checks[key] = value
+    if integrator is not None and candidates and checks["symmetries"] and integrator.steps < 2:
+        # the trajectory check of a candidate differences f over 3 states
+        raise ConfigError("$.integrator", f"classifying candidates along the trajectory needs at least 2 steps, "
+                          f"got {integrator.steps}")
 
     sample = _expect(cfg, "sample", dict, "$", default={})
     _keys(sample, "$.sample", ("count", "box", "seed"), "the sample")
@@ -410,6 +413,8 @@ def load_scenario(config_path: str, *, seed=None) -> Scenario:
     if not (isinstance(box, list) and len(box) == 2 and all(type(b) in (int, float) for b in box)
             and -big <= box[0] < box[1] <= big):
         raise ConfigError("$.sample.box", "expected [lo, hi], finite numbers with lo < hi")
+    if box[1] - box[0] > big:  # the draws scale by hi - lo
+        raise ConfigError("$.sample.box", "expected a finite hi - lo")
     cfg_seed = _expect(sample, "seed", int, "$.sample", default=0)
     seed = int(seed if seed is not None else cfg_seed)
     if seed < 0:  # a --seed override replaces $.sample.seed
@@ -514,26 +519,13 @@ def _candidate_checks(scn: Scenario, states, traj, tol_scale: float):
     entries = []
     reports = []
     for candidate, expect in scn.candidates:
-        report = classify(
-            scn.system,
-            candidate,
-            states,
-            traj,
-            tol_exact=symmetry.TOL_EXACT * tol_scale,
-            sample_info={
-                "count": len(states),
-                "box": list(scn.sample_box),
-                "seed": scn.seed,
-            },
-        )
-        if traj is not None and report.classification == "noether":
-            # the f_ column is Y^V(L) - Z; a Noether candidate's quantity adds g
-            traj.monitors[f"f_{candidate.name}"] = _rows(report.dissipated.values_at, traj.states)
+        report = classify(scn.system, candidate, states, traj, tol_exact=symmetry.TOL_EXACT * tol_scale)
+        report.sample.update(box=list(scn.sample_box), seed=scn.seed)
+        if traj is not None:
+            traj.monitors[f"f_{candidate.name}"] = report.trajectory.values
         if expect == "pass":
-            # the report's tolerances already carry tol_scale
-            ok = report.classification is not None and (
-                report.dissipation_residual <= report.tolerances[report.classification]
-            )
+            # the report's tolerance already carries tol_scale
+            ok = report.classification is not None and report.dissipation_residual <= report.tolerance
         else:
             ok = report.classification is None
         finite = _finite(report.dissipation_residual, *report.residuals.values())
@@ -546,7 +538,7 @@ def _candidate_checks(scn: Scenario, states, traj, tol_scale: float):
             _check_entry(
                 f"symmetry.{candidate.name}",
                 report.dissipation_residual,
-                report.tolerances.get(report.classification or "generalized"),
+                report.tolerance,
                 ok,
                 finite,
             )
@@ -681,9 +673,7 @@ def _evaluate(scn: Scenario, tol_scale: float):
         for mname, mfield in scn.monitors:
             monitors[mname] = mfield
         for candidate, _ in scn.candidates:
-            monitors.setdefault(
-                f"f_{candidate.name}", VerticalMomentumQuantity(system, candidate.field)
-            )
+            monitors[f"f_{candidate.name}"] = VerticalMomentumQuantity(system, candidate.field)
         cfg = replace(scn.integrator, monitors=monitors)
         traj = integrate_lagrangian(system, scn.initial_state, cfg)
         integration_doc = {

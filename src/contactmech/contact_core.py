@@ -430,12 +430,12 @@ def lie_derivative_eta_coeffs(geometry, X, u) -> np.ndarray:
 
 
 def contact_form_at(x: ContactPoint) -> OneFormValue:
-    """eta = dz - p_i dq^i evaluated at x."""
-    return OneFormValue(-x.p, np.zeros(x.n), 1.0)
+    """eta = dz - p_i dq^i evaluated at x: one row of ``DarbouxChart.eta_block``."""
+    return OneFormValue.from_array(DarbouxChart(x.n).eta(x))
 
 
 def reeb_at(x: ContactPoint) -> TangentValue:
-    return TangentValue(np.zeros(x.n), np.zeros(x.n), 1.0)
+    return TangentValue.from_array(DarbouxChart(x.n).reeb(x))
 
 
 def flat_at(x: ContactPoint, v: TangentValue) -> OneFormValue:

@@ -323,8 +323,8 @@ def momenta_at(sys: LagrangianSystem, x: TQRPoint) -> np.ndarray:
 
 
 def contact_form_at(sys: LagrangianSystem, x: TQRPoint) -> OneFormValue:
-    """eta_L = dz - (dL/dv_i) dq^i at x."""
-    return OneFormValue(-sys.momenta(x.to_array()), np.zeros(x.n), 1.0)
+    """eta_L = dz - (dL/dv_i) dq^i at x: one row of ``eta_block``."""
+    return OneFormValue.from_array(sys.eta(x))
 
 
 def velocity_hessian_at(sys: LagrangianSystem, x: TQRPoint) -> np.ndarray:

@@ -12,8 +12,12 @@ A quantity f dissipates when it satisfies df/dt = (dL/dz) f along the flow;
 rescaling by exp(-int dL/dz dt) then yields a true constant of motion, and
 f/E_L is conserved wherever the energy does not vanish.
 
-Every class residual is AD-exact and checked at ``TOL_EXACT``; the Lie one
-is the dissipation residual of -eta_L(Y^C), with no Herglotz Jacobian.
+Every class residual is AD-exact and checked at one tolerance (``TOL_EXACT``
+by default); the Lie one is the dissipation residual of -eta_L(Y^C), with no
+Herglotz Jacobian.  ``classify`` returns the one record of a candidate, a
+``SymmetryReport``: each class's residual and pass, the tolerance, the most
+specific passing class, the quantity f it dissipates and, given a
+trajectory, f at each state with its dissipation check along it.
 """
 
 from __future__ import annotations
@@ -126,17 +130,12 @@ class TrajectoryDissipation:
     ``ode_residual`` compares central-difference df/dt against the law at
     interior nodes; ``scaled_drift`` is the max deviation of
     f(t) exp(-int_0^t dL/dz) from f(0), the exponent integrated by the
-    trapezoidal rule.
+    trapezoidal rule; ``values`` is f at each state.
     """
 
     ode_residual: float
     scaled_drift: float
-
-
-def _values_and_rates(sys: LagrangianSystem, f, states: np.ndarray):
-    """f and the rate dL/dz at each state, from one kernel over the block."""
-    rows = _rows(lambda U: np.column_stack([f.values_at(U), sys.jets(U).gradient[:, -1]]), states)
-    return rows[:, 0], rows[:, 1]
+    values: np.ndarray = field(compare=False)  # so the record still compares and hashes by its figures
 
 
 def _cumulative_trapezoid(values: np.ndarray, h: float) -> np.ndarray:
@@ -145,28 +144,28 @@ def _cumulative_trapezoid(values: np.ndarray, h: float) -> np.ndarray:
     return out
 
 
-def dissipation_check_along_trajectory(sys: LagrangianSystem, f, traj) -> TrajectoryDissipation:
+def _series(sys: LagrangianSystem, f, traj, minimum: int):
+    """f at each state, |df/dt - (dL/dz) f| at the interior ones, f exp(-int_0^t dL/dz)
+    and its drift from f(0), from one kernel; past it an overflow is inf or NaN, not a warning."""
     states = _as_states(traj.states, sys.dim)
-    if states.shape[0] < 3:
-        raise ValueError("trajectory must have at least 3 samples")
+    if states.shape[0] < minimum:
+        raise ValueError(f"trajectory must have at least {minimum} samples")
     h = float(traj.times[1] - traj.times[0])
-    values, rates = _values_and_rates(sys, f, states)
-    dfdt = (values[2:] - values[:-2]) / (2 * h)
-    ode_residual = float(np.max(np.abs(dfdt - rates[1:-1] * values[1:-1])))
-    integral = _cumulative_trapezoid(rates, h)
-    scaled = values * np.exp(-integral)
-    scaled_drift = float(np.max(np.abs(scaled - values[0])))
-    return TrajectoryDissipation(ode_residual, scaled_drift)
+    values, rates = _rows(lambda U: np.column_stack([f.values_at(U), sys.jets(U).gradient[:, -1]]), states).T
+    with np.errstate(over="ignore", invalid="ignore"):
+        ode = np.abs((values[2:] - values[:-2]) / (2 * h) - rates[1:-1] * values[1:-1])
+        scaled = values * np.exp(-_cumulative_trapezoid(rates, h))
+        return values, ode, scaled, np.abs(scaled - values[0])
+
+
+def dissipation_check_along_trajectory(sys: LagrangianSystem, f, traj) -> TrajectoryDissipation:
+    values, ode, _, drift = _series(sys, f, traj, 3)
+    return TrajectoryDissipation(float(np.max(ode)), float(np.max(drift)), values)
 
 
 def georgieva_functional(sys: LagrangianSystem, f, traj) -> np.ndarray:
     """G(t) = exp(-int_0^t dL/dz) f(t); constant along solutions when f dissipates."""
-    states = _as_states(traj.states, sys.dim)
-    if states.shape[0] < 2:
-        raise ValueError("trajectory must have at least 2 samples")
-    h = float(traj.times[1] - traj.times[0])
-    values, rates = _values_and_rates(sys, f, states)
-    return values * np.exp(-_cumulative_trapezoid(rates, h))
+    return _series(sys, f, traj, 2)[2]
 
 
 # -- classification -------------------------------------------------------------
@@ -182,7 +181,7 @@ class SymmetryReport:
     kind: str
     residuals: dict = field(default_factory=dict)  # class -> float | None
     passes: dict = field(default_factory=dict)  # class -> bool | None
-    tolerances: dict = field(default_factory=dict)
+    tolerance: float = TOL_EXACT  # every class's
     classification: str | None = None
     dissipated: object = None
     dissipated_description: str = ""
@@ -201,7 +200,7 @@ class SymmetryReport:
             "classes": {
                 cls: {
                     "residual": self.residuals.get(cls),
-                    "tolerance": self.tolerances.get(cls),
+                    "tolerance": self.tolerance,
                     "pass": self.passes.get(cls),
                 }
                 for cls in _CLASS_ORDER
@@ -247,7 +246,6 @@ def classify(
     traj=None,
     *,
     tol_exact=TOL_EXACT,
-    sample_info=None,
 ) -> SymmetryReport:
     """Run every applicable class residual and pick the most specific pass.
 
@@ -258,11 +256,10 @@ def classify(
     """
     states = _as_states(points, sys.dim)
     Y = candidate.field
-    report = SymmetryReport(name=candidate.name, kind=candidate.kind)
-    report.sample = dict(sample_info or {"count": int(states.shape[0])})
+    report = SymmetryReport(name=candidate.name, kind=candidate.kind, tolerance=tol_exact)
+    report.sample = {"count": int(states.shape[0])}
 
-    # class -> (residual, pass, dissipated quantity), in _CLASS_ORDER; every
-    # class is checked at tol_exact
+    # class -> (residual, pass, dissipated quantity), in _CLASS_ORDER
     table = {}
     plain = infinitesimal_symmetry_residual(sys, Y, states)
     if candidate.kind == "on_Q":
@@ -289,7 +286,6 @@ def classify(
 
     for cls, (residual, passed, quantity) in table.items():
         report.residuals[cls] = residual
-        report.tolerances[cls] = tol_exact
         report.passes[cls] = passed
         if passed and quantity is not None and report.classification is None:
             report.classification = cls

@@ -2,21 +2,26 @@
 
 import csv
 import json
+import math
 
 import numpy as np
 import pytest
 
+from contactmech.ad import _rows
 from contactmech.cli import (
     BUILTINS,
     _builtin_system,
     bundled_scenario_path,
     list_builtins,
+    load_scenario,
     main,
     run_scenario,
     write_csv,
 )
 from contactmech.expr import parse
+from contactmech.fields import LinearCombinationQuantity, _Quantity
 from contactmech.integrate import Trajectory
+from contactmech.lifts import VerticalMomentumQuantity
 
 
 @pytest.fixture
@@ -505,10 +510,13 @@ class TestConfigSurface:
             (dict(BASE_CONFIG, sample={"box": ["a", 1.0]}), "$.sample.box"),
             (dict(BASE_CONFIG, sample={"box": [1.0, -1.0]}), "$.sample.box"),
             (dict(BASE_CONFIG, sample={"box": [-1.0, float("inf")]}), "$.sample.box"),
+            # finite ends whose difference overflows
+            (dict(BASE_CONFIG, sample={"box": [-1e308, 1e308]}), "$.sample.box"),
             (dict(BASE_CONFIG, sample={"seed": -1}), "$.sample.seed"),
         ],
         ids=["count_0_hamiltonian", "count_0_hamiltonian_families", "count_0_lagrangian",
-             "negative_count", "non_numeric_box", "reversed_box", "infinite_box", "negative_seed"],
+             "negative_count", "non_numeric_box", "reversed_box", "infinite_box", "overflowing_box",
+             "negative_seed"],
     )
     def test_bad_sample_block_is_a_config_error(self, in_tmp, tmp_path, capsys, config, path):
         assert run_scenario(write_config(tmp_path, config)) == 2
@@ -724,6 +732,80 @@ class TestConfigSurface:
         assert run_scenario(write_config(tmp_path, config)) == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("config error: $.generator_families[0].side: ")
+
+
+def read_columns(path):
+    with open(path) as fh:
+        rows = list(csv.DictReader(fh))
+    return {key: np.array([float(r[key]) for r in rows]) for key in rows[0]}
+
+
+class TestCandidateColumns:
+    def test_without_symmetry_checks_f_is_the_lifted_momentum(self, in_tmp, tmp_path):
+        # no classification, so every f_ column is Y^V(L) - Z, a Noether candidate's too
+        config = json.loads(json.dumps(BASE_CONFIG))
+        config["integrator"] = {"method": "rk4", "step": 0.01, "t_final": 1.0}
+        config["candidates"].append({"name": "shift", "kind": "on_Q", "components": ["1"], "a": "0", "g": "1/gamma"})
+        config["checks"] = {"symmetries": False}
+        path = write_config(tmp_path, config)
+        assert run_scenario(path) == 0
+        data = read_columns("out/run.csv")
+        scn = load_scenario(path)
+        states = np.column_stack([data[name] for name in scn.system.chart])
+        for candidate, _ in scn.candidates:
+            f = _rows(VerticalMomentumQuantity(scn.system, candidate.field).values_at, states)
+            assert np.array_equal(data[f"f_{candidate.name}"], f)
+            assert np.array_equal(data[f"quot_{candidate.name}"], f / data["E_L"])
+
+    def test_noether_quantity_is_evaluated_once_along_the_trajectory(self, in_tmp, tmp_path, monkeypatch):
+        # the f_ column is the series the trajectory check evaluated, not a second pass
+        rows = []
+        values_at = _Quantity.values_at
+
+        def spy(self, U):
+            if isinstance(self, LinearCombinationQuantity):
+                rows.append(len(U))
+            return values_at(self, U)
+
+        monkeypatch.setattr(_Quantity, "values_at", spy)
+        with open(bundled_scenario_path("damped_particle_noether.json")) as fh:
+            config = json.load(fh)
+        config["integrator"] = {"method": "rk4", "step": 0.01, "t_final": 1.0}
+        assert run_scenario(write_config(tmp_path, config)) == 0
+        assert sum(rows) == 101
+        report = json.loads(open("out/damped_particle_noether.report.json").read())
+        assert report["candidates"][0]["classification"] == "noether"
+        data = read_columns("out/damped_particle_noether.csv")
+        np.testing.assert_allclose(data["f_shift"], data["qd1"] + 5.0, rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("symmetries, code", [(True, 2), (False, 0)], ids=["classified", "not_classified"])
+    def test_one_step_trajectory(self, in_tmp, tmp_path, capsys, symmetries, code):
+        # the trajectory check of a candidate needs 3 states, so 2 steps
+        config = json.loads(json.dumps(BASE_CONFIG))
+        config["integrator"] = {"step": 0.1, "t_final": 0.1}
+        config["checks"] = {"symmetries": symmetries}
+        assert run_scenario(write_config(tmp_path, config)) == code
+        err = capsys.readouterr().err.splitlines()
+        if code == 2:
+            assert len(err) == 1 and err[0].startswith("config error: $.integrator: ")
+            assert "needs at least 2 steps, got 1" in err[0]
+        else:
+            assert err == []
+
+    def test_overflowing_scaled_series_is_a_value_not_a_warning(self, in_tmp, tmp_path, capsys):
+        # f exp(int_0^10 gamma dt) overflows: the drift is inf, and no numpy warning reaches stderr
+        config = {
+            "system": {"builtin": "free_damped_particle", "params": {"n": 1, "gamma": 100.0}},
+            "initial_state": {"q": [0.0], "qd": [1.0], "z": 0.0},
+            "integrator": {"method": "rk4", "step": 0.001, "t_final": 10.0},
+            "candidates": [{"name": "translation", "kind": "on_Q", "components": ["1"]}],
+            "sample": {"count": 20, "seed": 5},
+            "output": {"report": "out/report.json"},
+        }
+        assert run_scenario(write_config(tmp_path, config)) == 0
+        assert capsys.readouterr().err == ""
+        report = json.loads(open("out/report.json").read())
+        assert report["candidates"][0]["trajectory"]["scaled_drift"] == math.inf
 
 
 class TestTolScale:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from contactmech import contact_core as cc
+from contactmech.ad import _rows
 from contactmech.expr import ScalarField
 from contactmech.integrate import IntegratorConfig, integrate_lagrangian
 from contactmech.lagrangian import LagrangianSystem, TQRPoint
@@ -235,6 +236,14 @@ class TestTrajectoryChecks:
         quotient = cc.conserved_quotient(p, energy)
         values = np.array([quotient.value_at(u) for u in traj.states])
         assert np.max(np.abs(values - 2.0)) <= 1e-9
+
+    def test_check_keeps_the_series_it_reduces(self):
+        sys, traj = self._particle_trajectory(t_final=1.0)
+        f = dissipated_for_infinitesimal(sys, VectorFieldQ.from_expressions(1, ["q1"]))
+        result = dissipation_check_along_trajectory(sys, f, traj)
+        assert np.array_equal(result.values, _rows(f.values_at, traj.states))
+        series = georgieva_functional(sys, f, traj)
+        assert float(np.max(np.abs(series - result.values[0]))) == result.scaled_drift
 
     def test_short_trajectories_rejected(self):
         sys = free_particle()
