@@ -1,28 +1,35 @@
 """Compile a field's expression tree once into straight-line Python.
 
-:func:`compile_value` and :func:`compile_jet` trace a tree a single time and
-return a function of the point's coordinates (a list of floats).  The value
-function follows float arithmetic; the jet function propagates value,
-gradient and Hessian by the second-order forward-mode rules of
-:class:`_JetTracer` and returns a :class:`~contactmech.ad.Jet2`.  Both raise
-exactly where evaluating the tree operation by operation would, with the same
-exception types.  The tests check them against ``tests/dense_ad.py``, which
-applies the same rules to dense arrays one operation at a time.
+:func:`compile_value` and :func:`compile_jet` trace a tree a single time,
+write one source text and compile it once.  The value code follows float
+arithmetic; the jet code propagates value, gradient and Hessian by the
+second-order forward-mode rules of :class:`_JetTracer`.  The text is run in
+two namespaces, so each returns a pair: a function of the point's
+coordinates (a list of floats) giving a float or a
+:class:`~contactmech.ad.Jet2`, and a function of an (N, m) block of points
+giving its N values or a :class:`~contactmech.ad.JetBlock`.  The tests check
+the point form against ``tests/dense_ad.py``, which applies the same rules to
+dense arrays one operation at a time.
 
-:func:`compile_values` and :func:`compile_jets` emit the same traces over the
-columns of an (N, m) block of points, and row k of their result is, bit for
-bit, what the functions above give at point k: numpy does the correctly
-rounded arithmetic and ``sqrt`` over whole columns, and ``exp``, ``log``,
-``sin``, ``cos`` and ``**`` run entry by entry with the rows' own functions.
-Where some row would raise, the block raises (:class:`BlockFallback` for a
-guard or a branch that the rows do not all take); ``contactmech.ad._rows``
-then evaluates it row by row, so its errors are the rows' errors too.
+The text writes every guard, branch test and power through helpers
+(``_any``, ``_all``, ``_uniform``, ``_integral``, ``_nonzero``, ``_abs``,
+``_pow``).  ``_RUNTIME`` gives them their one-point meaning (``bool``,
+``abs``, ``float.is_integer``, ``operator.pow``, ...), and the point form
+raises exactly where evaluating the tree operation by operation would, with
+the same exception types.  ``_BLOCK_RUNTIME`` gives them their meaning over
+columns, and row k of the block form is, bit for bit, the point form at
+point k: numpy does the correctly rounded arithmetic and ``sqrt`` over whole
+columns, and ``exp``, ``log``, ``sin``, ``cos`` and powers run entry by entry
+with the rows' own functions.  Where some row would raise, the block raises
+(:class:`BlockFallback` for a guard or a branch that the rows do not all
+take); ``contactmech.ad._rows`` then evaluates it row by row, so its errors
+are the rows' errors too.
 
 :func:`compile_stepper` emits a vector field from the same jet trace: a
 caller's assembler writes the field's entries from the symbolic jet, only
 the lines those entries need are kept, and they are written into a
-fixed-step RK4 or Euler loop, once per stage, so the integration runs in one
-function on locals.
+fixed-step RK4 or Euler loop, once per stage, run with ``_RUNTIME``, so the
+integration runs in one function on locals.
 
 Tracing runs the operations over *symbolic* scalars: a Python float when the
 number is known at compile time (literals, parameters and every subtree
@@ -40,7 +47,7 @@ sides are computed once.
 No text of the expression reaches the generated source.  Chart variables
 become ``x0, x1, ...``; every number is bound by name (``k0, k1, ...``) in
 the function's namespace; the other names are the locals ``t0, t1, ...``,
-the math functions and the ``_fail_*`` helpers that raise
+the math functions, the helpers above and the ``_fail_*`` helpers that raise
 :class:`~contactmech.ad.DomainError`.  A stepper adds the state ``y0, y1,
 ...`` and the stage derivatives ``d1_0, ...`` as locals; every stage reads
 its input ``x0, x1, ...``, the first a copy of the state, so an entry that
@@ -60,8 +67,7 @@ import numpy as np
 from .ad import DomainError, Jet2, JetBlock
 from .expr import MAX_INT_POWER, Binary, Call, Num, Unary, Var
 
-__all__ = ["BlockFallback", "FieldWriter", "compile_value", "compile_jet", "compile_values", "compile_jets",
-           "compile_stepper"]
+__all__ = ["BlockFallback", "FieldWriter", "compile_value", "compile_jet", "compile_stepper"]
 
 def _fail_div(_value):
     raise DomainError("division by zero")
@@ -123,7 +129,7 @@ def _int_power_chain(base: float, exponent: float):
     return _power_chain(base, k)
 
 
-# -- the block runtime ------------------------------------------------------------
+# -- the runtimes: float and column meanings of the generated code's helpers -------
 
 
 class BlockFallback(ArithmeticError):
@@ -166,33 +172,39 @@ def _block_int_power_chain(base, exponent):
     return _power_chain(base, k)
 
 
-# (test at compile time, test in generated code, test over a block) for each
-# failure helper
+# (test at compile time, test in generated code) for each failure helper
 _GUARDS = {
-    _fail_div: (lambda a: a == 0.0, "{0} == k0", "_any({0} == k0)"),
-    _fail_log: (lambda a: a <= 0.0, "{0} <= k0", "_any({0} <= k0)"),
-    _fail_sqrt: (lambda a: not a >= 0.0, "not {0} >= k0", "not _all({0} >= k0)"),
-    _fail_jet_sqrt: (lambda a: a <= 0.0, "{0} <= k0", "_any({0} <= k0)"),
-    _fail_angle: (math.isinf, "isinf({0})", "_any(isinf({0}))"),
-    _fail_root: (lambda a: a <= 0.0, "{0} <= k0", "_any({0} <= k0)"),
-    _fail_base: (lambda a: a <= 0.0, "{0} <= k0", "_any({0} <= k0)"),
+    _fail_div: (lambda a: a == 0.0, "_any({0} == k0)"),
+    _fail_log: (lambda a: a <= 0.0, "_any({0} <= k0)"),
+    _fail_sqrt: (lambda a: not a >= 0.0, "not _all({0} >= k0)"),
+    _fail_jet_sqrt: (lambda a: a <= 0.0, "_any({0} <= k0)"),
+    _fail_angle: (math.isinf, "_any(isinf({0}))"),
+    _fail_root: (lambda a: a <= 0.0, "_any({0} <= k0)"),
+    _fail_base: (lambda a: a <= 0.0, "_any({0} <= k0)"),
 }
 
-# branch conditions: (generated test, rowwise mask over a block)
+# the generated tests of branches, each the argument of ``_uniform``
 _CONDITIONS = {
-    "integral": ("{0}.is_integer()", "_integral({0})"),
-    "small_integral": ("{0}.is_integer() and -{1} <= {0} <= {1}", "_integral({0}) & (_abs({0}) <= {1})"),
-    "equal": ("{0} == {1}", "{0} == {1}"),
+    "integral": "_integral({0})",
+    "small_integral": "_integral({0}) & (_abs({0}) <= {1})",
+    "equal": "{0} == {1}",
 }
 
 _MATH = {"sin": math.sin, "cos": math.cos, "exp": math.exp, "log": math.log, "sqrt": math.sqrt}
 
+# the helpers of the generated code over floats, at one point ...
 _RUNTIME = {
     **_MATH,
     **{fail.__name__: fail for fail in _GUARDS},
     "isinf": math.isinf,
-    "int": int,
     "_int_power_chain": _int_power_chain,
+    "_any": bool,
+    "_all": bool,
+    "_abs": abs,
+    "_uniform": bool,
+    "_integral": float.is_integer,
+    "_nonzero": lambda *entries: any(entries),
+    "_pow": operator.pow,
 }
 
 
@@ -210,6 +222,7 @@ def _entrywise(fn):
 
 
 _pow = _entrywise(operator.pow)
+# ... and over columns, one entry per point
 _BLOCK_RUNTIME = {
     **{name: np.sqrt if name == "sqrt" else _entrywise(fn) for name, fn in _MATH.items()},
     "_pow": _pow,
@@ -258,16 +271,14 @@ class _Jet:
 class _Tracer:
     """Float arithmetic over symbolic scalars, written out as Python lines.
 
-    With ``block`` set the lines run over columns of points (see the module
-    docstring); only guards, branch conditions, powers and runtime helpers differ.
+    The lines run over floats or over columns of points, by the runtime they
+    are executed with (see the module docstring).
     """
 
-    def __init__(self, chart, parameters: dict, block: bool = False):
+    def __init__(self, chart, parameters: dict):
         self.inputs = {name: f"x{i}" for i, name in enumerate(chart)}
         self.parameters = parameters
-        self.block = block
-        self.pow_source = "_pow({}, {})" if block else "{} ** {}"
-        self.namespace = {"__builtins__": {}, **(_BLOCK_RUNTIME if block else _RUNTIME)}
+        self.namespace = {"__builtins__": {}}
         self.lines: list[str] = []
         self.indent = "    "
         self.bound: dict = {}
@@ -319,9 +330,7 @@ class _Tracer:
 
     def guard(self, fail, a) -> None:
         """Call ``fail(a)`` (which raises) where its domain test holds."""
-        test, condition, block_condition = _GUARDS[fail]
-        if self.block:
-            condition = block_condition
+        test, condition = _GUARDS[fail]
         if _known(a):
             if test(a):
                 self.line(f"{fail.__name__}({{0}})", a)
@@ -335,10 +344,8 @@ class _Tracer:
     def condition(self, kind: str, *args) -> str:
         """The run-time test of a branch: one of ``_CONDITIONS``, or ``nonzero``."""
         refs = [self.ref(a) for a in args]
-        if kind == "nonzero":
-            return f"_uniform(_nonzero({', '.join(refs)}))" if self.block else " or ".join(refs)
-        scalar, block = _CONDITIONS[kind]
-        return f"_uniform({block.format(*refs)})" if self.block else scalar.format(*refs)
+        test = f"_nonzero({', '.join(refs)})" if kind == "nonzero" else _CONDITIONS[kind].format(*refs)
+        return f"_uniform({test})"
 
     def branch(self, condition: str, then, orelse):
         """Trace both alternatives and pick one at run time by ``condition``."""
@@ -381,13 +388,19 @@ class _Tracer:
         return _Jet(merged["v"], g, h)
 
     def function(self, result: str):
-        """Compile the traced lines into ``f(x)`` ending with ``result``."""
+        """Compile the traced lines once into ``f(x)`` ending with ``result``:
+        (f over the floats of a point, f over the columns of a block)."""
         head = ["def f(x):"]
         if self.inputs:
             head.append(f"    {', '.join(self.inputs.values())}, = x")
         source = "\n".join([*head, *self.lines, f"    {result}", ""])
-        exec(compile(source, "<contactmech compiled field>", "exec"), self.namespace)
-        return self.namespace.pop("f")
+        code = compile(source, "<contactmech compiled field>", "exec")
+        forms = []
+        for runtime in (_RUNTIME, _BLOCK_RUNTIME):
+            namespace = {**self.namespace, **runtime}
+            exec(code, namespace)
+            forms.append(namespace["f"])
+        return forms
 
     # -- float arithmetic ---------------------------------------------------
 
@@ -482,16 +495,13 @@ class _Tracer:
         if _known(b):
             if b < 0:
                 self.guard(_fail_div, a)
-            return self.op(operator.pow, self.pow_source, a, int(b))
-        if self.block:
-            self.line("if _any(({0} == k0) & ({1} < k0)): _fail_div({0})", a, b)
-            return self.emit(self.pow_source, a, b)  # float ** int(b) is float ** b
-        self.line("if {0} == k0 and {1} < k0: _fail_div({0})", a, b)
-        return self.emit("{} ** int({})", a, b)
+            return self.op(operator.pow, "_pow({}, {})", a, int(b))
+        self.line("if _any(({0} == k0) & ({1} < k0)): _fail_div({0})", a, b)
+        return self.emit("_pow({}, {})", a, b)  # float ** int(b) is float ** b
 
     def _real_power(self, a, b):
         self.guard(_fail_root, a)
-        return self.op(operator.pow, self.pow_source, a, b)
+        return self.op(operator.pow, "_pow({}, {})", a, b)
 
 
 class _JetTracer(_Tracer):
@@ -503,8 +513,8 @@ class _JetTracer(_Tracer):
     dense arrays.  Sparse entries use ``None`` for a structural zero.
     """
 
-    def __init__(self, chart, parameters: dict, block: bool = False):
-        super().__init__(chart, parameters, block)
+    def __init__(self, chart, parameters: dict):
+        super().__init__(chart, parameters)
         m = len(self.inputs)
         self.all_g = range(m)
         self.all_h = [(i, j) for i in range(m) for j in range(i, m)]
@@ -754,28 +764,6 @@ class _JetTracer(_Tracer):
                            lambda: self.branch(self.condition("equal", e, 1.0), lambda: a, chained))
 
 
-def _entry_index(m: int, g_keys, h_keys):
-    """Where each gradient and Hessian slot sits in (0, gradient entries, upper-Hessian entries)."""
-    g_index = np.zeros(m, dtype=np.intp)
-    g_index[list(g_keys)] = np.arange(1, len(g_keys) + 1)
-    h_index = np.zeros((m, m), dtype=np.intp)
-    for pos, (i, j) in enumerate(h_keys, start=len(g_keys) + 1):
-        h_index[i, j] = h_index[j, i] = pos
-    return g_index, h_index, len(g_keys) + len(h_keys) + 1
-
-
-def _jet_builder(m: int, g_keys, h_keys):
-    """Scatter (0, gradient entries, upper-Hessian entries) into a Jet2."""
-    g_index, h_index, size = _entry_index(m, g_keys, h_keys)
-    fromiter = np.fromiter
-
-    def out(value, entries):
-        flat = fromiter(entries, float, size)
-        return Jet2(value, flat.take(g_index), flat.take(h_index))
-
-    return out
-
-
 def _trace(tracer, tree):
     """The traced result, or None when every run raises."""
     try:
@@ -785,64 +773,46 @@ def _trace(tracer, tree):
 
 
 def compile_value(tree, chart, parameters: dict):
-    """``f(x) -> float``: the tree's value under float rules at coordinates x."""
+    """``(f(x) -> float, f(X) -> (N,) array)``: the tree's value under float
+    rules at coordinates x, and at each row of an (N, m) block."""
     tracer = _Tracer(chart, parameters)
     result = _trace(tracer, tree)
-    return tracer.function("" if result is None else f"return {tracer.ref(result)}")
-
-
-def compile_values(tree, chart, parameters: dict):
-    """``f(X) -> (N,) array``: the value at each row of an (N, m) block."""
-    tracer = _Tracer(chart, parameters, block=True)
-    result = _trace(tracer, tree)
-    fn = tracer.function("" if result is None else f"return {tracer.ref(result)}")
+    point, block = tracer.function("" if result is None else f"return {tracer.ref(result)}")
 
     def values(X):
         out = np.empty(X.shape[0])
-        out[:] = fn(np.ascontiguousarray(X.T))
+        out[:] = block(np.ascontiguousarray(X.T))
         return out
 
-    return values
-
-
-def _jet_result(tracer, tree):
-    """(sparse jet, gradient keys, Hessian keys, entry names), or None when every run raises."""
-    result = _trace(tracer, tree)
-    if result is None:
-        return None
-    if not isinstance(result, _Jet):
-        result = _Jet(result, {}, {})
-    g_keys, h_keys = sorted(result.g), sorted(result.h)
-    entries = [0.0, *(result.g[i] for i in g_keys), *(result.h[k] for k in h_keys)]
-    return result, g_keys, h_keys, ", ".join(map(tracer.ref, entries))
+    return point, values
 
 
 def compile_jet(tree, chart, parameters: dict):
-    """``f(x) -> Jet2``: value, gradient and Hessian in the chart variables at x."""
+    """``(f(x) -> Jet2, f(X) -> JetBlock)``: value, gradient and Hessian in the
+    chart variables at x, and values (N,), gradients (N, m) and Hessians
+    (N, m, m) at the rows of an (N, m) block."""
     tracer = _JetTracer(chart, parameters)
-    traced = _jet_result(tracer, tree)
-    if traced is None:
-        return tracer.function("")
-    result, g_keys, h_keys, entries = traced
-    tracer.namespace["_out"] = _jet_builder(len(tracer.inputs), g_keys, h_keys)
-    return tracer.function(f"return _out({tracer.ref(result.v)}, ({entries},))")
+    result = _trace(tracer, tree)
+    traced = result if isinstance(result, _Jet) else _Jet(result, {}, {})
+    g_keys, h_keys = sorted(traced.g), sorted(traced.h)
+    entries = ", ".join(map(tracer.ref, [0.0, *(traced.g[i] for i in g_keys), *(traced.h[k] for k in h_keys)]))
+    point, block = tracer.function("" if result is None else f"return {tracer.ref(traced.v)}, ({entries},)")
+    # where each gradient and Hessian slot sits in (0, gradient entries, upper-Hessian entries)
+    m, size = len(tracer.inputs), len(g_keys) + len(h_keys) + 1
+    g_index = np.zeros(m, dtype=np.intp)
+    g_index[g_keys] = np.arange(1, len(g_keys) + 1)
+    h_index = np.zeros((m, m), dtype=np.intp)
+    for pos, (i, j) in enumerate(h_keys, start=len(g_keys) + 1):
+        h_index[i, j] = h_index[j, i] = pos
 
-
-def compile_jets(tree, chart, parameters: dict):
-    """``f(X) -> JetBlock``: values (N,), gradients (N, m) and Hessians (N, m, m)
-    at the rows of an (N, m) block."""
-    tracer = _JetTracer(chart, parameters, block=True)
-    traced = _jet_result(tracer, tree)
-    if traced is None:
-        fn = tracer.function("")
-        return lambda X: fn(np.ascontiguousarray(X.T))
-    result, g_keys, h_keys, entries = traced
-    fn = tracer.function(f"return {tracer.ref(result.v)}, ({entries},)")
-    g_index, h_index, size = _entry_index(len(tracer.inputs), g_keys, h_keys)
+    def jet(x):
+        value, flat = point(x)
+        flat = np.fromiter(flat, float, size)
+        return Jet2(value, flat.take(g_index), flat.take(h_index))
 
     def jets(X):
         count = X.shape[0]
-        value, columns = fn(np.ascontiguousarray(X.T))
+        value, columns = block(np.ascontiguousarray(X.T))
         flat = np.empty((size, count))
         for row, column in zip(flat, columns):
             row[:] = column
@@ -851,7 +821,7 @@ def compile_jets(tree, chart, parameters: dict):
         flat = flat.T
         return JetBlock(out, flat[:, g_index], flat[:, h_index])
 
-    return jets
+    return jet, jets
 
 
 # -- vector fields from one jet trace ------------------------------------------------
@@ -999,8 +969,8 @@ def compile_stepper(tree, chart, parameters: dict, assemble, method: str):
                  f"        return k, ({', '.join(y)},)",
                  f"    j = (k + 1) * {m}",
                  *(f"    out[j + {i}] = {a}" for i, a in enumerate(y))]
-    namespace = tracer.namespace
-    namespace.update(range=range, memoryview=memoryview, isfinite=math.isfinite, ArithmeticError=ArithmeticError)
+    namespace = {**_RUNTIME, **tracer.namespace, "range": range, "memoryview": memoryview, "isfinite": math.isfinite,
+                 "ArithmeticError": ArithmeticError}
     bound = [name for name in namespace if name != "__builtins__"]
     namespace["_bound"] = tuple(namespace[name] for name in bound)
     source = "\n".join([

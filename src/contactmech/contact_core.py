@@ -196,6 +196,13 @@ def _as_states(points, dim: int) -> np.ndarray:
     return mat
 
 
+def _on_chart(chart, *objects) -> None:
+    """Raise ValueError, naming both charts, unless every object is on ``chart``."""
+    for obj in objects:
+        if tuple(obj.chart) != tuple(chart):
+            raise ValueError(f"{type(obj).__name__} is on the chart {obj.chart}, expected {tuple(chart)}")
+
+
 def _worst_rows(kernel, states: np.ndarray):
     """The largest residual of each column of :func:`_rows`; NaN wherever one is NaN."""
     return np.max(_rows(kernel, states), axis=0)
@@ -485,6 +492,7 @@ def _dissipation_rows(system, f, U) -> np.ndarray:
 
 def dissipation_residual(system, f, points) -> float:
     """max |X_H(f) + R(H) f| over the sample; zero certifies dissipation."""
+    _on_chart(system.chart, f)
     states = _as_states(points, system.dim)
     return float(_worst_rows(lambda U: np.abs(_dissipation_rows(system, f, U)), states))
 
@@ -506,6 +514,7 @@ def check_conformal_contactomorphism(X, points, *, geometry=None, tol=DEFAULT_TO
     """Fit a = (L_X eta)(R) pointwise and measure max |L_X eta - a eta|."""
     if geometry is None:
         geometry = DarbouxChart((len(X.chart) - 1) // 2)
+    _on_chart(geometry.chart, X)
     states = _as_states(points, geometry.dim)
 
     def kernel(U):
@@ -540,6 +549,7 @@ def _minus_eta(system, X) -> LinearCombinationQuantity:
 def check_dynamical_symmetry(system, X, points, *, tol=DEFAULT_TOL) -> ResidualCheck:
     """max |eta([X_H, X])| over the sample, as the dissipation residual of the
     candidate quantity -eta(X)."""
+    _on_chart(system.chart, X)
     dissipated = _minus_eta(system, X)
     return ResidualCheck(dissipation_residual(system, dissipated, points), dissipated, tol)
 
@@ -562,6 +572,7 @@ class CartanSymmetryCheck:
 
 def check_cartan_symmetry(system, X, a, g, points, *, tol=DEFAULT_TOL) -> CartanSymmetryCheck:
     """Residuals of L_X eta = a eta + dg and X(H) = a H + g R(H); f = eta(X) - g."""
+    _on_chart(system.chart, X, a, g)
     states = _as_states(points, system.dim)
 
     def kernel(U):

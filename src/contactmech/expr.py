@@ -393,14 +393,15 @@ class ScalarField:
                 f"point has {len(point)} coordinates, chart has {len(self.chart)}"
             )
 
-    def _compiled(self, name: str):
-        # built on first use and kept outside the dataclass fields, so ==
-        # and repr never see it; _tape needs this module's node classes
+    def _compiled(self, order: str):
+        # ("value" or "jet") the per-point and block functions of one trace,
+        # built on first use of either and kept outside the dataclass fields,
+        # so == and repr never see them; _tape needs this module's node classes
         from . import _tape
 
-        fn = getattr(_tape, f"compile_{name}")(self.ast, self.chart, self._param_env)
-        object.__setattr__(self, f"_{name}_code", fn)
-        return fn
+        forms = getattr(_tape, f"compile_{order}")(self.ast, self.chart, self._param_env)
+        object.__setattr__(self, f"_{order}_code", forms)
+        return forms
 
     def jet_at(self, point) -> Jet2:
         """Value, gradient and Hessian with respect to the chart variables."""
@@ -408,12 +409,12 @@ class ScalarField:
         x = np.asarray(point, dtype=float)
         if x.ndim != 1 or x.shape[0] == 0:
             raise ValueError("a jet needs a nonempty 1-d point")
-        fn = self.__dict__.get("_jet_code") or self._compiled("jet")
+        fn, _ = self.__dict__.get("_jet_code") or self._compiled("jet")
         return fn(x.tolist())
 
     def value_at(self, point) -> float:
         self._check_point(point)
-        fn = self.__dict__.get("_value_code") or self._compiled("value")
+        fn, _ = self.__dict__.get("_value_code") or self._compiled("value")
         return fn(np.asarray(point, dtype=float).tolist())
 
     def value_and_gradient_at(self, point):
@@ -440,7 +441,7 @@ class ScalarField:
         count, m = block.shape
         if count == 0:
             return JetBlock(np.empty(0), np.empty((0, m)), np.empty((0, m, m)))
-        fn = self.__dict__.get("_jets_code") or self._compiled("jets")
+        _, fn = self.__dict__.get("_jet_code") or self._compiled("jet")
         return _rows(fn, block, row=self._jet_row)
 
     def _jet_row(self, U: np.ndarray) -> JetBlock:
@@ -452,7 +453,7 @@ class ScalarField:
         block = self._block(points)
         if block.shape[0] == 0:
             return np.empty(0)
-        fn = self.__dict__.get("_values_code") or self._compiled("values")
+        _, fn = self.__dict__.get("_value_code") or self._compiled("value")
         return _rows(fn, block, row=lambda U: np.array([self.value_at(U[0])], dtype=float))
 
     def value_and_gradient_block(self, points):

@@ -358,9 +358,10 @@ def herglotz_residual(sys: LagrangianSystem, traj) -> float:
     n = sys.n
     G = sys.jets(states).gradient
     momenta = G[:, n : 2 * n]
-    dpdt = (momenta[2:] - momenta[:-2]) / (2 * h)
     inner = G[1:-1]
-    residual = dpdt - inner[:, :n] - inner[:, n : 2 * n] * inner[:, -1, None]
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is inf or NaN, not a warning
+        dpdt = (momenta[2:] - momenta[:-2]) / (2 * h)
+        residual = dpdt - inner[:, :n] - inner[:, n : 2 * n] * inner[:, -1, None]
     return float(np.max(np.abs(residual)))
 
 

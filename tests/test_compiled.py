@@ -285,6 +285,32 @@ def test_compiled_code_is_cached_outside_the_fields():
     assert field._jet_code is code
 
 
+def test_each_field_is_compiled_once_per_order(monkeypatch):
+    # the per-point and block functions of an order are one compile of one trace
+    from contactmech import _tape
+
+    sources = []
+
+    def spy(source, filename, mode):
+        sources.append(source)
+        return compile(source, filename, mode)
+
+    monkeypatch.setattr(_tape, "compile", spy, raising=False)
+    field = ScalarField.from_source("sqrt(x)*y^z + log(x)", CHART)
+    block = np.array([[0.5, 2.0, 3.0], [1.5, 2.0, 3.0]])
+    for _ in range(2):  # the value's block form first, the jet's point form first
+        field.values_at(block), field.value_at(block[0]), field.jet_at(block[0]), field.jets_at(block)
+    assert len(sources) == 2 and "_pow(" in sources[0]
+
+
+def test_value_and_gradient_at_is_the_jet():
+    field = ScalarField.from_source("sin(x)*y + x^3/z", CHART)
+    point = [0.3, -1.2, 2.5]
+    value, gradient = field.value_and_gradient_at(point)
+    jet = field.jet_at(point)
+    assert value == jet.value and gradient.tobytes() == jet.gradient.tobytes()
+
+
 # -- blocks of points --------------------------------------------------------------
 
 
@@ -413,16 +439,15 @@ def test_run_time_integral_exponent_over_a_block(monkeypatch):
 
 
 def test_block_code_raises_no_power_itself():
-    # every ** of a block is the rows' float power, entry by entry
+    # every power of the one text is _pow: over a block, the rows' float power entry by entry
     from contactmech import _tape
 
     tree = parse("x^2 + x^y + x^1.5 + exp(x)")
-    point = _tape._Tracer(CHART, {})
-    point.trace(tree)
-    assert "**" in "\n".join(point.lines)
-    for tracer in (_tape._Tracer(CHART, {}, block=True), _tape._JetTracer(CHART, {}, block=True)):
+    value = _tape._Tracer(CHART, {})
+    for tracer in (value, _tape._JetTracer(CHART, {})):
         tracer.trace(tree)
         assert "**" not in "\n".join(tracer.lines)
+    assert "_pow(" in "\n".join(value.lines)
 
 
 def test_block_shape_is_checked():

@@ -741,3 +741,117 @@ class TestCartanSymmetry:
         points = RNG.uniform(-1, 1, size=(15, 3))
         result = check_cartan_symmetry(sys, DynamicsVectorField(sys), a, g, points)
         assert result.residual_form > 0.5
+
+
+# -- a field on another chart of the same dimension ------------------------------------
+
+
+class TestChartsMustMatch:
+    """The chart-generic checks reject an argument on another chart, naming both."""
+
+    L = LagrangianSystem(1, ScalarField.from_source("0.5*qd1^2 - 0.5*q1^2 - 0.1*z", lagrangian_chart(1)))
+    H = HamiltonianSystem(1, field_on(1, "0.5*p1^2 + 0.5*q1^2 + 0.1*z"))
+    POINTS = np.random.default_rng(3).uniform(-1, 1, size=(6, 3))
+    ON_H = r"is on the chart \('q1', 'p1', 'z'\), expected \('q1', 'qd1', 'z'\)$"
+    ON_L = r"is on the chart \('q1', 'qd1', 'z'\), expected \('q1', 'p1', 'z'\)$"
+
+    @pytest.mark.parametrize("check, message", [
+        (lambda L, H, U: check_dynamical_symmetry(L, H.vector_field, U), ON_H),
+        (lambda L, H, U: check_conformal_contactomorphism(DynamicsVectorField(L), U), ON_L),
+        (lambda L, H, U: check_conformal_contactomorphism(H.vector_field, U, geometry=L), ON_H),
+        (lambda L, H, U: check_cartan_symmetry(L, H.vector_field, L.field, L.field, U), ON_H),
+        (lambda L, H, U: check_cartan_symmetry(L, DynamicsVectorField(L), H.field, L.field, U), ON_H),
+        (lambda L, H, U: check_cartan_symmetry(L, DynamicsVectorField(L), L.field, H.field, U), ON_H),
+        (lambda L, H, U: dissipation_residual(L, H.field, U), ON_H),
+        (lambda L, H, U: dissipation_residual(H, L.field, U), ON_L),
+    ], ids=["dynamical_symmetry", "conformal_default_chart", "conformal_geometry", "cartan_X", "cartan_a",
+            "cartan_g", "dissipation_on_L", "dissipation_on_H"])
+    def test_a_field_on_another_chart_is_rejected(self, check, message):
+        with pytest.raises(ValueError, match=message):
+            check(self.L, self.H, self.POINTS)
+
+    def test_matching_charts_still_pass(self):
+        assert check_dynamical_symmetry(self.L, DynamicsVectorField(self.L), self.POINTS).passed
+        assert check_conformal_contactomorphism(DynamicsVectorField(self.L), self.POINTS, geometry=self.L).is_conformal
+        assert dissipation_residual(self.H, self.H.field, self.POINTS) <= 1e-12
+
+
+# -- the input checks of the constructors and entry points -------------------------------
+
+
+def _q_field(source, n=1):
+    return ScalarField.from_source(source, tuple(f"q{i}" for i in range(1, n + 1)))
+
+
+def _integrate_from_a_short_state():
+    from contactmech.integrate import IntegratorConfig, integrate_lagrangian
+
+    system = LagrangianSystem(1, ScalarField.from_source("0.5*qd1^2", lagrangian_chart(1)))
+    return integrate_lagrangian(system, np.zeros(5), IntegratorConfig(step=0.1, t_final=1.0))
+
+
+def _generator_family(side, generators):
+    from contactmech.momentum import GeneratorFamily
+
+    return GeneratorFamily("family", side, generators)
+
+
+def _candidate(kind, field):
+    from contactmech.symmetry import SymmetryCandidate
+
+    return SymmetryCandidate("candidate", kind, field)
+
+
+ON_Q = VectorFieldQ.from_expressions(1, ["1"])
+ON_QR = VectorFieldQR.from_expressions(1, ["1"], "z")
+SQUARE = ScalarField.from_source("0.5*qd1^2", lagrangian_chart(1))
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: cc._as_states(np.zeros((2, 4)), 3), r"^points have dimension 4, chart has 3$"),
+    (lambda: DarbouxChart(0), r"^n must be at least 1$"),
+    (lambda: HamiltonianVectorField(ScalarField.from_source("x", ("x", "y"))),
+     r"^chart must have odd dimension 2n\+1$"),
+    (lambda: LagrangianSystem(2, SQUARE),
+     r"^Lagrangian chart \('q1', 'qd1', 'z'\) does not match \('q1', 'q2', 'qd1', 'qd2', 'z'\)$"),
+    (lambda: LagrangianSystem(0, ScalarField.from_source("z", ("z",))), r"^n must be at least 1$"),
+    (lambda: VectorFieldQR(2, (_q_field("1"),), ON_QR.z_component), r"^expected 2 components, got 1$"),
+    (lambda: VectorFieldQR(1, (_q_field("1"),), ON_QR.z_component),
+     r"^component chart \('q1',\) must be \('q1', 'z'\)$"),
+    (lambda: VectorFieldQR(1, ON_QR.components, ON_QR.components[0]),
+     r"^the z component must be a field over the chart \('z',\)$"),
+    (lambda: VerticalMomentumQuantity(LagrangianSystem(1, SQUARE), VectorFieldQ.from_expressions(2, ["1", "1"])),
+     r"^system and field dimensions differ$"),
+    (lambda: _generator_family("lagrangian", (ON_Q, ON_QR)),
+     r"^lagrangian-side generators must be vector fields on Q$"),
+    (lambda: _generator_family("lagrangian", (ON_Q, VectorFieldQ.from_expressions(2, ["1", "1"]))),
+     r"^all generators must share one configuration space$"),
+    (lambda: _generator_family("hamiltonian", (ConstantVectorField([1.0, 0.0, 0.0], hamiltonian_chart(1)),
+                                               ConstantVectorField([1.0, 0.0, 0.0], lagrangian_chart(1)))),
+     r"^all generators must share one chart$"),
+    (lambda: _candidate("on_Z", ON_Q), r"^kind must be 'on_Q' or 'on_QxR', got 'on_Z'$"),
+    (lambda: _candidate("on_QxR", ON_Q), r"^a on_QxR candidate needs a VectorFieldQR$"),
+    (lambda: AmbientVectorField(()), r"^a vector field needs at least one component$"),
+    (lambda: AmbientVectorField((_q_field("1"), ScalarField.from_source("1", ("x",)))),
+     r"^all components must share one chart$"),
+    (lambda: AmbientVectorField((_q_field("1", 2),)), r"^1 components for a 2-dimensional chart$"),
+    (lambda: ConstantVectorField([1.0, 2.0], ("x",)), r"^constant vector length must match the chart$"),
+    (lambda: VectorFieldSum(()), r"^empty linear combination$"),
+    (lambda: VectorFieldSum(((1.0, ConstantVectorField([1.0], ("x",))), (1.0, ConstantVectorField([1.0], ("y",))))),
+     r"^all summands must share one chart$"),
+    (lambda: LinearCombinationQuantity(()), r"^empty linear combination$"),
+    (lambda: lie_bracket_value(ConstantVectorField([1.0], ("x",)), ConstantVectorField([1.0], ("y",)), [0.0]),
+     r"^lie bracket requires fields on the same chart$"),
+    (_integrate_from_a_short_state, r"^initial state has shape \(5,\), expected \(3,\)$"),
+    (lambda: ScalarField.from_source("1", ()).jet_at([]), r"^a jet needs a nonempty 1-d point$"),
+    (lambda: ScalarField.from_source("1", ()).jets_at(np.zeros((2, 0))), r"^a jet needs a nonempty 1-d point$"),
+], ids=["states_dimension", "darboux_n0", "hamiltonian_field_even_chart", "lagrangian_chart", "lagrangian_n0",
+        "qr_count", "qr_component_chart", "qr_z_chart", "vertical_momentum_n", "family_mixed_generators",
+        "family_mixed_n", "family_mixed_charts", "candidate_kind", "candidate_field_type", "ambient_empty",
+        "ambient_mixed_charts", "ambient_count", "constant_length", "sum_empty", "sum_mixed_charts",
+        "combination_empty", "lie_bracket_charts", "initial_state_shape", "jet_at_empty_chart",
+        "jets_at_empty_chart"])
+def test_an_input_check_raises_its_message(build, message):
+    with pytest.raises(ValueError, match=message) as caught:
+        build()
+    assert type(caught.value) is ValueError

@@ -178,9 +178,9 @@ class TestEvaluation:
         # path then computes row by row
         field = ScalarField.from_source("x^y", ("x", "y"))
         seen = []
-        for name in ("values", "jets"):
-            code = field._compiled(name)
-            object.__setattr__(field, f"_{name}_code", lambda X, code=code: seen.append(len(X)) or code(X))
+        for order in ("value", "jet"):
+            point, code = field._compiled(order)
+            object.__setattr__(field, f"_{order}_code", (point, lambda X, code=code: seen.append(len(X)) or code(X)))
         rng = np.random.default_rng(0)
         block = np.column_stack([rng.uniform(0.5, 2.0, 2500), rng.uniform(-3.0, 3.0, 2500)])
         block[:1200, 1] = np.round(block[:1200, 1])

@@ -1,5 +1,7 @@
 """Contact Lagrangian structure: energy, contact form, Reeb field, Herglotz dynamics and its Jacobian."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -226,6 +228,15 @@ class TestHerglotzResidual:
         states = np.tile([0.0, 0.0, 0.0], (11, 1))
         still = type("T", (), {"times": times, "states": states})()
         assert herglotz_residual(sys, still) <= 1e-12
+
+    def test_overflow_is_a_value_not_a_warning(self):
+        sys = system_from("0.5*qd1^2 - 0.5*q1^2 - 0.1*z")
+        qd = np.array([1e308, -1e308, 1e308, 1e308, -1e308, -1e308])
+        states = np.column_stack([np.zeros(6), qd, np.zeros(6)])
+        fake = type("T", (), {"times": np.arange(6) * 0.1, "states": states})()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert not np.isfinite(herglotz_residual(sys, fake))
 
     def test_short_trajectory_rejected(self):
         sys = system_from("0.5*qd1^2")

@@ -342,7 +342,7 @@ class TestClassify:
         from contactmech import _tape
 
         compiled = []
-        for name in ("value", "jet", "values", "jets"):
+        for name in ("value", "jet"):
             original = getattr(_tape, f"compile_{name}")
 
             def counting(*args, _original=original, _name=name):
