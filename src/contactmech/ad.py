@@ -29,6 +29,7 @@ class Jet2:
     """Value, gradient and Hessian of a scalar at a point.
 
     Treat instances as immutable: they may share arrays with other jets.
+    ``ScalarField.jet_at`` builds a new one at each call.
     """
 
     __slots__ = ("value", "gradient", "hessian")
@@ -48,7 +49,11 @@ class Jet2:
 
 class JetBlock(NamedTuple):
     """The jets of one scalar at N points: values (N,), gradients (N, m) and
-    Hessians (N, m, m), row k being the :class:`Jet2` at point k."""
+    Hessians (N, m, m), row k being the :class:`Jet2` at point k.
+
+    From ``ScalarField.jets_at`` the three arrays are read-only, and a field
+    asked again for its last block (of at most ``BLOCK_ROWS`` rows) returns
+    the same JetBlock object; copy an array before writing into it."""
 
     value: np.ndarray
     gradient: np.ndarray

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ad import Jet2, JetBlock, _rows
+from .ad import BLOCK_ROWS, Jet2, JetBlock, _rows
 
 __all__ = [
     "ParseError",
@@ -434,15 +434,31 @@ class ScalarField:
         return block
 
     def jets_at(self, points) -> JetBlock:
-        """Values (N,), gradients (N, m) and Hessians (N, m, m) at the rows of ``points``."""
+        """Values (N,), gradients (N, m) and Hessians (N, m, m) at the rows of ``points``.
+
+        The three arrays are read-only.  The field keeps the jets of its last
+        block of at most ``BLOCK_ROWS`` rows, keyed on the block's bytes, and
+        returns that same JetBlock when asked for those bytes again; a block
+        that raises keeps nothing and leaves the kept one in place.
+        """
         block = self._block(points)
-        if block.shape[1] == 0:
-            raise ValueError("a jet needs a nonempty 1-d point")
         count, m = block.shape
+        if m == 0:
+            raise ValueError("a jet needs a nonempty 1-d point")
+        key = block.tobytes() if count <= BLOCK_ROWS else None
+        memo = self.__dict__.get("_jets_memo")
+        if memo is not None and memo[0] == key:
+            return memo[1]
         if count == 0:
-            return JetBlock(np.empty(0), np.empty((0, m)), np.empty((0, m, m)))
-        _, fn = self.__dict__.get("_jet_code") or self._compiled("jet")
-        return _rows(fn, block, row=self._jet_row)
+            jets = JetBlock(np.empty(0), np.empty((0, m)), np.empty((0, m, m)))
+        else:
+            _, fn = self.__dict__.get("_jet_code") or self._compiled("jet")
+            jets = _rows(fn, block, row=self._jet_row)
+        for part in jets:
+            part.flags.writeable = False
+        if key is not None:
+            object.__setattr__(self, "_jets_memo", (key, jets))
+        return jets
 
     def _jet_row(self, U: np.ndarray) -> JetBlock:
         jet = self.jet_at(U[0])

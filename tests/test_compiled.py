@@ -369,6 +369,33 @@ def test_blocks_match_the_rows_on_random_trees(tree, block, params):
     assert_block_matches_rows(field, np.array(block, dtype=float))
 
 
+def _outcome_with_row(fn, *args):
+    try:
+        return fn(*args), None
+    except Exception as exc:  # type, message and failing row are what get compared
+        return None, (type(exc), str(exc), getattr(exc, "row", None))
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(tree=trees, a=blocks, b=blocks, params=block_params)
+def test_jets_memo_matches_a_fresh_field(tree, a, b, params):
+    # blocks A, A, B, A on one field: each answer, error and failing row is a fresh
+    # field's, and the jets of the kept block come back while its bytes are asked for
+    parameters = dict(zip(PARAMS, params))
+    field = ScalarField(tree, CHART, parameters)
+    kept = None
+    for block in map(np.array, (a, a, b, a)):
+        jets, error = _outcome_with_row(field.jets_at, block)
+        want, want_error = _outcome_with_row(ScalarField(tree, CHART, parameters).jets_at, block)
+        assert error == want_error
+        if want_error is None:
+            for part, want_part in zip(jets, want):
+                _assert_same_entries(part, want_part)
+            hit = kept is not None and kept[0] == block.tobytes()
+            assert hit == (kept is not None and jets is kept[1])
+            kept = (block.tobytes(), jets)
+
+
 @pytest.mark.parametrize(
     "source, block",
     [

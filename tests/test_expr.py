@@ -207,3 +207,91 @@ class TestEvaluation:
         src = "0.5*qd1^2 - gamma*z"
         field = ScalarField.from_source(src, ("q1", "qd1", "z"), {"gamma": 0.2})
         assert field.describe() == src
+
+
+def _counting_block_code(field) -> list:
+    """Replace the field's block jet code by a spy; returns the rows of each run."""
+    point, code = field._compiled("jet")
+    runs = []
+    object.__setattr__(field, "_jet_code", (point, lambda X: runs.append(len(X)) or code(X)))
+    return runs
+
+
+def _same_bits(got, want):
+    return all(a.shape == b.shape and a.tobytes() == b.tobytes() for a, b in zip(got, want))
+
+
+class TestJetsMemo:
+    """A field keeps the jets of its last block of at most BLOCK_ROWS rows, keyed on its bytes."""
+
+    CHART = ("x", "y")
+
+    def field(self, source="sin(x)*y^2 + exp(x*y)"):
+        return ScalarField.from_source(source, self.CHART)
+
+    def block(self, rows=3):
+        return np.linspace(-1.0, 1.0, 2 * rows).reshape(rows, 2)
+
+    def test_a_hit_is_the_miss_before_it(self):
+        field, block = self.field(), self.block()
+        runs = _counting_block_code(field)
+        first = field.jets_at(block)
+        assert field.jets_at(block.copy()) is first
+        assert field.jets_at(list(map(list, block))) is first
+        assert runs == [3]
+        assert _same_bits(first, self.field().jets_at(block))
+
+    @pytest.mark.parametrize("source, block", [
+        ("sin(x)*y^2", [[0.5, 1.0], [1.5, 2.0]]),
+        ("x^y", [[2.0, 2.0], [2.0, 2.5]]),  # rows on both sides of a branch: computed row by row
+        ("x*y", np.zeros((0, 2))),
+    ])
+    def test_the_arrays_are_read_only(self, source, block):
+        for part in self.field(source).jets_at(block):
+            with pytest.raises(ValueError, match="read-only"):
+                part[...] = 1.0
+
+    @pytest.mark.parametrize("old, new", [
+        (0x0000000000000000, 0x8000000000000000),  # 0.0 and -0.0
+        (0x7FF8000000000000, 0x7FF8000000000001),  # two NaN payloads
+    ], ids=["signed-zero", "nan-payload"])
+    def test_a_block_that_differs_in_one_bit_misses(self, old, new):
+        field, block = self.field("x*y + x^2"), self.block()
+        block.view(np.uint64)[1, 0] = old
+        runs = _counting_block_code(field)
+        first = field.jets_at(block)
+        changed = block.copy()
+        changed.view(np.uint64)[1, 0] = new
+        second = field.jets_at(changed)
+        assert runs == [3, 3] and second is not first
+        assert field.jets_at(changed) is second
+
+    def test_a_block_with_one_more_row_misses(self):
+        field, block = self.field(), self.block()
+        runs = _counting_block_code(field)
+        first = field.jets_at(block)
+        longer = np.vstack([block, block[-1:]])
+        assert field.jets_at(longer) is not first
+        assert runs == [3, 4]
+
+    def test_a_raising_block_keeps_nothing(self):
+        field = self.field("log(x) + y")
+        good, bad = np.array([[1.0, 2.0], [3.0, 4.0]]), np.array([[1.0, 2.0], [-1.0, 4.0]])
+        first = field.jets_at(good)
+        for _ in range(2):  # raised again: nothing was kept for it
+            with pytest.raises(DomainError) as caught:
+                field.jets_at(bad)
+            assert caught.value.row == 1
+        assert field.jets_at(good) is first
+
+    def test_a_block_beyond_block_rows_is_not_kept(self):
+        field, small = self.field(), self.block()
+        first = field.jets_at(small)
+        runs = _counting_block_code(field)
+        big = np.zeros((ad.BLOCK_ROWS + 1, 2))
+        one, two = field.jets_at(big), field.jets_at(big)
+        assert two is not one and _same_bits(one, two)
+        assert runs == [ad.BLOCK_ROWS, 1, ad.BLOCK_ROWS, 1]
+        assert field.jets_at(small) is first
+        edge = big[: ad.BLOCK_ROWS]
+        assert field.jets_at(edge) is field.jets_at(edge)

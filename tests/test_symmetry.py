@@ -360,6 +360,35 @@ class TestClassify:
         classify(sys, candidate, points)
         assert compiled == []  # ... and never again, the implied Cartan data included
 
+    @pytest.mark.parametrize("check", ["classify", "structure_checks"])
+    def test_a_check_evaluates_each_block_of_jets_once(self, check, monkeypatch):
+        # the residuals of one check share L's jets: its block code runs once a distinct block
+        from types import SimpleNamespace
+
+        from contactmech.cli import _structure_checks
+
+        sys = damped_oscillator()
+        points = points_for(sys, 100)
+        L = sys.field
+        point, code = L._compiled("jet")
+        blocks, requests = [], []
+        object.__setattr__(L, "_jet_code", (point, lambda X: blocks.append(X.tobytes()) or code(X)))
+        jets_at = ScalarField.jets_at
+
+        def spy(self, U):
+            if self is L:
+                requests.append(np.asarray(U).shape)
+            return jets_at(self, U)
+
+        monkeypatch.setattr(ScalarField, "jets_at", spy)
+        if check == "classify":
+            rotation = VectorFieldQ.from_expressions(2, ["-q2", "q1"])
+            classify(sys, SymmetryCandidate("rotation", "on_Q", rotation), points)
+        else:
+            _structure_checks(SimpleNamespace(system=sys, kind="lagrangian"), points, 1.0)
+        assert blocks and len(blocks) == len(set(blocks))
+        assert len(requests) > len(blocks)
+
     def test_implication_chain_on_infinitesimal_symmetries(self):
         # infinitesimal pass -> noether(0,0) pass -> lie pass
         for sys, comps in (
