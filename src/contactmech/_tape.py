@@ -13,23 +13,22 @@ dense arrays one operation at a time.
 
 The text writes every guard, branch test and power through helpers
 (``_any``, ``_all``, ``_uniform``, ``_integral``, ``_nonzero``, ``_abs``,
-``_pow``).  ``_RUNTIME`` gives them their one-point meaning (``bool``,
-``abs``, ``float.is_integer``, ``operator.pow``, ...), and the point form
-raises exactly where evaluating the tree operation by operation would, with
-the same exception types.  ``_BLOCK_RUNTIME`` gives them their meaning over
-columns, and row k of the block form is, bit for bit, the point form at
-point k: numpy does the correctly rounded arithmetic and ``sqrt`` over whole
-columns, and ``exp``, ``log``, ``sin``, ``cos`` and powers run entry by entry
-with the rows' own functions.  Where some row would raise, the block raises
-(:class:`BlockFallback` for a guard or a branch that the rows do not all
-take); ``contactmech.ad._rows`` then evaluates it row by row, so its errors
-are the rows' errors too.
+``_fmax``, ``_pow``).  ``_RUNTIME`` gives them their one-point meaning
+(``bool``, ``abs``, ``max``, ``float.is_integer``, ``operator.pow``, ...),
+and the point form raises exactly where evaluating the tree operation by
+operation would, with the same exception types.  ``_BLOCK_RUNTIME`` gives
+them their meaning over columns, and row k of the block form is, bit for
+bit, the point form at point k: numpy does the correctly rounded arithmetic
+and ``sqrt`` over whole columns, and ``exp``, ``log``, ``sin``, ``cos`` and
+powers run entry by entry with the rows' own functions.  Where some row
+would raise, the block raises (:class:`BlockFallback` for a guard or a
+branch that the rows do not all take); ``contactmech.ad._rows`` then
+evaluates it row by row, so its errors are the rows' errors too.
 
-:func:`compile_stepper` emits a vector field from the same jet trace: a
-caller's assembler writes the field's entries from the symbolic jet, only
-the lines those entries need are kept, and they are written into a
-fixed-step RK4 or Euler loop, once per stage, run with ``_RUNTIME``, so the
-integration runs in one function on locals.
+:func:`compile_field` emits a vector field from the same jet trace: a
+caller's assembler writes its entries once, and the lines they need run
+as the block form above and in a fixed-step RK4 or Euler loop, once per
+stage, with ``_RUNTIME``, so the integration runs in one function on locals.
 
 Tracing runs the operations over *symbolic* scalars: a Python float when the
 number is known at compile time (literals, parameters and every subtree
@@ -57,6 +56,7 @@ into a local once per call.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 import re
@@ -64,10 +64,10 @@ from itertools import repeat
 
 import numpy as np
 
-from .ad import DomainError, Jet2, JetBlock
+from .ad import DomainError, Jet2, JetBlock, _rows
 from .expr import MAX_INT_POWER, Binary, Call, Num, Unary, Var
 
-__all__ = ["BlockFallback", "FieldWriter", "compile_value", "compile_jet", "compile_stepper"]
+__all__ = ["BlockFallback", "FieldWriter", "compile_value", "compile_jet", "compile_field"]
 
 def _fail_div(_value):
     raise DomainError("division by zero")
@@ -201,6 +201,7 @@ _RUNTIME = {
     "_any": bool,
     "_all": bool,
     "_abs": abs,
+    "_fmax": max,
     "_uniform": bool,
     "_integral": float.is_integer,
     "_nonzero": lambda *entries: any(entries),
@@ -232,6 +233,7 @@ _BLOCK_RUNTIME = {
     "_any": np.any,
     "_all": np.all,
     "_abs": np.abs,
+    "_fmax": np.fmax,
     "_uniform": _uniform,
     "_integral": _integral,
     "_nonzero": _nonzero,
@@ -279,6 +281,7 @@ class _Tracer:
         self.inputs = {name: f"x{i}" for i, name in enumerate(chart)}
         self.parameters = parameters
         self.namespace = {"__builtins__": {}}
+        self.block_forms: dict = {}  # the block forms of names bound by a FieldWriter
         self.lines: list[str] = []
         self.indent = "    "
         self.bound: dict = {}
@@ -396,8 +399,8 @@ class _Tracer:
         source = "\n".join([*head, *self.lines, f"    {result}", ""])
         code = compile(source, "<contactmech compiled field>", "exec")
         forms = []
-        for runtime in (_RUNTIME, _BLOCK_RUNTIME):
-            namespace = {**self.namespace, **runtime}
+        for runtime, bound in ((_RUNTIME, {}), (_BLOCK_RUNTIME, self.block_forms)):
+            namespace = {**self.namespace, **runtime, **bound}
             exec(code, namespace)
             forms.append(namespace["f"])
         return forms
@@ -863,9 +866,10 @@ class FieldWriter:
     def number(self, value: float) -> str:
         return self._tracer.ref(float(value))
 
-    def bind(self, name: str, obj) -> str:
-        """Make ``obj`` callable from the code as ``name``."""
+    def bind(self, name: str, obj, block) -> str:
+        """Make ``obj`` callable from the code as ``name``, and ``block`` over a block's columns."""
         self._tracer.namespace[name] = obj
+        self._tracer.block_forms[name] = block
         return name
 
     @staticmethod
@@ -921,32 +925,41 @@ def _live(lines: list, results) -> list:
 _STAGES = {"rk4": ("half", "half", "h"), "euler": ()}
 
 
-def compile_stepper(tree, chart, parameters: dict, assemble, method: str):
-    """``run(u, steps, states, h) -> (k, stop)``: ``steps`` fixed steps of size h
-    from the state u, by ``"rk4"`` or ``"euler"``, of a vector field assembled
-    from the tree's jet, each new state written to row k + 1 of ``states``, a
-    C-contiguous float array.
-
-    ``assemble(writer)`` writes the field through a :class:`FieldWriter` and
-    returns the source names of its entries.  The arithmetic of jet entries
-    that the field does not read is dropped (see :func:`_live`).
-
-    The loop and the field are one function: locals for the state (``y``) and
-    for each stage's input (``x``, the field's own names), and the field's
-    lines written out at every stage with each derivative in locals.  Stages and updates are the sums of the array form, in its order:
-    ``y + half * d`` at a stage, ``y + sixth * (d1 + 2.0 * d2 + 2.0 * d3 + d4)``
-    for RK4 and ``y + h * d`` for Euler.  ``k`` is the number of steps taken
-    and ``stop`` is None, or what ended step k + 1: the ArithmeticError a stage
-    raised, or the new state as a tuple when not all of it is finite.
-    """
+def compile_field(tree, chart, parameters: dict, assemble):
+    """``(block, stepper)`` of the vector field that ``assemble(writer)`` writes
+    once from the tree's jet through a :class:`FieldWriter`, returning the
+    source names of its entries; the lines they need (see :func:`_live`) are
+    its one text.  ``block(U)`` runs it over the columns of an (N, m) array
+    through :func:`contactmech.ad._rows`, with the float form as its rows, so
+    row k is the field at point k, bit for bit, errors included.
+    ``stepper(method)`` is its loop (:func:`_stepper`), compiled on first use."""
     tracer = _JetTracer(chart, parameters)
     result = _trace(tracer, tree)
     entries = None  # every run raises
     if result is not None:
-        if not isinstance(result, _Jet):
-            result = _Jet(result, {}, {})
-        entries = assemble(FieldWriter(tracer, result))
+        entries = assemble(FieldWriter(tracer, result if isinstance(result, _Jet) else _Jet(result, {}, {})))
         tracer.lines = _live(tracer.lines, entries)
+    point, columns = tracer.function("" if entries is None else f"return {FieldWriter.pack(entries)}")
+
+    def kernel(U):
+        out = np.empty(U.shape)
+        for column, entry in zip(out.T, columns(np.ascontiguousarray(U.T))):
+            column[:] = entry  # a column, or a bound number
+        return out
+
+    block = functools.partial(_rows, kernel, row=lambda U: np.array([point(U[0].tolist())]))
+    return block, functools.cache(functools.partial(_stepper, tracer, entries))
+
+
+def _stepper(tracer: _JetTracer, entries, method: str):
+    """``run(u, steps, states, h) -> (k, stop)``: ``steps`` fixed steps of size h
+    from the state u, by ``"rk4"`` or ``"euler"``, each new state written to
+    row k + 1 of ``states``, a C-contiguous float array.  Stages and updates
+    are the sums of the array form, in its order: ``y + half * d`` at a stage,
+    ``y + sixth * (d1 + 2.0 * d2 + 2.0 * d3 + d4)`` for RK4 and ``y + h * d``
+    for Euler.  ``k`` is the number of steps taken and ``stop`` is None, or
+    what ended step k + 1: the ArithmeticError a stage raised, or the new
+    state as a tuple when not all of it is finite."""
     m = len(tracer.inputs)
     x, y = list(tracer.inputs.values()), [f"y{i}" for i in range(m)]
     # every stage reads its input x, the first x = y: an entry may name an x,

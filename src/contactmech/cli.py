@@ -726,7 +726,6 @@ def run_scenario(config_path: str, *, seed=None, tol_scale: float = 1.0) -> int:
     except _NUMERICAL_FAILURES as exc:
         print(f"error: {' '.join(str(exc).split())}", file=_sys.stderr)
         return 2
-    system = scn.system
 
     all_pass = all(e["pass"] is not False for e in entries)
     report = {
@@ -734,8 +733,8 @@ def run_scenario(config_path: str, *, seed=None, tol_scale: float = 1.0) -> int:
         "scenario": scn.name,
         "system": {
             "kind": scn.kind,
-            "n": system.n,
-            "expression": system.field.describe(),
+            "n": scn.system.n,
+            "expression": scn.system.field.describe(),
             "params": scn.params,
         },
         "provenance": {
@@ -751,11 +750,13 @@ def run_scenario(config_path: str, *, seed=None, tol_scale: float = 1.0) -> int:
         "outputs": {"csv": scn.csv_path if traj is not None else None},
         "pass": bool(all_pass),
     }
+    report_path = scn.report_path
+    del scn  # frees the system, candidates and monitors, and their kept jets, before the CSV
     try:
-        if traj is not None and scn.csv_path:
-            write_csv(scn.csv_path, traj)
-        if scn.report_path:
-            _atomic_write(scn.report_path, json.dumps(report, indent=2, default=_json_default) + "\n")
+        if report["outputs"]["csv"]:
+            write_csv(report["outputs"]["csv"], traj)
+        if report_path:
+            _atomic_write(report_path, json.dumps(report, indent=2, default=_json_default) + "\n")
     except OSError as exc:
         print(f"error: {' '.join(str(exc).split())}", file=_sys.stderr)
         return 2
@@ -764,7 +765,7 @@ def run_scenario(config_path: str, *, seed=None, tol_scale: float = 1.0) -> int:
         status = {True: "pass", False: "FAIL", None: "skip"}[e["pass"]]
         residual = "n/a" if e["residual"] is None else f"{e['residual']:.3e}"
         print(f"[{status}] {e['name']}: residual {residual} (tol {e['tolerance']})")
-    print(f"scenario {scn.name}: {'PASS' if all_pass else 'FAIL'}")
+    print(f"scenario {report['scenario']}: {'PASS' if all_pass else 'FAIL'}")
     return 0 if all_pass else 1
 
 

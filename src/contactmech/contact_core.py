@@ -15,9 +15,10 @@ verbatim to the Lagrangian chart of :mod:`contactmech.lagrangian`.
 Checks run over blocks of sample points: systems, vector fields and
 quantities have ``*_block`` methods that take an (N, dim) array and return
 one row per point, and the per-point methods used only by checks and tests
-are one-row adapters over them, ``dynamics`` among them.  The integrator
-runs each system's ``stepper``, its RK4 or Euler loop emitted with the vector
-field from the trace of H or L, the one place the field is emitted.
+are one-row adapters over them, ``dynamics`` among them.  Each system's
+vector field is one text emitted from the trace of H or L, which
+``dynamics_block`` runs over columns and ``stepper`` in its RK4 or Euler
+loop; X_H is kept on H, as H's compiled jets are.
 
 One block kernel, ``_dissipation_rows(system, f, U)``, gives the signed
 Jacobi bracket {H, f} = X_H(f) + R(H) f at each row, zero where f
@@ -36,13 +37,14 @@ points would raise at the first failing point, and a row that only
 overflows gets the inf or NaN of float arithmetic.  Residuals reduce with
 one NaN-propagating max over axis 0.
 
-The Darboux chart and both systems share their per-point adapters, ``jets``
-and ``stepper`` through :class:`_Chart` and :class:`_System`.
+The Darboux chart and both systems share their per-point adapters, ``jets``,
+``dynamics_block`` and ``stepper`` through :class:`_Chart` and :class:`_System`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -229,8 +231,8 @@ class _System(_Chart):
     """A contact system given by one scalar ``field`` on its chart: H on the
     Darboux chart, L on the bundle chart (whose energy E_L is then H).
 
-    A subclass provides the block methods and ``_assemble(out)``, which
-    writes the entries of its vector field from the trace of ``field``.
+    A subclass provides the block methods and ``_field_code``, its vector
+    field's ``(block, stepper)`` from :func:`contactmech._tape.compile_field`.
     """
 
     def jets(self, U) -> JetBlock:
@@ -243,6 +245,9 @@ class _System(_Chart):
     def reeb_rate(self, u) -> float:
         return float(_at_point(self, self.reeb_rate_block, u))
 
+    def dynamics_block(self, U) -> np.ndarray:
+        return self._field_code[0](U)
+
     def dynamics(self, u) -> np.ndarray:
         return _at_point(self, self.dynamics_block, u)
 
@@ -251,13 +256,8 @@ class _System(_Chart):
 
     def stepper(self, method: str):
         """``run(u, steps, states, h) -> (k, stop)``: the integration loop of
-        ``method`` with this vector field written into it, compiled on first
-        use for each method (see :func:`contactmech._tape.compile_stepper`)."""
-        steppers = self.__dict__.setdefault("_steppers", {})
-        if method not in steppers:
-            f = self.field
-            steppers[method] = _tape.compile_stepper(f.ast, self.chart, f._param_env, self._assemble, method)
-        return steppers[method]
+        ``method`` with this vector field written into it (see ``compile_field``)."""
+        return self._field_code[1](method)
 
 
 # -- the Darboux chart and Hamiltonian systems --------------------------------
@@ -293,14 +293,22 @@ class DarbouxChart(_Chart):
         return r
 
 
-def _darboux_field_rows(jets: JetBlock, P: np.ndarray, n: int) -> np.ndarray:
-    """X_f at each row, from the jets of f and the momenta P."""
-    G = jets.gradient
-    out = np.empty((len(P), 2 * n + 1))
-    out[:, :n] = G[:, n : 2 * n]
-    out[:, n : 2 * n] = -(G[:, :n] + P * G[:, 2 * n, None])
-    out[:, 2 * n] = _rowdot(P, G[:, n : 2 * n]) - jets.value
-    return out
+def _assemble_darboux(n: int, out) -> list:
+    """Write X_f from the trace of f, of which it reads the value and gradient
+    only, p·df/dp summed left to right; returns its entries."""
+    G = [out.gradient(i) for i in range(2 * n + 1)]
+    p = [out.coordinate(n + i) for i in range(n)]
+    dp = [out.let(f"-({G[i]} + {p[i]} * {G[2 * n]})") for i in range(n)]
+    dz = out.let(f"{_dot_source(p, G[n : 2 * n])} - {out.value()}")
+    return [*G[n : 2 * n], *dp, dz]
+
+
+def _darboux_field(f: ScalarField):
+    """The ``(block, stepper)`` of X_f, compiled on first use and kept on f."""
+    if "_darboux_code" not in f.__dict__:
+        assemble = partial(_assemble_darboux, (len(f.chart) - 1) // 2)
+        f.__dict__["_darboux_code"] = _tape.compile_field(f.ast, f.chart, f._param_env, assemble)
+    return f.__dict__["_darboux_code"]
 
 
 def _darboux_jacobian_rows(jets: JetBlock, P: np.ndarray, n: int) -> np.ndarray:
@@ -343,22 +351,10 @@ class HamiltonianSystem(DarbouxChart, _System):
         """R(H) at each row (the conformal rate of the dynamics)."""
         return self.jets(U).gradient[:, -1]
 
-    def dynamics_block(self, U) -> np.ndarray:
-        return self.vector_field.value_block(U)
+    _field_code = property(lambda self: _darboux_field(self.field))
 
     def dynamics_and_jacobian_block(self, U):
         return self.vector_field.value_and_jacobian_block(U)
-
-    def _assemble(self, out) -> list:
-        """Write the contact Hamiltonian field from the trace of H, of which it
-        reads the value and gradient only; returns its entries, which equal
-        ``dynamics_block``'s bit for bit."""
-        n = self.n
-        G = [out.gradient(i) for i in range(2 * n + 1)]
-        p = [out.coordinate(n + i) for i in range(n)]
-        dp = [out.let(f"-({G[i]} + {p[i]} * {G[2 * n]})") for i in range(n)]
-        dz = out.let(f"{_dot_source(p, G[n : 2 * n])} - {out.value()}")
-        return [*G[n : 2 * n], *dp, dz]
 
     # perfbench's tracer wraps these names in this class's own __dict__
     dynamics = _System.dynamics
@@ -387,12 +383,11 @@ class HamiltonianVectorField(_Field):
         return (len(self.function.chart) - 1) // 2
 
     def value_block(self, U) -> np.ndarray:
-        return _darboux_field_rows(self.function.jets_at(U), U[:, self.n : 2 * self.n], self.n)
+        return _darboux_field(self.function)[0](U)
 
     def value_and_jacobian_block(self, U):
         jets = self.function.jets_at(U)
-        P = U[:, self.n : 2 * self.n]
-        return _darboux_field_rows(jets, P, self.n), _darboux_jacobian_rows(jets, P, self.n)
+        return self.value_block(U), _darboux_jacobian_rows(jets, U[:, self.n : 2 * self.n], self.n)
 
 
 # -- generic chart machinery ---------------------------------------------------

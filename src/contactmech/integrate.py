@@ -6,9 +6,9 @@ side, the contact Hamiltonian field on the Darboux side.  Steps are fixed so
 runs are bit-for-bit reproducible.
 
 The loop is one call of the system's ``stepper(method)``: a function
-emitted with the vector field written into every stage, that steps on one
-Python float local per coordinate (see
-:func:`contactmech._tape.compile_stepper`).  CPython rounds every operation
+emitted with the system's one field text written into every stage, that
+steps on one Python float local per coordinate (see
+:func:`contactmech._tape.compile_field`).  CPython rounds every operation
 and never fuses a multiply-add, so its stage and update sums equal those of
 numpy arrays.  Each state is written to one (steps+1, dim) array, and the
 stepper returns the step it stopped at with the error or non-finite state

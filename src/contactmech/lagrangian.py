@@ -24,13 +24,12 @@ of :mod:`contactmech.contact_core` applies to (q, v, z) verbatim.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from ._tape import _pow
+from . import _tape
 from .ad import Jet2
 from .contact_core import (
     ContactPoint,
@@ -77,7 +76,53 @@ class TQRPoint(_ChartTriple):
     z: float
 
 
-class LagrangianSystem(_System):
+class _VelocityHessians:
+    """Regularity and solves of n x n velocity Hessians at ``regularity_rtol``: a
+    :class:`LagrangianSystem`'s, or a bare one that its emitted field holds."""
+
+    def __init__(self, n: int, regularity_rtol: float):
+        self.n = n
+        self.regularity_rtol = float(regularity_rtol)
+
+    def _thresholds(self, largest: np.ndarray) -> np.ndarray:
+        """The regularity thresholds rtol * max(1, largest**n) of velocity Hessians
+        whose largest |entry| is ``largest``.
+
+        The power is the rows' float power (``_tape._pow``); ``fmax`` keeps max(1.0, nan) = 1.0.
+        """
+        return self.regularity_rtol * np.fmax(1.0, _tape._pow(largest, self.n))
+
+    def _regularity(self, W: np.ndarray) -> tuple:
+        """(d, degenerate, regular) for each row of W (N, n, n): d is w when n = 1, else
+        |det W|, and |d| is <= or > its ``_thresholds``; a NaN W is neither."""
+        threshold = self._thresholds(np.max(np.abs(W), axis=(1, 2)))
+        d = W[:, 0, 0] if self.n == 1 else np.abs(np.linalg.det(W))
+        return d, np.abs(d) <= threshold, np.abs(d) > threshold
+
+    def _solve_velocity_hessian_block(self, W: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+        """Solve W[k] x = rhs[k] for each row, rhs (N, n) or (N, n, m); the first degenerate row raises."""
+        d, degenerate, _ = self._regularity(W)
+        if degenerate.any():
+            if self.n == 1:
+                _degenerate(float(d[np.argmax(degenerate)]))
+            raise RegularityError("velocity Hessian is degenerate")
+        columns = rhs if rhs.ndim == 3 else rhs[:, :, None]
+        if self.n == 1:
+            return (columns / d[:, None, None]).reshape(rhs.shape)
+        return np.linalg.solve(W, columns).reshape(rhs.shape)
+
+    # the emitted field's solve of W a = b, W a tuple of rows: at one point on
+    # floats, and over a block on columns and bound numbers, in one stacked solve
+    def _solve_one(self, W, b) -> list:
+        return self._solve_velocity_hessian_block(np.array([W]), np.array([b]))[0].tolist()
+
+    def _solve_columns(self, W, b) -> np.ndarray:
+        n = self.n
+        stacked = np.stack(np.broadcast_arrays(*map(np.atleast_1d, [*sum(W, ()), *b])), axis=-1)
+        return self._solve_velocity_hessian_block(stacked[:, : n * n].reshape(-1, n, n), stacked[:, n * n :]).T
+
+
+class LagrangianSystem(_VelocityHessians, _System):
     """A contact Lagrangian system over the chart (q1..qn, qd1..qdn, z)."""
 
     def __init__(self, n: int, lagrangian: ScalarField, *, regularity_rtol: float = 1e-10):
@@ -88,11 +133,10 @@ class LagrangianSystem(_System):
             )
         if n < 1:
             raise ValueError("n must be at least 1")
-        self.n = n
+        super().__init__(n, regularity_rtol)
         self.dim = 2 * n + 1
         self.chart = expected
         self.field = lagrangian
-        self.regularity_rtol = float(regularity_rtol)
 
     @property
     def lagrangian(self) -> ScalarField:
@@ -112,35 +156,8 @@ class LagrangianSystem(_System):
         n = self.n
         return self.jet(u).hessian[n : 2 * n, n : 2 * n].copy()
 
-    def _thresholds(self, largest: np.ndarray) -> np.ndarray:
-        """The regularity thresholds rtol * max(1, largest**n) of velocity Hessians
-        whose largest |entry| is ``largest``.
-
-        The power is the rows' float power (``_tape._pow``); ``fmax`` keeps max(1.0, nan) = 1.0.
-        """
-        return self.regularity_rtol * np.fmax(1.0, _pow(largest, self.n))
-
-    def _regularity(self, W: np.ndarray) -> tuple:
-        """(d, degenerate, regular) for each row of W (N, n, n): d is w when n = 1, else
-        |det W|, and |d| is <= or > its ``_thresholds``; a NaN W is neither."""
-        threshold = self._thresholds(np.max(np.abs(W), axis=(1, 2)))
-        d = W[:, 0, 0] if self.n == 1 else np.abs(np.linalg.det(W))
-        return d, np.abs(d) <= threshold, np.abs(d) > threshold
-
     def is_regular(self, u) -> bool:
         return bool(self._regularity(self.velocity_hessian(u)[None])[2][0])
-
-    def _solve_velocity_hessian_block(self, W: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-        """Solve W[k] x = rhs[k] for each row, rhs (N, n) or (N, n, m); the first degenerate row raises."""
-        d, degenerate, _ = self._regularity(W)
-        if degenerate.any():
-            if self.n == 1:
-                _degenerate(float(d[np.argmax(degenerate)]))
-            raise RegularityError("velocity Hessian is degenerate")
-        columns = rhs if rhs.ndim == 3 else rhs[:, :, None]
-        if self.n == 1:
-            return (columns / d[:, None, None]).reshape(rhs.shape)
-        return np.linalg.solve(W, columns).reshape(rhs.shape)
 
     # -- chart geometry (contact form of L), over blocks of points -------------
 
@@ -184,20 +201,6 @@ class LagrangianSystem(_System):
         _, grad = self.hamiltonian_value_and_gradient_block(U)
         return _rowdot(grad, self.reeb_block(U))
 
-    def dynamics_block(self, U) -> np.ndarray:
-        """The Herglotz field at each row, with one stacked solve for the accelerations."""
-        n = self.n
-        jets = self.jets(U)
-        G, B = jets.gradient, jets.hessian
-        V = U[:, n : 2 * n]
-        b = (G[:, :n] + G[:, -1, None] * G[:, n : 2 * n] - _rowdot(B[:, n : 2 * n, :n], V[:, None, :])
-             - B[:, n : 2 * n, -1] * jets.value[:, None])
-        out = np.empty((len(U), self.dim))
-        out[:, :n] = V
-        out[:, n : 2 * n] = self._solve_velocity_hessian_block(B[:, n : 2 * n, n : 2 * n], b)
-        out[:, -1] = jets.value
-        return out
-
     @cached_property
     def _momentum_fields(self) -> tuple:
         """The fields dL/dv_i, built on the first Jacobian: their jets carry L's third derivatives."""
@@ -223,17 +226,16 @@ class LagrangianSystem(_System):
         J[:, -1] = G
         return value, J
 
-    # -- the integrator's dynamics: emitted from the trace of L ------------------
+    # -- the dynamics: emitted from the trace of L -------------------------------
+
+    @cached_property
+    def _field_code(self):
+        f = self.field
+        return _tape.compile_field(f.ast, self.chart, f._param_env, self._assemble)
 
     def _assemble(self, out) -> list:
         """Write the Herglotz field (v, a, L) from the jet of L; returns its entries.
-
-        The code uses the regularity tolerance of compile time and raises
-        what :meth:`dynamics_block` raises on that row.  b is written term by
-        term in the order of the dense formula, B_vq v as ``_rowdot`` sums it,
-        with structural zeros as 0.0, so b has the block's bits; only the
-        solve of a W other than I stays in numpy.
-        """
+        b is written term by term, B_vq v summed left to right, structural zeros as 0.0."""
         n = self.n
         value = out.value()
         v = [out.coordinate(n + i) for i in range(n)]
@@ -246,41 +248,30 @@ class LagrangianSystem(_System):
         return [*v, *self._accelerations(out, b), value]
 
     def _accelerations(self, out, b: list) -> list:
-        """Write the solve of W a = b; returns a.
+        """Write the solve of W a = b at the regularity tolerance of compile time; returns a.
 
-        The code tests every W but a constant w, or W = I, that ``_regularity``
-        finds regular, so a degenerate constant W raises where a varying one
-        would.  W = I gives a = b where every b_i is finite.  LAPACK's
-        substitution gives the same numbers there, though it may turn a -0.0
-        into 0.0, which reaches no state that does not itself hold a -0.0.
+        W = I found regular then gives a = b, and a regular constant w is not
+        tested again (n = 1 divides by w).  Any other W is tested at run time,
+        by ``_solve`` for n > 1, so a degenerate constant W raises there too.
         """
         n = self.n
         known = [[out.known_hessian(n + i, n + j) for j in range(n)] for i in range(n)]
-        fixed = (n == 1 and known[0][0] is not None) or np.array_equal(known, np.eye(n))
-        fixed = fixed and not self._regularity(np.array([known]))[1][0]
+        rule = _VelocityHessians(n, self.regularity_rtol)
+        fixed = None not in sum(known, []) and not rule._regularity(np.array([known]))[1][0]
+        if fixed and np.array_equal(known, np.eye(n)):
+            return b
         if n == 1:
             w = out.hessian(1, 1)
             if not fixed:
-                for helper in (abs, max, _degenerate):
-                    out.bind(helper.__name__, helper)
                 rtol, one = out.number(self.regularity_rtol), out.number(1.0)
-                out.line(f"if abs({w}) <= {rtol} * max({one}, abs({w})): _degenerate({w})")
-            return b if known[0][0] == 1.0 else [out.let(f"{b[0]} / {w}")]
+                degenerate = out.bind("_degenerate", _degenerate, _tape._fallback)
+                out.line(f"if _any(_abs({w}) <= {rtol} * _fmax({one}, _abs({w}))): {degenerate}({w})")
+            return [out.let(f"{b[0]} / {w}")]
         W = out.pack(out.pack(out.hessian(n + i, n + j) for j in range(n)) for i in range(n))
-        solve = f"{out.bind('_solve', self._solve_one)}({W}, {out.pack(b)})"
         a = out.names(n)
-        if fixed:
-            low, high = out.number(-math.inf), out.number(math.inf)
-            out.line(f"if {' and '.join(f'{low} < {x} < {high}' for x in b)}:")
-            out.line(f"    {out.pack(a)} = {out.pack(b)}")
-            out.line("else:")
-            out.line(f"    {out.pack(a)} = {solve}")
-        else:
-            out.line(f"{out.pack(a)} = {solve}")
+        solve = out.bind("_solve", rule._solve_one, rule._solve_columns)
+        out.line(f"{out.pack(a)} = {solve}({W}, {out.pack(b)})")
         return a
-
-    def _solve_one(self, W, b) -> list:
-        return self._solve_velocity_hessian_block(np.array([W]), np.array([b]))[0].tolist()
 
     # perfbench's tracer wraps these names in this class's own __dict__
     dynamics = _System.dynamics

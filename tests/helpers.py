@@ -4,11 +4,12 @@ from __future__ import annotations
 
 import functools
 import operator
+import weakref
 
 import numpy as np
 
 from contactmech.contact_core import HamiltonianSystem
-from contactmech.expr import ScalarField, hamiltonian_chart, lagrangian_chart
+from contactmech.expr import ScalarField, derivative, free_variables, hamiltonian_chart, lagrangian_chart, velocity_names
 from contactmech.lagrangian import LagrangianSystem, RegularityError
 
 
@@ -120,12 +121,30 @@ def darboux_field(jet, p, n) -> np.ndarray:
     return out
 
 
+_IDENTITY = weakref.WeakKeyDictionary()
+
+
+def identity_velocity_hessian(system) -> bool:
+    """Whether L's tree fixes its velocity Hessian to the identity: every
+    d2L/dv_i dv_j, by ``expr.derivative``, a tree of numbers alone whose
+    value is 1 on the diagonal and 0 off it."""
+    if system not in _IDENTITY:
+        L, names = system.lagrangian, velocity_names(system.n)
+        seconds = [[derivative(derivative(L.ast, a, L._param_env), b, L._param_env) for b in names] for a in names]
+        _IDENTITY[system] = all(
+            free_variables(d2) <= L.parameters.keys() and ScalarField(d2, (), L.parameters).value_at(()) == (i == j)
+            for i, row in enumerate(seconds) for j, d2 in enumerate(row))
+    return _IDENTITY[system]
+
+
 def herglotz_field(system, u) -> np.ndarray:
     """The Herglotz field at one point from the jet of L, in numpy on that point,
     with B_vq v summed left to right.
 
     The regularity test is the velocity Hessian's determinant against
-    rtol * max(1, largest |entry| ** n); n = 1 divides by the one entry.
+    rtol * max(1, largest |entry| ** n); n = 1 divides by the one entry.  A
+    regular W that L's tree fixes to the identity gives a = b, as the
+    emitted field takes it; any other W is solved.
     """
     n = system.n
     jet = system.lagrangian.jet_at(u)
@@ -146,7 +165,7 @@ def herglotz_field(system, u) -> np.ndarray:
     largest = float(np.max(np.abs(W)))
     if abs(np.linalg.det(W)) <= system.regularity_rtol * max(1.0, largest**n):
         raise RegularityError("velocity Hessian is degenerate")
-    out[n : 2 * n] = np.linalg.solve(W, b)
+    out[n : 2 * n] = b if identity_velocity_hessian(system) else np.linalg.solve(W, b)
     return out
 
 

@@ -1,12 +1,15 @@
 """Scenario runner: end-to-end runs, exit codes, CSV/report contracts."""
 
 import csv
+import gc
 import json
 import math
+import weakref
 
 import numpy as np
 import pytest
 
+from contactmech import cli
 from contactmech.ad import _rows
 from contactmech.cli import (
     BUILTINS,
@@ -92,6 +95,25 @@ class TestBundledScenarios:
         np.testing.assert_allclose(f, qd1 + 5.0, rtol=0, atol=1e-14)
         quot = np.array([float(r["quot_shift"]) for r in rows])
         assert np.max(np.abs(quot - quot[0])) <= 1e-6
+
+    def test_the_fields_are_freed_before_the_csv_is_written(self, in_tmp, monkeypatch):
+        # with gc off only reference counts free the n = 2 system and its L, so
+        # no compiled field may hold a reference back to its system
+        refs, alive = [], []
+
+        def load(*args, **kwargs):
+            scn = load_scenario(*args, **kwargs)
+            refs.extend([weakref.ref(scn.system), weakref.ref(scn.system.field)])
+            return scn
+
+        monkeypatch.setattr(cli, "load_scenario", load)
+        monkeypatch.setattr(cli, "write_csv", lambda path, traj: alive.append([ref() is not None for ref in refs]))
+        gc.disable()
+        try:
+            assert run_scenario(bundled_scenario_path("damped_oscillator_rotation.json")) == 0
+        finally:
+            gc.enable()
+        assert alive == [[False, False]]
 
     @pytest.mark.parametrize(
         "name", ["damped_free_particle.json", "damped_oscillator_rotation.json", "damped_particle_noether.json"]

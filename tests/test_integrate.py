@@ -7,9 +7,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from contactmech import _tape
 from contactmech._tape import _RUNTIME
 from contactmech.ad import BLOCK_ROWS
-from contactmech.contact_core import ContactPoint, HamiltonianSystem
+from contactmech.contact_core import ContactPoint, HamiltonianSystem, HamiltonianVectorField, jacobi_bracket_at
 from contactmech.expr import ScalarField, hamiltonian_chart, lagrangian_chart
 from contactmech.fields import _rowdot
 from contactmech.integrate import (
@@ -316,6 +317,16 @@ def _same(got, want) -> bool:
     return np.array_equal(got, want, equal_nan=True)
 
 
+def _exact(got, want) -> bool:
+    """Every bit of each entry, a zero's sign included, and NaN where NaN.
+
+    A NaN's sign is not compared: of two NaN operands numpy's columns and
+    CPython's floats may return either, as the blocks and rows of ``_tape`` may.
+    """
+    nan = np.isnan(want)
+    return np.array_equal(np.isnan(got), nan) and got[~nan].tobytes() == want[~nan].tobytes()
+
+
 _coordinates = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, -1.5, 1e160, math.inf, math.nan]),
                          st.floats(-2.0, 2.0))
 _kinds = st.sampled_from(["separable", "qv", "z", "constant", "varying", "hamiltonian"])
@@ -397,13 +408,21 @@ def _same_step(got, want, *, exact=False) -> bool:
 @given(kind=_kinds, n=st.integers(1, 4), seed=st.integers(0, 2**16), rtol=st.sampled_from([1e-10, 0.05, 2.0]),
        data=st.data())
 def test_emitted_field_matches_the_array_path(kind, n, seed, rtol, data):
-    # the field emitted into the stepper, seen through one Euler step of size
-    # 1.0, equal up to the sign of a zero: where W = I the emitted code takes
-    # a = b, and LAPACK's solve may turn a -0.0 into 0.0
+    # the stepper and dynamics_block run one text: one Euler step of size 1.0
+    # is u + dynamics_block(u), bit for bit (see _exact), errors included; the
+    # numpy oracle agrees up to the sign of a zero, as LAPACK's solve may turn
+    # a -0.0 into 0.0
     system = _random_system(kind, n, seed, rtol)
     u = np.array(data.draw(st.lists(_coordinates, min_size=2 * n + 1, max_size=2 * n + 1)))
-    assert _same_step(_euler_step(system, u), _reference_step(system, u))
+    step = _euler_step(system, u)
     block, block_error = _outcome(lambda: system.dynamics_block(u[None])[0])
+    if block_error is not None:
+        assert step == ("error", block_error)
+    else:
+        with np.errstate(all="ignore"):
+            state = u + block
+        assert step[0] == ("state" if np.all(np.isfinite(state)) else "stop") and _exact(step[1], state)
+    assert _same_step(step, _reference_step(system, u))
     point, point_error = _outcome(lambda: reference_field(system, u))
     adapter, adapter_error = _outcome(lambda: system.dynamics(u))
     assert block_error == point_error == adapter_error
@@ -562,14 +581,40 @@ def test_emitted_stepper_matches_the_array_loop(kind, n, seed, rtol, method, ste
 
 
 class TestEmittedStepper:
-    def test_identity_w_with_a_non_finite_b_takes_the_solve(self):
-        # b = -4e300 q1^3 overflows at q1 = 1e3, so a = b is not taken
-        system = LagrangianSystem(2, ScalarField.from_source("0.5*(qd1^2 + qd2^2) - 1e300*q1^4 - 0.1*z",
+    def test_identity_w_gives_a_equal_to_b_where_b_is_not_finite(self):
+        # W = I at n = 2: b1 = -2e308*q1 overflows at q1 = 1 while b2 = 0 and L
+        # stay finite, so a = b keeps the inf in its own entry, where a solve
+        # would spread it as NaN into a2
+        system = LagrangianSystem(2, ScalarField.from_source("0.5*(qd1^2 + qd2^2) - 1e308*q1^2 - 0.1*z",
                                                              lagrangian_chart(2)))
+        u = np.array([1.0, 0.5, 0.0, 0.1, 0.0])
+        row = system.dynamics_block(u[None])[0]
+        assert row[2] == -math.inf and np.all(np.isfinite(np.delete(row, 2)))
+        kind, stop = _euler_step(system, u)
+        assert kind == "stop" and stop[2] == -math.inf and np.all(np.isfinite(np.delete(stop, 2)))
         for method in ("rk4", "euler"):
-            _, _, message, _ = _assert_same_outcome(system, [1e3, 0.5, 0.0, 0.1, 0.0],
-                                                    IntegratorConfig(step=0.1, t_final=2.0, method=method))
+            _, _, message, _ = _assert_same_outcome(system, u, IntegratorConfig(step=0.1, t_final=2.0, method=method))
             assert message.startswith("state became non-finite at t=0.1 (step 1): ")
+
+    def test_each_system_traces_its_field_once(self, monkeypatch):
+        # the block field and both steppers come from one trace; X_H is kept on
+        # H, so new systems and vector fields on one H reuse it
+        compiled = []
+        compile_field = _tape.compile_field
+        monkeypatch.setattr(_tape, "compile_field", lambda *args: compiled.append(args) or compile_field(*args))
+        system = damped_oscillator(n=2)
+        system.dynamics_block(np.zeros((3, 5)))
+        assert system.stepper("rk4") is system.stepper("rk4") and system.stepper("euler") is not None
+        integrate_lagrangian(system, [1.0, 0.0, 0.0, 0.5, 0.0], IntegratorConfig(step=0.1, t_final=1.0))
+        assert len(compiled) == 1
+        chart = hamiltonian_chart(1)
+        H = ScalarField.from_source("0.5*p1^2 + 0.5*q1^2 + 0.1*z", chart)
+        g = ScalarField.from_source("q1*p1", chart)
+        for _ in range(3):
+            jacobi_bracket_at(H, g, ContactPoint([0.3], [0.2], 0.1))
+        HamiltonianVectorField(H).value(np.array([0.3, 0.2, 0.1]))
+        HamiltonianSystem(1, H).stepper("rk4")
+        assert len(compiled) == 2
 
     def test_constant_degenerate_w_raises_at_the_first_step(self):
         system = LagrangianSystem(2, ScalarField.from_source("0.5*(qd1 + qd2)^2 - q1^2", lagrangian_chart(2)))
