@@ -13,6 +13,7 @@ checks and the integrator's monitors evaluate their blocks through it.
 
 from __future__ import annotations
 
+from operator import is_
 from typing import NamedTuple
 
 import numpy as np
@@ -53,7 +54,8 @@ class JetBlock(NamedTuple):
 
     From ``ScalarField.jets_at`` the three arrays are read-only, and a field
     asked again for its last block (of at most ``BLOCK_ROWS`` rows) returns
-    the same JetBlock object; copy an array before writing into it."""
+    the same JetBlock object; copy an array before writing into it.  So what
+    is derived from it is kept next to that object (:func:`_kept`)."""
 
     value: np.ndarray
     gradient: np.ndarray
@@ -76,16 +78,18 @@ def _rows(kernel, states: np.ndarray, offset: int = 0, row=None):
     error (an arithmetic one with its index among ``states``, plus ``offset``,
     as the attribute ``row``), and the others get what float arithmetic gives
     them.  So a kernel that computes each row as ``row`` does gives ``row``'s
-    results however the sample is cut.  :class:`JetBlock` parts are joined.
+    results however the sample is cut, and a one-row block goes to ``row``
+    directly when ``row`` is given.  :class:`JetBlock` parts are joined.
     """
     if states.shape[0] > BLOCK_ROWS:
         return _join([_rows(kernel, states[k : k + BLOCK_ROWS], offset + k, row)
                       for k in range(0, states.shape[0], BLOCK_ROWS)])
-    try:
-        with np.errstate(all="raise", under="ignore"):
-            return kernel(states)
-    except (ArithmeticError, ValueError):
-        pass
+    if row is None or states.shape[0] != 1:
+        try:
+            with np.errstate(all="raise", under="ignore"):
+                return kernel(states)
+        except (ArithmeticError, ValueError):
+            pass
     row = kernel if row is None else row
     parts = []
     with np.errstate(all="ignore"):
@@ -100,6 +104,27 @@ def _rows(kernel, states: np.ndarray, offset: int = 0, row=None):
 
 def _join(parts: list):
     """The results of consecutive row ranges as one result."""
+    if len(parts) == 1:
+        return parts[0]
     if parts and isinstance(parts[0], JetBlock):
         return JetBlock(*map(np.concatenate, zip(*parts)))
     return np.concatenate(parts)
+
+
+def _kept(owner, name: str, U: np.ndarray, jets_of, formula):
+    """``formula(jets_of(U))``, read-only, kept on ``owner`` under ``name`` next to the
+    jets (a JetBlock or a tuple of them) and returned while ``jets_of`` gives those same
+    objects (``is``, part by part), as ``jets_at`` does for its kept block; a formula
+    that raises keeps nothing.  A block of more than ``BLOCK_ROWS`` rows gets new jets
+    at each call, so it is not keyed: ``formula(None)`` asks for the jets it needs."""
+    if len(U) > BLOCK_ROWS:
+        return formula(None)
+    jets = jets_of(U)
+    entry = owner.__dict__.get(name)
+    if entry is not None and all(map(is_, entry[0], jets)):
+        return entry[1]
+    result = formula(jets)
+    for part in result if isinstance(result, tuple) else (result,):
+        part.flags.writeable = False
+    owner.__dict__[name] = (jets, result)
+    return result

@@ -49,7 +49,7 @@ from functools import partial
 import numpy as np
 
 from . import _tape
-from .ad import Jet2, JetBlock, _rows
+from .ad import Jet2, JetBlock, _kept, _rows
 from .expr import ScalarField, hamiltonian_chart
 from .fields import (
     EtaPairingQuantity,
@@ -246,7 +246,7 @@ class _System(_Chart):
         return float(_at_point(self, self.reeb_rate_block, u))
 
     def dynamics_block(self, U) -> np.ndarray:
-        return self._field_code[0](U)
+        return _kept(self, "_dynamics_kept", U, self.jets, lambda _: self._field_code[0](U))
 
     def dynamics(self, u) -> np.ndarray:
         return _at_point(self, self.dynamics_block, u)

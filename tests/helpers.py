@@ -102,6 +102,16 @@ def fd_hessian(fn, u, h=4e-5) -> np.ndarray:
     return out
 
 
+def exact_bits(got, want) -> bool:
+    """Every bit of each entry, a zero's sign included, and NaN where NaN.
+
+    A NaN's sign is not compared: of two NaN operands numpy's columns and
+    CPython's floats may return either, as the blocks and rows of ``_tape`` may.
+    """
+    nan = np.isnan(want)
+    return np.array_equal(np.isnan(got), nan) and got[~nan].tobytes() == want[~nan].tobytes()
+
+
 # -- per-point references for the emitted dynamics ------------------------------------
 
 

@@ -5,6 +5,7 @@ import pytest
 
 from contactmech import ad
 from contactmech.ad import DomainError
+from contactmech.contact_core import HamiltonianSystem
 from contactmech.expr import (
     Binary,
     Call,
@@ -14,9 +15,13 @@ from contactmech.expr import (
     Unary,
     Var,
     free_variables,
+    hamiltonian_chart,
+    lagrangian_chart,
     parse,
     to_source,
 )
+from contactmech.lagrangian import EnergyQuantity, LagrangianSystem, RegularityError, TQRPoint, reeb_at
+from contactmech.lifts import VectorFieldQ, _component_rows
 
 
 def value_of(source, **params):
@@ -285,13 +290,120 @@ class TestJetsMemo:
         assert field.jets_at(good) is first
 
     def test_a_block_beyond_block_rows_is_not_kept(self):
+        # evaluated in full at each call: its first BLOCK_ROWS rows by the block
+        # code, its last row (a one-row block) by the point code of jet_at
         field, small = self.field(), self.block()
         first = field.jets_at(small)
         runs = _counting_block_code(field)
+        point, code = field._jet_code
+        points = []
+        object.__setattr__(field, "_jet_code", (lambda x: points.append(x) or point(x), code))
         big = np.zeros((ad.BLOCK_ROWS + 1, 2))
         one, two = field.jets_at(big), field.jets_at(big)
         assert two is not one and _same_bits(one, two)
-        assert runs == [ad.BLOCK_ROWS, 1, ad.BLOCK_ROWS, 1]
+        assert runs == [ad.BLOCK_ROWS, ad.BLOCK_ROWS] and len(points) == 2
         assert field.jets_at(small) is first
         edge = big[: ad.BLOCK_ROWS]
         assert field.jets_at(edge) is field.jets_at(edge)
+
+
+class TestKeptResults:
+    """A system or a lift keeps what it derives from a block of jets next to that JetBlock."""
+
+    SOURCE = "0.5*(1 + q1^2)*qd1^2 + 0.5*qd2^2 + 0.3*q1*qd2 - 0.5*(q1^2 + q2^2) - 0.1*z*qd1"
+
+    def system(self, source=SOURCE):
+        return LagrangianSystem(2, ScalarField.from_source(source, lagrangian_chart(2)))
+
+    def block(self, rows=4):
+        return np.linspace(-1.0, 1.0, 5 * rows).reshape(rows, 5)
+
+    def quantities(self, system):
+        Y = VectorFieldQ.from_expressions(2, ["-q2", "q1*q2"])
+        hamiltonian = HamiltonianSystem(2, ScalarField.from_source("0.5*(p1^2 + p2^2) + q1*q2*p1 + 0.1*z",
+                                                                    hamiltonian_chart(2)))
+        return {
+            "reeb": system.reeb_block,
+            "dynamics": system.dynamics_block,
+            "energy": system.hamiltonian_value_and_gradient_block,
+            "reeb_rate": system.reeb_rate_block,
+            "hamiltonian_dynamics": hamiltonian.dynamics_block,
+            "component_rows": lambda U: _component_rows(Y, U),
+        }
+
+    @staticmethod
+    def parts(result):
+        return result if isinstance(result, tuple) else (result,)
+
+    @pytest.mark.parametrize("name", ["reeb", "dynamics", "energy", "reeb_rate",
+                                      "hamiltonian_dynamics", "component_rows"])
+    def test_a_hit_is_the_miss_and_read_only(self, name):
+        block = self.block()
+        quantity = self.quantities(self.system())[name]
+        first = quantity(block)
+        assert quantity(block.copy()) is first
+        want = self.quantities(self.system())[name](block)
+        assert _same_bits(self.parts(first), self.parts(want))
+        for part in self.parts(first):
+            with pytest.raises(ValueError, match="read-only"):
+                part[...] = 1.0
+
+    @pytest.mark.parametrize("name", ["reeb", "dynamics", "energy", "reeb_rate", "hamiltonian_dynamics"])
+    def test_a_block_one_bit_apart_misses(self, name):
+        block = self.block()
+        block[1, 2] = 0.0
+        quantity = self.quantities(self.system())[name]
+        first = quantity(block)
+        changed = block.copy()
+        changed[1, 2] = -0.0
+        second = quantity(changed)
+        assert second is not first and quantity(changed) is second
+
+    def test_a_block_beyond_block_rows_is_not_kept(self):
+        system = self.system()
+        runs = _counting_block_code(system.field)
+        big = np.zeros((ad.BLOCK_ROWS + 1, 5))
+        one, two = system.reeb_block(big), system.reeb_block(big)
+        assert two is not one and one.tobytes() == two.tobytes()
+        assert runs == [ad.BLOCK_ROWS, ad.BLOCK_ROWS]  # L's jets are not asked for first
+
+    def test_a_raising_block_keeps_nothing(self):
+        # W = 1 + qd1 is degenerate where qd1 = -1: L's jets are kept, the solves raise
+        system = self.system("0.5*qd1^2 + qd1^3/6 + 0.5*qd2^2 - 0.5*q1^2 - 0.1*z")
+        good, bad = np.zeros((2, 5)), np.array([[0.0, 0.0, 0.0, 0.0, 0.0], [0.0, 0.0, -1.0, 0.0, 0.0]])
+        reeb, dynamics = system.reeb_block(good), system.dynamics_block(good)
+        entries = {name: entry for name, entry in vars(system).items() if name.endswith("_kept")}
+        assert len(entries) == 2
+        for _ in range(2):  # raised again: nothing was kept for it
+            with pytest.raises(RegularityError):
+                system.reeb_block(bad)
+            with pytest.raises(RegularityError) as caught:
+                system.dynamics_block(bad)
+            assert caught.value.row == 1
+        assert all(vars(system)[name] is entry for name, entry in entries.items())
+        again = system.reeb_block(good), system.dynamics_block(good)  # L's jets of good are new
+        assert _same_bits(again, (reeb, dynamics))
+
+    @pytest.mark.parametrize("changed", [0, 1])
+    def test_a_lift_misses_when_one_components_block_changes(self, changed):
+        Y, block = VectorFieldQ.from_expressions(2, ["-q2", "q1*q2"]), self.block()
+        first = _component_rows(Y, block)
+        assert _component_rows(Y, block) is first
+        Y.components[changed].jets_at(np.ones((1, 2)))  # that component keeps another block
+        second = _component_rows(Y, block)
+        assert second is not first and _same_bits(second, first)
+        assert _component_rows(Y, block) is second
+
+    def test_the_per_point_adapters_return_arrays_the_caller_owns(self):
+        system, block = self.system(), self.block(1)
+        u = block[0]
+        energy, gradient = EnergyQuantity(system).value_and_gradient_at(u)
+        reeb = reeb_at(system, TQRPoint.from_array(u))
+        dynamics = system.dynamics(u)
+        want = [part.copy() for part in (*system.hamiltonian_value_and_gradient_block(block),
+                                           system.reeb_block(block), system.dynamics_block(block))]
+        for array in (gradient, reeb.dq, reeb.dv, dynamics):
+            array[...] = 7.0  # writable, and no kept result changes
+        got = (*system.hamiltonian_value_and_gradient_block(block), system.reeb_block(block),
+               system.dynamics_block(block))
+        assert _same_bits(got, want) and energy == want[0][0]

@@ -23,6 +23,7 @@ from contactmech.lagrangian import LagrangianSystem, RegularityError, TQRPoint
 
 from helpers import (
     damped_oscillator,
+    exact_bits,
     free_particle,
     random_polynomial_source,
     dot,
@@ -317,16 +318,6 @@ def _same(got, want) -> bool:
     return np.array_equal(got, want, equal_nan=True)
 
 
-def _exact(got, want) -> bool:
-    """Every bit of each entry, a zero's sign included, and NaN where NaN.
-
-    A NaN's sign is not compared: of two NaN operands numpy's columns and
-    CPython's floats may return either, as the blocks and rows of ``_tape`` may.
-    """
-    nan = np.isnan(want)
-    return np.array_equal(np.isnan(got), nan) and got[~nan].tobytes() == want[~nan].tobytes()
-
-
 _coordinates = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, -1.5, 1e160, math.inf, math.nan]),
                          st.floats(-2.0, 2.0))
 _kinds = st.sampled_from(["separable", "qv", "z", "constant", "varying", "hamiltonian"])
@@ -409,7 +400,7 @@ def _same_step(got, want, *, exact=False) -> bool:
        data=st.data())
 def test_emitted_field_matches_the_array_path(kind, n, seed, rtol, data):
     # the stepper and dynamics_block run one text: one Euler step of size 1.0
-    # is u + dynamics_block(u), bit for bit (see _exact), errors included; the
+    # is u + dynamics_block(u), bit for bit (see exact_bits), errors included; the
     # numpy oracle agrees up to the sign of a zero, as LAPACK's solve may turn
     # a -0.0 into 0.0
     system = _random_system(kind, n, seed, rtol)
@@ -421,7 +412,7 @@ def test_emitted_field_matches_the_array_path(kind, n, seed, rtol, data):
     else:
         with np.errstate(all="ignore"):
             state = u + block
-        assert step[0] == ("state" if np.all(np.isfinite(state)) else "stop") and _exact(step[1], state)
+        assert step[0] == ("state" if np.all(np.isfinite(state)) else "stop") and exact_bits(step[1], state)
     assert _same_step(step, _reference_step(system, u))
     point, point_error = _outcome(lambda: reference_field(system, u))
     adapter, adapter_error = _outcome(lambda: system.dynamics(u))

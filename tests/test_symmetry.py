@@ -389,6 +389,22 @@ class TestClassify:
         assert blocks and len(blocks) == len(set(blocks))
         assert len(requests) > len(blocks)
 
+    def test_a_classify_solves_each_block_once(self, monkeypatch):
+        # the Reeb field is kept next to L's kept jets: one solve a distinct (W, rhs) block
+        sys = damped_oscillator()
+        points = points_for(sys, 100)
+        solves = []
+        solve = LagrangianSystem._solve_velocity_hessian_block
+
+        def spy(self, W, rhs):
+            solves.append((W.tobytes(), rhs.tobytes()))
+            return solve(self, W, rhs)
+
+        monkeypatch.setattr(LagrangianSystem, "_solve_velocity_hessian_block", spy)
+        rotation = VectorFieldQ.from_expressions(2, ["-q2", "q1"])
+        classify(sys, SymmetryCandidate("rotation", "on_Q", rotation), points)
+        assert solves and len(solves) == len(set(solves))
+
     def test_implication_chain_on_infinitesimal_symmetries(self):
         # infinitesimal pass -> noether(0,0) pass -> lie pass
         for sys, comps in (
