@@ -354,7 +354,9 @@ class HamiltonianSystem(DarbouxChart, _System):
     _field_code = property(lambda self: _darboux_field(self.field))
 
     def dynamics_and_jacobian_block(self, U):
-        return self.vector_field.value_and_jacobian_block(U)
+        """The kept X_H (``dynamics_block``) and its exact Jacobian from H's jets."""
+        jets = self.jets(U)
+        return self.dynamics_block(U), _darboux_jacobian_rows(jets, U[:, self.n : 2 * self.n], self.n)
 
     # perfbench's tracer wraps these names in this class's own __dict__
     dynamics = _System.dynamics

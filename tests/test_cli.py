@@ -127,6 +127,28 @@ class TestBundledScenarios:
             reports.append((tmp_path / run / "out" / name.replace(".json", ".report.json")).read_bytes())
         assert reports[0] == reports[1]
 
+    def test_a_second_run_compiles_nothing(self, tmp_path, monkeypatch):
+        # every text of the second run is one the first compiled; its outputs are the first's
+        from contactmech import _tape
+
+        compiled, outputs = [], []
+
+        def spy(source, filename, mode):
+            compiled[-1] += 1
+            return compile(source, filename, mode)
+
+        monkeypatch.setattr(_tape, "compile", spy, raising=False)
+        _tape._code.cache_clear()
+        for run in ("first", "second"):
+            (tmp_path / run).mkdir()
+            monkeypatch.chdir(tmp_path / run)
+            compiled.append(0)
+            assert run_scenario(bundled_scenario_path("damped_oscillator_rotation.json")) == 0
+            out = tmp_path / run / "out"
+            outputs.append([(out / f"damped_oscillator_rotation.{ext}").read_bytes() for ext in ("csv", "report.json")])
+        assert compiled[0] > 0 and compiled[1] == 0
+        assert outputs[0] == outputs[1]
+
 
 class TestReportContract:
     def test_schema_and_tolerances(self, in_tmp, tmp_path):

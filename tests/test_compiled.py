@@ -7,15 +7,19 @@ functions must agree with them entry by entry and raise the same exception
 types at the same points.
 """
 
+import inspect
 import math
+import operator
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from contactmech import _tape
 from contactmech.ad import DomainError
-from contactmech.expr import Binary, Call, Num, ScalarField, Unary, Var, parse
+from contactmech.expr import Binary, Call, Num, ScalarField, Unary, Var, lagrangian_chart, parse
+from contactmech.lagrangian import LagrangianSystem
 
 import dense_ad as ad
 from helpers import exact_bits
@@ -288,8 +292,6 @@ def test_compiled_code_is_cached_outside_the_fields():
 
 def test_each_field_is_compiled_once_per_order(monkeypatch):
     # the per-point and block functions of an order are one compile of one trace
-    from contactmech import _tape
-
     sources = []
 
     def spy(source, filename, mode):
@@ -297,11 +299,91 @@ def test_each_field_is_compiled_once_per_order(monkeypatch):
         return compile(source, filename, mode)
 
     monkeypatch.setattr(_tape, "compile", spy, raising=False)
+    _tape._code.cache_clear()  # an earlier test may have compiled these texts
     field = ScalarField.from_source("sqrt(x)*y^z + log(x)", CHART)
     block = np.array([[0.5, 2.0, 3.0], [1.5, 2.0, 3.0]])
     for _ in range(2):  # the value's block form first, the jet's point form first
         field.values_at(block), field.value_at(block[0]), field.jet_at(block[0]), field.jets_at(block)
     assert len(sources) == 2 and "_pow(" in sources[0]
+
+
+def _emitted(wrapper, name):
+    """The compiled function that ``wrapper`` calls by ``name``."""
+    return inspect.getclosurevars(wrapper).nonlocals[name]
+
+
+def _field_codes(field):
+    """The code objects of a field's value and jet functions, point and block."""
+    (value, values), (jet, jets) = field._value_code, field._jet_code
+    return [value.__code__, _emitted(values, "block").__code__,
+            _emitted(jet, "point").__code__, _emitted(jets, "block").__code__]
+
+
+def _field_answers(field, block):
+    jets = field.jets_at(block)
+    jet = field.jet_at(block[0])
+    return [np.array(field.value_at(block[0])), field.values_at(block), jet.gradient, jet.hessian,
+            jets.value, jets.gradient, jets.hessian]
+
+
+def test_equal_texts_share_one_code_object():
+    # numbers are bound by name, so other parameter values trace to the same text:
+    # one code object, and each field's own answers, those of its own compile
+    source, values = "a*x^2 + exp(b*y) - z/a + sqrt(x)*b", ({"a": 0.7, "b": 1.3}, {"a": -1.7, "b": 0.3})
+    block = np.array([[0.3, -0.2, 0.5], [1.0, 0.0, -1.0], [2.5, 0.4, 0.0]])
+    fields = [ScalarField.from_source(source, CHART, params) for params in values]
+    answers = [_field_answers(field, block) for field in fields]
+    codes = [_field_codes(field) for field in fields]
+    assert all(map(operator.is_, *codes))
+    assert answers[0][0].tobytes() != answers[1][0].tobytes()
+    _tape._code.cache_clear()
+    for params, field_codes, got in zip(values, codes, answers):
+        own = ScalarField.from_source(source, CHART, params)
+        wants = _field_answers(own, block)
+        assert not any(map(operator.is_, field_codes, _field_codes(own)))
+        for part, want in zip(got, wants, strict=True):
+            assert part.tobytes() == want.tobytes()
+
+
+def _system_codes(system):
+    """The code objects of a system's emitted field, point and block, and its RK4 loop."""
+    block, _ = system._field_code
+    return [_emitted(block.keywords["row"], "point").__code__, _emitted(block.args[0], "columns").__code__,
+            system.stepper("rk4").__code__]
+
+
+def _system_answers(system, U):
+    states = np.zeros((41, U.shape[1]))
+    states[0] = U[0]
+    assert system.stepper("rk4")(U[0], 40, states, 0.05) == (40, None)
+    return [system.dynamics(U[0]), system.dynamics_block(U), states]
+
+
+def test_equal_systems_share_one_code_object():
+    source = "0.5*m*qd1^2 + 0.5*(1 + c*q1^2)*qd2^2 - 0.5*k*q1^2 - gamma*z*qd1"
+    values = ({"m": 1.3, "c": 0.2, "k": 2.2, "gamma": 0.15}, {"m": 0.9, "c": -0.3, "k": 0.7, "gamma": 0.4})
+    U = np.random.default_rng(3).uniform(-0.5, 0.5, size=(6, 5))
+    systems = [LagrangianSystem(2, ScalarField.from_source(source, lagrangian_chart(2), p)) for p in values]
+    answers = [_system_answers(system, U) for system in systems]
+    codes = [_system_codes(system) for system in systems]
+    assert all(map(operator.is_, *codes))
+    assert answers[0][0].tobytes() != answers[1][0].tobytes()
+    _tape._code.cache_clear()
+    for params, system_codes, got in zip(values, codes, answers):
+        own = LagrangianSystem(2, ScalarField.from_source(source, lagrangian_chart(2), params))
+        wants = _system_answers(own, U)
+        assert not any(map(operator.is_, system_codes, _system_codes(own)))
+        for part, want in zip(got, wants, strict=True):
+            assert part.tobytes() == want.tobytes()
+
+
+def test_the_code_cache_is_bounded():
+    _tape._code.cache_clear()
+    size = _tape._code.cache_info().maxsize
+    for k in range(size + 10):
+        _tape._code(f"def f(x):\n    return x + {k}\n", "<contactmech compiled field>")
+    info = _tape._code.cache_info()
+    assert info.misses == size + 10 and info.currsize == info.maxsize == size
 
 
 def test_value_and_gradient_at_is_the_jet():
@@ -502,8 +584,6 @@ def test_run_time_integral_exponent_over_a_block(monkeypatch):
 
 def test_block_code_raises_no_power_itself():
     # every power of the one text is _pow: over a block, the rows' float power entry by entry
-    from contactmech import _tape
-
     tree = parse("x^2 + x^y + x^1.5 + exp(x)")
     value = _tape._Tracer(CHART, {})
     for tracer in (value, _tape._JetTracer(CHART, {})):

@@ -320,6 +320,22 @@ class TestHamiltonianVectorField:
                     rhs = jet.gradient - (jet.gradient[-1] + jet.value) * sys.eta(u)
                     assert np.max(np.abs(lhs - rhs)) <= 1e-9
 
+    def test_field_text_runs_once_per_block(self):
+        # the structure checks ask for X_H and for X_H with its Jacobian on one block
+        source = "0.5*(p1^2 + p2^2) + 0.5*q1^2*q2 - 0.3*z*p1"
+        H = field_on(2, source)
+        system = HamiltonianSystem(2, H)
+        block, stepper = cc._darboux_field(H)
+        calls = []
+        H.__dict__["_darboux_code"] = (lambda U: calls.append(len(U)) or block(U)), stepper
+        U = np.random.default_rng(5).uniform(-1, 1, size=(100, 5))
+        dynamics = system.dynamics_block(U)
+        value, jacobian = system.dynamics_and_jacobian_block(U)
+        cc.lie_derivative_eta_block(system, DynamicsVectorField(system), U)
+        assert calls == [100] and value is dynamics
+        want = HamiltonianSystem(2, field_on(2, source)).vector_field.value_and_jacobian_block(U)
+        assert value.tobytes() == want[0].tobytes() and jacobian.tobytes() == want[1].tobytes()
+
 
 class TestJacobiBracket:
     def test_self_bracket_vanishes(self):
