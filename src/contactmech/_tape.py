@@ -1,15 +1,18 @@
 """Compile a field's expression tree once into straight-line Python.
 
-:func:`compile_value` and :func:`compile_jet` trace a tree a single time,
-write one source text and compile it once.  The value code follows float
-arithmetic; the jet code propagates value, gradient and Hessian by the
-second-order forward-mode rules of :class:`_JetTracer`.  The text is run in
-two namespaces, so each returns a pair: a function of the point's
-coordinates (a list of floats) giving a float or a
-:class:`~contactmech.ad.Jet2`, and a function of an (N, m) block of points
-giving its N values or a :class:`~contactmech.ad.JetBlock`.  The tests check
-the point form against ``tests/dense_ad.py``, which applies the same rules to
-dense arrays one operation at a time.
+:func:`_emit` is the one step from a trace to code.  It traces a tree once;
+an assembler writes the entries of the result through a :class:`FieldWriter`
+(a value its value, a jet its value, the structural zero and its traced
+gradient and upper-Hessian entries, a vector field what its caller writes
+from the jet); the lines they need are one text, compiled once.  The value
+code follows float arithmetic; the jet code propagates value, gradient and
+Hessian by the second-order forward-mode rules of :class:`_JetTracer`.  The
+text runs in two namespaces: over the floats of a point (a list) it gives the
+tuple of entries, over an (N, m) block of points an (N, k) array, which
+:func:`compile_value` and :func:`compile_jet` unpack into a float or a
+:class:`~contactmech.ad.Jet2` and N values or a :class:`~contactmech.ad.JetBlock`.
+The tests check the point form against ``tests/dense_ad.py``, which applies
+the same rules to dense arrays one operation at a time.
 
 The text writes every guard, branch test and power through helpers
 (``_any``, ``_all``, ``_uniform``, ``_integral``, ``_nonzero``, ``_abs``,
@@ -25,10 +28,9 @@ would raise, the block raises (:class:`BlockFallback` for a guard or a
 branch that the rows do not all take); ``contactmech.ad._rows`` then
 evaluates it row by row, so its errors are the rows' errors too.
 
-:func:`compile_field` emits a vector field from the same jet trace: a
-caller's assembler writes its entries once, and the lines they need run
-as the block form above and in a fixed-step RK4 or Euler loop, once per
-stage, with ``_RUNTIME``, so the integration runs in one function on locals.
+A vector field's lines also run in a fixed-step RK4 or Euler loop
+(:func:`_stepper`), once per stage, with ``_RUNTIME``, so the integration
+runs in one function on locals.
 
 Tracing runs the operations over *symbolic* scalars: a Python float when the
 number is known at compile time (literals, parameters and every subtree
@@ -400,21 +402,6 @@ class _Tracer:
         h = {key[1:]: name for key, name in merged.items() if key[0] == "h"}
         return _Jet(merged["v"], g, h)
 
-    def function(self, result: str):
-        """Compile the traced lines once into ``f(x)`` ending with ``result``:
-        (f over the floats of a point, f over the columns of a block)."""
-        head = ["def f(x):"]
-        if self.inputs:
-            head.append(f"    {', '.join(self.inputs.values())}, = x")
-        source = "\n".join([*head, *self.lines, f"    {result}", ""])
-        code = _code(source, "<contactmech compiled field>")
-        forms = []
-        for runtime, bound in ((_RUNTIME, {}), (_BLOCK_RUNTIME, self.block_forms)):
-            namespace = {**self.namespace, **runtime, **bound}
-            exec(code, namespace)
-            forms.append(namespace["f"])
-        return forms
-
     # -- float arithmetic ---------------------------------------------------
 
     def add(self, a, b):
@@ -777,71 +764,11 @@ class _JetTracer(_Tracer):
                            lambda: self.branch(self.condition("equal", e, 1.0), lambda: a, chained))
 
 
-def _trace(tracer, tree):
-    """The traced result, or None when every run raises."""
-    try:
-        return tracer.trace(tree)
-    except _Unreachable:
-        return None
-
-
-def compile_value(tree, chart, parameters: dict):
-    """``(f(x) -> float, f(X) -> (N,) array)``: the tree's value under float
-    rules at coordinates x, and at each row of an (N, m) block."""
-    tracer = _Tracer(chart, parameters)
-    result = _trace(tracer, tree)
-    point, block = tracer.function("" if result is None else f"return {tracer.ref(result)}")
-
-    def values(X):
-        out = np.empty(X.shape[0])
-        out[:] = block(np.ascontiguousarray(X.T))
-        return out
-
-    return point, values
-
-
-def compile_jet(tree, chart, parameters: dict):
-    """``(f(x) -> Jet2, f(X) -> JetBlock)``: value, gradient and Hessian in the
-    chart variables at x, and values (N,), gradients (N, m) and Hessians
-    (N, m, m) at the rows of an (N, m) block."""
-    tracer = _JetTracer(chart, parameters)
-    result = _trace(tracer, tree)
-    traced = result if isinstance(result, _Jet) else _Jet(result, {}, {})
-    g_keys, h_keys = sorted(traced.g), sorted(traced.h)
-    entries = ", ".join(map(tracer.ref, [0.0, *(traced.g[i] for i in g_keys), *(traced.h[k] for k in h_keys)]))
-    point, block = tracer.function("" if result is None else f"return {tracer.ref(traced.v)}, ({entries},)")
-    # where each gradient and Hessian slot sits in (0, gradient entries, upper-Hessian entries)
-    m, size = len(tracer.inputs), len(g_keys) + len(h_keys) + 1
-    g_index = np.zeros(m, dtype=np.intp)
-    g_index[g_keys] = np.arange(1, len(g_keys) + 1)
-    h_index = np.zeros((m, m), dtype=np.intp)
-    for pos, (i, j) in enumerate(h_keys, start=len(g_keys) + 1):
-        h_index[i, j] = h_index[j, i] = pos
-
-    def jet(x):
-        value, flat = point(x)
-        flat = np.fromiter(flat, float, size)
-        return Jet2(value, flat.take(g_index), flat.take(h_index))
-
-    def jets(X):
-        count = X.shape[0]
-        value, columns = block(np.ascontiguousarray(X.T))
-        flat = np.empty((size, count))
-        for row, column in zip(flat, columns):
-            row[:] = column
-        out = np.empty(count)
-        out[:] = value
-        flat = flat.T
-        return JetBlock(out, flat[:, g_index], flat[:, h_index])
-
-    return jet, jets
-
-
-# -- vector fields from one jet trace ------------------------------------------------
+# -- one text per field: its value, its jet or a vector field ----------------------
 
 
 class FieldWriter:
-    """The traced jet of a field, for the code that assembles a vector field from it.
+    """The traced jet of a field (or its value), for the code that assembles entries from it.
 
     Entries are source names: a local, an input ``x{i}`` or a bound number
     (``k0`` is the structural zero).  Lines written here run after the
@@ -930,35 +857,100 @@ def _live(lines: list, results) -> list:
     return [line for statement in reversed(kept) for line in statement]
 
 
-# the stages after the first: the factor of the previous stage's derivative in
-# the next stage's input
-_STAGES = {"rk4": ("half", "half", "h"), "euler": ()}
+def _emit(tracer, tree, assemble):
+    """``(point, block, entries)``: the text of the entries that
+    ``assemble(writer)`` writes from the traced tree through a
+    :class:`FieldWriter`, returning their source names (``entries``, None
+    when every run raises).  Only the lines they need are kept (see
+    :func:`_live`), and the text is compiled once (:func:`_code`).
+    ``point(x)`` is the tuple of entries at the floats x of a point, and
+    ``block(U)`` the (N, k) array of entries at the rows of an (N, m) array
+    (the transpose of a C-ordered (k, N) one), row k being ``point`` at point
+    k, bit for bit."""
+    try:
+        result = tracer.trace(tree)
+    except _Unreachable:
+        entries = None
+    else:
+        entries = assemble(FieldWriter(tracer, result if isinstance(result, _Jet) else _Jet(result, {}, {})))
+    tracer.lines = _live(tracer.lines, entries or ())
+    unpack = [f"    {', '.join(tracer.inputs.values())}, = x"] if tracer.inputs else []
+    body = "" if entries is None else f"return {FieldWriter.pack(entries)}"
+    code = _code("\n".join(["def f(x):", *unpack, *tracer.lines, f"    {body}", ""]), "<contactmech compiled field>")
+    namespaces = [{**tracer.namespace, **_RUNTIME}, {**tracer.namespace, **_BLOCK_RUNTIME, **tracer.block_forms}]
+    for namespace in namespaces:
+        exec(code, namespace)
+    point, columns = (namespace["f"] for namespace in namespaces)
+
+    def block(U):
+        values = columns(np.ascontiguousarray(U.T))
+        out = np.empty((len(values), U.shape[0]))
+        for row, entry in zip(out, values):
+            row[:] = entry  # a column, or a bound number
+        return out.T
+
+    return point, block, entries
+
+
+def compile_value(tree, chart, parameters: dict):
+    """``(f(x) -> float, f(X) -> (N,) array)``: the tree's value under float
+    rules at coordinates x, and at each row of an (N, m) block."""
+    point, block, _ = _emit(_Tracer(chart, parameters), tree, lambda out: [out.value()])
+    return (lambda x: point(x)[0]), (lambda X: block(X)[:, 0])
+
+
+def compile_jet(tree, chart, parameters: dict):
+    """``(f(x) -> Jet2, f(X) -> JetBlock)``: value, gradient and Hessian in the
+    chart variables at x, and values (N,), gradients (N, m) and Hessians
+    (N, m, m) at the rows of an (N, m) block."""
+    tracer = _JetTracer(chart, parameters)
+    m = len(tracer.inputs)
+    # where each gradient and Hessian entry sits among the entries (value, 0,
+    # traced gradient entries, traced upper-Hessian entries); a structural zero reads the 0
+    g_index, h_index = np.ones(m, dtype=np.intp), np.ones((m, m), dtype=np.intp)
+
+    def assemble(out):
+        g_keys, h_keys = sorted(out._jet.g), sorted(out._jet.h)
+        g_index[g_keys] = range(2, len(g_keys) + 2)
+        for pos, (i, j) in enumerate(h_keys, start=len(g_keys) + 2):
+            h_index[i, j] = h_index[j, i] = pos
+        return [out.value(), out.number(0.0), *map(out.gradient, g_keys), *(out.hessian(*k) for k in h_keys)]
+
+    point, block, entries = _emit(tracer, tree, assemble)
+    size = len(entries or ())
+
+    def jet(x):
+        flat = np.fromiter(point(x), float, size)
+        return Jet2(flat[0], flat.take(g_index), flat.take(h_index))
+
+    def jets(X):
+        flat = block(X)  # the values are copied, so a kept JetBlock does not keep all of flat
+        return JetBlock(flat[:, 0].copy(), flat[:, g_index], flat[:, h_index])
+
+    return jet, jets
 
 
 def compile_field(tree, chart, parameters: dict, assemble):
     """``(block, stepper)`` of the vector field that ``assemble(writer)`` writes
-    once from the tree's jet through a :class:`FieldWriter`, returning the
-    source names of its entries; the lines they need (see :func:`_live`) are
-    its one text.  ``block(U)`` runs it over the columns of an (N, m) array
-    through :func:`contactmech.ad._rows`, with the float form as its rows, so
-    row k is the field at point k, bit for bit, errors included.
-    ``stepper(method)`` is its loop (:func:`_stepper`), compiled on first use."""
+    once from the tree's jet (see :func:`_emit`).  ``block(U)`` runs it over
+    the columns of an (N, m) array through :func:`contactmech.ad._rows`, with
+    the float form as its rows, so row k is the field at point k, bit for bit,
+    errors included.  ``stepper(method)`` is its loop (:func:`_stepper`),
+    compiled on first use."""
     tracer = _JetTracer(chart, parameters)
-    result = _trace(tracer, tree)
-    entries = None  # every run raises
-    if result is not None:
-        entries = assemble(FieldWriter(tracer, result if isinstance(result, _Jet) else _Jet(result, {}, {})))
-        tracer.lines = _live(tracer.lines, entries)
-    point, columns = tracer.function("" if entries is None else f"return {FieldWriter.pack(entries)}")
+    point, block, entries = _emit(tracer, tree, assemble)
 
     def kernel(U):
-        out = np.empty(U.shape)
-        for column, entry in zip(out.T, columns(np.ascontiguousarray(U.T))):
-            column[:] = entry  # a column, or a bound number
-        return out
+        # in C order: numpy's matmul and sums may round the rows of another layout otherwise
+        return np.ascontiguousarray(block(U))
 
-    block = functools.partial(_rows, kernel, row=lambda U: np.array([point(U[0].tolist())]))
-    return block, functools.cache(functools.partial(_stepper, tracer, entries))
+    rows = functools.partial(_rows, kernel, row=lambda U: np.array([point(U[0].tolist())]))
+    return rows, functools.cache(functools.partial(_stepper, tracer, entries))
+
+
+# the stages after the first: the factor of the previous stage's derivative in
+# the next stage's input
+_STAGES = {"rk4": ("half", "half", "h"), "euler": ()}
 
 
 def _stepper(tracer: _JetTracer, entries, method: str):

@@ -28,7 +28,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import symmetry
-from .contact_core import DEFAULT_TOL, HamiltonianSystem, _flat_rows, _worst_rows, lie_derivative_eta_block
+from .contact_core import (DEFAULT_TOL, HamiltonianSystem, _dissipation_rows, _flat_rows, _worst_rows,
+                           lie_derivative_eta_block)
 from .expr import ScalarField, hamiltonian_chart, lagrangian_chart, position_names
 from .fields import AmbientVectorField, DynamicsVectorField, _rowdot
 from .integrate import (
@@ -499,9 +500,7 @@ def _structure_checks(scn: Scenario, states, tol_scale: float) -> list[dict]:
         else:
             lie = lie_derivative_eta_block(system, dyn, U)
             residuals["conformal"] = np.max(np.abs(lie + rate[:, None] * eta), axis=1)
-            # the dissipation identity for f = H, from the values above:
-            # _dissipation_rows would evaluate H, X_H and R(H) a second time
-            residuals["energy_rate"] = np.abs(_rowdot(denergy, xi) + rate * energy)
+            residuals["energy_rate"] = np.abs(_dissipation_rows(system, system.field, U))
         return np.column_stack([residuals[name] for name in tolerances])
 
     worst = dict(zip(tolerances, _worst_rows(kernel, states)))

@@ -409,7 +409,8 @@ def _flat_rows(geometry, U, V) -> np.ndarray:
 
 def flat_coeffs(geometry, u, vector: np.ndarray) -> np.ndarray:
     """flat(v) = i_v d(eta) + eta(v) eta as a coefficient vector."""
-    return _flat_rows(geometry, _one_row(u), _one_row(vector))[0]
+    V = _one_row(vector)
+    return _rows(lambda U: _flat_rows(geometry, U, V), _one_row(u))[0]
 
 
 def flat_inverse_coeffs(geometry, u, coeffs: np.ndarray) -> np.ndarray:
@@ -427,7 +428,7 @@ def lie_derivative_eta_block(geometry, X, U) -> np.ndarray:
 
 def lie_derivative_eta_coeffs(geometry, X, u) -> np.ndarray:
     """(L_X eta)_b = X^a d_a(eta_b) + eta_a d_b(X^a)."""
-    return lie_derivative_eta_block(geometry, X, _one_row(u))[0]
+    return _rows(partial(lie_derivative_eta_block, geometry, X), _one_row(u))[0]
 
 
 # -- Darboux-chart operations (spec surface) -----------------------------------

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ad import DomainError
+from .ad import DomainError, _rows
 from .expr import ScalarField
 
 __all__ = [
@@ -77,12 +77,13 @@ def _matvec(M: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 
 def _at_point(owner, block, u):
-    """``block`` of ``owner`` on the point u as a one-row block: a copy of row 0
-    of each result, which the caller owns (a block's result may be kept)."""
+    """``block`` of ``owner`` on the point u as a one-row block, through
+    :func:`contactmech.ad._rows`: a copy of row 0 of each result, which the
+    caller owns (a block's result may be kept)."""
     U = _one_row(u)
     if U.shape[1] != len(owner.chart):
         raise ValueError(f"point has {U.shape[1]} coordinates, chart has {len(owner.chart)}")
-    out = block(U)
+    out = _rows(block, U)
     return tuple(part[0].copy() for part in out) if isinstance(out, tuple) else out[0].copy()
 
 

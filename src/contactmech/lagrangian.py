@@ -96,7 +96,8 @@ class _VelocityHessians:
         """(d, degenerate, regular) for each row of W (N, n, n): d is w when n = 1, else
         |det W|, and |d| is <= or > its ``_thresholds``; a NaN W is neither."""
         threshold = self._thresholds(np.max(np.abs(W), axis=(1, 2)))
-        d = W[:, 0, 0] if self.n == 1 else np.abs(np.linalg.det(W))
+        with np.errstate(all="ignore"):  # a non-finite W is classified here, not warned of
+            d = W[:, 0, 0] if self.n == 1 else np.abs(np.linalg.det(W))
         return d, np.abs(d) <= threshold, np.abs(d) > threshold
 
     def _solve_velocity_hessian_block(self, W: np.ndarray, rhs: np.ndarray) -> np.ndarray:

@@ -63,4 +63,5 @@ def regular_states(sys, seed, count: int, box=(-1.0, 1.0)) -> np.ndarray:
     def accept(u):
         return abs(np.linalg.det(sys.velocity_hessian(u))) >= REJECT_BELOW
 
-    return rejection_sample(seed, count, sys.dim, accept, box)
+    with np.errstate(all="ignore"):  # a NaN det is rejected, not warned of
+        return rejection_sample(seed, count, sys.dim, accept, box)

@@ -437,6 +437,22 @@ class TestExitCodes:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ")
 
+    def test_a_nan_velocity_hessian_exits_two_with_one_line(self, in_tmp, tmp_path, capsys):
+        # c*q1^2 - c*q1^2 is inf - inf = NaN at q1 = 1e5, so W is NaN: neither degenerate
+        # nor regular, and its det warns of nothing; the state becomes NaN at the first step
+        config = {
+            "system": {"type": "lagrangian", "n": 2,
+                       "expression": "0.5*(qd1^2 + qd2^2)*(1 + (c*q1^2 - c*q1^2)) - 0.5*(q1^2 + q2^2) - gamma*z",
+                       "params": {"c": 1e300, "gamma": 0.1}},
+            "initial_state": {"q": [1e5, 0.0], "qd": [0.0, 1.0]},
+            "integrator": {"step": 0.1, "t_final": 1.0},
+            "checks": {"structure": False},
+            "sample": {"count": 5},
+        }
+        assert run_scenario(write_config(tmp_path, config)) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: state became non-finite at t=0.1 (step 1)"), err
+
     @pytest.mark.parametrize("replacement", [None, 0, "x", [], {}], ids=["null", "zero", "string", "list", "object"])
     def test_every_leaf_replaced_gives_an_exit_code(self, in_tmp, tmp_path, capsys, replacement):
         # each leaf of a small valid scenario in turn replaced by a value of another JSON type

@@ -10,6 +10,7 @@ types at the same points.
 import inspect
 import math
 import operator
+import re
 
 import numpy as np
 import pytest
@@ -313,10 +314,11 @@ def _emitted(wrapper, name):
 
 
 def _field_codes(field):
-    """The code objects of a field's value and jet functions, point and block."""
+    """The code objects of the texts emitted for a field's value and jet, point and block
+    (their wrappers share one code object across all fields)."""
     (value, values), (jet, jets) = field._value_code, field._jet_code
-    return [value.__code__, _emitted(values, "block").__code__,
-            _emitted(jet, "point").__code__, _emitted(jets, "block").__code__]
+    return [_emitted(value, "point").__code__, _emitted(_emitted(values, "block"), "columns").__code__,
+            _emitted(jet, "point").__code__, _emitted(_emitted(jets, "block"), "columns").__code__]
 
 
 def _field_answers(field, block):
@@ -348,8 +350,8 @@ def test_equal_texts_share_one_code_object():
 def _system_codes(system):
     """The code objects of a system's emitted field, point and block, and its RK4 loop."""
     block, _ = system._field_code
-    return [_emitted(block.keywords["row"], "point").__code__, _emitted(block.args[0], "columns").__code__,
-            system.stepper("rk4").__code__]
+    return [_emitted(block.keywords["row"], "point").__code__,
+            _emitted(_emitted(block.args[0], "block"), "columns").__code__, system.stepper("rk4").__code__]
 
 
 def _system_answers(system, U):
@@ -590,6 +592,35 @@ def test_block_code_raises_no_power_itself():
         tracer.trace(tree)
         assert "**" not in "\n".join(tracer.lines)
     assert "_pow(" in "\n".join(value.lines)
+
+
+def _emitted_texts(build):
+    """The texts of values, jets and vector fields that ``build()`` emits."""
+    texts, code = [], _tape._code
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(_tape, "_code", lambda source, name: texts.append(source) or code(source, name))
+        build()
+    return texts
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(tree=trees, params=block_params)
+def test_emitted_texts_read_every_pure_local(tree, params):
+    # every text is pruned alike: a line that cannot raise stays only if a later line reads its local
+    from contactmech.contact_core import _assemble_darboux
+
+    parameters = dict(zip(PARAMS, params))
+    system = LagrangianSystem(1, ScalarField(_mechanics_tree(tree, "qd1"), lagrangian_chart(1), parameters))
+    texts = _emitted_texts(lambda: (
+        _tape.compile_value(tree, CHART, parameters), _tape.compile_jet(tree, CHART, parameters),
+        _tape.compile_field(tree, CHART, parameters, lambda out: _assemble_darboux(1, out)), system._field_code))
+    assert len(texts) == 4
+    for text in texts:
+        lines = text.splitlines()
+        for k, line in enumerate(lines):
+            pure = _tape._PURE.fullmatch(line)
+            if pure is not None:
+                assert re.search(rf"\b{pure.group(1)}\b", "\n".join(lines[k + 1 :])), (line, text)
 
 
 def test_block_shape_is_checked():

@@ -11,7 +11,7 @@ from contactmech import contact_core as cc
 from contactmech.ad import DomainError
 from contactmech.cli import bundled_scenario_path, run_scenario
 from contactmech.expr import ScalarField, lagrangian_chart
-from contactmech.fields import DynamicsVectorField, lie_bracket_value
+from contactmech.fields import AmbientVectorField, DynamicsVectorField, lie_bracket_value
 from contactmech.integrate import IntegratorConfig, integrate_lagrangian
 from contactmech.lagrangian import (
     LagrangianSystem,
@@ -96,6 +96,17 @@ class TestRegularity:
         sys = system_from("0.5*(qd1^2 + qd2^2)", n=2)
         x = TQRPoint([0.0, 0.0], [1.0, 1.0], 0.0)
         assert np.array_equal(velocity_hessian_at(sys, x), np.eye(2))
+
+    def test_a_nan_velocity_hessian_is_neither_and_warns_of_nothing(self):
+        # inf - inf makes W NaN where |q1| > 1.4e4; the repo's filterwarnings turns a warning into a failure
+        sys = system_from("0.5*(qd1^2 + qd2^2)*(1 + (c*q1^2 - c*q1^2))", n=2, c=1e300)
+        x = TQRPoint([1e5, 0.0], [0.0, 1.0], 0.0)
+        assert np.isnan(np.diag(velocity_hessian_at(sys, x))).all()
+        _, degenerate, regular = sys._regularity(velocity_hessian_at(sys, x)[None])
+        assert not degenerate[0] and not regular[0] and not is_regular(sys, x)
+        # the sampler rejects the NaN rows and keeps the others, where W = I
+        states = regular_states(sys, 3, 5, box=(-1e5, 1e5))
+        assert states.shape == (5, 5) and np.all(np.abs(states[:, 0]) < 1.4e4)
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_thresholds_follow_the_scalar_rule(self, n):
@@ -237,6 +248,24 @@ class TestHerglotzResidual:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert not np.isfinite(herglotz_residual(sys, fake))
+
+    def test_per_point_adapters_overflow_to_values_not_warnings(self):
+        # v·dL/dv and q1*q1 overflow: the one-row adapters give the block's inf or NaN, as dynamics does
+        source = "0.5*(qd1^2 + qd2^2) - 0.5*(q1^2 + q2^2) - 0.1*z"
+        x = TQRPoint([1e200, 0.0], [1e200, 0.2], 0.0)
+        u = x.to_array()
+        sys, twin = system_from(source, n=2), system_from(source, n=2)
+        fields = [AmbientVectorField.from_sources(["q1*q1", "0", "0", "0", "0"], sys.chart) for _ in range(2)]
+        got = [energy_at(sys, x), sys.reeb_rate(u), cc.flat_coeffs(sys, u, u), sys.dynamics(u),
+               cc.lie_derivative_eta_coeffs(sys, fields[0], u)]
+        with np.errstate(all="ignore"):
+            U = u[None]
+            want = [twin.hamiltonian_value_and_gradient_block(U)[0][0], twin.reeb_rate_block(U)[0],
+                    cc._flat_rows(twin, U, U)[0], twin.dynamics_block(U)[0],
+                    cc.lie_derivative_eta_block(twin, fields[1], U)[0]]
+        assert not np.isfinite(got[0]) and not np.all(np.isfinite(got[2]))
+        for part, expected in zip(got, want, strict=True):
+            assert np.asarray(part).tobytes() == np.asarray(expected).tobytes()
 
     def test_short_trajectory_rejected(self):
         sys = system_from("0.5*qd1^2")
