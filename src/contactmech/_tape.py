@@ -864,9 +864,9 @@ def _emit(tracer, tree, assemble):
     when every run raises).  Only the lines they need are kept (see
     :func:`_live`), and the text is compiled once (:func:`_code`).
     ``point(x)`` is the tuple of entries at the floats x of a point, and
-    ``block(U)`` the (N, k) array of entries at the rows of an (N, m) array
-    (the transpose of a C-ordered (k, N) one), row k being ``point`` at point
-    k, bit for bit."""
+    ``block(U)`` the (N, k) array of entries at the rows of an (N, m) array,
+    taken as floats (the transpose of a C-ordered (k, N) one), row k being
+    ``point`` at point k, bit for bit."""
     try:
         result = tracer.trace(tree)
     except _Unreachable:
@@ -883,7 +883,7 @@ def _emit(tracer, tree, assemble):
     point, columns = (namespace["f"] for namespace in namespaces)
 
     def block(U):
-        values = columns(np.ascontiguousarray(U.T))
+        values = columns(np.ascontiguousarray(U.T, dtype=float))
         out = np.empty((len(values), U.shape[0]))
         for row, entry in zip(out, values):
             row[:] = entry  # a column, or a bound number

@@ -9,11 +9,11 @@ arithmetic of its own.
 
 :func:`_rows` is the package's one fallback from a block to its rows: fields,
 checks and the integrator's monitors evaluate their blocks through it.
+:func:`_kept` is its one way to keep the result of a block.
 """
 
 from __future__ import annotations
 
-from operator import is_
 from typing import NamedTuple
 
 import numpy as np
@@ -54,8 +54,8 @@ class JetBlock(NamedTuple):
 
     From ``ScalarField.jets_at`` the three arrays are read-only, and a field
     asked again for its last block (of at most ``BLOCK_ROWS`` rows) returns
-    the same JetBlock object; copy an array before writing into it.  So what
-    is derived from it is kept next to that object (:func:`_kept`)."""
+    the same JetBlock object (:func:`_kept`); copy an array before writing
+    into it."""
 
     value: np.ndarray
     gradient: np.ndarray
@@ -111,20 +111,19 @@ def _join(parts: list):
     return np.concatenate(parts)
 
 
-def _kept(owner, name: str, U: np.ndarray, jets_of, formula):
-    """``formula(jets_of(U))``, read-only, kept on ``owner`` under ``name`` next to the
-    jets (a JetBlock or a tuple of them) and returned while ``jets_of`` gives those same
-    objects (``is``, part by part), as ``jets_at`` does for its kept block; a formula
-    that raises keeps nothing.  A block of more than ``BLOCK_ROWS`` rows gets new jets
-    at each call, so it is not keyed: ``formula(None)`` asks for the jets it needs."""
-    if len(U) > BLOCK_ROWS:
-        return formula(None)
-    jets = jets_of(U)
+def _kept(owner, name: str, U: np.ndarray, formula):
+    """``formula()``, the result of the block ``U``, read-only (part by part if
+    a tuple), kept on ``owner`` under ``name`` with U's dtype, shape and bytes
+    as its key, and returned again while ``U`` has that key.  One entry per
+    name; a block of more than ``BLOCK_ROWS`` rows is computed and not kept,
+    and a formula that raises keeps nothing and leaves the entry in place."""
+    key = (U.dtype, U.shape, U.tobytes()) if len(U) <= BLOCK_ROWS else None
     entry = owner.__dict__.get(name)
-    if entry is not None and all(map(is_, entry[0], jets)):
+    if entry is not None and entry[0] == key:
         return entry[1]
-    result = formula(jets)
+    result = formula()
     for part in result if isinstance(result, tuple) else (result,):
         part.flags.writeable = False
-    owner.__dict__[name] = (jets, result)
+    if key is not None:
+        owner.__dict__[name] = (key, result)
     return result

@@ -185,9 +185,9 @@ def _pair(a: np.ndarray, b: np.ndarray) -> float:
 
 
 def _as_states(points, dim: int) -> np.ndarray:
-    """Normalize a list of points (or an array) to a (count, dim) matrix."""
+    """Normalize a list of points (or an array) to a (count, dim) float matrix."""
     if isinstance(points, np.ndarray) and points.ndim == 2:
-        mat = points
+        mat = points.astype(float, copy=False)
     else:
         rows = [_one_row(p)[0] for p in points]
         mat = np.array(rows, dtype=float) if rows else np.empty((0, dim))
@@ -246,7 +246,11 @@ class _System(_Chart):
         return float(_at_point(self, self.reeb_rate_block, u))
 
     def dynamics_block(self, U) -> np.ndarray:
-        return _kept(self, "_dynamics_kept", U, self.jets, lambda _: self._field_code[0](U))
+        def formula():
+            self.jets(U)  # first, so a domain error in L's or H's jets precedes the field's own
+            return self._field_code[0](U)
+
+        return _kept(self, "_dynamics_kept", U, formula)
 
     def dynamics(self, u) -> np.ndarray:
         return _at_point(self, self.dynamics_block, u)

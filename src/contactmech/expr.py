@@ -24,10 +24,11 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
-from .ad import BLOCK_ROWS, Jet2, JetBlock, _rows
+from .ad import Jet2, JetBlock, _kept, _rows
 
 __all__ = [
     "ParseError",
@@ -393,15 +394,21 @@ class ScalarField:
                 f"point has {len(point)} coordinates, chart has {len(self.chart)}"
             )
 
-    def _compiled(self, order: str):
-        # ("value" or "jet") the per-point and block functions of one trace,
-        # built on first use of either and kept outside the dataclass fields,
-        # so == and repr never see them; _tape needs this module's node classes
+    # the per-point and block functions of one trace of each order, built on
+    # first use of either and kept in the instance dict, outside the dataclass
+    # fields, so == and repr never see them; _tape needs this module's node classes
+
+    @cached_property
+    def _value_code(self):
         from . import _tape
 
-        forms = getattr(_tape, f"compile_{order}")(self.ast, self.chart, self._param_env)
-        object.__setattr__(self, f"_{order}_code", forms)
-        return forms
+        return _tape.compile_value(self.ast, self.chart, self._param_env)
+
+    @cached_property
+    def _jet_code(self):
+        from . import _tape
+
+        return _tape.compile_jet(self.ast, self.chart, self._param_env)
 
     def jet_at(self, point) -> Jet2:
         """Value, gradient and Hessian with respect to the chart variables."""
@@ -409,13 +416,11 @@ class ScalarField:
         x = np.asarray(point, dtype=float)
         if x.ndim != 1 or x.shape[0] == 0:
             raise ValueError("a jet needs a nonempty 1-d point")
-        fn, _ = self.__dict__.get("_jet_code") or self._compiled("jet")
-        return fn(x.tolist())
+        return self._jet_code[0](x.tolist())
 
     def value_at(self, point) -> float:
         self._check_point(point)
-        fn, _ = self.__dict__.get("_value_code") or self._compiled("value")
-        return fn(np.asarray(point, dtype=float).tolist())
+        return self._value_code[0](np.asarray(point, dtype=float).tolist())
 
     def value_and_gradient_at(self, point):
         jet = self.jet_at(point)
@@ -437,28 +442,20 @@ class ScalarField:
         """Values (N,), gradients (N, m) and Hessians (N, m, m) at the rows of ``points``.
 
         The three arrays are read-only.  The field keeps the jets of its last
-        block of at most ``BLOCK_ROWS`` rows, keyed on the block's bytes, and
-        returns that same JetBlock when asked for those bytes again; a block
-        that raises keeps nothing and leaves the kept one in place.
+        block of at most ``BLOCK_ROWS`` rows and returns that same JetBlock
+        when asked for an equal block again (see ``ad._kept``).
         """
         block = self._block(points)
         count, m = block.shape
         if m == 0:
             raise ValueError("a jet needs a nonempty 1-d point")
-        key = block.tobytes() if count <= BLOCK_ROWS else None
-        memo = self.__dict__.get("_jets_memo")
-        if memo is not None and memo[0] == key:
-            return memo[1]
-        if count == 0:
-            jets = JetBlock(np.empty(0), np.empty((0, m)), np.empty((0, m, m)))
-        else:
-            _, fn = self.__dict__.get("_jet_code") or self._compiled("jet")
-            jets = _rows(fn, block, row=self._jet_row)
-        for part in jets:
-            part.flags.writeable = False
-        if key is not None:
-            object.__setattr__(self, "_jets_memo", (key, jets))
-        return jets
+
+        def formula():
+            if count == 0:
+                return JetBlock(np.empty(0), np.empty((0, m)), np.empty((0, m, m)))
+            return _rows(self._jet_code[1], block, row=self._jet_row)
+
+        return _kept(self, "_jets_memo", block, formula)
 
     def _jet_row(self, U: np.ndarray) -> JetBlock:
         jet = self.jet_at(U[0])
@@ -469,8 +466,7 @@ class ScalarField:
         block = self._block(points)
         if block.shape[0] == 0:
             return np.empty(0)
-        _, fn = self.__dict__.get("_value_code") or self._compiled("value")
-        return _rows(fn, block, row=lambda U: np.array([self.value_at(U[0])], dtype=float))
+        return _rows(self._value_code[1], block, row=lambda U: np.array([self.value_at(U[0])], dtype=float))
 
     def value_and_gradient_block(self, points):
         jets = self.jets_at(points)

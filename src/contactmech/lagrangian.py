@@ -177,32 +177,32 @@ class LagrangianSystem(_VelocityHessians, _System):
         return D
 
     def reeb_block(self, U) -> np.ndarray:
-        def formula(jets):
-            B, v = (jets or self.jets(U)).hessian, slice(self.n, 2 * self.n)
+        def formula():
+            B, v = self.jets(U).hessian, slice(self.n, 2 * self.n)
             out = np.zeros((len(U), self.dim))
             out[:, v] = -self._solve_velocity_hessian_block(B[:, v, v], B[:, v, -1])
             out[:, -1] = 1.0
             return out
 
-        return _kept(self, "_reeb_kept", U, self.jets, formula)
+        return _kept(self, "_reeb_kept", U, formula)
 
     # -- system data over blocks of points -----------------------------------
 
     def hamiltonian_value_and_gradient_block(self, U):
         """E_L and dE_L at each row, assembled from the jets of L."""
-        def formula(jets):
-            n, jets = self.n, jets or self.jets(U)
+        def formula():
+            n, jets = self.n, self.jets(U)
             V = U[:, n : 2 * n]
             energy = _rowdot(V, jets.gradient[:, n : 2 * n]) - jets.value
             grad = _vecmat(V, jets.hessian[:, n : 2 * n, :]) - jets.gradient
             grad[:, n : 2 * n] += jets.gradient[:, n : 2 * n]
             return energy, grad
 
-        return _kept(self, "_energy_kept", U, self.jets, formula)
+        return _kept(self, "_energy_kept", U, formula)
 
     def reeb_rate_block(self, U) -> np.ndarray:
         """R_L(E_L) at each row; equal to -dL/dz for any regular L."""
-        return _kept(self, "_reeb_rate_kept", U, self.jets, lambda _: _rowdot(
+        return _kept(self, "_reeb_rate_kept", U, lambda: _rowdot(
             self.hamiltonian_value_and_gradient_block(U)[1], self.reeb_block(U)))
 
     @cached_property

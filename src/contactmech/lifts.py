@@ -131,20 +131,17 @@ class VectorFieldQR:
 def _component_rows(Y, U: np.ndarray):
     """Values (N, n), q-Jacobians (N, n, n), z-derivatives (N, n) and
     Hessians (N, n, k, k) of the Y^i at the base points of the rows, kept on Y
-    next to the jets of its components, so every lift of Y shares them."""
+    for its block of base points, so every lift of Y shares them."""
     base, n = Y.base_block(U), Y.n
 
-    def jets_of(B):
-        return tuple(c.jets_at(B) for c in Y.components)
-
-    def formula(jets):
-        jets = jets or jets_of(base)
+    def formula():
+        jets = [c.jets_at(base) for c in Y.components]
         values = np.column_stack([j.value for j in jets])
         gradients = np.stack([j.gradient for j in jets], axis=1)
         dz = gradients[:, :, n] if Y.z_dependent else np.zeros((len(U), n))
         return values, gradients[:, :, :n], dz, np.stack([j.hessian for j in jets], axis=1)
 
-    return _kept(Y, "_component_rows_kept", base, jets_of, formula)
+    return _kept(Y, "_component_rows_kept", base, formula)
 
 
 # -- lifts as ambient vector fields on (q, v, z) -------------------------------

@@ -515,6 +515,43 @@ def test_kept_results_match_fresh_objects(tree, component, a, b, params):
         previous = (block.tobytes(), outcomes)
 
 
+def _integer_quantities(tree, parameters):
+    """A new field of the tree, and new systems L = 0.5*qd1^2 + tree and H = 0.5*p1^2 + tree
+    with their dynamics and the dissipation residuals of their own fields."""
+    from contactmech.contact_core import HamiltonianSystem, dissipation_residual
+    from contactmech.expr import hamiltonian_chart
+
+    field = ScalarField(tree, CHART, parameters)
+    L = LagrangianSystem(1, ScalarField(_mechanics_tree(tree, "qd1"), lagrangian_chart(1), parameters))
+    H = HamiltonianSystem(1, ScalarField(_mechanics_tree(tree, "p1"), hamiltonian_chart(1), parameters))
+    return [field.jets_at, field.values_at, L.dynamics_block, H.dynamics_block,
+            lambda U: np.float64(dissipation_residual(L, L.field, U)),
+            lambda U: np.float64(dissipation_residual(H, H.field, U))]
+
+
+integers = st.one_of(st.integers(-3, 3), st.sampled_from([2**31, -(2**31), 2**40, -(2**40), 2**62]))
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(tree=trees, block=st.lists(st.tuples(integers, integers, integers), min_size=1, max_size=5),
+       params=block_params)
+def test_integer_blocks_give_the_float_bits(tree, block, params):
+    # an int64 block is taken as the equal float block: each answer, error and failing
+    # row is the float block's on new objects, and so is the float block asked for next
+    parameters = dict(zip(PARAMS, params))
+    ints = np.array(block, dtype=np.int64)
+    floats = ints.astype(float)
+    quantities = _integer_quantities(tree, parameters)
+    for asked in (ints, floats):
+        outcomes = [_outcome_with_row(quantity, asked) for quantity in quantities]
+        fresh = [_outcome_with_row(quantity, floats) for quantity in _integer_quantities(tree, parameters)]
+        for (got, error), (want, want_error) in zip(outcomes, fresh, strict=True):
+            assert error == want_error
+            if want_error is None:
+                for part, want_part in zip(*((x if isinstance(x, tuple) else (x,)) for x in (got, want))):
+                    assert exact_bits(part, want_part)
+
+
 @pytest.mark.parametrize(
     "source, block",
     [

@@ -548,6 +548,17 @@ class TestDissipation:
         monkeypatch.setattr(ad, "BLOCK_ROWS", 1024)
         assert residual == dissipation_residual(sys, sys.lagrangian, np.delete(points, [5, 6], axis=0))
 
+    def test_integer_points_give_the_float_results(self):
+        # q1^2 = 2^80 wraps to 0 in int64: a sample and a block of integers are taken as floats
+        L = LagrangianSystem(1, ScalarField.from_source("0.5*qd1^2 - q1^2*z", lagrangian_chart(1)))
+        z = ScalarField.from_source("z", lagrangian_chart(1))
+        U = np.array([[2**40, 3, 1]] * 2)
+        assert dissipation_residual(L, z, U) == dissipation_residual(L, z, U.astype(float)) == 0.0
+        dynamics = L.dynamics_block(U)
+        assert np.array_equal(dynamics[:, -1], [4.5 - 2.0**80] * 2)
+        fresh = LagrangianSystem(1, L.field).dynamics_block(U.astype(float))
+        assert dynamics.tobytes() == fresh.tobytes() == L.dynamics_block(U.astype(float)).tobytes()
+
     def test_underflow_keeps_the_block(self):
         # exp(-800) underflows to 0 in row 2; float arithmetic gives the same, so no rerun
         calls = []

@@ -184,7 +184,7 @@ class TestEvaluation:
         field = ScalarField.from_source("x^y", ("x", "y"))
         seen = []
         for order in ("value", "jet"):
-            point, code = field._compiled(order)
+            point, code = getattr(field, f"_{order}_code")
             object.__setattr__(field, f"_{order}_code", (point, lambda X, code=code: seen.append(len(X)) or code(X)))
         rng = np.random.default_rng(0)
         block = np.column_stack([rng.uniform(0.5, 2.0, 2500), rng.uniform(-3.0, 3.0, 2500)])
@@ -216,7 +216,7 @@ class TestEvaluation:
 
 def _counting_block_code(field) -> list:
     """Replace the field's block jet code by a spy; returns the rows of each run."""
-    point, code = field._compiled("jet")
+    point, code = field._jet_code
     runs = []
     object.__setattr__(field, "_jet_code", (point, lambda X: runs.append(len(X)) or code(X)))
     return runs
@@ -308,7 +308,7 @@ class TestJetsMemo:
 
 
 class TestKeptResults:
-    """A system or a lift keeps what it derives from a block of jets next to that JetBlock."""
+    """A system or a lift keeps what it derives from its last block, keyed on that block."""
 
     SOURCE = "0.5*(1 + q1^2)*qd1^2 + 0.5*qd2^2 + 0.3*q1*qd2 - 0.5*(q1^2 + q2^2) - 0.1*z*qd1"
 
@@ -365,7 +365,7 @@ class TestKeptResults:
         big = np.zeros((ad.BLOCK_ROWS + 1, 5))
         one, two = system.reeb_block(big), system.reeb_block(big)
         assert two is not one and one.tobytes() == two.tobytes()
-        assert runs == [ad.BLOCK_ROWS, ad.BLOCK_ROWS]  # L's jets are not asked for first
+        assert runs == [ad.BLOCK_ROWS, ad.BLOCK_ROWS]  # L's jets once a call, not kept
 
     def test_a_raising_block_keeps_nothing(self):
         # W = 1 + qd1 is degenerate where qd1 = -1: L's jets are kept, the solves raise
@@ -385,14 +385,49 @@ class TestKeptResults:
         assert _same_bits(again, (reeb, dynamics))
 
     @pytest.mark.parametrize("changed", [0, 1])
-    def test_a_lift_misses_when_one_components_block_changes(self, changed):
+    def test_a_lift_hits_after_one_component_evaluated_another_block(self, changed):
+        # the key is the block of base points, not the components' kept jets
         Y, block = VectorFieldQ.from_expressions(2, ["-q2", "q1*q2"]), self.block()
         first = _component_rows(Y, block)
-        assert _component_rows(Y, block) is first
         Y.components[changed].jets_at(np.ones((1, 2)))  # that component keeps another block
-        second = _component_rows(Y, block)
-        assert second is not first and _same_bits(second, first)
-        assert _component_rows(Y, block) is second
+        assert _component_rows(Y, block) is first
+
+    @pytest.mark.parametrize("name", ["reeb", "dynamics", "energy", "reeb_rate",
+                                      "hamiltonian_dynamics", "component_rows"])
+    def test_a_block_of_another_dtype_with_the_same_bytes_misses(self, name):
+        integers = np.arange(-10, 10).reshape(4, 5)
+        floats = integers.view(float)  # 0.0 and subnormals
+        quantity = self.quantities(self.system())[name]
+        first = quantity(floats)
+        second = quantity(integers)
+        assert second is not first and quantity(integers) is second
+        want = self.quantities(self.system())[name](integers.astype(float))
+        assert _same_bits(self.parts(second), self.parts(want))
+
+    @pytest.mark.parametrize("name", ["reeb", "dynamics", "energy", "reeb_rate",
+                                      "hamiltonian_dynamics", "component_rows"])
+    def test_a_result_over_block_rows_is_read_only_and_not_kept(self, name):
+        small, big = self.block(), np.linspace(-1.0, 1.0, 5 * (ad.BLOCK_ROWS + 1)).reshape(-1, 5)
+        quantity = self.quantities(self.system())[name]
+        kept = quantity(small)
+        one, two = quantity(big), quantity(big)
+        assert two is not one and _same_bits(self.parts(one), self.parts(two))
+        for part in self.parts(one):
+            with pytest.raises(ValueError, match="read-only"):
+                part[...] = 1.0
+        assert quantity(small) is kept  # the entry of the small block stays
+
+    @pytest.mark.parametrize("rows", [2, ad.BLOCK_ROWS + 1])
+    def test_dynamics_raises_the_domain_error_of_l_before_a_degenerate_w(self, rows):
+        # W = 1 + qd1 is degenerate in row 0, and L's log leaves its domain in row 1
+        system = self.system("0.5*qd1^2 + qd1^3/6 + 0.5*qd2^2 - 0.5*q1^2 + log(1 + q2) - 0.1*z")
+        block = np.zeros((rows, 5))
+        block[0, 2], block[1, 1] = -1.0, -2.0
+        with pytest.raises(RegularityError):
+            system.dynamics_block(block[:1])
+        with pytest.raises(DomainError, match="log") as caught:
+            system.dynamics_block(block)
+        assert caught.value.row == 1
 
     def test_the_per_point_adapters_return_arrays_the_caller_owns(self):
         system, block = self.system(), self.block(1)

@@ -370,7 +370,7 @@ class TestClassify:
         sys = damped_oscillator()
         points = points_for(sys, 100)
         L = sys.field
-        point, code = L._compiled("jet")
+        point, code = L._jet_code
         blocks, requests = [], []
         object.__setattr__(L, "_jet_code", (point, lambda X: blocks.append(X.tobytes()) or code(X)))
         jets_at = ScalarField.jets_at
