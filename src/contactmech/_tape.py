@@ -934,17 +934,12 @@ def compile_field(tree, chart, parameters: dict, assemble):
     """``(block, stepper)`` of the vector field that ``assemble(writer)`` writes
     once from the tree's jet (see :func:`_emit`).  ``block(U)`` runs it over
     the columns of an (N, m) array through :func:`contactmech.ad._rows`, with
-    the float form as its rows, so row k is the field at point k, bit for bit,
-    errors included.  ``stepper(method)`` is its loop (:func:`_stepper`),
-    compiled on first use."""
+    the float form on the row's floats as its rows, so row k is the field at
+    point k, bit for bit, errors included.  ``stepper(method)`` is its loop
+    (:func:`_stepper`), compiled on first use."""
     tracer = _JetTracer(chart, parameters)
     point, block, entries = _emit(tracer, tree, assemble)
-
-    def kernel(U):
-        # in C order: numpy's matmul and sums may round the rows of another layout otherwise
-        return np.ascontiguousarray(block(U))
-
-    rows = functools.partial(_rows, kernel, row=lambda U: np.array([point(U[0].tolist())]))
+    rows = functools.partial(_rows, block, row=lambda U: np.array([point(U[0].astype(float).tolist())]))
     return rows, functools.cache(functools.partial(_stepper, tracer, entries))
 
 

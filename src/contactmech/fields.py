@@ -51,11 +51,20 @@ def _one_row(u) -> np.ndarray:
 def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """The sum over the last axis of ``a * b``, taken left to right.
 
-    This is the package's one paired dot product: a0*b0 + a1*b1 + ... rounded
-    as CPython rounds it on floats, term by term, with a -0.0 kept.  Emitted
-    code writes the same sum through :func:`_dot_source`.
+    This is the package's one paired sum: every dot product, gradient and
+    Jacobian contraction goes through it, as a0*b0 + a1*b1 + ... rounded as
+    CPython rounds it on floats, term by term, with a -0.0 kept, so a row's
+    bits are its own whatever block or memory layout it comes in.  a and b
+    have one number of dimensions and broadcast against each other.  The
+    products are laid out term by term in C order, and each term is added in
+    place to the first.  Emitted code writes the same sum through
+    :func:`_dot_source`.
     """
-    return np.add.accumulate(a * b, axis=-1)[..., -1]
+    terms = np.multiply(a.T, b.T, order="C")
+    total = terms[0]
+    for term in terms[1:]:
+        total += term
+    return total.T
 
 
 def _dot_source(a, b) -> str:
@@ -64,13 +73,8 @@ def _dot_source(a, b) -> str:
 
 
 def _vecmat(v: np.ndarray, M: np.ndarray) -> np.ndarray:
-    """v[k] @ M[k] for every row k."""
-    return (v[:, None, :] @ M)[:, 0]
-
-
-def _matvec(M: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """M[k] @ v[k] for every row k."""
-    return (M @ v[:, :, None])[:, :, 0]
+    """v[k] M[k] for every row k, each entry a :func:`_rowdot`."""
+    return _rowdot(v[:, None, :], M.transpose(0, 2, 1))
 
 
 # -- the per-point methods, as one-row adapters over the block methods ------------
@@ -229,7 +233,7 @@ def lie_bracket_value(X, Y, u) -> np.ndarray:
         raise ValueError("lie bracket requires fields on the same chart")
     xval, xjac = X.value_and_jacobian(u)
     yval, yjac = Y.value_and_jacobian(u)
-    return _rowdot(yjac, xval) - _rowdot(xjac, yval)
+    return _rowdot(yjac, xval[None]) - _rowdot(xjac, yval[None])
 
 
 # -- derived scalar quantities -----------------------------------------------
@@ -250,7 +254,7 @@ class EtaPairingQuantity(_Quantity):
         eta = self.geometry.eta_block(U)
         deta = self.geometry.eta_jacobian_block(U)
         val, jac = self.vector_field.value_and_jacobian_block(U)
-        return _rowdot(eta, val), _matvec(deta, val) + _vecmat(eta, jac)
+        return _rowdot(eta, val), _rowdot(deta, val[:, None, :]) + _vecmat(eta, jac)
 
 
 @dataclass(frozen=True)

@@ -25,7 +25,7 @@ import numpy as np
 from .ad import _kept
 from .contact_core import TangentValue
 from .expr import ScalarField, free_variables, lagrangian_chart, parse, position_names
-from .fields import _Field, _matvec, _Quantity, _rowdot, _vecmat
+from .fields import _Field, _Quantity, _rowdot, _vecmat
 
 __all__ = [
     "VectorFieldQ",
@@ -165,7 +165,7 @@ class CompleteLiftField(_Field):
         n = self.base.n
         out = np.empty((len(U), 2 * n + 1))
         out[:, :n] = values
-        out[:, n : 2 * n] = _matvec(jac_q, U[:, n : 2 * n])
+        out[:, n : 2 * n] = _rowdot(jac_q, U[:, None, n : 2 * n])
         out[:, -1] = self.base.z_component_values(U)
         return out
 
@@ -182,11 +182,11 @@ class CompleteLiftField(_Field):
         J = np.zeros((len(U), dim, dim))
         J[:, :n, :n] = jac_q
         J[:, :n, -1] = dz
-        # row n + i: v @ H_i over the positions (and z), then dY^i/dq
-        J[:, n : 2 * n, :n] = np.einsum("kj,kijl->kil", V, hessians[:, :, :n, :n])
+        # row n + i: v paired with H_i over the positions (and z), then dY^i/dq
+        J[:, n : 2 * n, :n] = _rowdot(V[:, None, None, :], hessians[:, :, :n, :n].transpose(0, 1, 3, 2))
         J[:, n : 2 * n, n : 2 * n] = jac_q
         if self.base.z_dependent:
-            J[:, n : 2 * n, -1] = np.einsum("kj,kij->ki", V, hessians[:, :, :n, n])
+            J[:, n : 2 * n, -1] = _rowdot(V[:, None, :], hessians[:, :, :n, n])
         J[:, -1, -1] = self.base.z_component_rates(U)
         return val, J
 

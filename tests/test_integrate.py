@@ -326,24 +326,46 @@ _kinds = st.sampled_from(["separable", "qv", "z", "constant", "varying", "hamilt
 _specials = [0.0, -0.0, math.inf, -math.inf, math.nan, 1e300, 5e-324]
 
 
-@settings(max_examples=200, deadline=None)
-@given(n=st.integers(1, 13), rows=st.integers(1, 30), batch=st.integers(1, 3), strided=st.booleans(),
-       specials=st.sampled_from([0.0, 0.1]), seed=st.integers(0, 2**16))
-def test_rowdot_sums_left_to_right_as_cpython_does(n, rows, batch, strided, specials, seed):
+# the (a, b) shapes that the package pairs, over rows N and terms n, as functions of
+# random arrays of given shapes: rows of points, a Jacobian times a vector (and a
+# vector times one), the complete lift's v with H_i, a Lie bracket and two vectors
+_PAIRINGS = {
+    "rows": lambda N, n, draw: (draw(3, N, n), draw(3, N, n)),
+    "matvec": lambda N, n, draw: (draw(N, n + 1, n), draw(N, n)[:, None, :]),
+    "vecmat": lambda N, n, draw: (draw(N, n)[:, None, :], draw(N, n, n + 1).transpose(0, 2, 1)),
+    "lift": lambda N, n, draw: (draw(N, n)[:, None, None, :], draw(N, 2, n, n + 1).transpose(0, 1, 3, 2)),
+    "bracket": lambda N, n, draw: (draw(n, n), draw(n)[None]),
+    "pair": lambda N, n, draw: (draw(n), draw(n)),
+}
+
+
+@settings(max_examples=300, deadline=None)
+@given(n=st.integers(1, 13), rows=st.integers(1, 30), pairing=st.sampled_from(sorted(_PAIRINGS)),
+       layout=st.sampled_from(["C", "strided", "transposed"]), specials=st.sampled_from([0.0, 0.1]),
+       seed=st.integers(0, 2**16))
+def test_rowdot_sums_left_to_right_as_cpython_does(n, rows, pairing, layout, specials, seed):
     rng = np.random.default_rng(seed)
 
-    def block():
-        scale = 10.0 ** rng.uniform(-3.0, 3.0, size=(batch, rows, 3 * n))
-        full = rng.normal(size=(batch, rows, 3 * n)) * scale
-        hit = rng.random(full.shape) < specials
+    def draw(*shape):
+        """Random entries, some of them special, in the layout: C order, a strided
+        view into a wider array, or the transpose of a C-ordered array."""
+        scale = 10.0 ** rng.uniform(-3.0, 3.0, size=shape)
+        full = rng.normal(size=shape) * scale
+        hit = rng.random(shape) < specials
         full[hit] = rng.choice(_specials, size=int(hit.sum()))
-        return full[..., 1 : 3 * n : 3] if strided else np.ascontiguousarray(full[..., :n])
+        if layout == "strided":
+            wide = np.zeros(shape[:-1] + (3 * shape[-1],))
+            wide[..., 1::3] = full
+            return wide[..., 1::3]
+        return np.ascontiguousarray(full.T).T if layout == "transposed" else full
 
-    a, b = block(), block()
-    want = np.array([[dot(a[i, k], b[i, k]) for k in range(rows)] for i in range(batch)])
+    a, b = _PAIRINGS[pairing](rows, n, draw)
+    shape = np.broadcast_shapes(a.shape, b.shape)
+    a, b = np.broadcast_to(a, shape), np.broadcast_to(b, shape)
+    want = np.array([dot(a[k], b[k]) for k in np.ndindex(shape[:-1])]).reshape(shape[:-1])
     with np.errstate(all="ignore"):
         got = _rowdot(a, b)
-    assert got.shape == (batch, rows)
+    assert got.shape == shape[:-1]
     assert np.array_equal(got, want, equal_nan=True)
     number = ~np.isnan(want)  # a zero keeps its sign
     assert np.array_equal(np.signbit(got[number]), np.signbit(want[number]))

@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 from contactmech import contact_core as cc
 from contactmech.ad import DomainError
 from contactmech.cli import bundled_scenario_path, run_scenario
-from contactmech.expr import ScalarField, lagrangian_chart
-from contactmech.fields import AmbientVectorField, DynamicsVectorField, lie_bracket_value
+from contactmech.expr import ScalarField, hamiltonian_chart, lagrangian_chart
+from contactmech.fields import AmbientVectorField, DynamicsVectorField, EtaPairingQuantity, lie_bracket_value
 from contactmech.integrate import IntegratorConfig, integrate_lagrangian
 from contactmech.lagrangian import (
     LagrangianSystem,
@@ -27,12 +27,19 @@ from contactmech.lagrangian import (
     reeb_at,
     velocity_hessian_at,
 )
-from contactmech.lifts import CompleteLiftField, VectorFieldQ, VectorFieldQR
+from contactmech.lifts import CompleteLiftField, VectorFieldQ, VectorFieldQR, VerticalMomentumQuantity, complete_lift_Q
 from contactmech.momentum import GeneratorFamily, momentum_dissipation_check
 from contactmech.sampling import regular_states
 from contactmech.symmetry import SymmetryCandidate, classify
 
-from helpers import damped_oscillator, fd_jacobian, free_particle, random_lagrangian
+from helpers import (
+    damped_oscillator,
+    exact_bits,
+    fd_jacobian,
+    free_particle,
+    random_lagrangian,
+    random_polynomial_source,
+)
 
 
 def system_from(source, n=1, **params):
@@ -363,6 +370,66 @@ def test_exact_herglotz_jacobian_matches_the_stencil(n, terms, seed):
         y, y_jac = Y.value_and_jacobian(u)
         bracket = lie_bracket_value(xi, Y, u)
         assert np.all(np.abs(bracket - (y_jac @ value - stencil @ y)) <= error @ np.abs(y) + 1e-12)
+
+
+# components of a candidate Y over q (and z, on Q x R), each with a coefficient c
+_COMPONENTS = ["{c}*q{j}", "{c}*sin(q{j}) - q1*q{n}", "{c}*exp(0.3*q{j})*q{n}^2", "{c} + q{j}^3"]
+_Z_COMPONENTS = ["{c}*z*q{j}", "{c}*cos(z)*q{n} - q{j}"]
+
+
+def _paired_sums(source, n, on_qr, components, hamiltonian):
+    """New objects, and each block method that pairs through ``_rowdot``, with the
+    per-point call (or one-row block) that its row must equal."""
+    L = LagrangianSystem(n, ScalarField.from_source(source, lagrangian_chart(n)))
+    H = cc.HamiltonianSystem(n, ScalarField.from_source(hamiltonian, hamiltonian_chart(n)))
+    Y = (VectorFieldQR.from_expressions(n, components, "0.5*z - 0.1*z^2") if on_qr
+         else VectorFieldQ.from_expressions(n, components))
+    lift, momentum = CompleteLiftField(Y), VerticalMomentumQuantity(L, Y)
+    pairing = EtaPairingQuantity(L, lift)
+    return [
+        (L.hamiltonian_value_and_gradient_block, L.hamiltonian_value_and_gradient),
+        (lambda U: cc.lie_derivative_eta_block(L, lift, U), lambda u: cc.lie_derivative_eta_coeffs(L, lift, u)),
+        (pairing.value_and_gradient_block, pairing.value_and_gradient_at),
+        (lift.value_and_jacobian_block, lift.value_and_jacobian),
+        (lift.value_block, lambda u: complete_lift_Q(Y, u).to_array()),
+        (momentum.value_and_gradient_block, momentum.value_and_gradient_at),
+        (lambda U: cc._flat_rows(L, U, U), lambda u: cc.flat_coeffs(L, u, u)),
+        (lambda U: cc._darboux_jacobian_rows(H.jets(U), U[:, n : 2 * n], n), lambda u: H.dynamics_jacobian(u)[1]),
+    ]
+
+
+def _parts(result) -> list:
+    return [np.asarray(part) for part in (result if isinstance(result, tuple) else (result,))]
+
+
+@settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(n=st.integers(1, 3), terms=st.lists(st.tuples(st.sampled_from(_TERMS), st.floats(-0.3, 0.3)), max_size=4),
+       on_qr=st.booleans(), picks=st.lists(st.integers(0, 5), min_size=3, max_size=3),
+       rows=st.integers(2, 40), seed=st.integers(0, 2**16))
+def test_every_paired_sum_gives_each_row_its_own_bits(n, terms, on_qr, picks, rows, seed):
+    # a block's rows are its per-point calls, bit for bit, and a C-ordered block, its
+    # Fortran-ordered copy and a strided view give one block: each gradient and
+    # Jacobian contraction sums in one order, whatever the block or the layout
+    kinetic = " + ".join(f"qd{i}^2" for i in range(1, n + 1))
+    source = f"0.5*(1 + 0.2*q1^2)*({kinetic})" + "".join(f" + {t.format(c=f'{c:.6f}', n=n)}" for t, c in terms)
+    rng = np.random.default_rng(seed)
+    shapes = _COMPONENTS + _Z_COMPONENTS if on_qr else _COMPONENTS
+    components = [shapes[k % len(shapes)].format(c=f"{rng.uniform(-1, 1):.6f}", j=i, n=n)
+                  for i, k in zip(range(1, n + 1), picks)]
+    hamiltonian = f"0.5*p1^2 + {random_polynomial_source(rng, hamiltonian_chart(n), degree=3, terms=6)}"
+    args = (source, n, on_qr, components, hamiltonian)
+    U = regular_states(LagrangianSystem(n, ScalarField.from_source(source, lagrangian_chart(n))), rng, rows)
+    wide = np.zeros((rows, 3 * U.shape[1]))
+    wide[:, 1::3] = U
+    want = [_parts(block(U)) for block, _ in _paired_sums(*args)]
+    for (_, row), parts in zip(_paired_sums(*args), want, strict=True):
+        for k, u in enumerate(U):
+            for got, part in zip(_parts(row(u)), parts, strict=True):
+                assert exact_bits(got, part[k])
+    for layout in (np.asfortranarray(U), wide[:, 1::3]):
+        for (block, _), parts in zip(_paired_sums(*args), want, strict=True):
+            for got, part in zip(_parts(block(layout)), parts, strict=True):
+                assert exact_bits(got, part)
 
 
 class TestHerglotzJacobian:
