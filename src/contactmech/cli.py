@@ -671,8 +671,9 @@ def _evaluate(scn: Scenario, tol_scale: float):
         monitors[name] = quantity
         for mname, mfield in scn.monitors:
             monitors[mname] = mfield
-        for candidate, _ in scn.candidates:
-            monitors[f"f_{candidate.name}"] = VerticalMomentumQuantity(system, candidate.field)
+        if not scn.checks["symmetries"]:  # else _candidate_checks writes f's series from its own check
+            for candidate, _ in scn.candidates:
+                monitors[f"f_{candidate.name}"] = VerticalMomentumQuantity(system, candidate.field)
         cfg = replace(scn.integrator, monitors=monitors)
         traj = integrate_lagrangian(system, scn.initial_state, cfg)
         integration_doc = {

@@ -337,7 +337,7 @@ def _derivative(node: Node, name: str, known: dict):
         top = _plus(da, _times(minus, _times(node, db)))
         return None if top is None else Binary(span, "div", top, b)
     # a^b: b a^(b-1) da + a^b log(a) db
-    e = ScalarField(b, (), known).value_at(()) if free_variables(b) <= known.keys() else None
+    e = b.value if isinstance(b, Num) else ScalarField(b, (), known).value_at(()) if free_variables(b) <= known.keys() else None
     if e in (0.0, 1.0):
         power = da if e == 1.0 else None
     else:

@@ -14,18 +14,29 @@ provided its complete lift is tangent to {dz/dt = 0}, which holds exactly
 when Z does not depend on the positions; that condition is enforced at
 construction.  The vertical lift of such a field is the vertical lift of its
 projection to Q.
+
+Each lift is an :class:`~contactmech.fields.AmbientVectorField` on (q, v, z)
+whose components are expression trees: Y^i, the sum over j of v^j times the
+``expr.derivative`` tree of dY^i/dq^j, and Z (0 on Q) for the complete lift,
+and 0, Y^i, 0 for the vertical one.  Y^V(L) - Z is one tree too.  So their
+values, Jacobians and gradients are compiled jets like any other field's.
+Every sum is taken left to right.  Y and L may bind one parameter name to
+different values, so each tree has its parameters replaced by their numbers
+before trees are combined.  The lifts of Y are built once per Y, Y^V(L) - Z
+once per Y and L, and fields of equal trees share one compiled jet code
+across the process, so each tree is traced once.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import lru_cache, reduce
 
-import numpy as np
-
-from .ad import _kept
+from . import _tape
 from .contact_core import TangentValue
-from .expr import ScalarField, free_variables, lagrangian_chart, parse, position_names
-from .fields import _Field, _Quantity, _rowdot, _vecmat
+from .expr import (Binary, Num, ScalarField, Var, derivative, free_variables, lagrangian_chart, parse,
+                   position_names, velocity_names)
+from .fields import AmbientVectorField, _Field, _Quantity
 
 __all__ = [
     "VectorFieldQ",
@@ -65,15 +76,6 @@ class VectorFieldQ:
     @property
     def z_dependent(self) -> bool:
         return False
-
-    def base_block(self, U: np.ndarray) -> np.ndarray:
-        return U[:, : self.n]
-
-    def z_component_values(self, U) -> np.ndarray:
-        return np.zeros(len(U))
-
-    def z_component_rates(self, U) -> np.ndarray:
-        return np.zeros(len(U))
 
 
 @dataclass(frozen=True)
@@ -118,38 +120,60 @@ class VectorFieldQR:
     def z_dependent(self) -> bool:
         return True
 
-    def base_block(self, U: np.ndarray) -> np.ndarray:
-        return np.concatenate([U[:, : self.n], U[:, -1:]], axis=1)
 
-    def z_component_values(self, U) -> np.ndarray:
-        return self.z_component.values_at(U[:, -1:])
-
-    def z_component_rates(self, U) -> np.ndarray:
-        return self.z_component.jets_at(U[:, -1:]).gradient[:, 0]
+# -- lifts as expression trees on (q, v, z) ------------------------------------
 
 
-def _component_rows(Y, U: np.ndarray):
-    """Values (N, n), q-Jacobians (N, n, n), z-derivatives (N, n) and
-    Hessians (N, n, k, k) of the Y^i at the base points of the rows, kept on Y
-    for its block of base points, so every lift of Y shares them."""
-    base, n = Y.base_block(U), Y.n
+def _bound(f: ScalarField):
+    """The tree of f with each parameter replaced by its number, which the
+    tracer binds as it binds the parameter (by ``float.hex``)."""
 
-    def formula():
-        jets = [c.jets_at(base) for c in Y.components]
-        values = np.column_stack([j.value for j in jets])
-        gradients = np.stack([j.gradient for j in jets], axis=1)
-        dz = gradients[:, :, n] if Y.z_dependent else np.zeros((len(U), n))
-        return values, gradients[:, :, :n], dz, np.stack([j.hessian for j in jets], axis=1)
+    def bind(node):
+        if isinstance(node, Var):
+            return Num(node.span, f._param_env[node.name]) if node.name in f._param_env else node
+        children = {k: bind(getattr(node, k)) for k in ("operand", "arg", "left", "right") if hasattr(node, k)}
+        return replace(node, **children)
 
-    return _kept(Y, "_component_rows_kept", base, formula)
+    return bind(f.ast)
 
 
-# -- lifts as ambient vector fields on (q, v, z) -------------------------------
+def _sum(trees):
+    return reduce(lambda a, b: Binary(a.span, "add", a, b), trees)
+
+
+@lru_cache(maxsize=256)
+def _jet_code(tree, chart, text):
+    """The compiled jets of ``tree`` on ``chart`` (``_tape.compile_jet``), traced
+    once per process for the last 256 trees.  ``text``, the tree's repr, is in
+    the key because it tells -0.0 from 0.0, which Num nodes compare equal."""
+    return _tape.compile_jet(tree, chart, {})
+
+
+def _field(tree, chart) -> ScalarField:
+    """A new field of ``tree`` on ``chart``, which keeps its own jets and runs
+    the one jet code of equal trees (set where ``ScalarField`` would build it)."""
+    field = ScalarField(tree, chart)
+    field.__dict__["_jet_code"] = _jet_code(tree, chart, repr(tree))
+    return field
+
+
+def _lifts(Y) -> tuple:
+    """(complete, vertical): the lifts of Y as ambient fields, built once per Y."""
+    if "_lifts" not in Y.__dict__:
+        n, chart = Y.n, lagrangian_chart(Y.n)
+        trees = [_bound(c) for c in Y.components]
+        rates = [_field(_sum(Binary(y.span, "mul", Var(y.span, v), derivative(y, q, {}))
+                             for q, v in zip(position_names(n), velocity_names(n))), chart) for y in trees]
+        ys, zero = [_field(y, chart) for y in trees], _field(Num((0, 0), 0.0), chart)
+        z = _field(_bound(Y.z_component), chart) if Y.z_dependent else zero
+        Y.__dict__["_lifts"] = (AmbientVectorField((*ys, *rates, z)), AmbientVectorField((*[zero] * n, *ys, zero)))
+    return Y.__dict__["_lifts"]
 
 
 @dataclass(frozen=True)
-class CompleteLiftField(_Field):
-    """The (restricted) complete lift as a differentiable ambient field."""
+class _Lift(_Field):
+    """A lift of ``base`` as a differentiable ambient field; its values are
+    read from its jets, so each component is traced once."""
 
     base: object  # VectorFieldQ or VectorFieldQR
 
@@ -161,62 +185,26 @@ class CompleteLiftField(_Field):
     def chart(self):
         return lagrangian_chart(self.base.n)
 
-    def _value_rows(self, U, values, jac_q) -> np.ndarray:
-        n = self.base.n
-        out = np.empty((len(U), 2 * n + 1))
-        out[:, :n] = values
-        out[:, n : 2 * n] = _rowdot(jac_q, U[:, None, n : 2 * n])
-        out[:, -1] = self.base.z_component_values(U)
-        return out
-
-    def value_block(self, U) -> np.ndarray:
-        values, jac_q, _, _ = _component_rows(self.base, U)
-        return self._value_rows(U, values, jac_q)
+    def value_block(self, U):
+        return self.value_and_jacobian_block(U)[0]
 
     def value_and_jacobian_block(self, U):
-        n = self.base.n
-        dim = 2 * n + 1
-        values, jac_q, dz, hessians = _component_rows(self.base, U)
-        V = U[:, n : 2 * n]
-        val = self._value_rows(U, values, jac_q)
-        J = np.zeros((len(U), dim, dim))
-        J[:, :n, :n] = jac_q
-        J[:, :n, -1] = dz
-        # row n + i: v paired with H_i over the positions (and z), then dY^i/dq
-        J[:, n : 2 * n, :n] = _rowdot(V[:, None, None, :], hessians[:, :, :n, :n].transpose(0, 1, 3, 2))
-        J[:, n : 2 * n, n : 2 * n] = jac_q
-        if self.base.z_dependent:
-            J[:, n : 2 * n, -1] = _rowdot(V[:, None, :], hessians[:, :, :n, n])
-        J[:, -1, -1] = self.base.z_component_rates(U)
-        return val, J
+        return _lifts(self.base)[self._which].value_and_jacobian_block(U)
+
+
+class CompleteLiftField(_Lift):
+    """The (restricted) complete lift as a differentiable ambient field."""
+
+    _which = 0
 
     # perfbench's tracer wraps this name in this class's own __dict__
     value_and_jacobian = _Field.value_and_jacobian
 
 
-@dataclass(frozen=True)
-class VerticalLiftField(_Field):
+class VerticalLiftField(_Lift):
     """The vertical lift as a differentiable ambient field."""
 
-    base: object
-
-    @property
-    def chart(self):
-        return lagrangian_chart(self.base.n)
-
-    def value_block(self, U) -> np.ndarray:
-        return self.value_and_jacobian_block(U)[0]
-
-    def value_and_jacobian_block(self, U):
-        n = self.base.n
-        dim = 2 * n + 1
-        values, jac_q, dz, _ = _component_rows(self.base, U)
-        val = np.zeros((len(U), dim))
-        val[:, n : 2 * n] = values
-        J = np.zeros((len(U), dim, dim))
-        J[:, n : 2 * n, :n] = jac_q
-        J[:, n : 2 * n, -1] = dz
-        return val, J
+    _which = 1
 
 
 # -- pointwise lift evaluators ------------------------------------------------
@@ -249,8 +237,10 @@ class VerticalMomentumQuantity(_Quantity):
 
     For a field on Q the z-component vanishes and this is Y^V(L), the
     dissipated quantity of an infinitesimal symmetry.  It equals
-    -eta_L(Y^C) by the lift identities, but is assembled independently of
-    the contact form so the two routes can be compared in tests.
+    -eta_L(Y^C) by the lift identities, but is one tree, the sum of Y^i
+    dL/dv^i (L's ``_momentum_fields``) minus Z, built once per Y and L and
+    independent of the contact form, so the two routes can be compared in
+    tests.
     """
 
     system: object  # LagrangianSystem
@@ -265,16 +255,15 @@ class VerticalMomentumQuantity(_Quantity):
         return self.system.chart
 
     def value_and_gradient_block(self, U):
-        n = self.base.n
-        values, jac_q, dz, _ = _component_rows(self.base, U)
-        L = self.system.jets(U)
-        p = L.gradient[:, n : 2 * n]
-        value = _rowdot(values, p) - self.base.z_component_values(U)
-        grad = _vecmat(values, L.hessian[:, n : 2 * n, :])
-        grad[:, :n] += _vecmat(p, jac_q)
-        grad[:, -1] += _rowdot(dz, p)
-        grad[:, -1] -= self.base.z_component_rates(U)
-        return value, grad
+        Y, L = self.base, self.system
+        kept = Y.__dict__.get("_momentum")
+        if kept is None or kept[0] is not L:
+            terms = [(_bound(y), _bound(p)) for y, p in zip(Y.components, L._momentum_fields)]
+            tree = _sum(Binary(y.span, "mul", y, p) for y, p in terms)
+            if Y.z_dependent:
+                tree = Binary(tree.span, "sub", tree, _bound(Y.z_component))
+            kept = Y.__dict__["_momentum"] = (L, _field(tree, L.chart))
+        return kept[1].value_and_gradient_block(U)
 
     # perfbench's tracer wraps these names in this class's own __dict__
     value_at = _Quantity.value_at

@@ -838,6 +838,27 @@ class TestCandidateColumns:
         data = read_columns("out/damped_particle_noether.csv")
         np.testing.assert_allclose(data["f_shift"], data["qd1"] + 5.0, rtol=0, atol=1e-14)
 
+    def test_vertical_momentum_is_evaluated_once_along_the_trajectory(self, in_tmp, monkeypatch):
+        # with symmetries checked, the integrator does not monitor f: the f_ column is the
+        # series of the trajectory check, in the column it had as a monitor
+        rows = []
+        values_at = _Quantity.values_at
+
+        def spy(self, U):
+            if isinstance(self, VerticalMomentumQuantity):
+                rows.append(len(U))
+            return values_at(self, U)
+
+        monkeypatch.setattr(_Quantity, "values_at", spy)
+        assert run_scenario(bundled_scenario_path("damped_oscillator_rotation.json")) == 0
+        assert rows == [1001]
+        report = json.loads(open("out/damped_oscillator_rotation.report.json").read())
+        assert report["candidates"][0]["classification"] == "infinitesimal"
+        with open("out/damped_oscillator_rotation.csv") as fh:
+            assert fh.readline() == "t,q1,q2,qd1,qd2,z,E_L,ell,f_rotation,quot_rotation\n"
+        data = read_columns("out/damped_oscillator_rotation.csv")
+        np.testing.assert_allclose(data["f_rotation"], data["ell"], rtol=0, atol=1e-14)
+
     @pytest.mark.parametrize("symmetries, code", [(True, 2), (False, 0)], ids=["classified", "not_classified"])
     def test_one_step_trajectory(self, in_tmp, tmp_path, capsys, symmetries, code):
         # the trajectory check of a candidate needs 3 states, so 2 steps

@@ -483,36 +483,41 @@ def test_jets_memo_matches_a_fresh_field(tree, a, b, params):
 
 def _kept_quantities(tree, component, parameters):
     """The quantities kept next to a block of jets, of one new system L = 0.5*qd1^2 + tree
-    and one new lift whose component is ``component`` over (q1, z)."""
+    and one new field Y whose component is ``component`` over (q1, z): Y^V(L) - Z, and
+    last the complete lift of Y, whose block is assembled anew from its components'
+    kept jets at each call."""
     from contactmech.lagrangian import LagrangianSystem
-    from contactmech.lifts import VectorFieldQR, _component_rows
+    from contactmech.lifts import CompleteLiftField, VectorFieldQR, VerticalMomentumQuantity
 
     system = LagrangianSystem(1, ScalarField(_mechanics_tree(tree, "qd1"), ("q1", "qd1", "z"), parameters))
     tree = _renamed(_renamed(component, "x", "q1"), "y", "z")
     Y = VectorFieldQR(1, (ScalarField(tree, ("q1", "z"), parameters),), ScalarField(parse("2*z"), ("z",)))
     return [system.reeb_block, system.dynamics_block, system.hamiltonian_value_and_gradient_block,
-            system.reeb_rate_block, lambda U: _component_rows(Y, U)]
+            system.reeb_rate_block, VerticalMomentumQuantity(system, Y).value_and_gradient_block,
+            CompleteLiftField(Y).value_and_jacobian_block]
 
 
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(tree=trees, component=trees, a=blocks, b=blocks, params=block_params)
 def test_kept_results_match_fresh_objects(tree, component, a, b, params):
     # blocks A, A, B, A on one system and one lift: each result, error and failing
-    # row is that of new objects, and a block asked for again at once is a hit
+    # row is that of new objects, and a block asked for again at once is a hit, each
+    # part the kept one (but the complete lift's, which are new stacks)
     parameters = dict(zip(PARAMS, params))
     kept, previous = _kept_quantities(tree, component, parameters), None
     for block in map(np.array, (a, a, b, a)):
         outcomes = [_outcome_with_row(quantity, block) for quantity in kept]
         fresh = [_outcome_with_row(quantity, block) for quantity in _kept_quantities(tree, component, parameters)]
+        parts = [tuple(x) if isinstance(x, tuple) else (x,) for x, _ in outcomes]
         for (got, error), (want, want_error) in zip(outcomes, fresh):
             assert error == want_error
             if want_error is None:
                 for part, want_part in zip(*((x if isinstance(x, tuple) else (x,)) for x in (got, want))):
                     assert exact_bits(part, want_part)
         if previous is not None and previous[0] == block.tobytes():
-            for (got, _), (before, _) in zip(outcomes, previous[1]):
-                assert got is before
-        previous = (block.tobytes(), outcomes)
+            for got, before in zip(parts[:-1], previous[1][:-1]):
+                assert all(x is y for x, y in zip(got, before, strict=True))
+        previous = (block.tobytes(), parts)
 
 
 def _integer_quantities(tree, parameters):

@@ -27,7 +27,8 @@ from contactmech.lagrangian import (
     reeb_at,
     velocity_hessian_at,
 )
-from contactmech.lifts import CompleteLiftField, VectorFieldQ, VectorFieldQR, VerticalMomentumQuantity, complete_lift_Q
+from contactmech.lifts import (CompleteLiftField, VectorFieldQ, VectorFieldQR, VerticalLiftField,
+                               VerticalMomentumQuantity, complete_lift_Q)
 from contactmech.momentum import GeneratorFamily, momentum_dissipation_check
 from contactmech.sampling import regular_states
 from contactmech.symmetry import SymmetryCandidate, classify
@@ -430,6 +431,45 @@ def test_every_paired_sum_gives_each_row_its_own_bits(n, terms, on_qr, picks, ro
         for (block, _), parts in zip(_paired_sums(*args), want, strict=True):
             for got, part in zip(_parts(block(layout)), parts, strict=True):
                 assert exact_bits(got, part)
+
+
+@settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(n=st.integers(1, 3), terms=st.lists(st.tuples(st.sampled_from(_TERMS), st.floats(-0.3, 0.3)), max_size=4),
+       on_qr=st.booleans(), picks=st.lists(st.integers(0, 5), min_size=3, max_size=3),
+       rows=st.integers(1, 30), seed=st.integers(0, 2**16))
+def test_lift_trees_match_the_contact_form(n, terms, on_qr, picks, rows, seed):
+    # Y^V(L) - Z, one tree, is -eta_L(Y^C), the contact form paired with the complete
+    # lift's trees, in value and gradient, within 1e-12 of the size of their terms; and
+    # the rows of every lift's and of the momentum's block are their one-row calls, bit for bit
+    kinetic = " + ".join(f"qd{i}^2" for i in range(1, n + 1))
+    source = f"0.5*(1 + 0.2*q1^2)*({kinetic})" + "".join(f" + {t.format(c=f'{c:.6f}', n=n)}" for t, c in terms)
+    L = LagrangianSystem(n, ScalarField.from_source(source, lagrangian_chart(n)))
+    rng = np.random.default_rng(seed)
+    shapes = _COMPONENTS + _Z_COMPONENTS if on_qr else _COMPONENTS
+    components = [shapes[k % len(shapes)].format(c=f"{rng.uniform(-1, 1):.6f}", j=i, n=n)
+                  for i, k in zip(range(1, n + 1), picks)]
+    Y = (VectorFieldQR.from_expressions(n, components, "0.5*z - 0.1*z^2") if on_qr
+         else VectorFieldQ.from_expressions(n, components))
+    U = regular_states(L, rng, rows)
+    lift, vertical, momentum = CompleteLiftField(Y), VerticalLiftField(Y), VerticalMomentumQuantity(L, Y)
+    f, df = momentum.value_and_gradient_block(U)
+    eta, deta = EtaPairingQuantity(L, lift).value_and_gradient_block(U)
+    (value, jacobian), jets = lift.value_and_jacobian_block(U), L.jets(U)
+    p, W = jets.gradient[:, n : 2 * n], jets.hessian[:, n : 2 * n]
+    size = np.sum(np.abs(value[:, :n] * p), axis=1) + np.abs(value[:, -1])
+    assert np.all(np.abs(f + eta) <= 1e-12 * size)
+    # the gradient's terms: Y^i dp_i, p_i dY^i and dZ
+    sizes = (np.sum(np.abs(value[:, :n, None] * W), axis=1) + np.sum(np.abs(p[:, :, None] * jacobian[:, :n]), axis=1)
+             + np.abs(jacobian[:, -1]))
+    assert np.all(np.abs(df + deta) <= 1e-12 * sizes)
+    pairs = [(lift.value_block, lift.value), (lift.value_and_jacobian_block, lift.value_and_jacobian),
+             (vertical.value_and_jacobian_block, vertical.value_and_jacobian),
+             (momentum.value_and_gradient_block, momentum.value_and_gradient_at)]
+    for block, row in pairs:
+        parts = _parts(block(U))
+        for k, u in enumerate(U):
+            for got, part in zip(_parts(row(u)), parts, strict=True):
+                assert exact_bits(got, part[k])
 
 
 class TestHerglotzJacobian:

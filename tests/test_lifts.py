@@ -5,6 +5,7 @@ import pytest
 
 from contactmech import contact_core as cc
 from contactmech.expr import ScalarField, lagrangian_chart, position_names
+from contactmech.lagrangian import LagrangianSystem
 from contactmech.lifts import (
     CompleteLiftField,
     VectorFieldQ,
@@ -170,6 +171,34 @@ class TestLiftIdentities:
                 lhs = lift(combo, u).to_array()
                 rhs = a * lift(Y1, u).to_array() + b * lift(Y2, u).to_array()
                 assert np.allclose(lhs, rhs, atol=1e-13)
+
+
+class TestLiftParameters:
+    """Y and L each evaluate their own parameters, whatever the other binds to the same name."""
+
+    def test_each_field_keeps_its_own_value_of_a_shared_name(self):
+        # L binds a = 3 and Y binds a = 2: f = Y^1 p_1 - Z = (2 q1)(3 qd1) - 2 z
+        sys = LagrangianSystem(1, ScalarField.from_source("0.5*a*qd1^2 - 0.5*q1^2 - gamma*z", lagrangian_chart(1),
+                                                          {"a": 3.0, "gamma": 0.1}))
+        Y = VectorFieldQR.from_expressions(1, ["a*q1"], "a*z", {"a": 2.0})
+        u = np.array([0.5, 0.25, 0.125])
+        value, gradient = VerticalMomentumQuantity(sys, Y).value_and_gradient_at(u)
+        assert value == 2.0 * 0.5 * 3.0 * 0.25 - 2.0 * 0.125
+        assert np.array_equal(gradient, [2.0 * 3.0 * 0.25, 2.0 * 0.5 * 3.0, -2.0])
+        assert np.array_equal(CompleteLiftField(Y).value(u), [2.0 * 0.5, 0.25 * 2.0, 2.0 * 0.125])
+        assert np.array_equal(VerticalLiftField(Y).value(u), [0.0, 2.0 * 0.5, 0.0])
+
+    @pytest.mark.parametrize("first", [0.0, -0.0])
+    def test_a_parameter_of_minus_zero_is_not_zero(self, first):
+        # two candidates that differ only in c = 0.0 and c = -0.0 each keep their signed zero
+        sys = LagrangianSystem(1, ScalarField.from_source("0.5*qd1^2 - gamma*z", lagrangian_chart(1), {"gamma": 0.1}))
+        u = np.array([0.5, 0.25, 0.125])
+        for c in (first, -first):
+            Y = VectorFieldQ.from_expressions(1, ["c"], {"c": c})
+            zero = np.signbit(c)
+            assert np.signbit(CompleteLiftField(Y).value(u)[0]) == zero
+            assert np.signbit(VerticalLiftField(Y).value(u)[1]) == zero
+            assert np.signbit(VerticalMomentumQuantity(sys, Y).value_at(u)) == zero
 
 
 class TestLiftedFieldJacobians:
