@@ -33,17 +33,17 @@ A vector field's lines also run in a fixed-step RK4 or Euler loop
 runs in one function on locals.
 
 Tracing runs the operations over *symbolic* scalars: a Python float when the
-number is known at compile time (literals, parameters and every subtree
-built from them alone), otherwise the name of a local of the generated
-function.  Known numbers are computed while compiling; an operation on them
-that raises is written into the code instead, so it raises at run time in
-its place.  A symbolic jet keeps its gradient and the upper triangle of its
-Hessian as sparse maps.  A missing entry is a structural zero, so a term
-that depends on 2 of 13 variables costs only that 2x2 block.  A known
-non-finite factor turns structural zeros into NaN, as dense arithmetic
-would; a value that only becomes infinite at run time leaves them zero,
-where the dense algebra would compute 0*inf = NaN.  Identical right-hand
-sides are computed once.
+number is known at compile time (the tree's numbers, its parameters' among
+them, and every subtree built from them alone), otherwise the name of a
+local of the generated function.  Known numbers are computed while
+compiling; an operation on them that raises is written into the code
+instead, so it raises at run time in its place.  A symbolic jet keeps its
+gradient and the upper triangle of its Hessian as sparse maps.  A missing
+entry is a structural zero, so a term that depends on 2 of 13 variables
+costs only that 2x2 block.  A known non-finite factor turns structural
+zeros into NaN, as dense arithmetic would; a value that only becomes
+infinite at run time leaves them zero, where the dense algebra would
+compute 0*inf = NaN.  Identical right-hand sides are computed once.
 
 No text of the expression reaches the generated source.  Chart variables
 become ``x0, x1, ...``; every number is bound by name (``k0, k1, ...``) in
@@ -55,7 +55,13 @@ its input ``x0, x1, ...``, the first a copy of the state, so an entry that
 names an input never sees the state it updates.  It copies every bound name
 into a local once per call.  So the values of the numbers reach a text only
 through folding, and each distinct text is compiled once per process
-(:func:`_code`, a bounded cache); only the namespaces are new for each field.
+(:func:`_code`, a bounded cache); only the namespaces are new for each trace.
+
+A tree reaches here free of parameters: a :class:`~contactmech.expr.ScalarField`
+replaces each by its number once, when it is built.  Each trace, of a value, a jet or a vector field, runs once per
+process for its kind, tree and chart (:func:`_trace`, the package's one
+bounded cache of traces), so fields and systems of equal trees share its
+functions, and each keeps its own results.
 """
 
 from __future__ import annotations
@@ -289,9 +295,9 @@ class _Tracer:
     are executed with (see the module docstring).
     """
 
-    def __init__(self, chart, parameters: dict):
+    def __init__(self, chart):
         self.inputs = {name: f"x{i}" for i, name in enumerate(chart)}
-        self.parameters = parameters
+        self.variables = self.inputs  # what a chart variable traces to
         self.namespace = {"__builtins__": {}}
         self.block_forms: dict = {}  # the block forms of names bound by a FieldWriter
         self.lines: list[str] = []
@@ -448,18 +454,13 @@ class _Tracer:
         if kind is Num:
             return float(node.value)
         if kind is Var:
-            return self.variable(node.name)
+            return self.variables[node.name]
         if kind is Binary:
             a = self.trace(node.left)
             return self.binary(node.op, a, self.trace(node.right))
         if kind is Unary:
             return self.unary(node.op, self.trace(node.operand))
         return self.unary(node.func, self.trace(node.arg))
-
-    def variable(self, name: str):
-        if name in self.inputs:
-            return self.inputs[name]
-        return self.parameters[name]
 
     def unary(self, op: str, a):
         if op == "neg":
@@ -513,15 +514,12 @@ class _JetTracer(_Tracer):
     dense arrays.  Sparse entries use ``None`` for a structural zero.
     """
 
-    def __init__(self, chart, parameters: dict):
-        super().__init__(chart, parameters)
+    def __init__(self, chart):
+        super().__init__(chart)
         m = len(self.inputs)
         self.all_g = range(m)
         self.all_h = [(i, j) for i in range(m) for j in range(i, m)]
-        self.seeds = {name: _Jet(x, {i: 1.0}, {}) for i, (name, x) in enumerate(self.inputs.items())}
-
-    def variable(self, name: str):
-        return self.seeds[name] if name in self.seeds else self.parameters[name]
+        self.variables = {name: _Jet(x, {i: 1.0}, {}) for i, (name, x) in enumerate(self.inputs.items())}
 
     # -- sparse entry arithmetic --------------------------------------------
 
@@ -892,18 +890,50 @@ def _emit(tracer, tree, assemble):
     return point, block, entries
 
 
-def compile_value(tree, chart, parameters: dict):
+def compile_value(tree, chart):
     """``(f(x) -> float, f(X) -> (N,) array)``: the tree's value under float
     rules at coordinates x, and at each row of an (N, m) block."""
-    point, block, _ = _emit(_Tracer(chart, parameters), tree, lambda out: [out.value()])
-    return (lambda x: point(x)[0]), (lambda X: block(X)[:, 0])
+    return _trace("value", tree, tuple(chart), repr(tree))
 
 
-def compile_jet(tree, chart, parameters: dict):
+def compile_jet(tree, chart):
     """``(f(x) -> Jet2, f(X) -> JetBlock)``: value, gradient and Hessian in the
     chart variables at x, and values (N,), gradients (N, m) and Hessians
     (N, m, m) at the rows of an (N, m) block."""
-    tracer = _JetTracer(chart, parameters)
+    return _trace("jet", tree, tuple(chart), repr(tree))
+
+
+def compile_field(tree, chart, assemble, *args):
+    """``(block, stepper)`` of the vector field that ``assemble(*args, writer)``
+    writes once from the tree's jet (see :func:`_emit`).  ``block(U)`` runs it
+    over the columns of an (N, m) array through :func:`contactmech.ad._rows`,
+    with the float form on the row's floats as its rows, so row k is the field
+    at point k, bit for bit, errors included.  ``stepper(method)`` is its loop
+    (:func:`_stepper`), compiled on first use.  ``assemble`` and the hashable
+    ``args`` name the field, so systems of equal trees share one trace."""
+    return _trace((assemble, *args), tree, tuple(chart), repr(tree))
+
+
+@functools.lru_cache(maxsize=256)
+def _trace(kind, tree, chart, _text):
+    """The compiled functions of ``kind``, ``"value"``, ``"jet"`` or a vector
+    field's ``(assemble, *args)``, of a tree free of parameters on ``chart``,
+    traced once per process for the last 256 keys.  ``_text``, the tree's repr,
+    is in the key because it tells -0.0 from 0.0, which Num nodes compare equal."""
+    if kind == "value":
+        return _value(tree, chart)
+    if kind == "jet":
+        return _jet(tree, chart)
+    return _field(tree, chart, functools.partial(*kind))
+
+
+def _value(tree, chart):
+    point, block, _ = _emit(_Tracer(chart), tree, lambda out: [out.value()])
+    return (lambda x: point(x)[0]), (lambda X: block(X)[:, 0])
+
+
+def _jet(tree, chart):
+    tracer = _JetTracer(chart)
     m = len(tracer.inputs)
     # where each gradient and Hessian entry sits among the entries (value, 0,
     # traced gradient entries, traced upper-Hessian entries); a structural zero reads the 0
@@ -930,14 +960,8 @@ def compile_jet(tree, chart, parameters: dict):
     return jet, jets
 
 
-def compile_field(tree, chart, parameters: dict, assemble):
-    """``(block, stepper)`` of the vector field that ``assemble(writer)`` writes
-    once from the tree's jet (see :func:`_emit`).  ``block(U)`` runs it over
-    the columns of an (N, m) array through :func:`contactmech.ad._rows`, with
-    the float form on the row's floats as its rows, so row k is the field at
-    point k, bit for bit, errors included.  ``stepper(method)`` is its loop
-    (:func:`_stepper`), compiled on first use."""
-    tracer = _JetTracer(chart, parameters)
+def _field(tree, chart, assemble):
+    tracer = _JetTracer(chart)
     point, block, entries = _emit(tracer, tree, assemble)
     rows = functools.partial(_rows, block, row=lambda U: np.array([point(U[0].astype(float).tolist())]))
     return rows, functools.cache(functools.partial(_stepper, tracer, entries))

@@ -18,7 +18,7 @@ one row per point, and the per-point methods used only by checks and tests
 are one-row adapters over them, ``dynamics`` among them.  Each system's
 vector field is one text emitted from the trace of H or L, which
 ``dynamics_block`` runs over columns and ``stepper`` in its RK4 or Euler
-loop; X_H is kept on H, as H's compiled jets are.
+loop; systems of equal trees share that trace, as fields share their jets'.
 
 One block kernel, ``_dissipation_rows(system, f, U)``, gives the signed
 Jacobi bracket {H, f} = X_H(f) + R(H) f at each row, zero where f
@@ -44,7 +44,7 @@ The Darboux chart and both systems share their per-point adapters, ``jets``,
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -307,14 +307,6 @@ def _assemble_darboux(n: int, out) -> list:
     return [*G[n : 2 * n], *dp, dz]
 
 
-def _darboux_field(f: ScalarField):
-    """The ``(block, stepper)`` of X_f, compiled on first use and kept on f."""
-    if "_darboux_code" not in f.__dict__:
-        assemble = partial(_assemble_darboux, (len(f.chart) - 1) // 2)
-        f.__dict__["_darboux_code"] = _tape.compile_field(f.ast, f.chart, f._param_env, assemble)
-    return f.__dict__["_darboux_code"]
-
-
 def _darboux_jacobian_rows(jets: JetBlock, P: np.ndarray, n: int) -> np.ndarray:
     """The Jacobian of X_f at each row."""
     G, B = jets.gradient, jets.hessian
@@ -355,7 +347,7 @@ class HamiltonianSystem(DarbouxChart, _System):
         """R(H) at each row (the conformal rate of the dynamics)."""
         return self.jets(U).gradient[:, -1]
 
-    _field_code = property(lambda self: _darboux_field(self.field))
+    _field_code = property(lambda self: self.vector_field._code)
 
     def dynamics_and_jacobian_block(self, U):
         """The kept X_H (``dynamics_block``) and its exact Jacobian from H's jets."""
@@ -388,8 +380,13 @@ class HamiltonianVectorField(_Field):
     def n(self) -> int:
         return (len(self.function.chart) - 1) // 2
 
+    @cached_property
+    def _code(self):
+        """The ``(block, stepper)`` of X_f: one trace for every X_f of f's bound tree."""
+        return _tape.compile_field(self.function._tree, self.chart, _assemble_darboux, self.n)
+
     def value_block(self, U) -> np.ndarray:
-        return _darboux_field(self.function)[0](U)
+        return self._code[0](U)
 
     def value_and_jacobian_block(self, U):
         jets = self.function.jets_at(U)

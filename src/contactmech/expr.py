@@ -292,19 +292,32 @@ def free_variables(node: Node) -> set[str]:
     return free_variables(node.left) | free_variables(node.right)
 
 
+def _bind(node: Node, known: dict) -> Node:
+    """``node`` with each variable named in ``known`` replaced by its number."""
+    if isinstance(node, Var):
+        return Num(node.span, known[node.name]) if node.name in known else node
+    if isinstance(node, Num):
+        return node
+    if isinstance(node, Unary):
+        return Unary(node.span, node.op, _bind(node.operand, known))
+    if isinstance(node, Call):
+        return Call(node.span, node.func, _bind(node.arg, known))
+    return Binary(node.span, node.op, _bind(node.left, known), _bind(node.right, known))
+
+
 # -- symbolic derivative -----------------------------------------------------
 
 
-def derivative(node: Node, name: str, known: dict) -> Node:
-    """The tree of d(node)/d(name) for a chart variable ``name``; ``known``
-    maps the parameters to their numbers.  Subtrees free of ``name`` are left
-    out, and an exponent of known numbers alone takes the jet's own rule:
-    nothing for e = 0, da for e = 1 and e * a^(e-1) * da otherwise (one that
-    raises, raises here), with a^(e-1) written a^e / a for e = -``MAX_INT_POWER``.
-    Compiled as a :class:`ScalarField`, its jets are derivatives of ``node``
-    one order up.
+def derivative(node: Node, name: str) -> Node:
+    """The tree of d(node)/d(name) for a chart variable ``name``, on a tree
+    whose parameters are numbers already (a field's bound tree).  Subtrees free
+    of ``name`` are left out, and an exponent of numbers alone takes the jet's
+    own rule: nothing for e = 0, da for e = 1 and e * a^(e-1) * da otherwise
+    (one that raises, raises here), with a^(e-1) written a^e / a for
+    e = -``MAX_INT_POWER``.  Compiled as a :class:`ScalarField`, its jets are
+    derivatives of ``node`` one order up.
     """
-    return _derivative(node, name, known) or Num(node.span, 0.0)
+    return _derivative(node, name) or Num(node.span, 0.0)
 
 
 def _times(a, d):  # None is a zero; a factor d = 1 drops, and compiling folds a factor -1
@@ -315,20 +328,20 @@ def _plus(a, b):
     return a if b is None else b if a is None else Binary(a.span, "add", a, b)
 
 
-def _derivative(node: Node, name: str, known: dict):
+def _derivative(node: Node, name: str):
     """d(node)/d(name) as a tree, or None where it is zero."""
     span, minus = node.span, Num(node.span, -1.0)
     if isinstance(node, (Num, Var)):
         return Num(span, 1.0) if node == Var(span, name) else None
     if isinstance(node, Unary):
-        return _times(minus, _derivative(node.operand, name, known))
+        return _times(minus, _derivative(node.operand, name))
     if isinstance(node, Call):
         a = node.arg
         outer = {"sin": Call(span, "cos", a), "cos": Unary(span, "neg", Call(span, "sin", a)), "exp": node,
                  "log": Binary(span, "div", Num(span, 1.0), a), "sqrt": Binary(span, "div", Num(span, 0.5), node)}
-        return _times(outer[node.func], _derivative(a, name, known))
+        return _times(outer[node.func], _derivative(a, name))
     a, b = node.left, node.right
-    da, db = _derivative(a, name, known), _derivative(b, name, known)
+    da, db = _derivative(a, name), _derivative(b, name)
     if node.op in ("add", "sub"):
         return _plus(da, db if node.op == "add" else _times(minus, db))
     if node.op == "mul":
@@ -337,7 +350,7 @@ def _derivative(node: Node, name: str, known: dict):
         top = _plus(da, _times(minus, _times(node, db)))
         return None if top is None else Binary(span, "div", top, b)
     # a^b: b a^(b-1) da + a^b log(a) db
-    e = b.value if isinstance(b, Num) else ScalarField(b, (), known).value_at(()) if free_variables(b) <= known.keys() else None
+    e = b.value if isinstance(b, Num) else None if free_variables(b) else ScalarField(b, ()).value_at(())
     if e in (0.0, 1.0):
         power = da if e == 1.0 else None
     else:
@@ -358,7 +371,10 @@ class ScalarField:
     """An evaluatable real function of a named-variable chart.
 
     ``chart`` lists the active variables in order; every other free variable
-    of the expression must appear in ``parameters``.
+    of the expression must appear in ``parameters``, whose values are taken as
+    floats when the field is built (a value that is no number raises there).
+    ``_tree`` is the tree with each parameter replaced by its number: the tree
+    that every evaluation traces and that lifts and derivatives build on.
     """
 
     ast: Node
@@ -377,9 +393,8 @@ class ScalarField:
         shadowed = set(self.chart) & set(self.parameters)
         if shadowed:
             raise ValueError(f"parameters {sorted(shadowed)} shadow chart variables")
-        object.__setattr__(
-            self, "_param_env", {name: float(v) for name, v in self.parameters.items()}
-        )
+        known = {name: float(v) for name, v in self.parameters.items()}
+        object.__setattr__(self, "_tree", _bind(self.ast, known) if known else self.ast)
 
     @classmethod
     def from_source(cls, source: str, chart, parameters=None) -> "ScalarField":
@@ -394,7 +409,8 @@ class ScalarField:
                 f"point has {len(point)} coordinates, chart has {len(self.chart)}"
             )
 
-    # the per-point and block functions of one trace of each order, built on
+    # the per-point and block functions of the one trace of each order of the
+    # bound tree (shared by fields of equal bound trees, see _tape), fetched on
     # first use of either and kept in the instance dict, outside the dataclass
     # fields, so == and repr never see them; _tape needs this module's node classes
 
@@ -402,13 +418,13 @@ class ScalarField:
     def _value_code(self):
         from . import _tape
 
-        return _tape.compile_value(self.ast, self.chart, self._param_env)
+        return _tape.compile_value(self._tree, self.chart)
 
     @cached_property
     def _jet_code(self):
         from . import _tape
 
-        return _tape.compile_jet(self.ast, self.chart, self._param_env)
+        return _tape.compile_jet(self._tree, self.chart)
 
     def jet_at(self, point) -> Jet2:
         """Value, gradient and Hessian with respect to the chart variables."""

@@ -209,8 +209,7 @@ class LagrangianSystem(_VelocityHessians, _System):
     def _momentum_fields(self) -> tuple:
         """The fields dL/dv_i, built on the first Jacobian: their jets carry L's third derivatives."""
         f = self.field
-        return tuple(ScalarField(derivative(f.ast, name, f.parameters), f.chart, f.parameters)
-                     for name in velocity_names(self.n))
+        return tuple(ScalarField(derivative(f._tree, name), f.chart) for name in velocity_names(self.n))
 
     def dynamics_and_jacobian_block(self, U):
         """The Herglotz field and its exact Jacobian at each row: [0 I 0] in the dq
@@ -230,52 +229,10 @@ class LagrangianSystem(_VelocityHessians, _System):
         J[:, -1] = G
         return value, J
 
-    # -- the dynamics: emitted from the trace of L -------------------------------
-
     @cached_property
     def _field_code(self):
-        f = self.field
-        return _tape.compile_field(f.ast, self.chart, f._param_env, self._assemble)
-
-    def _assemble(self, out) -> list:
-        """Write the Herglotz field (v, a, L) from the jet of L; returns its entries.
-        b is written term by term, B_vq v summed left to right, structural zeros as 0.0."""
-        n = self.n
-        value = out.value()
-        v = [out.coordinate(n + i) for i in range(n)]
-        b = [
-            out.let(f"{out.gradient(i)} + {out.gradient(2 * n)} * {out.gradient(n + i)}"
-                    f" - {out.let(_dot_source((out.hessian(n + i, j) for j in range(n)), v))}"
-                    f" - {out.hessian(n + i, 2 * n)} * {value}")
-            for i in range(n)
-        ]
-        return [*v, *self._accelerations(out, b), value]
-
-    def _accelerations(self, out, b: list) -> list:
-        """Write the solve of W a = b at the regularity tolerance of compile time; returns a.
-
-        W = I found regular then gives a = b, and a regular constant w is not
-        tested again (n = 1 divides by w).  Any other W is tested at run time,
-        by ``_solve`` for n > 1, so a degenerate constant W raises there too.
-        """
-        n = self.n
-        known = [[out.known_hessian(n + i, n + j) for j in range(n)] for i in range(n)]
-        rule = _VelocityHessians(n, self.regularity_rtol)
-        fixed = None not in sum(known, []) and not rule._regularity(np.array([known]))[1][0]
-        if fixed and np.array_equal(known, np.eye(n)):
-            return b
-        if n == 1:
-            w = out.hessian(1, 1)
-            if not fixed:
-                rtol, one = out.number(self.regularity_rtol), out.number(1.0)
-                degenerate = out.bind("_degenerate", _degenerate, _tape._fallback)
-                out.line(f"if _any(_abs({w}) <= {rtol} * _fmax({one}, _abs({w}))): {degenerate}({w})")
-            return [out.let(f"{b[0]} / {w}")]
-        W = out.pack(out.pack(out.hessian(n + i, n + j) for j in range(n)) for i in range(n))
-        a = out.names(n)
-        solve = out.bind("_solve", rule._solve_one, rule._solve_columns)
-        out.line(f"{out.pack(a)} = {solve}({W}, {out.pack(b)})")
-        return a
+        """The emitted Herglotz field: one trace for every system of L's bound tree, n and tolerance."""
+        return _tape.compile_field(self.field._tree, self.chart, _assemble_herglotz, self.n, self.regularity_rtol)
 
     # perfbench's tracer wraps these names in this class's own __dict__
     dynamics = _System.dynamics
@@ -286,6 +243,49 @@ class LagrangianSystem(_VelocityHessians, _System):
 
     def default_monitor(self):
         return "E_L", EnergyQuantity(self)
+
+
+# -- the dynamics: emitted from the trace of L -------------------------------
+
+
+def _assemble_herglotz(n: int, regularity_rtol: float, out) -> list:
+    """Write the Herglotz field (v, a, L) from the jet of L; returns its entries.
+    b is written term by term, B_vq v summed left to right, structural zeros as 0.0."""
+    value = out.value()
+    v = [out.coordinate(n + i) for i in range(n)]
+    b = [
+        out.let(f"{out.gradient(i)} + {out.gradient(2 * n)} * {out.gradient(n + i)}"
+                f" - {out.let(_dot_source((out.hessian(n + i, j) for j in range(n)), v))}"
+                f" - {out.hessian(n + i, 2 * n)} * {value}")
+        for i in range(n)
+    ]
+    return [*v, *_accelerations(n, regularity_rtol, out, b), value]
+
+
+def _accelerations(n: int, regularity_rtol: float, out, b: list) -> list:
+    """Write the solve of W a = b at the regularity tolerance of compile time; returns a.
+
+    W = I found regular then gives a = b, and a regular constant w is not
+    tested again (n = 1 divides by w).  Any other W is tested at run time,
+    by ``_solve`` for n > 1, so a degenerate constant W raises there too.
+    """
+    known = [[out.known_hessian(n + i, n + j) for j in range(n)] for i in range(n)]
+    rule = _VelocityHessians(n, regularity_rtol)
+    fixed = None not in sum(known, []) and not rule._regularity(np.array([known]))[1][0]
+    if fixed and np.array_equal(known, np.eye(n)):
+        return b
+    if n == 1:
+        w = out.hessian(1, 1)
+        if not fixed:
+            rtol, one = out.number(regularity_rtol), out.number(1.0)
+            degenerate = out.bind("_degenerate", _degenerate, _tape._fallback)
+            out.line(f"if _any(_abs({w}) <= {rtol} * _fmax({one}, _abs({w}))): {degenerate}({w})")
+        return [out.let(f"{b[0]} / {w}")]
+    W = out.pack(out.pack(out.hessian(n + i, n + j) for j in range(n)) for i in range(n))
+    a = out.names(n)
+    solve = out.bind("_solve", rule._solve_one, rule._solve_columns)
+    out.line(f"{out.pack(a)} = {solve}({W}, {out.pack(b)})")
+    return a
 
 
 @dataclass(frozen=True)

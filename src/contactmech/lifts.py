@@ -21,18 +21,19 @@ whose components are expression trees: Y^i, the sum over j of v^j times the
 and 0, Y^i, 0 for the vertical one.  Y^V(L) - Z is one tree too.  So their
 values, Jacobians and gradients are compiled jets like any other field's.
 Every sum is taken left to right.  Y and L may bind one parameter name to
-different values, so each tree has its parameters replaced by their numbers
-before trees are combined.  The lifts of Y are built once per Y, Y^V(L) - Z
-once per Y and L, and fields of equal trees share one compiled jet code
-across the process, so each tree is traced once.
+different values, so the trees combined are the fields' bound trees, their
+parameters already replaced by their numbers.  The lifts of Y are built once
+per Y, Y^V(L) - Z once per Y and L, and fields of equal trees share one trace
+across the process (see :mod:`contactmech._tape`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from functools import lru_cache, reduce
+from dataclasses import dataclass
+from functools import reduce
 
-from . import _tape
+import numpy as np
+
 from .contact_core import TangentValue
 from .expr import (Binary, Num, ScalarField, Var, derivative, free_variables, lagrangian_chart, parse,
                    position_names, velocity_names)
@@ -124,56 +125,27 @@ class VectorFieldQR:
 # -- lifts as expression trees on (q, v, z) ------------------------------------
 
 
-def _bound(f: ScalarField):
-    """The tree of f with each parameter replaced by its number, which the
-    tracer binds as it binds the parameter (by ``float.hex``)."""
-
-    def bind(node):
-        if isinstance(node, Var):
-            return Num(node.span, f._param_env[node.name]) if node.name in f._param_env else node
-        children = {k: bind(getattr(node, k)) for k in ("operand", "arg", "left", "right") if hasattr(node, k)}
-        return replace(node, **children)
-
-    return bind(f.ast)
-
-
 def _sum(trees):
     return reduce(lambda a, b: Binary(a.span, "add", a, b), trees)
-
-
-@lru_cache(maxsize=256)
-def _jet_code(tree, chart, text):
-    """The compiled jets of ``tree`` on ``chart`` (``_tape.compile_jet``), traced
-    once per process for the last 256 trees.  ``text``, the tree's repr, is in
-    the key because it tells -0.0 from 0.0, which Num nodes compare equal."""
-    return _tape.compile_jet(tree, chart, {})
-
-
-def _field(tree, chart) -> ScalarField:
-    """A new field of ``tree`` on ``chart``, which keeps its own jets and runs
-    the one jet code of equal trees (set where ``ScalarField`` would build it)."""
-    field = ScalarField(tree, chart)
-    field.__dict__["_jet_code"] = _jet_code(tree, chart, repr(tree))
-    return field
 
 
 def _lifts(Y) -> tuple:
     """(complete, vertical): the lifts of Y as ambient fields, built once per Y."""
     if "_lifts" not in Y.__dict__:
         n, chart = Y.n, lagrangian_chart(Y.n)
-        trees = [_bound(c) for c in Y.components]
-        rates = [_field(_sum(Binary(y.span, "mul", Var(y.span, v), derivative(y, q, {}))
-                             for q, v in zip(position_names(n), velocity_names(n))), chart) for y in trees]
-        ys, zero = [_field(y, chart) for y in trees], _field(Num((0, 0), 0.0), chart)
-        z = _field(_bound(Y.z_component), chart) if Y.z_dependent else zero
+        trees = [c._tree for c in Y.components]
+        rates = [ScalarField(_sum(Binary(y.span, "mul", Var(y.span, v), derivative(y, q))
+                                  for q, v in zip(position_names(n), velocity_names(n))), chart) for y in trees]
+        ys, zero = [ScalarField(y, chart) for y in trees], ScalarField(Num((0, 0), 0.0), chart)
+        z = ScalarField(Y.z_component._tree, chart) if Y.z_dependent else zero
         Y.__dict__["_lifts"] = (AmbientVectorField((*ys, *rates, z)), AmbientVectorField((*[zero] * n, *ys, zero)))
     return Y.__dict__["_lifts"]
 
 
 @dataclass(frozen=True)
 class _Lift(_Field):
-    """A lift of ``base`` as a differentiable ambient field; its values are
-    read from its jets, so each component is traced once."""
+    """A lift of ``base`` as a differentiable ambient field; its values are its
+    components' kept jet values, so each component is traced once."""
 
     base: object  # VectorFieldQ or VectorFieldQR
 
@@ -186,7 +158,7 @@ class _Lift(_Field):
         return lagrangian_chart(self.base.n)
 
     def value_block(self, U):
-        return self.value_and_jacobian_block(U)[0]
+        return np.column_stack([c.jets_at(U).value for c in _lifts(self.base)[self._which].components])
 
     def value_and_jacobian_block(self, U):
         return _lifts(self.base)[self._which].value_and_jacobian_block(U)
@@ -258,11 +230,11 @@ class VerticalMomentumQuantity(_Quantity):
         Y, L = self.base, self.system
         kept = Y.__dict__.get("_momentum")
         if kept is None or kept[0] is not L:
-            terms = [(_bound(y), _bound(p)) for y, p in zip(Y.components, L._momentum_fields)]
+            terms = [(y._tree, p._tree) for y, p in zip(Y.components, L._momentum_fields)]
             tree = _sum(Binary(y.span, "mul", y, p) for y, p in terms)
             if Y.z_dependent:
-                tree = Binary(tree.span, "sub", tree, _bound(Y.z_component))
-            kept = Y.__dict__["_momentum"] = (L, _field(tree, L.chart))
+                tree = Binary(tree.span, "sub", tree, Y.z_component._tree)
+            kept = Y.__dict__["_momentum"] = (L, ScalarField(tree, L.chart))
         return kept[1].value_and_gradient_block(U)
 
     # perfbench's tracer wraps these names in this class's own __dict__

@@ -22,7 +22,6 @@ trajectory, f at each state with its dissipation check along it.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -230,15 +229,6 @@ def _describe_quantity(candidate: SymmetryCandidate, cls: str) -> str:
     return base
 
 
-@functools.lru_cache(maxsize=None)
-def _zero_field(chart: tuple) -> ScalarField:
-    """The field 0 on a chart: the implied Cartan data (a, g) of a field on Q.
-
-    One per chart, so its compiled code is built once.
-    """
-    return ScalarField.from_source("0", chart)
-
-
 def classify(
     sys: LagrangianSystem,
     candidate: SymmetryCandidate,
@@ -274,7 +264,7 @@ def classify(
 
     cartan_data = candidate.cartan_data
     if cartan_data is None and candidate.kind == "on_Q":
-        zero = _zero_field(sys.chart)
+        zero = ScalarField.from_source("0", sys.chart)
         cartan_data = (zero, zero)
     table["noether"] = (None, None, None)
     if cartan_data is not None:

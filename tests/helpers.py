@@ -140,9 +140,9 @@ def identity_velocity_hessian(system) -> bool:
     value is 1 on the diagonal and 0 off it."""
     if system not in _IDENTITY:
         L, names = system.lagrangian, velocity_names(system.n)
-        seconds = [[derivative(derivative(L.ast, a, L._param_env), b, L._param_env) for b in names] for a in names]
+        seconds = [[derivative(derivative(L._tree, a), b) for b in names] for a in names]
         _IDENTITY[system] = all(
-            free_variables(d2) <= L.parameters.keys() and ScalarField(d2, (), L.parameters).value_at(()) == (i == j)
+            not free_variables(d2) and ScalarField(d2, ()).value_at(()) == (i == j)
             for i, row in enumerate(seconds) for j, d2 in enumerate(row))
     return _IDENTITY[system]
 

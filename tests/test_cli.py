@@ -139,6 +139,7 @@ class TestBundledScenarios:
 
         monkeypatch.setattr(_tape, "compile", spy, raising=False)
         _tape._code.cache_clear()
+        _tape._trace.cache_clear()
         for run in ("first", "second"):
             (tmp_path / run).mkdir()
             monkeypatch.chdir(tmp_path / run)

@@ -339,6 +339,7 @@ def test_equal_texts_share_one_code_object():
     assert all(map(operator.is_, *codes))
     assert answers[0][0].tobytes() != answers[1][0].tobytes()
     _tape._code.cache_clear()
+    _tape._trace.cache_clear()
     for params, field_codes, got in zip(values, codes, answers):
         own = ScalarField.from_source(source, CHART, params)
         wants = _field_answers(own, block)
@@ -371,6 +372,7 @@ def test_equal_systems_share_one_code_object():
     assert all(map(operator.is_, *codes))
     assert answers[0][0].tobytes() != answers[1][0].tobytes()
     _tape._code.cache_clear()
+    _tape._trace.cache_clear()
     for params, system_codes, got in zip(values, codes, answers):
         own = LagrangianSystem(2, ScalarField.from_source(source, lagrangian_chart(2), params))
         wants = _system_answers(own, U)
@@ -386,6 +388,24 @@ def test_the_code_cache_is_bounded():
         _tape._code(f"def f(x):\n    return x + {k}\n", "<contactmech compiled field>")
     info = _tape._code.cache_info()
     assert info.misses == size + 10 and info.currsize == info.maxsize == size
+
+
+def test_the_trace_cache_is_bounded():
+    # values, jets and vector fields share one cache of traces, which keeps the last keys
+    _tape._trace.cache_clear()
+    size = _tape._trace.cache_info().maxsize
+    for k in range(size + 10):
+        _tape.compile_value(Num(SPAN, float(k)), ())
+    info = _tape._trace.cache_info()
+    assert info.misses == size + 10 and info.currsize == info.maxsize == size
+
+
+@pytest.mark.parametrize("value, error", [("abc", ValueError), (None, TypeError), ([1], TypeError)])
+def test_a_parameter_that_is_no_number_fails_when_the_field_is_built(value, error):
+    # whether or not the tree names it: every parameter is bound when the field is built
+    for source in ("a*x", "x"):
+        with pytest.raises(error):
+            ScalarField.from_source(source, CHART, {"a": value})
 
 
 def test_value_and_gradient_at_is_the_jet():
@@ -452,6 +472,89 @@ blocks = st.lists(st.tuples(coordinates, coordinates, coordinates), min_size=1, 
 def test_blocks_match_the_rows_on_random_trees(tree, block, params):
     field = ScalarField(tree, CHART, dict(zip(PARAMS, params)))
     assert_block_matches_rows(field, np.array(block, dtype=float))
+
+
+
+
+# -- parameters bound into the tree ------------------------------------------------
+
+
+def _numbered(node, parameters):
+    """The tree with each parameter written as a number node."""
+    if isinstance(node, Var):
+        return Num(node.span, parameters[node.name]) if node.name in parameters else node
+    if isinstance(node, Num):
+        return node
+    if isinstance(node, Unary):
+        return Unary(node.span, node.op, _numbered(node.operand, parameters))
+    if isinstance(node, Call):
+        return Call(node.span, node.func, _numbered(node.arg, parameters))
+    return Binary(node.span, node.op, _numbered(node.left, parameters), _numbered(node.right, parameters))
+
+
+def _answer(fn, *args):
+    """The arrays of what fn returns (a number, an array or jets), or its error and failing row."""
+    result, error = _outcome_with_row(fn, *args)
+    if error is not None:
+        return None, error
+    jets = hasattr(result, "hessian")
+    return [np.asarray(x, dtype=float) for x in ((result.value, result.gradient, result.hessian) if jets else (result,))], None
+
+
+def _evaluations(tree, parameters, block):
+    """What new objects of the tree give on the block: a field's values and jets at
+    each row and over the block, and L = 0.5*qd1^2 + tree and H = 0.5*p1^2 + tree
+    with their dynamics and 20 RK4 steps from the first row."""
+    from contactmech.contact_core import HamiltonianSystem
+    from contactmech.expr import hamiltonian_chart
+
+    field = ScalarField(tree, CHART, parameters)
+    out = [_answer(fn, block) for fn in (field.values_at, field.jets_at)]
+    out += [_answer(fn, row) for row in block for fn in (field.value_at, field.jet_at)]
+    for system in (LagrangianSystem(1, ScalarField(_mechanics_tree(tree, "qd1"), lagrangian_chart(1), parameters)),
+                   HamiltonianSystem(1, ScalarField(_mechanics_tree(tree, "p1"), hamiltonian_chart(1), parameters))):
+        out.append(_answer(system.dynamics_block, block))
+        states = np.zeros((21, 3))
+        states[0] = block[0]
+        k, stop = system.stepper("rk4")(block[0].tolist(), 20, states, 0.05)
+        error = (type(stop), str(stop)) if isinstance(stop, ArithmeticError) else None
+        out.append(([np.array(float(k)), np.array(stop if error is None else (), dtype=float), states], error))
+    return out
+
+
+_bound_values = st.one_of(st.floats(-2.0, 2.0), st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan]))
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(tree=trees, block=blocks, params=st.tuples(_bound_values, _bound_values))
+def test_bound_parameters_give_the_bits_of_number_nodes(tree, block, params):
+    # a field binds its parameters into its tree once: each answer, error and failing
+    # row, and every RK4 state, is that of the tree with number nodes in their place,
+    # each traced on its own; the two bound trees are equal and share one trace
+    parameters, block = dict(zip(PARAMS, params)), np.array(block, dtype=float)
+    numbered = _numbered(tree, parameters)
+    _tape._trace.cache_clear()
+    want = _evaluations(numbered, {}, block)
+    _tape._trace.cache_clear()
+    got = _evaluations(tree, parameters, block)
+    for (parts, error), (want_parts, want_error) in zip(got, want, strict=True):
+        assert error == want_error
+        assert error is not None or all(map(exact_bits, parts, want_parts))
+    _tape._trace.cache_clear()
+    field, twin = ScalarField(tree, CHART, parameters), ScalarField(numbered, CHART)
+    assert field._jet_code is twin._jet_code and field._value_code is twin._value_code
+    assert _tape._trace.cache_info().currsize == 2
+
+
+def test_signed_zero_parameters_do_not_share_a_trace():
+    # -0.0 == 0.0, so the tree's repr, which tells them apart, keys the trace too
+    fields = [ScalarField.from_source("a*x", ("x",), {"a": zero}) for zero in (-0.0, 0.0)]
+    assert fields[0]._value_code is not fields[1]._value_code
+    assert fields[0]._jet_code is not fields[1]._jet_code
+    for field, sign in zip(fields, (-1.0, 1.0)):
+        for value in (field.value_at([2.0]), field.values_at(np.array([[2.0]]))[0], field.jet_at([2.0]).value,
+                      field.jets_at(np.array([[2.0]])).value[0]):
+            assert value == 0.0 and math.copysign(1.0, value) == sign
 
 
 def _outcome_with_row(fn, *args):
@@ -644,8 +747,8 @@ def test_run_time_integral_exponent_over_a_block(monkeypatch):
 def test_block_code_raises_no_power_itself():
     # every power of the one text is _pow: over a block, the rows' float power entry by entry
     tree = parse("x^2 + x^y + x^1.5 + exp(x)")
-    value = _tape._Tracer(CHART, {})
-    for tracer in (value, _tape._JetTracer(CHART, {})):
+    value = _tape._Tracer(CHART)
+    for tracer in (value, _tape._JetTracer(CHART)):
         tracer.trace(tree)
         assert "**" not in "\n".join(tracer.lines)
     assert "_pow(" in "\n".join(value.lines)
@@ -668,9 +771,11 @@ def test_emitted_texts_read_every_pure_local(tree, params):
 
     parameters = dict(zip(PARAMS, params))
     system = LagrangianSystem(1, ScalarField(_mechanics_tree(tree, "qd1"), lagrangian_chart(1), parameters))
+    bound = ScalarField(tree, CHART, parameters)._tree
+    _tape._trace.cache_clear()  # an earlier example may have traced these trees
     texts = _emitted_texts(lambda: (
-        _tape.compile_value(tree, CHART, parameters), _tape.compile_jet(tree, CHART, parameters),
-        _tape.compile_field(tree, CHART, parameters, lambda out: _assemble_darboux(1, out)), system._field_code))
+        _tape.compile_value(bound, CHART), _tape.compile_jet(bound, CHART),
+        _tape.compile_field(bound, CHART, _assemble_darboux, 1), system._field_code))
     assert len(texts) == 4
     for text in texts:
         lines = text.splitlines()

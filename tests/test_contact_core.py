@@ -325,9 +325,9 @@ class TestHamiltonianVectorField:
         source = "0.5*(p1^2 + p2^2) + 0.5*q1^2*q2 - 0.3*z*p1"
         H = field_on(2, source)
         system = HamiltonianSystem(2, H)
-        block, stepper = cc._darboux_field(H)
+        block, stepper = system.vector_field._code
         calls = []
-        H.__dict__["_darboux_code"] = (lambda U: calls.append(len(U)) or block(U)), stepper
+        system.vector_field.__dict__["_code"] = (lambda U: calls.append(len(U)) or block(U)), stepper
         U = np.random.default_rng(5).uniform(-1, 1, size=(100, 5))
         dynamics = system.dynamics_block(U)
         value, jacobian = system.dynamics_and_jacobian_block(U)

@@ -610,11 +610,12 @@ class TestEmittedStepper:
             assert message.startswith("state became non-finite at t=0.1 (step 1): ")
 
     def test_each_system_traces_its_field_once(self, monkeypatch):
-        # the block field and both steppers come from one trace; X_H is kept on
-        # H, so new systems and vector fields on one H reuse it
+        # the block field and both steppers come from one trace; new systems and
+        # vector fields on one H reuse it
         compiled = []
-        compile_field = _tape.compile_field
-        monkeypatch.setattr(_tape, "compile_field", lambda *args: compiled.append(args) or compile_field(*args))
+        field = _tape._field
+        monkeypatch.setattr(_tape, "_field", lambda *args: compiled.append(args) or field(*args))
+        _tape._trace.cache_clear()
         system = damped_oscillator(n=2)
         system.dynamics_block(np.zeros((3, 5)))
         assert system.stepper("rk4") is system.stepper("rk4") and system.stepper("euler") is not None

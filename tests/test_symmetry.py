@@ -343,13 +343,14 @@ class TestClassify:
 
         compiled = []
         for name in ("value", "jet"):
-            original = getattr(_tape, f"compile_{name}")
+            original = getattr(_tape, f"_{name}")
 
             def counting(*args, _original=original, _name=name):
                 compiled.append(_name)
                 return _original(*args)
 
-            monkeypatch.setattr(_tape, f"compile_{name}", counting)
+            monkeypatch.setattr(_tape, f"_{name}", counting)
+        _tape._trace.cache_clear()
         sys = damped_oscillator()
         candidate = SymmetryCandidate("rotation", "on_Q", VectorFieldQ.from_expressions(2, ["-q2", "q1"]))
         points = points_for(sys)
