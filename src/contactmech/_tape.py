@@ -964,7 +964,9 @@ def _field(tree, chart, assemble):
     tracer = _JetTracer(chart)
     point, block, entries = _emit(tracer, tree, assemble)
     rows = functools.partial(_rows, block, row=lambda U: np.array([point(U[0].astype(float).tolist())]))
-    return rows, functools.cache(functools.partial(_stepper, tracer, entries))
+    # the stepper keeps what its text needs, not the tracer and its tables
+    return rows, functools.cache(functools.partial(_stepper, list(tracer.inputs.values()), tracer.lines,
+                                                   tracer.namespace, entries))
 
 
 # the stages after the first: the factor of the previous stage's derivative in
@@ -972,27 +974,28 @@ def _field(tree, chart, assemble):
 _STAGES = {"rk4": ("half", "half", "h"), "euler": ()}
 
 
-def _stepper(tracer: _JetTracer, entries, method: str):
+def _stepper(x: list, lines: list, names: dict, entries, method: str):
     """``run(u, steps, states, h) -> (k, stop)``: ``steps`` fixed steps of size h
-    from the state u, by ``"rk4"`` or ``"euler"``, each new state written to
-    row k + 1 of ``states``, a C-contiguous float array.  Stages and updates
-    are the sums of the array form, in its order: ``y + half * d`` at a stage,
-    ``y + sixth * (d1 + 2.0 * d2 + 2.0 * d3 + d4)`` for RK4 and ``y + h * d``
-    for Euler.  ``k`` is the number of steps taken and ``stop`` is None, or
-    what ended step k + 1: the ArithmeticError a stage raised, or the new
-    state as a tuple when not all of it is finite."""
-    m = len(tracer.inputs)
-    x, y = list(tracer.inputs.values()), [f"y{i}" for i in range(m)]
+    from the state u, by ``"rk4"`` or ``"euler"``, of the field whose traced
+    ``lines`` compute ``entries`` from the inputs ``x`` and the bound ``names``,
+    each new state written to row k + 1 of ``states``, a C-contiguous float
+    array.  Stages and updates are the sums of the array form, in its order:
+    ``y + half * d`` at a stage, ``y + sixth * (d1 + 2.0 * d2 + 2.0 * d3 + d4)``
+    for RK4 and ``y + h * d`` for Euler.  ``k`` is the number of steps taken
+    and ``stop`` is None, or what ended step k + 1: the ArithmeticError a stage
+    raised, or the new state as a tuple when not all of it is finite."""
+    m = len(x)
+    y = [f"y{i}" for i in range(m)]
     # every stage reads its input x, the first x = y: an entry may name an x,
     # so the update, which writes y, reads the state it replaces
-    loop = [f"    {a} = {b}" for a, b in zip(x, y)] + tracer.lines
+    loop = [f"    {a} = {b}" for a, b in zip(x, y)] + lines
     if entries is not None:
         derivatives = []  # the locals of each earlier stage's derivative
         for number, factor in enumerate(_STAGES[method], start=1):
             d = [f"d{number}_{i}" for i in range(m)]
             loop += [f"    {a} = {b}" for a, b in zip(d, entries)]
             loop += [f"    {a} = {b} + {factor} * {c}" for a, b, c in zip(x, y, d)]
-            loop += tracer.lines
+            loop += lines
             derivatives.append(d)
         if method == "rk4":
             loop += [f"    {a} = {a} + sixth * ({d1} + 2.0 * {d2} + 2.0 * {d3} + {d4})"
@@ -1003,7 +1006,7 @@ def _stepper(tracer: _JetTracer, entries, method: str):
                  f"        return k, ({', '.join(y)},)",
                  f"    j = (k + 1) * {m}",
                  *(f"    out[j + {i}] = {a}" for i, a in enumerate(y))]
-    namespace = {**_RUNTIME, **tracer.namespace, "range": range, "memoryview": memoryview, "isfinite": math.isfinite,
+    namespace = {**_RUNTIME, **names, "range": range, "memoryview": memoryview, "isfinite": math.isfinite,
                  "ArithmeticError": ArithmeticError}
     bound = [name for name in namespace if name != "__builtins__"]
     namespace["_bound"] = tuple(namespace[name] for name in bound)

@@ -18,6 +18,7 @@ written.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import os
@@ -617,9 +618,11 @@ def _json_default(obj):
     raise TypeError(f"not JSON serializable: {type(obj).__name__}")
 
 
-def _atomic_write(path: str, text: str) -> None:
-    """Write ``text`` to ``path`` through a temporary file beside it; an
-    OSError names ``path`` and why it cannot be written."""
+def _atomic_write(path: str, chunks) -> None:
+    """Write the bytes that ``chunks()`` yields to ``path`` through a
+    temporary file beside it, so ``path`` keeps its old contents if anything
+    raises on the way; an OSError or a MemoryError, also one raised while
+    the bytes are made, names ``path`` and why it cannot be written."""
     directory = os.path.dirname(os.path.abspath(path)) or "."
     try:
         os.makedirs(directory, exist_ok=True)
@@ -627,26 +630,30 @@ def _atomic_write(path: str, text: str) -> None:
     except OSError as exc:
         raise OSError(f"cannot write {path!r}: {exc.strerror}: {directory!r}") from exc
     try:
-        with os.fdopen(fd, "w") as handle:
-            handle.write(text)
+        with os.fdopen(fd, "wb") as handle:
+            for chunk in chunks():
+                handle.write(chunk)
         os.replace(tmp, path)
     except BaseException as exc:
         if os.path.exists(tmp):
             os.unlink(tmp)
         if isinstance(exc, OSError):
             raise OSError(f"cannot write {path!r}: {exc.strerror}") from exc
+        if isinstance(exc, MemoryError):
+            raise MemoryError(f"cannot write {path!r}: out of memory") from exc
         raise
 
 
 def write_csv(path: str, traj: Trajectory) -> None:
-    """Trajectory CSV: t, chart coordinates, then monitor columns (17 digits)."""
+    """Trajectory CSV: a header of t, the chart coordinates and the monitor
+    names, then one row per state, each cell the float's ``"%.17g"``, which
+    gives it back exactly.  The rows are formatted by numpy and written
+    ``_csv.CHUNK_ROWS`` at a time (see :mod:`contactmech._csv`)."""
+    from . import _csv  # its tables are built for the first CSV, not by every import of the package
+
     columns = ["t", *traj.chart, *traj.monitors.keys()]
     data = [traj.times, *traj.states.T, *traj.monitors.values()]
-    row = ",".join(["%.17g"] * len(data))
-    rows = [",".join(columns)]
-    for start in range(0, len(traj), 256):  # 256 rows at a time, so few Python floats are alive at once
-        rows += [row % values for values in zip(*(column[start : start + 256].tolist() for column in data))]
-    _atomic_write(path, "\n".join(rows) + "\n")
+    _atomic_write(path, lambda: itertools.chain([(",".join(columns) + "\n").encode()], _csv.chunks(data)))
 
 
 # what the numerics can raise on a usable configuration, which may still ask
@@ -756,8 +763,8 @@ def run_scenario(config_path: str, *, seed=None, tol_scale: float = 1.0) -> int:
         if report["outputs"]["csv"]:
             write_csv(report["outputs"]["csv"], traj)
         if report_path:
-            _atomic_write(report_path, json.dumps(report, indent=2, default=_json_default) + "\n")
-    except OSError as exc:
+            _atomic_write(report_path, lambda: [(json.dumps(report, indent=2, default=_json_default) + "\n").encode()])
+    except (OSError, MemoryError) as exc:
         print(f"error: {' '.join(str(exc).split())}", file=_sys.stderr)
         return 2
 

@@ -9,7 +9,7 @@ import weakref
 import numpy as np
 import pytest
 
-from contactmech import cli
+from contactmech import _csv, cli
 from contactmech.ad import _rows
 from contactmech.cli import (
     BUILTINS,
@@ -424,6 +424,33 @@ class TestExitCodes:
         assert len(err) == 1 and err[0].startswith(f"error: {message}")
         assert "scenario" not in captured.out
         assert [p.name for p in tmp_path.rglob("*.tmp")] == []
+
+    @pytest.mark.parametrize("output", ["out/run.csv", "out/report.json"])
+    def test_running_out_of_memory_while_writing_exits_two(self, in_tmp, tmp_path, capsys, monkeypatch, output):
+        # a MemoryError while the CSV or the report is formatted is one error
+        # line naming the file, not a traceback
+        config = json.loads(json.dumps(BASE_CONFIG))
+        config["integrator"]["t_final"] = 0.01
+        config_path = write_config(tmp_path, config)
+        if output.endswith(".csv"):
+            def no_memory(block):
+                raise MemoryError()
+
+            monkeypatch.setattr(_csv, "format_rows", no_memory)
+        else:
+            dumps = json.dumps
+
+            def no_memory(obj, **kwargs):  # the report is the one text dumped with an indent
+                if "indent" in kwargs:
+                    raise MemoryError()
+                return dumps(obj, **kwargs)
+
+            monkeypatch.setattr(cli.json, "dumps", no_memory)
+        assert run_scenario(config_path) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: cannot write {output!r}: out of memory\n"
+        assert "scenario" not in captured.out
+        assert not (tmp_path / output).exists() and list(tmp_path.rglob("*.tmp")) == []
 
     def test_sine_of_infinity_exits_two(self, in_tmp, tmp_path, capsys):
         # big*big overflows to inf, so sin(inf*q1) leaves its domain wherever q1 != 0

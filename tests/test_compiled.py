@@ -7,10 +7,12 @@ functions must agree with them entry by entry and raise the same exception
 types at the same points.
 """
 
+import gc
 import inspect
 import math
 import operator
 import re
+import weakref
 
 import numpy as np
 import pytest
@@ -398,6 +400,36 @@ def test_the_trace_cache_is_bounded():
         _tape.compile_value(Num(SPAN, float(k)), ())
     info = _tape._trace.cache_info()
     assert info.misses == size + 10 and info.currsize == info.maxsize == size
+
+
+@pytest.mark.parametrize("side", ["lagrangian", "hamiltonian"])
+def test_a_cached_stepper_keeps_no_tracer(side, monkeypatch):
+    # the stepper a trace keeps binds the tracer's inputs, lines and namespace,
+    # not the tracer with its tables, which dies once the field is emitted
+    from contactmech.contact_core import HamiltonianSystem
+
+    tracers = []
+
+    class Recorded(_tape._JetTracer):
+        def __init__(self, chart):
+            super().__init__(chart)
+            tracers.append(weakref.ref(self))
+
+    monkeypatch.setattr(_tape, "_JetTracer", Recorded)
+    _tape._trace.cache_clear()
+    if side == "lagrangian":
+        system = LagrangianSystem(1, ScalarField.from_source("0.5*qd1^2 - 0.5*q1^2 - gamma*z", lagrangian_chart(1),
+                                                            {"gamma": 0.1}))
+    else:
+        system = HamiltonianSystem(1, ScalarField.from_source("0.5*p1^2 + 0.5*q1^2 + gamma*z", ("q1", "p1", "z"),
+                                                              {"gamma": 0.1}))
+    stepper = system._field_code[1]
+    states = np.zeros((3, 3))
+    states[0] = [1.0, 0.0, 0.5]
+    assert stepper("rk4")(states[0].tolist(), 2, states, 0.1) == (2, None)
+    gc.collect()
+    assert len(tracers) == 1 and tracers[0]() is None
+    assert not any(isinstance(arg, _tape._JetTracer) for arg in stepper.__wrapped__.args)
 
 
 @pytest.mark.parametrize("value, error", [("abc", ValueError), (None, TypeError), ([1], TypeError)])
