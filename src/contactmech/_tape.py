@@ -53,15 +53,14 @@ the math functions, the helpers above and the ``_fail_*`` helpers that raise
 ...`` and the stage derivatives ``d1_0, ...`` as locals; every stage reads
 its input ``x0, x1, ...``, the first a copy of the state, so an entry that
 names an input never sees the state it updates.  It copies every bound name
-into a local once per call.  So the values of the numbers reach a text only
-through folding, and each distinct text is compiled once per process
-(:func:`_code`, a bounded cache); only the namespaces are new for each trace.
+into a local once per call.
 
 A tree reaches here free of parameters: a :class:`~contactmech.expr.ScalarField`
-replaces each by its number once, when it is built.  Each trace, of a value, a jet or a vector field, runs once per
-process for its kind, tree and chart (:func:`_trace`, the package's one
-bounded cache of traces), so fields and systems of equal trees share its
-functions, and each keeps its own results.
+replaces each by its number once, when it is built.  Each trace, of a value, a
+jet or a vector field, runs once per process for its kind, tree and chart
+(:func:`_trace`, the package's one bounded cache), and its text is compiled
+where it is emitted, a stepper's once per method; so fields and systems of
+equal trees share its functions, and each keeps its own results.
 """
 
 from __future__ import annotations
@@ -262,12 +261,9 @@ def _nonfinite(s) -> bool:
     return type(s) is float and not math.isfinite(s)
 
 
-@functools.lru_cache(maxsize=256)
-def _code(source: str, name: str):
-    """The code object of an emitted text, compiled once per process.  A text
-    binds every number by name, so fields that trace to equal texts share it,
-    and each runs it in its own namespace, with its own numbers and helpers."""
-    return compile(source, name, "exec")
+def _stored(s) -> bool:
+    """Whether a jet keeps entry s: not a structural zero (None or +0.0); a known -0.0 keeps its sign."""
+    return s is not None and not (_is(s, 0.0) and math.copysign(1.0, s) == 1.0)
 
 
 class _Unreachable(Exception):
@@ -281,8 +277,8 @@ class _Jet:
 
     def __init__(self, v, g: dict, h: dict):
         self.v = v
-        self.g = {k: s for k, s in g.items() if s is not None and not _is(s, 0.0)}
-        self.h = {k: s for k, s in h.items() if s is not None and not _is(s, 0.0)}
+        self.g = {k: s for k, s in g.items() if _stored(s)}
+        self.h = {k: s for k, s in h.items() if _stored(s)}
 
     def has_nonfinite(self) -> bool:
         return any(map(_nonfinite, (*self.g.values(), *self.h.values())))
@@ -708,8 +704,8 @@ class _JetTracer(_Tracer):
         if not isinstance(b, _Jet):
             return self._constant_exponent(a, b)
         # a jet exponent counts as constant when its derivatives all vanish
-        # (known entries are nonzero: zeros are never stored)
-        entries = [*b.g.values(), *b.h.values()]
+        # (a known entry vanishes only as -0.0: +0.0 is never stored)
+        entries = [s for s in (*b.g.values(), *b.h.values()) if not _is(s, 0.0)]
         if any(map(_known, entries)):
             return self._variable_power(a, b)
         if entries:
@@ -860,7 +856,7 @@ def _emit(tracer, tree, assemble):
     ``assemble(writer)`` writes from the traced tree through a
     :class:`FieldWriter`, returning their source names (``entries``, None
     when every run raises).  Only the lines they need are kept (see
-    :func:`_live`), and the text is compiled once (:func:`_code`).
+    :func:`_live`), and the text is compiled once, for both forms.
     ``point(x)`` is the tuple of entries at the floats x of a point, and
     ``block(U)`` the (N, k) array of entries at the rows of an (N, m) array,
     taken as floats (the transpose of a C-ordered (k, N) one), row k being
@@ -874,7 +870,8 @@ def _emit(tracer, tree, assemble):
     tracer.lines = _live(tracer.lines, entries or ())
     unpack = [f"    {', '.join(tracer.inputs.values())}, = x"] if tracer.inputs else []
     body = "" if entries is None else f"return {FieldWriter.pack(entries)}"
-    code = _code("\n".join(["def f(x):", *unpack, *tracer.lines, f"    {body}", ""]), "<contactmech compiled field>")
+    source = "\n".join(["def f(x):", *unpack, *tracer.lines, f"    {body}", ""])
+    code = compile(source, "<contactmech compiled field>", "exec")
     namespaces = [{**tracer.namespace, **_RUNTIME}, {**tracer.namespace, **_BLOCK_RUNTIME, **tracer.block_forms}]
     for namespace in namespaces:
         exec(code, namespace)
@@ -1024,5 +1021,5 @@ def _stepper(x: list, lines: list, names: dict, entries, method: str):
         "    return steps, None",
         "",
     ])
-    exec(_code(source, "<contactmech compiled stepper>"), namespace)
+    exec(compile(source, "<contactmech compiled stepper>", "exec"), namespace)
     return namespace.pop("run")

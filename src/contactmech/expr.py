@@ -403,11 +403,14 @@ class ScalarField:
     def describe(self) -> str:
         return self.source if self.source is not None else to_source(self.ast)
 
-    def _check_point(self, point):
-        if len(point) != len(self.chart):
-            raise ValueError(
-                f"point has {len(point)} coordinates, chart has {len(self.chart)}"
-            )
+    def _check_point(self, point) -> list:
+        """The floats of a 1-d point with one coordinate per chart variable."""
+        x = np.asarray(point, dtype=float)
+        if x.ndim != 1:
+            raise ValueError(f"a point must be 1-d, got shape {x.shape}")
+        if len(x) != len(self.chart):
+            raise ValueError(f"point has {len(x)} coordinates, chart has {len(self.chart)}")
+        return x.tolist()
 
     # the per-point and block functions of the one trace of each order of the
     # bound tree (shared by fields of equal bound trees, see _tape), fetched on
@@ -428,15 +431,13 @@ class ScalarField:
 
     def jet_at(self, point) -> Jet2:
         """Value, gradient and Hessian with respect to the chart variables."""
-        self._check_point(point)
-        x = np.asarray(point, dtype=float)
-        if x.ndim != 1 or x.shape[0] == 0:
+        x = self._check_point(point)
+        if not x:
             raise ValueError("a jet needs a nonempty 1-d point")
-        return self._jet_code[0](x.tolist())
+        return self._jet_code[0](x)
 
     def value_at(self, point) -> float:
-        self._check_point(point)
-        return self._value_code[0](np.asarray(point, dtype=float).tolist())
+        return self._value_code[0](self._check_point(point))
 
     def value_and_gradient_at(self, point):
         jet = self.jet_at(point)

@@ -28,7 +28,7 @@ import numpy as np
 
 from . import contact_core
 from .ad import _rows
-from .contact_core import CartanSymmetryCheck, ResidualCheck, _as_states, _worst_rows
+from .contact_core import CartanSymmetryCheck, ResidualCheck, _as_states, _on_chart, _worst_rows
 from .expr import ScalarField
 from .fields import LinearCombinationQuantity, _rowdot
 from .lagrangian import LagrangianSystem
@@ -71,8 +71,9 @@ class SymmetryCandidate:
 
 def infinitesimal_symmetry_residual(sys: LagrangianSystem, Y, points) -> float:
     """max |Y^C(L)| over the sample."""
-    states = _as_states(points, sys.dim)
     lift = CompleteLiftField(Y)
+    _on_chart(sys.chart, lift)
+    states = _as_states(points, sys.dim)
 
     def kernel(U):
         return np.abs(_rowdot(sys.jets(U).gradient, lift.value_block(U)))

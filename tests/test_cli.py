@@ -128,7 +128,7 @@ class TestBundledScenarios:
         assert reports[0] == reports[1]
 
     def test_a_second_run_compiles_nothing(self, tmp_path, monkeypatch):
-        # every text of the second run is one the first compiled; its outputs are the first's
+        # every trace of the second run is one the first kept, so nothing compiles; its outputs are the first's
         from contactmech import _tape
 
         compiled, outputs = [], []
@@ -138,7 +138,6 @@ class TestBundledScenarios:
             return compile(source, filename, mode)
 
         monkeypatch.setattr(_tape, "compile", spy, raising=False)
-        _tape._code.cache_clear()
         _tape._trace.cache_clear()
         for run in ("first", "second"):
             (tmp_path / run).mkdir()

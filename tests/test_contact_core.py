@@ -829,6 +829,13 @@ def _candidate(kind, field):
     return SymmetryCandidate("candidate", kind, field)
 
 
+def _classify_with(field):
+    from contactmech.symmetry import classify
+
+    system = LagrangianSystem(2, ScalarField.from_source("0.5*(qd1^2 + qd2^2) - z", lagrangian_chart(2)))
+    return classify(system, _candidate("on_Q", field), np.zeros((1, 5)))
+
+
 ON_Q = VectorFieldQ.from_expressions(1, ["1"])
 ON_QR = VectorFieldQR.from_expressions(1, ["1"], "z")
 SQUARE = ScalarField.from_source("0.5*qd1^2", lagrangian_chart(1))
@@ -872,12 +879,17 @@ SQUARE = ScalarField.from_source("0.5*qd1^2", lagrangian_chart(1))
     (_integrate_from_a_short_state, r"^initial state has shape \(5,\), expected \(3,\)$"),
     (lambda: ScalarField.from_source("1", ()).jet_at([]), r"^a jet needs a nonempty 1-d point$"),
     (lambda: ScalarField.from_source("1", ()).jets_at(np.zeros((2, 0))), r"^a jet needs a nonempty 1-d point$"),
+    (lambda: ScalarField.from_source("x", ("x",)).value_at([[1.0]]), r"^a point must be 1-d, got shape \(1, 1\)$"),
+    (lambda: ScalarField.from_source("x", ("x",)).jet_at([[1.0]]), r"^a point must be 1-d, got shape \(1, 1\)$"),
+    (lambda: _classify_with(ON_Q),
+     r"^CompleteLiftField is on the chart \('q1', 'qd1', 'z'\), "
+     r"expected \('q1', 'q2', 'qd1', 'qd2', 'z'\)$"),
 ], ids=["states_dimension", "darboux_n0", "hamiltonian_field_even_chart", "lagrangian_chart", "lagrangian_n0",
         "qr_count", "qr_component_chart", "qr_z_chart", "vertical_momentum_n", "family_mixed_generators",
         "family_mixed_n", "family_mixed_charts", "candidate_kind", "candidate_field_type", "ambient_empty",
         "ambient_mixed_charts", "ambient_count", "constant_length", "sum_empty", "sum_mixed_charts",
         "combination_empty", "lie_bracket_charts", "initial_state_shape", "jet_at_empty_chart",
-        "jets_at_empty_chart"])
+        "jets_at_empty_chart", "value_at_2d_point", "jet_at_2d_point", "classify_other_n"])
 def test_an_input_check_raises_its_message(build, message):
     with pytest.raises(ValueError, match=message) as caught:
         build()

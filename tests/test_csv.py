@@ -42,6 +42,7 @@ def _float(bits):
 _patterns = st.integers(0, 2**64 - 1).map(_float)  # every double: subnormals, NaNs with payloads, +-inf
 
 
+@pytest.mark.agreement
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(pool=st.lists(st.one_of(_patterns, st.floats()), min_size=1, max_size=40),
        rows=st.sampled_from([1, 511, 512, 513, 1025]), columns=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))

@@ -339,6 +339,7 @@ _PAIRINGS = {
 }
 
 
+@pytest.mark.agreement
 @settings(max_examples=300, deadline=None)
 @given(n=st.integers(1, 13), rows=st.integers(1, 30), pairing=st.sampled_from(sorted(_PAIRINGS)),
        layout=st.sampled_from(["C", "strided", "transposed"]), specials=st.sampled_from([0.0, 0.1]),
@@ -417,6 +418,7 @@ def _same_step(got, want, *, exact=False) -> bool:
     return got[1].tobytes() == want[1].tobytes() if exact else _same(got[1], want[1])
 
 
+@pytest.mark.agreement
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(kind=_kinds, n=st.integers(1, 4), seed=st.integers(0, 2**16), rtol=st.sampled_from([1e-10, 0.05, 2.0]),
        data=st.data())
@@ -577,6 +579,7 @@ def _assert_same_outcome(system, u0, cfg, *, exact=True):
     return got
 
 
+@pytest.mark.agreement
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(kind=_kinds, n=st.integers(1, 4), seed=st.integers(0, 2**16), rtol=st.sampled_from([1e-10, 0.05]),
        method=st.sampled_from(["rk4", "euler"]), steps=st.integers(20, 60), step=st.sampled_from([0.01, 0.1, 0.4]),

@@ -345,6 +345,7 @@ _TERMS = [
 ]
 
 
+@pytest.mark.agreement
 @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(n=st.integers(1, 3), terms=st.lists(st.tuples(st.sampled_from(_TERMS), st.floats(-0.3, 0.3)),
                                            min_size=1, max_size=5),
@@ -403,6 +404,7 @@ def _parts(result) -> list:
     return [np.asarray(part) for part in (result if isinstance(result, tuple) else (result,))]
 
 
+@pytest.mark.agreement
 @settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(n=st.integers(1, 3), terms=st.lists(st.tuples(st.sampled_from(_TERMS), st.floats(-0.3, 0.3)), max_size=4),
        on_qr=st.booleans(), picks=st.lists(st.integers(0, 5), min_size=3, max_size=3),
@@ -433,6 +435,7 @@ def test_every_paired_sum_gives_each_row_its_own_bits(n, terms, on_qr, picks, ro
                 assert exact_bits(got, part)
 
 
+@pytest.mark.agreement
 @settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(n=st.integers(1, 3), terms=st.lists(st.tuples(st.sampled_from(_TERMS), st.floats(-0.3, 0.3)), max_size=4),
        on_qr=st.booleans(), picks=st.lists(st.integers(0, 5), min_size=3, max_size=3),
