@@ -1,29 +1,35 @@
 """Compile a field's expression tree once into straight-line Python.
 
-:func:`_emit` is the one step from a trace to code.  It traces a tree once;
-an assembler writes the entries of the result through a :class:`FieldWriter`
-(a value its value, a jet its value, the structural zero and its traced
-gradient and upper-Hessian entries, a vector field what its caller writes
-from the jet); the lines they need are one text, compiled once.  The value
-code follows float arithmetic; the jet code propagates value, gradient and
-Hessian by the second-order forward-mode rules of :class:`_JetTracer`.  The
-text runs in two namespaces: over the floats of a point (a list) it gives the
-tuple of entries, over an (N, m) block of points an (N, k) array, which
-:func:`compile_value` and :func:`compile_jet` unpack into a float or a
-:class:`~contactmech.ad.Jet2` and N values or a :class:`~contactmech.ad.JetBlock`.
+:func:`_emit` is the one step from a trace to code.  It traces a tree once
+with :class:`_JetTracer`; an assembler writes the entries of the result
+through a :class:`FieldWriter` (a value its value, a jet its value, the
+structural zero and its traced gradient and upper-Hessian entries, a vector
+field what its caller writes from the jet); the lines they need are one
+text, compiled once.  There is one arithmetic: a jet of order 2 propagates
+value, gradient and Hessian by second-order forward-mode rules, and a value
+is the jet of order 0, whose rules trace the value entry alone: it has the
+bits of the jet's value wherever both are defined and every exponent is
+constant (see :class:`_JetTracer`).  The text runs in two namespaces: over
+the floats of a point (a list) it gives the tuple of entries, over an
+(N, m) block of points an (N, k) array, which :func:`compile_jet` unpacks
+into a :class:`~contactmech.ad.Jet2` and a :class:`~contactmech.ad.JetBlock`,
+or at order 0 into a float and N values.
 The tests check the point form against ``tests/dense_ad.py``, which applies
 the same rules to dense arrays one operation at a time.
 
-The text writes every guard, branch test and power through helpers
+The text writes every guard, branch test and run-time power through helpers
 (``_any``, ``_all``, ``_uniform``, ``_integral``, ``_nonzero``, ``_abs``,
-``_fmax``, ``_pow``).  ``_RUNTIME`` gives them their one-point meaning
-(``bool``, ``abs``, ``max``, ``float.is_integer``, ``operator.pow``, ...),
-and the point form raises exactly where evaluating the tree operation by
-operation would, with the same exception types.  ``_BLOCK_RUNTIME`` gives
-them their meaning over columns, and row k of the block form is, bit for
-bit, the point form at point k: numpy does the correctly rounded arithmetic
-and ``sqrt`` over whole columns, and ``exp``, ``log``, ``sin``, ``cos`` and
-powers run entry by entry with the rows' own functions.  Where some row
+``_fmax``, ``_int_power_chain``, ``_pow``).  ``_RUNTIME`` gives them their
+one-point meaning (``bool``, ``abs``, ``max``, ``float.is_integer``,
+square-and-multiply, ...), and the point form raises exactly where
+evaluating the tree operation by operation would, with the same exception
+types.  An integral power is IEEE products, never libm's ``pow``, which only
+a power of known numbers that raises while compiling (``_pow``) or a
+regularity threshold calls.  ``_BLOCK_RUNTIME`` gives the helpers their
+meaning over columns, and row k of the block form is, bit for bit, the point
+form at point k: numpy does the correctly rounded arithmetic and ``sqrt``
+over whole columns, and ``exp``, ``log``, ``sin`` and ``cos`` run entry by
+entry with the rows' own functions.  Where some row
 would raise, the block raises (:class:`BlockFallback` for a guard or a
 branch that the rows do not all take); ``contactmech.ad._rows`` then
 evaluates it row by row, so its errors are the rows' errors too.
@@ -56,8 +62,8 @@ names an input never sees the state it updates.  It copies every bound name
 into a local once per call.
 
 A tree reaches here free of parameters: a :class:`~contactmech.expr.ScalarField`
-replaces each by its number once, when it is built.  Each trace, of a value, a
-jet or a vector field, runs once per process for its kind, tree and chart
+replaces each by its number once, when it is built.  Each trace, of a jet of
+order 0 or 2 or of a vector field, runs once per process for its kind, tree and chart
 (:func:`_trace`, the package's one bounded cache), and its text is compiled
 where it is emitted, a stepper's once per method; so fields and systems of
 equal trees share its functions, and each keeps its own results.
@@ -76,7 +82,7 @@ import numpy as np
 from .ad import DomainError, Jet2, JetBlock, _rows
 from .expr import MAX_INT_POWER, Binary, Call, Num, Unary, Var
 
-__all__ = ["BlockFallback", "FieldWriter", "compile_value", "compile_jet", "compile_field"]
+__all__ = ["BlockFallback", "FieldWriter", "compile_jet", "compile_field"]
 
 def _fail_div(_value):
     raise DomainError("division by zero")
@@ -121,21 +127,23 @@ def _repeated_product(x, k: int):
     return result
 
 
-def _power_chain(base, k: int):
-    """base**k with its first and second derivatives, for an integral k other than 0 and 1."""
+def _power_chain(base, k: int, order: int):
+    """base**k, with its first and second derivatives at order 2 (k other than 0 and 1 there)."""
     if k < 0:
         r = 1.0 / base
         value = _repeated_product(r, -k)
-        return value, k * value * r, k * (k - 1) * value * r * r
-    d2 = k * (k - 1) * _repeated_product(base, k - 2)
-    return _repeated_product(base, k), k * _repeated_product(base, k - 1), d2
+        return value if not order else (value, k * value * r, k * (k - 1) * value * r * r)
+    value = _repeated_product(base, k)
+    if not order:
+        return value
+    return value, k * _repeated_product(base, k - 1), k * (k - 1) * _repeated_product(base, k - 2)
 
 
-def _int_power_chain(base: float, exponent: float):
+def _int_power_chain(base: float, exponent: float, order: int = 2):
     k = int(exponent)
     if k < 0 and base == 0.0:
         _fail_div(base)
-    return _power_chain(base, k)
+    return _power_chain(base, k, order)
 
 
 # -- the runtimes: float and column meanings of the generated code's helpers -------
@@ -172,13 +180,13 @@ def _nonzero(*entries):
     return mask
 
 
-def _block_int_power_chain(base, exponent):
+def _block_int_power_chain(base, exponent, order: int = 2):
     """``_int_power_chain`` for an exponent that every row shares; rows that differ fall back."""
     flat = np.ravel(exponent)
     k = int(flat[0])
-    if np.any(flat != k) or (k < 0 and np.any(base == 0.0)):
+    if np.any(flat != flat[0]) or (k < 0 and np.any(base == 0.0)):
         raise BlockFallback
-    return _power_chain(base, k)
+    return _power_chain(base, k, order)
 
 
 # (test at compile time, test in generated code) for each failure helper
@@ -194,7 +202,6 @@ _GUARDS = {
 
 # the generated tests of branches, each the argument of ``_uniform``
 _CONDITIONS = {
-    "integral": "_integral({0})",
     "small_integral": "_integral({0}) & (_abs({0}) <= {1})",
     "equal": "{0} == {1}",
 }
@@ -261,9 +268,14 @@ def _nonfinite(s) -> bool:
     return type(s) is float and not math.isfinite(s)
 
 
+def _zero(s, sign: float) -> bool:
+    """Whether s is the known zero of the sign of ``sign``."""
+    return _is(s, 0.0) and math.copysign(1.0, s) == sign
+
+
 def _stored(s) -> bool:
     """Whether a jet keeps entry s: not a structural zero (None or +0.0); a known -0.0 keeps its sign."""
-    return s is not None and not (_is(s, 0.0) and math.copysign(1.0, s) == 1.0)
+    return s is not None and not _zero(s, 1.0)
 
 
 class _Unreachable(Exception):
@@ -288,12 +300,12 @@ class _Tracer:
     """Float arithmetic over symbolic scalars, written out as Python lines.
 
     The lines run over floats or over columns of points, by the runtime they
-    are executed with (see the module docstring).
+    are executed with (see the module docstring).  Its rules for the tree are
+    those of known numbers, computed while compiling, and of a value at order 0.
     """
 
     def __init__(self, chart):
         self.inputs = {name: f"x{i}" for i, name in enumerate(chart)}
-        self.variables = self.inputs  # what a chart variable traces to
         self.namespace = {"__builtins__": {}}
         self.block_forms: dict = {}  # the block forms of names bound by a FieldWriter
         self.lines: list[str] = []
@@ -364,15 +376,17 @@ class _Tracer:
         test = f"_nonzero({', '.join(refs)})" if kind == "nonzero" else _CONDITIONS[kind].format(*refs)
         return f"_uniform({test})"
 
-    def branch(self, condition: str, then, orelse):
-        """Trace both alternatives and pick one at run time by ``condition``."""
+    def branch(self, condition: str, then, orelse) -> _Jet:
+        """Trace both alternatives, each a jet, and pick one at run time by ``condition``."""
         outer_lines, outer_cse = self.lines, self.cse
         self.indent += "    "
         blocks, results = [], []
         for build in (then, orelse):
             self.lines, self.cse = [], dict(outer_cse)
             try:
-                results.append(self._entries(build()))
+                jet = build()
+                results.append({"v": jet.v, **{("g", i): s for i, s in jet.g.items()},
+                                **{("h", *k): s for k, s in jet.h.items()}})
             except _Unreachable:
                 results.append(None)
             blocks.append(self.lines)
@@ -387,36 +401,25 @@ class _Tracer:
         self.indent = self.indent[:-4]
         if not live:
             raise _Unreachable
-        return self._rebuild(merged)
-
-    @staticmethod
-    def _entries(result) -> dict:
-        if isinstance(result, _Jet):
-            return {"v": result.v, **{("g", i): s for i, s in result.g.items()},
-                    **{("h", *k): s for k, s in result.h.items()}}
-        return {"s": result}
-
-    @staticmethod
-    def _rebuild(merged: dict):
-        if "s" in merged:
-            return merged["s"]
         g = {key[1]: name for key, name in merged.items() if key[0] == "g"}
         h = {key[1:]: name for key, name in merged.items() if key[0] == "h"}
         return _Jet(merged["v"], g, h)
 
     # -- float arithmetic ---------------------------------------------------
+    # a fold keeps the bits of IEEE arithmetic: x + (-0.0) is x for every x,
+    # but x + 0.0 is +0.0 at x = -0.0
 
     def add(self, a, b):
-        if _is(b, 0.0):
+        if _zero(b, -1.0):
             return a
-        if _is(a, 0.0):
+        if _zero(a, -1.0):
             return b
         return self.op(operator.add, "{} + {}", a, b, commutative=True)
 
     def sub(self, a, b):
-        if _is(b, 0.0):
+        if _zero(b, 1.0):
             return a
-        if _is(a, 0.0):
+        if _zero(a, -1.0):
             return self.neg(b)
         return self.op(operator.sub, "{} - {}", a, b)
 
@@ -470,6 +473,7 @@ class _Tracer:
         return self.call(op, a)
 
     def binary(self, op: str, a, b):
+        """``a op b`` of known numbers."""
         if op == "add":
             return self.add(a, b)
         if op == "sub":
@@ -479,43 +483,39 @@ class _Tracer:
         if op == "div":
             self.guard(_fail_div, b)
             return self.div(a, b)
-        return self.power(a, b)
-
-    def power(self, a, b):
-        """Integral exponents by ``**`` with an int; others need a positive base."""
-        if _known(b):
-            return self._integral_power(a, b) if b.is_integer() else self._real_power(a, b)
-        return self.branch(self.condition("integral", b), lambda: self._integral_power(a, b),
-                           lambda: self._real_power(a, b))
-
-    def _integral_power(self, a, b):
-        if _known(b):
+        # an integral exponent by ``**`` with an int; any other needs a positive base
+        if b.is_integer():
             if b < 0:
                 self.guard(_fail_div, a)
             return self.op(operator.pow, "_pow({}, {})", a, int(b))
-        self.line("if _any(({0} == k0) & ({1} < k0)): _fail_div({0})", a, b)
-        return self.emit("_pow({}, {})", a, b)  # float ** int(b) is float ** b
-
-    def _real_power(self, a, b):
         self.guard(_fail_root, a)
         return self.op(operator.pow, "_pow({}, {})", a, b)
 
 
 class _JetTracer(_Tracer):
-    """Second-order forward-mode rules over sparse symbolic jets.
+    """Forward-mode rules over sparse symbolic jets, at order 2 or 0.
 
-    For c = f(a): g_c = f'(a) g_a and H_c = f'(a) H_a + f''(a) g_a g_a^T; the
-    binary rules are the product and quotient rules to second order.  Each
-    entry is combined in the order that ``tests/dense_ad.py`` combines its
-    dense arrays.  Sparse entries use ``None`` for a structural zero.
+    At order 2, for c = f(a): g_c = f'(a) g_a and H_c = f'(a) H_a + f''(a)
+    g_a g_a^T; the binary rules are the product and quotient rules to second
+    order.  Each entry is combined in the order that ``tests/dense_ad.py``
+    combines its dense arrays.  Sparse entries use ``None`` for a structural
+    zero.
+
+    At order 0 the chart variables carry no derivative entries, so each rule
+    traces the value entry alone, with no derivative factor.  A unary function
+    takes the float rule (``sqrt`` needs a nonnegative argument only), and every
+    exponent is constant, on any base, an integral one taken by
+    square-and-multiply at any size.
     """
 
-    def __init__(self, chart):
+    def __init__(self, chart, order: int = 2):
         super().__init__(chart)
+        self.order = order
         m = len(self.inputs)
         self.all_g = range(m)
         self.all_h = [(i, j) for i in range(m) for j in range(i, m)]
-        self.variables = {name: _Jet(x, {i: 1.0}, {}) for i, (name, x) in enumerate(self.inputs.items())}
+        self.variables = {name: _Jet(x, {i: 1.0} if order else {}, {})
+                          for i, (name, x) in enumerate(self.inputs.items())}
 
     # -- sparse entry arithmetic --------------------------------------------
 
@@ -541,6 +541,8 @@ class _JetTracer(_Tracer):
         ``factors`` are the scalars the op multiplies whole arrays by and
         ``outer`` the gradient pairs whose outer products enter the Hessian.
         """
+        if not self.order:
+            return _Jet(v, {}, {})
         if any(map(_nonfinite, factors)) or any(j.has_nonfinite() for j in jets):
             g_keys, h_keys = self.all_g, self.all_h
         else:
@@ -570,6 +572,8 @@ class _JetTracer(_Tracer):
         if not isinstance(a, _Jet):
             return super().unary(op, a)
         v = a.v
+        if not self.order:
+            return _Jet(super().unary(op, v), {}, {})
         if op == "neg":
             return _Jet(self.neg(v), {i: self.neg(s) for i, s in a.g.items()},
                         {k: self.neg(s) for k, s in a.h.items()})
@@ -583,16 +587,13 @@ class _JetTracer(_Tracer):
             e = self.call("exp", v)
             return self._chain(a, e, e, e)
         if op == "log":
-            return self._log(a)
+            self.guard(_fail_log, v)
+            inv = self.div(1.0, v)
+            return self._chain(a, self.call("log", v), inv, self.mul(self.neg(inv), inv))
         self.guard(_fail_jet_sqrt, v)
         r = self.call("sqrt", v)
         d1 = self.div(0.5, r)
         return self._chain(a, r, d1, self.div(self.mul(-0.5, d1), v))
-
-    def _log(self, a: _Jet) -> _Jet:
-        self.guard(_fail_log, a.v)
-        inv = self.div(1.0, a.v)
-        return self._chain(a, self.call("log", a.v), inv, self.mul(self.neg(inv), inv))
 
     def binary(self, op: str, a, b):
         if not isinstance(a, _Jet) and not isinstance(b, _Jet):
@@ -697,6 +698,8 @@ class _JetTracer(_Tracer):
 
     def _power(self, a, b) -> _Jet:
         if not isinstance(a, _Jet):
+            if not self.order:  # an exponent without derivative entries is constant, on a number too
+                return self._constant_exponent(_Jet(a, {}, {}), b.v)
             # number ** jet = exp(log(number) * jet)
             self.guard(_fail_base, a)
             log_a = self.op(math.log, "log({})", a)
@@ -715,20 +718,23 @@ class _JetTracer(_Tracer):
 
     def _variable_power(self, a: _Jet, b: _Jet) -> _Jet:
         self.guard(_fail_base, a.v)
-        return self.unary("exp", self._mul(b, self._log(a)))
+        return self.unary("exp", self._mul(b, self.unary("log", a)))
 
     def _constant_exponent(self, a: _Jet, e) -> _Jet:
         if _known(e):
             if e.is_integer() and abs(e) <= MAX_INT_POWER:
                 return self._int_power(a, int(e))
-            return self._real_power_jet(a, e)
-        return self.branch(self.condition("small_integral", e, float(MAX_INT_POWER)),
+            if self.order or not e.is_integer():
+                return self._real_power_jet(a, e)
+            return self._runtime_int_power(a, e)  # beyond MAX_INT_POWER, at order 0
+        limit = float(MAX_INT_POWER if self.order else math.inf)
+        return self.branch(self.condition("small_integral", e, limit),
                            lambda: self._runtime_int_power(a, e),
                            lambda: self._real_power_jet(a, e))
 
     def _real_power_jet(self, a: _Jet, e) -> _Jet:
         self.guard(_fail_root, a.v)
-        log_a = self._log(a)
+        log_a = self.unary("log", a)
         return self.unary("exp", self._scaled(log_a, e, self.mul(log_a.v, e)))
 
     def _int_power(self, a: _Jet, k: int) -> _Jet:
@@ -747,8 +753,10 @@ class _JetTracer(_Tracer):
                 return result
             base = self._square(base)
 
-    def _runtime_int_power(self, a: _Jet, e: str) -> _Jet:
-        # a**0 and a**1 are exact: a constant 1 and a itself
+    def _runtime_int_power(self, a: _Jet, e) -> _Jet:
+        if not self.order:  # any k, 0 and 1 among them, by square-and-multiply
+            return _Jet(self.emit("_int_power_chain({}, {}, 0)", a.v, e), {}, {})
+        # at order 2, a**0 and a**1 are exact: a constant 1 and a itself
         def chained():
             names = [self.fresh() for _ in range(3)]
             self.line(f"{', '.join(names)} = _int_power_chain({{0}}, {{1}})", a.v, e)
@@ -887,17 +895,12 @@ def _emit(tracer, tree, assemble):
     return point, block, entries
 
 
-def compile_value(tree, chart):
-    """``(f(x) -> float, f(X) -> (N,) array)``: the tree's value under float
-    rules at coordinates x, and at each row of an (N, m) block."""
-    return _trace("value", tree, tuple(chart), repr(tree))
-
-
-def compile_jet(tree, chart):
+def compile_jet(tree, chart, order: int = 2):
     """``(f(x) -> Jet2, f(X) -> JetBlock)``: value, gradient and Hessian in the
     chart variables at x, and values (N,), gradients (N, m) and Hessians
-    (N, m, m) at the rows of an (N, m) block."""
-    return _trace("jet", tree, tuple(chart), repr(tree))
+    (N, m, m) at the rows of an (N, m) block; at ``order`` 0 the value alone,
+    ``(f(x) -> float, f(X) -> (N,) array)``, by the same rules."""
+    return _trace(order, tree, tuple(chart), repr(tree))
 
 
 def compile_field(tree, chart, assemble, *args):
@@ -913,24 +916,20 @@ def compile_field(tree, chart, assemble, *args):
 
 @functools.lru_cache(maxsize=256)
 def _trace(kind, tree, chart, _text):
-    """The compiled functions of ``kind``, ``"value"``, ``"jet"`` or a vector
+    """The compiled functions of ``kind``, the order 0 or 2 of a jet or a vector
     field's ``(assemble, *args)``, of a tree free of parameters on ``chart``,
     traced once per process for the last 256 keys.  ``_text``, the tree's repr,
     is in the key because it tells -0.0 from 0.0, which Num nodes compare equal."""
-    if kind == "value":
-        return _value(tree, chart)
-    if kind == "jet":
-        return _jet(tree, chart)
+    if type(kind) is int:
+        return _jet(tree, chart, kind)
     return _field(tree, chart, functools.partial(*kind))
 
 
-def _value(tree, chart):
-    point, block, _ = _emit(_Tracer(chart), tree, lambda out: [out.value()])
-    return (lambda x: point(x)[0]), (lambda X: block(X)[:, 0])
-
-
-def _jet(tree, chart):
-    tracer = _JetTracer(chart)
+def _jet(tree, chart, order):
+    tracer = _JetTracer(chart, order)
+    if not order:
+        point, block, _ = _emit(tracer, tree, lambda out: [out.value()])
+        return (lambda x: point(x)[0]), (lambda X: block(X)[:, 0])
     m = len(tracer.inputs)
     # where each gradient and Hessian entry sits among the entries (value, 0,
     # traced gradient entries, traced upper-Hessian entries); a structural zero reads the 0

@@ -412,16 +412,16 @@ class ScalarField:
             raise ValueError(f"point has {len(x)} coordinates, chart has {len(self.chart)}")
         return x.tolist()
 
-    # the per-point and block functions of the one trace of each order of the
-    # bound tree (shared by fields of equal bound trees, see _tape), fetched on
-    # first use of either and kept in the instance dict, outside the dataclass
-    # fields, so == and repr never see them; _tape needs this module's node classes
+    # the per-point and block functions of the one trace of each order of the bound
+    # tree, 0 (the value) and 2 (the jet), shared by fields of equal bound trees (see
+    # _tape), fetched on first use of either and kept in the instance dict, outside
+    # the dataclass fields, so == and repr never see them; _tape needs this module
 
     @cached_property
-    def _value_code(self):
+    def _jet0_code(self):
         from . import _tape
 
-        return _tape.compile_value(self._tree, self.chart)
+        return _tape.compile_jet(self._tree, self.chart, 0)
 
     @cached_property
     def _jet_code(self):
@@ -437,7 +437,7 @@ class ScalarField:
         return self._jet_code[0](x)
 
     def value_at(self, point) -> float:
-        return self._value_code[0](self._check_point(point))
+        return self._jet0_code[0](self._check_point(point))
 
     def value_and_gradient_at(self, point):
         jet = self.jet_at(point)
@@ -483,7 +483,7 @@ class ScalarField:
         block = self._block(points)
         if block.shape[0] == 0:
             return np.empty(0)
-        return _rows(self._value_code[1], block, row=lambda U: np.array([self.value_at(U[0])], dtype=float))
+        return _rows(self._jet0_code[1], block, row=lambda U: np.array([self.value_at(U[0])], dtype=float))
 
     def value_and_gradient_block(self, points):
         jets = self.jets_at(points)

@@ -4,6 +4,8 @@ import csv
 import gc
 import json
 import math
+import pathlib
+import re
 import weakref
 
 import numpy as np
@@ -961,6 +963,31 @@ class TestMain:
     def test_tol_scale_flag_parses(self, in_tmp, tmp_path):
         path = write_config(tmp_path, BASE_CONFIG)
         assert main(["run", path, "--tol-scale", "10.0"]) == 0
+
+
+# the scenario files of CI's "Installed entry point" step, each with that step's
+# assertions: its --tol-scale values (None: the flag left out) with the exit codes
+# allowed at each, and the pattern of stderr's one line, or None for an empty stderr
+CI_SCENARIOS = [
+    ("varying_hessian", {"1": {0}, "1e-7": {0, 1}, "10": {0}}, None),
+    ("varying_w", {"1": {0}, "1e-7": {0}, "10": {0}}, None),
+    ("nan_hessian", {None: {2}}, r"error: "),
+    ("numeric_component", {None: {2}}, r"config error: "),
+    ("one_step", {None: {2}}, r"config error: \$\.integrator: "),
+]
+
+
+@pytest.mark.parametrize("name, scales, line", CI_SCENARIOS)
+def test_ci_scenario_files(name, scales, line, in_tmp, capsys):
+    path = str(pathlib.Path(__file__).parent / "scenarios" / f"{name}.json")
+    for scale, codes in scales.items():
+        code = main(["run", path] + ([] if scale is None else ["--tol-scale", scale]))
+        err = capsys.readouterr().err
+        assert code in codes, (scale, code, err)
+        if line is None:
+            assert err == ""
+        else:
+            assert err.count("\n") == 1 and re.match(line, err), err
 
 
 class TestCatalog:

@@ -1,10 +1,10 @@
 """The compiled evaluator of ScalarField against the dense jet algebra.
 
-The oracles below evaluate a tree node by node: the value oracle under float
-rules, the jet oracle with the operations of :mod:`dense_ad` wherever a
-jet is involved and float rules for parameter-only subtrees.  The compiled
-functions must agree with them entry by entry and raise the same exception
-types at the same points.
+The oracles below evaluate a tree node by node, with float rules for
+parameter-only subtrees: the value oracle with the jet's value rules wherever
+a chart variable is involved, the jet oracle with the operations of
+:mod:`dense_ad` there.  The compiled functions must agree with them entry by
+entry and raise the same exception types at the same points.
 """
 
 import gc
@@ -14,12 +14,14 @@ import weakref
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from contactmech import _tape
 from contactmech.ad import DomainError
-from contactmech.expr import Binary, Call, Num, ScalarField, Unary, Var, lagrangian_chart, parse
+from contactmech.expr import (MAX_INT_POWER, Binary, Call, Num, ScalarField, Unary, Var, free_variables,
+                              lagrangian_chart, parse)
+from contactmech.fields import AmbientVectorField
 from contactmech.lagrangian import LagrangianSystem
 
 import dense_ad as ad
@@ -53,10 +55,38 @@ def _float_pow(a, b):
     return a**b
 
 
+def _value_div(a, b):
+    if b == 0.0:
+        raise DomainError("division by zero")
+    return a * (1.0 / b)
+
+
+def _value_pow(a, b):
+    """A constant exponent on any base: an integral one by square-and-multiply, any other as exp(b log a)."""
+    if not float(b).is_integer():
+        if a <= 0.0:
+            raise DomainError("power with non-integer exponent requires a positive base")
+        return math.exp(math.log(a) * b)
+    k = int(b)
+    if k < 0:
+        if a == 0.0:
+            raise DomainError("division by zero")
+        a, k = 1.0 / a, -k
+    result = 1.0
+    while k:
+        if k & 1:
+            result = result * a
+        k >>= 1
+        if k:
+            a = a * a
+    return result
+
+
 FLOAT_UNARY = {"neg": lambda a: -a, "sin": ad.sin, "cos": ad.cos, "exp": math.exp,
                "log": ad.log, "sqrt": _float_sqrt}
 FLOAT_BINARY = {"add": lambda a, b: a + b, "sub": lambda a, b: a - b, "mul": lambda a, b: a * b,
                 "div": _float_div, "pow": _float_pow}
+VALUE_BINARY = {**FLOAT_BINARY, "div": _value_div, "pow": _value_pow}
 JET_UNARY = {"neg": ad.neg, "sin": ad.sin, "cos": ad.cos, "exp": ad.exp, "log": ad.log, "sqrt": ad.sqrt}
 JET_BINARY = {"add": ad.add, "sub": ad.sub, "mul": ad.mul, "div": ad.div, "pow": ad.power}
 
@@ -75,10 +105,24 @@ def _oracle(node, env):
     return (FLOAT_UNARY if type(a) is float else JET_UNARY)[op](a)
 
 
+def _value_oracle(node, env, chart):
+    """The value of node, and whether a chart variable is involved."""
+    if isinstance(node, Num):
+        return node.value, False
+    if isinstance(node, Var):
+        return env[node.name], node.name in chart
+    if isinstance(node, Binary):
+        (a, left), (b, right) = _value_oracle(node.left, env, chart), _value_oracle(node.right, env, chart)
+        return (VALUE_BINARY if left or right else FLOAT_BINARY)[node.op](a, b), left or right
+    op, arg = (node.op, node.operand) if isinstance(node, Unary) else (node.func, node.arg)
+    a, variable = _value_oracle(arg, env, chart)
+    return FLOAT_UNARY[op](a), variable
+
+
 def oracle_value(field, point):
     env = {name: float(v) for name, v in field.parameters.items()}
     env.update(zip(field.chart, map(float, point)))
-    return _oracle(field.ast, env)
+    return _value_oracle(field.ast, env, field.chart)[0]
 
 
 def oracle_jet(field, point):
@@ -301,11 +345,11 @@ def test_each_field_is_compiled_once_per_order(monkeypatch):
 
     monkeypatch.setattr(_tape, "compile", spy, raising=False)
     _tape._trace.cache_clear()  # an earlier test may have traced this tree
-    field = ScalarField.from_source("sqrt(x)*y^z + log(x)", CHART)
+    field = ScalarField.from_source("sqrt(x)*y^3 + log(x)*z^-2", CHART)
     block = np.array([[0.5, 2.0, 3.0], [1.5, 2.0, 3.0]])
     for _ in range(2):  # the value's block form first, the jet's point form first
         field.values_at(block), field.value_at(block[0]), field.jet_at(block[0]), field.jets_at(block)
-    assert len(sources) == 2 and "_pow(" in sources[0]
+    assert len(sources) == 2 and not any("_pow(" in source for source in sources)
 
 
 def test_the_trace_cache_is_bounded():
@@ -313,7 +357,7 @@ def test_the_trace_cache_is_bounded():
     _tape._trace.cache_clear()
     size = _tape._trace.cache_info().maxsize
     for k in range(size + 10):
-        _tape.compile_value(Num(SPAN, float(k)), ())
+        _tape.compile_jet(Num(SPAN, float(k)), (), 0)
     info = _tape._trace.cache_info()
     assert info.misses == size + 10 and info.currsize == info.maxsize == size
 
@@ -423,6 +467,86 @@ def test_blocks_match_the_rows_on_random_trees(tree, block, params):
     assert_block_matches_rows(field, np.array(block, dtype=float))
 
 
+# -- one arithmetic: a value is its jet's value -----------------------------------
+
+
+def _one_arithmetic(tree, parameters) -> bool:
+    """Whether the jet takes every power of the tree as its value does: no exponent
+    names a chart variable, and none is an integral number beyond MAX_INT_POWER."""
+    if isinstance(tree, (Num, Var)):
+        return True
+    if not isinstance(tree, Binary):
+        return _one_arithmetic(tree.operand if isinstance(tree, Unary) else tree.arg, parameters)
+    if tree.op == "pow":
+        if free_variables(tree.right) & set(CHART):
+            return False
+        e, _ = _outcome(ScalarField(tree.right, (), parameters).value_at, ())
+        if e is not None and e.is_integer() and abs(e) > MAX_INT_POWER:
+            return False
+    return _one_arithmetic(tree.left, parameters) and _one_arithmetic(tree.right, parameters)
+
+
+@pytest.mark.agreement
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
+@given(tree=trees, block=blocks, params=block_params)
+@example(tree=parse("x^3"), block=[(0.5478467492858172, 0.0, 0.0)], params=(0.0, 0.0))  # libm's x ** 3 rounds otherwise
+def test_a_value_is_its_jets_value(tree, block, params):
+    # wherever the jet is defined the value has its bits, per point and per block; the
+    # value's domain is wider (sqrt at 0), and narrower only at sqrt of NaN, which it refuses
+    parameters = dict(zip(PARAMS, params))
+    assume(_one_arithmetic(tree, parameters))
+    field, block = ScalarField(tree, CHART, parameters), np.array(block, dtype=float)
+    for point in block:
+        jet, jet_error = _outcome(field.jet_at, point)
+        value, error = _outcome_with_message(field.value_at, point)
+        if jet_error is None and error is None:
+            assert exact_bits(np.array(value), np.array(jet.value))
+        elif jet_error is None:
+            assert error == (DomainError, "sqrt requires a nonnegative argument, got nan")
+    values, error = _outcome(field.values_at, block)
+    jets, jet_error = _outcome(field.jets_at, block)
+    if error is None and jet_error is None:
+        assert exact_bits(values, jets.value)
+
+
+def test_a_vector_fields_value_is_its_jets_value():
+    # the momentum check's hypothesis reads value_block, the Lie bracket value_and_jacobian_block
+    field = AmbientVectorField.from_sources(["q1^3", "q1/3"], ("q1", "q2"))
+    U = np.random.default_rng(0).uniform(-2.0, 2.0, size=(1000, 2))
+    assert exact_bits(field.value_block(U), field.value_and_jacobian_block(U)[0])
+
+
+@pytest.mark.parametrize("source, parameters, x, want", [
+    ("x + 0", {}, -0.0, lambda x: x + 0.0),
+    ("0 - x", {}, 0.0, lambda x: 0.0 - x),
+    ("x + a", {"a": 0.0}, -0.0, lambda x: x + 0.0),
+    ("x + -0", {}, -0.0, lambda x: x + -0.0),  # the folds that stay are exact
+    ("x - a", {"a": 0.0}, -0.0, lambda x: x - 0.0),
+    ("-0 - x", {}, 0.0, lambda x: -0.0 - x),
+])
+def test_zero_folds_keep_the_sign_of_float_arithmetic(source, parameters, x, want):
+    field = ScalarField.from_source(source, ("x",), parameters)
+    block = np.array([[x]])
+    for value in (field.value_at([x]), field.values_at(block)[0], field.jet_at([x]).value, field.jets_at(block).value[0]):
+        assert value == want(x) and math.copysign(1.0, value) == math.copysign(1.0, want(x))
+
+
+def test_the_value_domain():
+    # a constant exponent on any base, integral at any size by square-and-multiply
+    assert ScalarField.from_source("q1^qd1", ("q1", "qd1")).value_at([-2.0, 3.0]) == -8.0
+    assert ScalarField.from_source("(-2)^x", ("x",)).value_at([3.0]) == -8.0
+    assert ScalarField.from_source("x^y", ("x", "y")).value_at([-2.0, 2001.0]) == -math.inf
+    # numbers alone keep the arithmetic of Python floats; a field on no chart evaluates them
+    assert ScalarField.from_source("(-0.5)^1025", ()).value_at(()) == (-0.5) ** 1025
+    assert ScalarField.from_source("7/3 + 2^0.5", ()).value_at(()) == 7 / 3 + 2**0.5
+
+
+def test_an_overflowing_integral_power_is_infinite():
+    # as the jet's: products overflow to inf where Python's float ** int raises OverflowError
+    field = ScalarField.from_source("x^400 + x^401", ("x",))
+    assert field.value_at([10.0]) == field.jet_at([10.0]).value == math.inf
+    assert np.isnan(field.values_at(np.array([[10.0], [-10.0]]))).tolist() == [False, True]
+    assert ScalarField.from_source("x^y", ("x", "y")).value_at([10.0, 400.0]) == math.inf
 
 
 # -- parameters bound into the tree ------------------------------------------------
@@ -492,14 +616,14 @@ def test_bound_parameters_give_the_bits_of_number_nodes(tree, block, params):
         assert error is not None or all(map(exact_bits, parts, want_parts))
     _tape._trace.cache_clear()
     field, twin = ScalarField(tree, CHART, parameters), ScalarField(numbered, CHART)
-    assert field._jet_code is twin._jet_code and field._value_code is twin._value_code
+    assert field._jet_code is twin._jet_code and field._jet0_code is twin._jet0_code
     assert _tape._trace.cache_info().currsize == 2
 
 
 def test_signed_zero_parameters_do_not_share_a_trace():
     # -0.0 == 0.0, so the tree's repr, which tells them apart, keys the trace too
     fields = [ScalarField.from_source("a*x", ("x",), {"a": zero}) for zero in (-0.0, 0.0)]
-    assert fields[0]._value_code is not fields[1]._value_code
+    assert fields[0]._jet0_code is not fields[1]._jet0_code
     assert fields[0]._jet_code is not fields[1]._jet_code
     for field, sign in zip(fields, (-1.0, 1.0)):
         for value in (field.value_at([2.0]), field.values_at(np.array([[2.0]]))[0], field.jet_at([2.0]).value,
@@ -706,13 +830,25 @@ def test_run_time_integral_exponent_over_a_block(monkeypatch):
 
 
 def test_block_code_raises_no_power_itself():
-    # every power of the one text is _pow: over a block, the rows' float power entry by entry
-    tree = parse("x^2 + x^y + x^1.5 + exp(x)")
-    value = _tape._Tracer(CHART)
-    for tracer in (value, _tape._JetTracer(CHART)):
+    # a power of a chart variable is products, exp and log, or a helper: never Python's ** on a column
+    tree = parse("x^2 + x^y + x^1.5 + 2^y + exp(x)")
+    for order in (0, 2):
+        tracer = _tape._JetTracer(CHART, order)
         tracer.trace(tree)
-        assert "**" not in "\n".join(tracer.lines)
-    assert "_pow(" in "\n".join(value.lines)
+        assert "**" not in "\n".join(tracer.lines) and "_pow(" not in "\n".join(tracer.lines)
+
+
+@pytest.mark.parametrize("source", ["x^2 + y^3 - z^4", "(x*y)^-3 + (1 + z^2)^1024 + x^-1024", "x^0 + y^1 + 2^3*x",
+                                    "sin(x)^5/cos(y)^2 + sqrt(z)^7", "(a*x + b)^6"])
+def test_integral_powers_call_no_libm(source):
+    # a value, a jet and a vector field take an integral power within MAX_INT_POWER by IEEE products alone
+    from contactmech.contact_core import _assemble_darboux
+
+    bound = ScalarField.from_source(source, CHART, {"a": 0.5, "b": -1.5})._tree
+    _tape._trace.cache_clear()
+    texts = _emitted_texts(lambda: (_tape.compile_jet(bound, CHART, 0), _tape.compile_jet(bound, CHART),
+                                    _tape.compile_field(bound, CHART, _assemble_darboux, 1)))
+    assert len(texts) == 3 and not any("_pow(" in text for text in texts)
 
 
 def _emitted_texts(build):
@@ -737,7 +873,7 @@ def test_emitted_texts_read_every_pure_local(tree, params):
     bound = ScalarField(tree, CHART, parameters)._tree
     _tape._trace.cache_clear()  # an earlier example may have traced these trees
     texts = _emitted_texts(lambda: (
-        _tape.compile_value(bound, CHART), _tape.compile_jet(bound, CHART),
+        _tape.compile_jet(bound, CHART, 0), _tape.compile_jet(bound, CHART),
         _tape.compile_field(bound, CHART, _assemble_darboux, 1), system._field_code))
     assert len(texts) == 4
     for text in texts:
