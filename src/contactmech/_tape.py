@@ -1,19 +1,27 @@
-"""Compile a field's expression tree once into straight-line Python.
+"""Compile fields' expression trees once into straight-line Python.
 
-:func:`_emit` is the one step from a trace to code.  It traces a tree once
-with :class:`_JetTracer`; an assembler writes the entries of the result
-through a :class:`FieldWriter` (a value its value, a jet its value, the
-structural zero and its traced gradient and upper-Hessian entries, a vector
-field what its caller writes from the jet); the lines they need are one
-text, compiled once.  There is one arithmetic: a jet of order 2 propagates
-value, gradient and Hessian by second-order forward-mode rules, and a value
-is the jet of order 0, whose rules trace the value entry alone: it has the
-bits of the jet's value wherever both are defined and every exponent is
-constant (see :class:`_JetTracer`).  The text runs in two namespaces: over
-the floats of a point (a list) it gives the tuple of entries, over an
-(N, m) block of points an (N, k) array, which :func:`compile_jet` unpacks
-into a :class:`~contactmech.ad.Jet2` and a :class:`~contactmech.ad.JetBlock`,
-or at order 0 into a float and N values.
+:func:`_emit` is the one step from a trace to code.  It traces a tuple of
+trees in order with one :class:`_JetTracer` and one table of right-hand
+sides; an assembler writes the entries of the result through a
+:class:`FieldWriter` for each tree, and the lines they need are one text,
+compiled once.  There is one arithmetic, forward-mode rules to second order,
+and a text has the order of the entries it writes (:func:`compile_jet`):
+
+- order 0, the value of each tree, whose rules trace the value entry alone,
+  with no derivative factor: it has the bits of the jet's value wherever both
+  are defined and every exponent is constant (see :class:`_JetTracer`);
+- order 1, the value and gradient of each tree: the trace of order 2 without
+  the lines that only a Hessian entry reads, so each entry has the jet's bits;
+- order 2, the value, the structural zero and the traced gradient and
+  upper-Hessian entries of one tree;
+
+and a system's vector field is what its assembler writes from the jet of its
+one tree.  So the k components of a vector field are one text of order 0 and
+one of order 1, and a lift's values and Jacobian are one compiled call.  The
+text runs in two namespaces: over the floats of a point (a list) it gives the
+tuple of entries, over an (N, m) block of points an (N, k) array, which
+:func:`compile_jet` unpacks into values and Jacobians, or into a
+:class:`~contactmech.ad.Jet2` and a :class:`~contactmech.ad.JetBlock`.
 The tests check the point form against ``tests/dense_ad.py``, which applies
 the same rules to dense arrays one operation at a time.
 
@@ -34,7 +42,7 @@ would raise, the block raises (:class:`BlockFallback` for a guard or a
 branch that the rows do not all take); ``contactmech.ad._rows`` then
 evaluates it row by row, so its errors are the rows' errors too.
 
-A vector field's lines also run in a fixed-step RK4 or Euler loop
+A system's vector field also runs in a fixed-step RK4 or Euler loop
 (:func:`_stepper`), once per stage, with ``_RUNTIME``, so the integration
 runs in one function on locals.
 
@@ -62,11 +70,12 @@ names an input never sees the state it updates.  It copies every bound name
 into a local once per call.
 
 A tree reaches here free of parameters: a :class:`~contactmech.expr.ScalarField`
-replaces each by its number once, when it is built.  Each trace, of a jet of
-order 0 or 2 or of a vector field, runs once per process for its kind, tree and chart
-(:func:`_trace`, the package's one bounded cache), and its text is compiled
-where it is emitted, a stepper's once per method; so fields and systems of
-equal trees share its functions, and each keeps its own results.
+replaces each by its number once, when it is built.  Each trace, of order 0,
+1 or 2 or of a system's vector field, runs once per process for its kind,
+trees and chart (:func:`_trace`, the package's one bounded cache), and its
+text is compiled where it is emitted, a stepper's once per method; so fields
+and systems of equal trees share its functions, and each keeps its own
+results.
 """
 
 from __future__ import annotations
@@ -499,7 +508,8 @@ class _JetTracer(_Tracer):
     g_a g_a^T; the binary rules are the product and quotient rules to second
     order.  Each entry is combined in the order that ``tests/dense_ad.py``
     combines its dense arrays.  Sparse entries use ``None`` for a structural
-    zero.
+    zero.  A text of order 1 is this trace too, with no Hessian entry
+    written, so ``_live`` drops the lines that only a Hessian entry reads.
 
     At order 0 the chart variables carry no derivative entries, so each rule
     traces the value entry alone, with no derivative factor.  A unary function
@@ -588,12 +598,18 @@ class _JetTracer(_Tracer):
             return self._chain(a, e, e, e)
         if op == "log":
             self.guard(_fail_log, v)
-            inv = self.div(1.0, v)
-            return self._chain(a, self.call("log", v), inv, self.mul(self.neg(inv), inv))
+            return self._log(a)
         self.guard(_fail_jet_sqrt, v)
         r = self.call("sqrt", v)
         d1 = self.div(0.5, r)
         return self._chain(a, r, d1, self.div(self.mul(-0.5, d1), v))
+
+    def _log(self, a: _Jet) -> _Jet:
+        """log(a), whose caller has guarded a's value already."""
+        if not self.order:
+            return _Jet(self.call("log", a.v), {}, {})
+        inv = self.div(1.0, a.v)
+        return self._chain(a, self.call("log", a.v), inv, self.mul(self.neg(inv), inv))
 
     def binary(self, op: str, a, b):
         if not isinstance(a, _Jet) and not isinstance(b, _Jet):
@@ -645,6 +661,8 @@ class _JetTracer(_Tracer):
         return self._make(self.mul(av, bv), (a, b), (av, bv), grad, hess, outer=((a.g, b.g),))
 
     def _square(self, a: _Jet) -> _Jet:
+        if not self.order:
+            return _Jet(self.mul(a.v, a.v), {}, {})
         twice = self.mul(2.0, a.v)
 
         def hess(i, j):
@@ -657,6 +675,8 @@ class _JetTracer(_Tracer):
     def _reciprocal(self, a: _Jet) -> _Jet:
         self.guard(_fail_div, a.v)
         inv = self.div(1.0, a.v)
+        if not self.order:
+            return _Jet(inv, {}, {})
         inv2 = self.mul(inv, inv)
         minus_inv2 = self.neg(inv2)
         curvature = self.mul(self.mul(2.0, inv2), inv)
@@ -679,6 +699,8 @@ class _JetTracer(_Tracer):
         self.guard(_fail_div, b.v)
         inv = self.div(1.0, b.v)
         quot = self.mul(a.v, inv)
+        if not self.order:
+            return _Jet(quot, {}, {})
         inv_sq = self.mul(inv, inv)
         curvature = self.mul(self.mul(self.mul(2.0, quot), inv), inv)
 
@@ -717,8 +739,8 @@ class _JetTracer(_Tracer):
         return self._constant_exponent(a, b.v)
 
     def _variable_power(self, a: _Jet, b: _Jet) -> _Jet:
-        self.guard(_fail_base, a.v)
-        return self.unary("exp", self._mul(b, self.unary("log", a)))
+        self.guard(_fail_base, a.v)  # which is log's guard too
+        return self.unary("exp", self._mul(b, self._log(a)))
 
     def _constant_exponent(self, a: _Jet, e) -> _Jet:
         if _known(e):
@@ -733,8 +755,8 @@ class _JetTracer(_Tracer):
                            lambda: self._real_power_jet(a, e))
 
     def _real_power_jet(self, a: _Jet, e) -> _Jet:
-        self.guard(_fail_root, a.v)
-        log_a = self.unary("log", a)
+        self.guard(_fail_root, a.v)  # which is log's guard too
+        log_a = self._log(a)
         return self.unary("exp", self._scaled(log_a, e, self.mul(log_a.v, e)))
 
     def _int_power(self, a: _Jet, k: int) -> _Jet:
@@ -766,7 +788,7 @@ class _JetTracer(_Tracer):
                            lambda: self.branch(self.condition("equal", e, 1.0), lambda: a, chained))
 
 
-# -- one text per field: its value, its jet or a vector field ----------------------
+# -- one text per tuple of trees: values, values and gradients, a jet or a vector field
 
 
 class FieldWriter:
@@ -859,22 +881,24 @@ def _live(lines: list, results) -> list:
     return [line for statement in reversed(kept) for line in statement]
 
 
-def _emit(tracer, tree, assemble):
+def _emit(tracer, trees, assemble):
     """``(point, block, entries)``: the text of the entries that
-    ``assemble(writer)`` writes from the traced tree through a
-    :class:`FieldWriter`, returning their source names (``entries``, None
-    when every run raises).  Only the lines they need are kept (see
-    :func:`_live`), and the text is compiled once, for both forms.
-    ``point(x)`` is the tuple of entries at the floats x of a point, and
-    ``block(U)`` the (N, k) array of entries at the rows of an (N, m) array,
-    taken as floats (the transpose of a C-ordered (k, N) one), row k being
-    ``point`` at point k, bit for bit."""
+    ``assemble(*writers)`` writes from the traced trees, one
+    :class:`FieldWriter` a tree, returning their source names (``entries``,
+    None when every run raises).  The trees are traced in order by the one
+    tracer, so they share its table of right-hand sides, and a guard of a
+    later tree runs after every guard of an earlier one.  Only the lines the
+    entries need are kept (see :func:`_live`), and the text is compiled once,
+    for both forms.  ``point(x)`` is the tuple of entries at the floats x of a
+    point, and ``block(U)`` the (N, k) array of entries at the rows of an (N,
+    m) array, taken as floats (the transpose of a C-ordered (k, N) one), row
+    k being ``point`` at point k, bit for bit."""
     try:
-        result = tracer.trace(tree)
+        results = [tracer.trace(tree) for tree in trees]
     except _Unreachable:
         entries = None
     else:
-        entries = assemble(FieldWriter(tracer, result if isinstance(result, _Jet) else _Jet(result, {}, {})))
+        entries = assemble(*(FieldWriter(tracer, r if isinstance(r, _Jet) else _Jet(r, {}, {})) for r in results))
     tracer.lines = _live(tracer.lines, entries or ())
     unpack = [f"    {', '.join(tracer.inputs.values())}, = x"] if tracer.inputs else []
     body = "" if entries is None else f"return {FieldWriter.pack(entries)}"
@@ -895,12 +919,20 @@ def _emit(tracer, tree, assemble):
     return point, block, entries
 
 
-def compile_jet(tree, chart, order: int = 2):
-    """``(f(x) -> Jet2, f(X) -> JetBlock)``: value, gradient and Hessian in the
-    chart variables at x, and values (N,), gradients (N, m) and Hessians
-    (N, m, m) at the rows of an (N, m) block; at ``order`` 0 the value alone,
-    ``(f(x) -> float, f(X) -> (N,) array)``, by the same rules."""
-    return _trace(order, tree, tuple(chart), repr(tree))
+def compile_jet(trees, chart, order: int = 2):
+    """The per-point and block functions of the tuple ``trees`` on the chart at ``order``:
+
+    - 0: ``(f(x) -> tuple of k values, f(X) -> (N, k) values)``;
+    - 1: ``(f(x) -> (values (k,), Jacobian (k, m)), f(X) -> (values (N, k),
+      Jacobians (N, k, m)))``, the value and gradient of each tree;
+    - 2: ``(f(x) -> Jet2, f(X) -> JetBlock)``, value, gradient and Hessian of
+      the one tree of ``trees``.
+
+    Row k of a block function is the per-point function at row k of X, bit for
+    bit, wherever the block does not raise.  Every order traces by the same
+    rules, so an entry has the same bits at each order that computes it."""
+    trees = tuple(trees)
+    return _trace(order, trees, tuple(chart), repr(trees))
 
 
 def compile_field(tree, chart, assemble, *args):
@@ -911,54 +943,75 @@ def compile_field(tree, chart, assemble, *args):
     at point k, bit for bit, errors included.  ``stepper(method)`` is its loop
     (:func:`_stepper`), compiled on first use.  ``assemble`` and the hashable
     ``args`` name the field, so systems of equal trees share one trace."""
-    return _trace((assemble, *args), tree, tuple(chart), repr(tree))
+    return _trace((assemble, *args), (tree,), tuple(chart), repr((tree,)))
 
 
 @functools.lru_cache(maxsize=256)
-def _trace(kind, tree, chart, _text):
-    """The compiled functions of ``kind``, the order 0 or 2 of a jet or a vector
-    field's ``(assemble, *args)``, of a tree free of parameters on ``chart``,
-    traced once per process for the last 256 keys.  ``_text``, the tree's repr,
-    is in the key because it tells -0.0 from 0.0, which Num nodes compare equal."""
+def _trace(kind, trees, chart, _text):
+    """The compiled functions of ``kind``, the order 0, 1 or 2 of a jet or a
+    vector field's ``(assemble, *args)``, of a tuple of trees free of parameters
+    on ``chart``, traced once per process for the last 256 keys.  ``_text``, the
+    trees' repr, is in the key because it tells -0.0 from 0.0, which Num nodes
+    compare equal."""
     if type(kind) is int:
-        return _jet(tree, chart, kind)
-    return _field(tree, chart, functools.partial(*kind))
+        return _jet(trees, chart, kind)
+    return _field(trees, chart, functools.partial(*kind))
 
 
-def _jet(tree, chart, order):
-    tracer = _JetTracer(chart, order)
+def _jet(trees, chart, order):
+    tracer = _JetTracer(chart, 2 if order else 0)  # an order-1 text is the order-2 trace
+    k, m = len(trees), len(tracer.inputs)
     if not order:
-        point, block, _ = _emit(tracer, tree, lambda out: [out.value()])
-        return (lambda x: point(x)[0]), (lambda X: block(X)[:, 0])
-    m = len(tracer.inputs)
-    # where each gradient and Hessian entry sits among the entries (value, 0,
-    # traced gradient entries, traced upper-Hessian entries); a structural zero reads the 0
-    g_index, h_index = np.ones(m, dtype=np.intp), np.ones((m, m), dtype=np.intp)
+        point, block, _ = _emit(tracer, trees, lambda *outs: [out.value() for out in outs])
+        return point, lambda X: block(X) if len(X) else np.empty((0, k))
+    # where each Jacobian and Hessian entry sits among the entries (the k values, 0,
+    # each tree's traced gradient entries, then at order 2 the one tree's traced
+    # upper-Hessian entries); a structural zero reads the 0
+    j_index, h_index = np.full((k, m), k, dtype=np.intp), np.full((m, m), k, dtype=np.intp)
 
-    def assemble(out):
-        g_keys, h_keys = sorted(out._jet.g), sorted(out._jet.h)
-        g_index[g_keys] = range(2, len(g_keys) + 2)
-        for pos, (i, j) in enumerate(h_keys, start=len(g_keys) + 2):
-            h_index[i, j] = h_index[j, i] = pos
-        return [out.value(), out.number(0.0), *map(out.gradient, g_keys), *(out.hessian(*k) for k in h_keys)]
+    def assemble(*outs):
+        entries = [*(out.value() for out in outs), outs[0].number(0.0)]
+        for row, out in enumerate(outs):
+            keys = sorted(out._jet.g)
+            j_index[row, keys] = range(len(entries), len(entries) + len(keys))
+            entries += map(out.gradient, keys)
+        if order == 2:
+            (out,) = outs
+            for i, j in sorted(out._jet.h):
+                h_index[i, j] = h_index[j, i] = len(entries)
+                entries.append(out.hessian(i, j))
+        return entries
 
-    point, block, entries = _emit(tracer, tree, assemble)
+    point, block, entries = _emit(tracer, trees, assemble)
     size = len(entries or ())
+    # a block's values are copied, so a kept result does not keep all of flat
+    if order == 1:
+        def value_and_jacobian(x):
+            flat = np.fromiter(point(x), float, size)
+            return flat[:k], flat.take(j_index)
+
+        def values_and_jacobians(X):
+            if not len(X):
+                return np.empty((0, k)), np.empty((0, k, m))
+            flat = block(X)
+            return flat[:, :k].copy(), flat[:, j_index]
+
+        return value_and_jacobian, values_and_jacobians
 
     def jet(x):
         flat = np.fromiter(point(x), float, size)
-        return Jet2(flat[0], flat.take(g_index), flat.take(h_index))
+        return Jet2(flat[0], flat.take(j_index[0]), flat.take(h_index))
 
     def jets(X):
-        flat = block(X)  # the values are copied, so a kept JetBlock does not keep all of flat
-        return JetBlock(flat[:, 0].copy(), flat[:, g_index], flat[:, h_index])
+        flat = block(X)
+        return JetBlock(flat[:, 0].copy(), flat[:, j_index[0]], flat[:, h_index])
 
     return jet, jets
 
 
-def _field(tree, chart, assemble):
+def _field(trees, chart, assemble):
     tracer = _JetTracer(chart)
-    point, block, entries = _emit(tracer, tree, assemble)
+    point, block, entries = _emit(tracer, trees, assemble)
     rows = functools.partial(_rows, block, row=lambda U: np.array([point(U[0].astype(float).tolist())]))
     # the stepper keeps what its text needs, not the tracer and its tables
     return rows, functools.cache(functools.partial(_stepper, list(tracer.inputs.values()), tracer.lines,

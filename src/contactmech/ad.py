@@ -79,7 +79,8 @@ def _rows(kernel, states: np.ndarray, offset: int = 0, row=None):
     as the attribute ``row``), and the others get what float arithmetic gives
     them.  So a kernel that computes each row as ``row`` does gives ``row``'s
     results however the sample is cut, and a one-row block goes to ``row``
-    directly when ``row`` is given.  :class:`JetBlock` parts are joined.
+    directly when ``row`` is given.  A tuple of arrays, a :class:`JetBlock`
+    among them, is joined part by part.
     """
     if states.shape[0] > BLOCK_ROWS:
         return _join([_rows(kernel, states[k : k + BLOCK_ROWS], offset + k, row)
@@ -106,8 +107,9 @@ def _join(parts: list):
     """The results of consecutive row ranges as one result."""
     if len(parts) == 1:
         return parts[0]
-    if parts and isinstance(parts[0], JetBlock):
-        return JetBlock(*map(np.concatenate, zip(*parts)))
+    if parts and isinstance(parts[0], tuple):
+        joined = map(np.concatenate, zip(*parts))
+        return JetBlock(*joined) if isinstance(parts[0], JetBlock) else tuple(joined)
     return np.concatenate(parts)
 
 

@@ -413,21 +413,21 @@ class ScalarField:
         return x.tolist()
 
     # the per-point and block functions of the one trace of each order of the bound
-    # tree, 0 (the value) and 2 (the jet), shared by fields of equal bound trees (see
-    # _tape), fetched on first use of either and kept in the instance dict, outside
-    # the dataclass fields, so == and repr never see them; _tape needs this module
+    # tree, 0 (the value), 1 (value and gradient) and 2 (the jet), shared by fields of
+    # equal bound trees (see _tape), fetched on first use of either and kept in the
+    # instance dict, outside the dataclass fields, so == and repr never see them
 
     @cached_property
     def _jet0_code(self):
-        from . import _tape
+        return _compiled((self._tree,), self.chart, 0)
 
-        return _tape.compile_jet(self._tree, self.chart, 0)
+    @cached_property
+    def _jet1_code(self):
+        return _compiled((self._tree,), self.chart, 1)
 
     @cached_property
     def _jet_code(self):
-        from . import _tape
-
-        return _tape.compile_jet(self._tree, self.chart)
+        return _compiled((self._tree,), self.chart, 2)
 
     def jet_at(self, point) -> Jet2:
         """Value, gradient and Hessian with respect to the chart variables."""
@@ -437,7 +437,7 @@ class ScalarField:
         return self._jet_code[0](x)
 
     def value_at(self, point) -> float:
-        return self._jet0_code[0](self._check_point(point))
+        return self._jet0_code[0](self._check_point(point))[0]
 
     def value_and_gradient_at(self, point):
         jet = self.jet_at(point)
@@ -480,14 +480,40 @@ class ScalarField:
 
     def values_at(self, points) -> np.ndarray:
         """The values (N,) at the rows of ``points``."""
-        block = self._block(points)
-        if block.shape[0] == 0:
-            return np.empty(0)
-        return _rows(self._jet0_code[1], block, row=lambda U: np.array([self.value_at(U[0])], dtype=float))
+        return _rows(lambda U: self._jet0_code[1](U)[:, 0], self._block(points),
+                     row=lambda U: np.array([self.value_at(U[0])], dtype=float))
 
     def value_and_gradient_block(self, points):
-        jets = self.jets_at(points)
-        return jets.value, jets.gradient
+        """Values (N,) and gradients (N, m) at the rows of ``points``, from the
+        order-1 text: the bits of ``jets_at``'s, without a Hessian.  Both arrays
+        are read-only, kept as ``jets_at`` keeps its jets."""
+        block = self._block(points)
+        if block.shape[1] == 0:
+            raise ValueError("a jet needs a nonempty 1-d point")
+
+        def formula():
+            values, gradients = _evaluate(self._jet1_code, 1, block)
+            return values[:, 0], gradients[:, 0]
+
+        return _kept(self, "_gradients_memo", block, formula)
+
+
+def _compiled(trees, chart, order):
+    """``_tape.compile_jet``; _tape needs this module, so it is imported on first use."""
+    from . import _tape
+
+    return _tape.compile_jet(trees, chart, order)
+
+
+def _evaluate(code, order: int, U: np.ndarray):
+    """``code``, the per-point and block functions of ``_tape.compile_jet`` at
+    ``order`` 0 or 1, at the rows of the float block U through ``_rows``, with the
+    per-point function on a row's floats as the row: (N, k) values, or (N, k)
+    values and (N, k, m) Jacobians."""
+    point, block = code
+    if order:
+        return _rows(block, U, row=lambda V: tuple(part[None] for part in point(V[0].tolist())))
+    return _rows(block, U, row=lambda V: np.array([point(V[0].tolist())]))
 
 
 # -- chart naming conventions ------------------------------------------------

@@ -15,16 +15,25 @@ one-row adapters that every class inherits from :class:`_Field` or
 interface, with values compiled on their own; the classes here cover
 quantities that have no closed-form expression tree (pairings with the
 contact form, quotients, lifted momenta).
+
+An :class:`AmbientVectorField` traces its components' trees together: its
+values are one compiled text of order 0 and its values and Jacobian one of
+order 1, the bits of each component's own, run once a block and kept on the
+field for its last block (see :func:`contactmech.ad._kept`).  A block that
+raises raises its first failing row's error, that of the row's first failing
+component.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .ad import DomainError, _rows
-from .expr import ScalarField
+from . import _tape
+from .ad import DomainError, _kept, _rows
+from .expr import ScalarField, _evaluate
 
 __all__ = [
     "AmbientVectorField",
@@ -146,12 +155,27 @@ class AmbientVectorField(_Field):
     def chart(self):
         return self.components[0].chart
 
+    # the per-point and block functions of the components' bound trees traced together,
+    # at order 0 (the values) and 1 (values and Jacobian), kept as ScalarField keeps its own
+
+    @cached_property
+    def _jet0_code(self):
+        return _tape.compile_jet(tuple(c._tree for c in self.components), self.chart, 0)
+
+    @cached_property
+    def _jet1_code(self):
+        return _tape.compile_jet(tuple(c._tree for c in self.components), self.chart, 1)
+
     def value_block(self, U) -> np.ndarray:
-        return np.column_stack([c.values_at(U) for c in self.components])
+        """The values (N, k) at the rows of U, one compiled call for all components."""
+        U = self.components[0]._block(U)
+        return _kept(self, "_values_memo", U, lambda: _evaluate(self._jet0_code, 0, U))
 
     def value_and_jacobian_block(self, U):
-        jets = [c.jets_at(U) for c in self.components]
-        return np.column_stack([j.value for j in jets]), np.stack([j.gradient for j in jets], axis=1)
+        """Values (N, k) and Jacobians (N, k, m) at the rows of U, one compiled call
+        for all components; a row's first failing component raises, rows in order."""
+        U = self.components[0]._block(U)
+        return _kept(self, "_jacobians_memo", U, lambda: _evaluate(self._jet1_code, 1, U))
 
 
 @dataclass(frozen=True)

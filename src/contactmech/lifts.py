@@ -18,8 +18,10 @@ projection to Q.
 Each lift is an :class:`~contactmech.fields.AmbientVectorField` on (q, v, z)
 whose components are expression trees: Y^i, the sum over j of v^j times the
 ``expr.derivative`` tree of dY^i/dq^j, and Z (0 on Q) for the complete lift,
-and 0, Y^i, 0 for the vertical one.  Y^V(L) - Z is one tree too.  So their
-values, Jacobians and gradients are compiled jets like any other field's.
+and 0, Y^i, 0 for the vertical one.  Y^V(L) - Z is one tree too.  A lift's
+values and Jacobian of a block are one call of one compiled text of all its
+components, at order 1 (no Hessian), and its values are the values of that
+call; Y^V(L) - Z's values and gradients are its tree's text of order 1.
 Every sum is taken left to right.  Y and L may bind one parameter name to
 different values, so the trees combined are the fields' bound trees, their
 parameters already replaced by their numbers.  The lifts of Y are built once
@@ -31,8 +33,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
-
-import numpy as np
 
 from .contact_core import TangentValue
 from .expr import (Binary, Num, ScalarField, Var, derivative, free_variables, lagrangian_chart, parse,
@@ -144,8 +144,9 @@ def _lifts(Y) -> tuple:
 
 @dataclass(frozen=True)
 class _Lift(_Field):
-    """A lift of ``base`` as a differentiable ambient field; its values are its
-    components' kept jet values, so each component is traced once."""
+    """A lift of ``base`` as a differentiable ambient field: the ambient field of
+    its component trees, built once per ``base``, whose values and Jacobian of a
+    block come from one compiled call and are kept together."""
 
     base: object  # VectorFieldQ or VectorFieldQR
 
@@ -158,7 +159,7 @@ class _Lift(_Field):
         return lagrangian_chart(self.base.n)
 
     def value_block(self, U):
-        return np.column_stack([c.jets_at(U).value for c in _lifts(self.base)[self._which].components])
+        return self.value_and_jacobian_block(U)[0]
 
     def value_and_jacobian_block(self, U):
         return _lifts(self.base)[self._which].value_and_jacobian_block(U)

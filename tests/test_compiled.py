@@ -357,7 +357,7 @@ def test_the_trace_cache_is_bounded():
     _tape._trace.cache_clear()
     size = _tape._trace.cache_info().maxsize
     for k in range(size + 10):
-        _tape.compile_jet(Num(SPAN, float(k)), (), 0)
+        _tape.compile_jet((Num(SPAN, float(k)),), (), 0)
     info = _tape._trace.cache_info()
     assert info.misses == size + 10 and info.currsize == info.maxsize == size
 
@@ -516,6 +516,187 @@ def test_a_vector_fields_value_is_its_jets_value():
     assert exact_bits(field.value_block(U), field.value_and_jacobian_block(U)[0])
 
 
+# -- a vector field: its components traced together, one text an order ---------------
+
+_VECTOR_CHART = ("x", "y", "z", "u", "v", "w", "s")
+
+
+@st.composite
+def vector_fields(draw):
+    """(chart, components) of 1-7 components on a chart of as many variables: each
+    its own drawn tree, a drawn subtree that several components share (alone, or
+    combined with their own), or a constant; each tree names at most three chart
+    variables, so most Jacobian entries are structural zeros."""
+    k = draw(st.integers(1, 7))
+    chart = _VECTOR_CHART[:k]
+
+    def over_chart(tree):
+        for old, new in zip(CHART, draw(st.lists(st.sampled_from(chart), min_size=3, max_size=3))):
+            tree = _renamed(tree, old, "_" + new)
+        for name in chart:
+            tree = _renamed(tree, "_" + name, name)
+        return tree
+
+    shared = over_chart(draw(trees))
+    components = []
+    for _ in range(k):
+        kind = draw(st.sampled_from(["own", "shared", "with_shared", "constant"]))
+        if kind == "own":
+            components.append(over_chart(draw(trees)))
+        elif kind == "shared":
+            components.append(shared)
+        elif kind == "with_shared":
+            op = draw(st.sampled_from(["add", "sub", "mul", "div", "pow"]))
+            components.append(Binary(SPAN, op, shared, over_chart(draw(trees))))
+        else:
+            components.append(draw(_leaves.filter(lambda leaf: isinstance(leaf, Num))))
+    return chart, tuple(components)
+
+
+def _in_order(fields, point_fn, block):
+    """Each row's results over the fields, rows in order, or the first error: type,
+    message and row, as evaluating the rows one after another, field by field, gives it."""
+    rows = []
+    for r, point in enumerate(block):
+        row = []
+        for field in fields:
+            result, error = _outcome_with_message(getattr(field, point_fn), point)
+            if error is not None:
+                return None, (*error, r)
+            row.append(result)
+        rows.append(row)
+    return rows, None
+
+
+@pytest.mark.agreement
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(drawn=vector_fields(), params=block_params, data=st.data())
+def test_a_vector_field_is_its_components_in_one_text(drawn, params, data):
+    # order 1 gives each component's jet value and gradient, order 0 its value, bit for
+    # bit, on the block and on each row; a failing block raises its first failing row's
+    # first failing component's error, with that row, as evaluating the rows in order does
+    chart, components = drawn
+    parameters = dict(zip(PARAMS, params))
+    row = st.lists(coordinates, min_size=len(chart), max_size=len(chart))
+    block = np.array(data.draw(st.lists(row, min_size=1, max_size=5)), dtype=float)
+    field = AmbientVectorField(tuple(ScalarField(c, chart, parameters) for c in components))
+    fresh = [ScalarField(c, chart, parameters) for c in components]
+
+    got, error = _outcome_with_row(field.value_and_jacobian_block, block)
+    rows, want_error = _in_order(fresh, "jet_at", block)
+    assert error == want_error
+    if want_error is None:
+        jets = [c.jets_at(block) for c in fresh]
+        assert exact_bits(got[0], np.column_stack([j.value for j in jets]))
+        assert exact_bits(got[1], np.stack([j.gradient for j in jets], axis=1))
+        for point, row_jets in zip(block, rows):
+            values, jacobian = field.value_and_jacobian(point)
+            assert exact_bits(values, np.array([j.value for j in row_jets]))
+            assert exact_bits(jacobian, np.array([j.gradient for j in row_jets]))
+    else:
+        assert _outcome_with_message(field.value_and_jacobian, block[want_error[2]]) == (None, want_error[:2])
+
+    got, error = _outcome_with_row(field.value_block, block)
+    rows, want_error = _in_order(fresh, "value_at", block)
+    assert error == want_error
+    if want_error is None:
+        assert exact_bits(got, np.column_stack([c.values_at(block) for c in fresh]))
+        for point, row_values in zip(block, rows):
+            assert exact_bits(field.value(point), np.array(row_values))
+    else:
+        assert _outcome_with_message(field.value, block[want_error[2]]) == (None, want_error[:2])
+
+
+def test_a_vector_field_block_raises_its_first_failing_row():
+    # one text for all components: a block raises as its rows do in order (row-major),
+    # where each component's own block raised in turn before (component-major); here row
+    # 0 divides by zero in the second component, and row 1 leaves log's domain in the first
+    field = AmbientVectorField.from_sources(["log(x)", "1/y"], ("x", "y"))
+    block = np.array([[1.0, 0.0], [-1.0, 1.0]])
+    for evaluate in (field.value_block, field.value_and_jacobian_block):
+        with pytest.raises(DomainError, match=r"^division by zero$") as caught:
+            evaluate(block)
+        assert caught.value.row == 0
+    with pytest.raises(DomainError, match=r"^log requires a positive argument, got -1\.0$") as caught:
+        field.components[0].values_at(block)
+    assert caught.value.row == 1
+
+
+# -- each guard once, and no derivative factor at order 0 ------------------------------
+
+
+@pytest.mark.parametrize("source, x, y, value_message, jet_message", [
+    ("x^1.5", 0.0, 0.5, "non-integer", "non-integer"),
+    ("x^1.5", -1.0, 0.5, "non-integer", "non-integer"),
+    ("x^y", 0.0, 0.5, "non-integer", "non-constant"),
+    ("x^y", -1.0, 0.5, "non-integer", "non-constant"),
+    ("x^y", 0.0, 2.0, None, "non-constant"),  # an integral exponent has a value on any base
+    ("x^y", -1.0, 2.0, None, "non-constant"),
+])
+def test_a_power_guards_its_base_once(source, x, y, value_message, jet_message):
+    # a real or variable power tests its base once, its log's guard being the same
+    # test; the errors, at a point and in row 1 of a block, are what they were
+    from contactmech.contact_core import _assemble_darboux
+
+    field = ScalarField.from_source(source, ("x", "y"))
+    point, block = [x, y], np.array([[1.0, y], [x, y]])
+
+    def message(kind):
+        return f"^power with {kind} exponent requires a positive base, got {x}$"
+
+    for evaluate, kind in ((field.value_at, value_message), (field.jet_at, jet_message)):
+        if kind is None:
+            evaluate(point)
+        else:
+            with pytest.raises(DomainError, match=message(kind)):
+                evaluate(point)
+    for evaluate, kind in ((field.values_at, value_message), (field.jets_at, jet_message),
+                           (field.value_and_gradient_block, jet_message)):
+        if kind is None:
+            evaluate(block)
+        else:
+            with pytest.raises(DomainError, match=message(kind)) as caught:
+                evaluate(block)
+            assert caught.value.row == 1
+    bound = (field._tree,)
+    _tape._trace.cache_clear()
+    texts = _emitted_texts(lambda: [_tape.compile_jet(bound, ("x", "y"), order) for order in (0, 1, 2)]
+                           + [_tape.compile_field(bound[0], ("x", "y", "z"), _assemble_darboux, 1)])
+    assert len(texts) == 4 and all(text.count("x0 <= k0") == 1 for text in texts)
+
+
+def _has_a_zero_exponent(tree, parameters) -> bool:
+    """Whether some power of the tree has an exponent of numbers alone that is 0."""
+    if isinstance(tree, (Num, Var)):
+        return False
+    if not isinstance(tree, Binary):
+        return _has_a_zero_exponent(tree.operand if isinstance(tree, Unary) else tree.arg, parameters)
+    if tree.op == "pow" and not free_variables(tree.right) & set(CHART):
+        if _outcome(ScalarField(tree.right, (), parameters).value_at, ())[0] == 0.0:
+            return True
+    return _has_a_zero_exponent(tree.left, parameters) or _has_a_zero_exponent(tree.right, parameters)
+
+
+@pytest.mark.agreement
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(tree=trees, params=block_params)
+def test_an_order_0_text_traces_only_what_its_value_reads(tree, params):
+    # no derivative factor is traced at order 0, so _live drops no line of a value's
+    # text; what it may drop is a base whose known exponent is 0 (its guards stay),
+    # and the lines of a text that raises on every run
+    parameters = dict(zip(PARAMS, params))
+    assume(not _has_a_zero_exponent(tree, parameters))
+    bound = ScalarField(tree, CHART, parameters)._tree
+    calls = []
+    live = _tape._live
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(_tape, "_live", lambda lines, results: calls.append((list(lines), results)) or live(lines, results))
+        _tape._trace.cache_clear()
+        _tape.compile_jet((bound,), CHART, 0)
+    ((lines, results),) = calls
+    assert not results or live(lines, results) == lines
+
+
 @pytest.mark.parametrize("source, parameters, x, want", [
     ("x + 0", {}, -0.0, lambda x: x + 0.0),
     ("0 - x", {}, 0.0, lambda x: 0.0 - x),
@@ -669,8 +850,7 @@ def test_jets_memo_matches_a_fresh_field(tree, a, b, params):
 def _kept_quantities(tree, component, parameters):
     """The quantities kept next to a block of jets, of one new system L = 0.5*qd1^2 + tree
     and one new field Y whose component is ``component`` over (q1, z): Y^V(L) - Z, and
-    last the complete lift of Y, whose block is assembled anew from its components'
-    kept jets at each call."""
+    the complete lift of Y, whose values and Jacobian are one kept call."""
     from contactmech.lagrangian import LagrangianSystem
     from contactmech.lifts import CompleteLiftField, VectorFieldQR, VerticalMomentumQuantity
 
@@ -688,7 +868,7 @@ def _kept_quantities(tree, component, parameters):
 def test_kept_results_match_fresh_objects(tree, component, a, b, params):
     # blocks A, A, B, A on one system and one lift: each result, error and failing
     # row is that of new objects, and a block asked for again at once is a hit, each
-    # part the kept one (but the complete lift's, which are new stacks)
+    # part the kept one
     parameters = dict(zip(PARAMS, params))
     kept, previous = _kept_quantities(tree, component, parameters), None
     for block in map(np.array, (a, a, b, a)):
@@ -701,7 +881,7 @@ def test_kept_results_match_fresh_objects(tree, component, a, b, params):
                 for part, want_part in zip(*((x if isinstance(x, tuple) else (x,)) for x in (got, want))):
                     assert exact_bits(part, want_part)
         if previous is not None and previous[0] == block.tobytes():
-            for got, before in zip(parts[:-1], previous[1][:-1]):
+            for got, before in zip(parts, previous[1]):
                 assert all(x is y for x, y in zip(got, before, strict=True))
         previous = (block.tobytes(), parts)
 
@@ -846,7 +1026,7 @@ def test_integral_powers_call_no_libm(source):
 
     bound = ScalarField.from_source(source, CHART, {"a": 0.5, "b": -1.5})._tree
     _tape._trace.cache_clear()
-    texts = _emitted_texts(lambda: (_tape.compile_jet(bound, CHART, 0), _tape.compile_jet(bound, CHART),
+    texts = _emitted_texts(lambda: (_tape.compile_jet((bound,), CHART, 0), _tape.compile_jet((bound,), CHART),
                                     _tape.compile_field(bound, CHART, _assemble_darboux, 1)))
     assert len(texts) == 3 and not any("_pow(" in text for text in texts)
 
@@ -873,7 +1053,7 @@ def test_emitted_texts_read_every_pure_local(tree, params):
     bound = ScalarField(tree, CHART, parameters)._tree
     _tape._trace.cache_clear()  # an earlier example may have traced these trees
     texts = _emitted_texts(lambda: (
-        _tape.compile_jet(bound, CHART, 0), _tape.compile_jet(bound, CHART),
+        _tape.compile_jet((bound,), CHART, 0), _tape.compile_jet((bound,), CHART),
         _tape.compile_field(bound, CHART, _assemble_darboux, 1), system._field_code))
     assert len(texts) == 4
     for text in texts:

@@ -234,11 +234,12 @@ class TestEvaluation:
         assert field.describe() == src
 
 
-def _counting_block_code(field) -> list:
-    """Replace the field's block jet code by a spy; returns the rows of each run."""
-    point, code = field._jet_code
+def _counting_block_code(field, name="_jet_code") -> list:
+    """Replace the field's block code of ``name`` (its jets' by default) by a spy;
+    returns the rows of each run."""
+    point, code = getattr(field, name)
     runs = []
-    object.__setattr__(field, "_jet_code", (point, lambda X: runs.append(len(X)) or code(X)))
+    object.__setattr__(field, name, (point, lambda X: runs.append(len(X)) or code(X)))
     return runs
 
 
@@ -412,20 +413,25 @@ class TestKeptResults:
 
     @pytest.mark.parametrize("changed", [0, 1])
     def test_a_lift_hits_after_one_component_evaluated_another_block(self, changed):
-        # one lift of Y evaluates each component's jets once per block: both lifts of Y,
-        # and a new lift object of it, share the component fields, which Y's own
-        # components evaluating another block leave alone
+        # each lift of Y is one text of all its components, run once per distinct block:
+        # a new lift object of Y shares it and its kept values and Jacobian, which a
+        # component's own jets of another block leave alone
         Y, block = VectorFieldQ.from_expressions(2, ["-q2", "q1*q2"]), self.block() + 0.25 * changed + 0.125
         complete, vertical = lifts._lifts(Y)
-        fields = {id(c): c for c in (*complete.components, *vertical.components)}
-        assert len(fields) == 5  # Y^1, Y^2, their two rates and the zero
-        runs = {key: _counting_block_code(c) for key, c in fields.items()}
+        runs = [_counting_block_code(lift, "_jet1_code") for lift in (complete, vertical)]
         first = CompleteLiftField(Y).value_and_jacobian_block(block)
-        VerticalLiftField(Y).value_and_jacobian_block(block)
+        vertical_first = VerticalLiftField(Y).value_and_jacobian_block(block)
         Y.components[changed].jets_at(np.ones((1, 2)))  # that component keeps another block
+        complete.components[changed].jets_at(np.ones((1, 5)))  # and so does the lift's own
         again = CompleteLiftField(Y).value_and_jacobian_block(block)
-        assert _same_bits(again, first) and lifts._lifts(Y) == (complete, vertical)
-        assert all(rows == [4] for rows in runs.values())
+        assert again is first and lifts._lifts(Y) == (complete, vertical)
+        assert CompleteLiftField(Y).value_block(block) is first[0]  # its values are the kept ones
+        assert VerticalLiftField(Y).value_block(block) is vertical_first[0]
+        assert runs == [[4], [4]]
+        CompleteLiftField(Y).value_and_jacobian_block(block[:2])  # another block runs the text again
+        assert runs == [[4, 2], [4]]
+        want = [c.jets_at(block) for c in complete.components]
+        assert _same_bits(first, (np.column_stack([j.value for j in want]), np.stack([j.gradient for j in want], 1)))
 
     @pytest.mark.parametrize("name", ["reeb", "dynamics", "energy", "reeb_rate",
                                       "hamiltonian_dynamics", "vertical_momentum"])
