@@ -480,8 +480,7 @@ class ScalarField:
 
     def values_at(self, points) -> np.ndarray:
         """The values (N,) at the rows of ``points``."""
-        return _rows(lambda U: self._jet0_code[1](U)[:, 0], self._block(points),
-                     row=lambda U: np.array([self.value_at(U[0])], dtype=float))
+        return _evaluate(self._jet0_code, 0, self._block(points))[:, 0]
 
     def value_and_gradient_block(self, points):
         """Values (N,) and gradients (N, m) at the rows of ``points``, from the

@@ -31,9 +31,8 @@ from functools import cached_property
 
 import numpy as np
 
-from . import _tape
 from .ad import DomainError, _kept, _rows
-from .expr import ScalarField, _evaluate
+from .expr import ScalarField, _compiled, _evaluate
 
 __all__ = [
     "AmbientVectorField",
@@ -160,20 +159,27 @@ class AmbientVectorField(_Field):
 
     @cached_property
     def _jet0_code(self):
-        return _tape.compile_jet(tuple(c._tree for c in self.components), self.chart, 0)
+        return _compiled(tuple(c._tree for c in self.components), self.chart, 0)
 
     @cached_property
     def _jet1_code(self):
-        return _tape.compile_jet(tuple(c._tree for c in self.components), self.chart, 1)
+        return _compiled(tuple(c._tree for c in self.components), self.chart, 1)
 
     def value_block(self, U) -> np.ndarray:
-        """The values (N, k) at the rows of U, one compiled call for all components."""
+        """The values (N, k) at the rows of U, one compiled call for all components.
+
+        The array is read-only: the field keeps the values of its last block of
+        at most ``BLOCK_ROWS`` rows and returns that same array when asked for an
+        equal block again (see ``ad._kept``)."""
         U = self.components[0]._block(U)
         return _kept(self, "_values_memo", U, lambda: _evaluate(self._jet0_code, 0, U))
 
     def value_and_jacobian_block(self, U):
         """Values (N, k) and Jacobians (N, k, m) at the rows of U, one compiled call
-        for all components; a row's first failing component raises, rows in order."""
+        for all components; a row's first failing component raises, rows in order.
+
+        Both arrays are read-only, kept for the last block as ``value_block``
+        keeps its values."""
         U = self.components[0]._block(U)
         return _kept(self, "_jacobians_memo", U, lambda: _evaluate(self._jet1_code, 1, U))
 

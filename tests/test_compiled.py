@@ -981,7 +981,8 @@ def test_underflow_keeps_the_block(source, block, monkeypatch):
         raise AssertionError("the block fell back to rows")
 
     monkeypatch.setattr(ScalarField, "jet_at", row)
-    monkeypatch.setattr(ScalarField, "value_at", row)
+    # the order-0 text's per-point function is its row fallback (expr._evaluate)
+    field.__dict__["_jet0_code"] = (lambda point: row(field, point), field._jet0_code[1])
     field.jets_at(np.array(block))
     field.values_at(np.array(block))
 
