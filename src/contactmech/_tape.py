@@ -851,8 +851,8 @@ class FieldWriter:
         self._tracer.lines.append(f"    {statement}")
 
 
-# a top-level line that cannot raise: t = a op b with op one of + - *, or t = -a
-_PURE = re.compile(r"    (t\d+) = (?:-?[tkx]\d+|[tkx]\d+ [-+*] [tkx]\d+)")
+# a line that cannot raise: t = a op b with op one of + - *, or t = -a
+_PURE = re.compile(r" +(t\d+) = (?:-?[tkx]\d+|[tkx]\d+ [-+*] [tkx]\d+)")
 _LOCAL = re.compile(r"\bt\d+\b")
 
 
@@ -860,23 +860,38 @@ def _live(lines: list, results) -> list:
     """The lines that the results need, in order.
 
     Only a pure line (see ``_PURE``) whose local nothing later reads is
-    dropped.  Every other statement is kept whole: a guard, a call that may
-    raise, a branch with its blocks.
+    dropped, inside the arms of a branch too, where an arm left empty is
+    ``pass``.  Every other statement is kept: a guard, a call that may raise,
+    a branch's test.
     """
-    statements = []
+    return _pruned(lines, "    ", set(_LOCAL.findall(" ".join(results))))
+
+
+def _pruned(lines: list, indent: str, live: set) -> list:
+    """The lines at ``indent`` (and the arms within them) that need keeping when
+    ``live`` holds the locals read after them; adds the locals they read to ``live``."""
+    statements = []  # a line, or a branch: its test, an arm, else and the other arm
     for line in lines:
-        if line.startswith("        ") or line.startswith("    else:"):
+        if line.startswith(indent + " ") or line == indent + "else:":
             statements[-1].append(line)
         else:
             statements.append([line])
-    live = set(_LOCAL.findall(" ".join(results)))
     kept = []
     for statement in reversed(statements):
-        pure = _PURE.fullmatch(statement[0]) if len(statement) == 1 else None
-        if pure is not None and pure.group(1) not in live:
-            continue
-        for line in statement:
-            live.update(_LOCAL.findall(line))
+        head = statement[0]
+        if len(statement) > 1:
+            split, after = statement.index(indent + "else:"), set(live)
+            arms = []
+            for arm in (statement[1:split], statement[split + 1 :]):
+                read = set(after)
+                arms.append(_pruned(arm, indent + "    ", read) or [f"{indent}    pass"])
+                live |= read
+            statement = [head, *arms[0], indent + "else:", *arms[1]]
+        else:
+            pure = _PURE.fullmatch(head)
+            if pure is not None and pure.group(1) not in live:
+                continue
+        live.update(_LOCAL.findall(head))
         kept.append(statement)
     return [line for statement in reversed(kept) for line in statement]
 
@@ -919,7 +934,7 @@ def _emit(tracer, trees, assemble):
     return point, block, entries
 
 
-def compile_jet(trees, chart, order: int = 2):
+def compile_jet(trees, chart, order: int = 2, texts=None):
     """The per-point and block functions of the tuple ``trees`` on the chart at ``order``:
 
     - 0: ``(f(x) -> tuple of k values, f(X) -> (N, k) values)``;
@@ -930,9 +945,10 @@ def compile_jet(trees, chart, order: int = 2):
 
     Row k of a block function is the per-point function at row k of X, bit for
     bit, wherever the block does not raise.  Every order traces by the same
-    rules, so an entry has the same bits at each order that computes it."""
+    rules, so an entry has the same bits at each order that computes it.
+    ``texts`` is the repr of each tree, when the caller has it already."""
     trees = tuple(trees)
-    return _trace(order, trees, tuple(chart), repr(trees))
+    return _trace(order, trees, tuple(chart), tuple(map(repr, trees)) if texts is None else tuple(texts))
 
 
 def compile_field(tree, chart, assemble, *args):
@@ -943,16 +959,16 @@ def compile_field(tree, chart, assemble, *args):
     at point k, bit for bit, errors included.  ``stepper(method)`` is its loop
     (:func:`_stepper`), compiled on first use.  ``assemble`` and the hashable
     ``args`` name the field, so systems of equal trees share one trace."""
-    return _trace((assemble, *args), (tree,), tuple(chart), repr((tree,)))
+    return _trace((assemble, *args), (tree,), tuple(chart), (repr(tree),))
 
 
 @functools.lru_cache(maxsize=256)
-def _trace(kind, trees, chart, _text):
+def _trace(kind, trees, chart, _texts):
     """The compiled functions of ``kind``, the order 0, 1 or 2 of a jet or a
     vector field's ``(assemble, *args)``, of a tuple of trees free of parameters
-    on ``chart``, traced once per process for the last 256 keys.  ``_text``, the
-    trees' repr, is in the key because it tells -0.0 from 0.0, which Num nodes
-    compare equal."""
+    on ``chart``, traced once per process for the last 256 keys.  ``_texts``, the
+    repr of each tree, is in the key because it tells -0.0 from 0.0, which Num
+    nodes compare equal."""
     if type(kind) is int:
         return _jet(trees, chart, kind)
     return _field(trees, chart, functools.partial(*kind))

@@ -419,15 +419,20 @@ class ScalarField:
 
     @cached_property
     def _jet0_code(self):
-        return _compiled((self._tree,), self.chart, 0)
+        return _compiled((self,), 0)
 
     @cached_property
     def _jet1_code(self):
-        return _compiled((self._tree,), self.chart, 1)
+        return _compiled((self,), 1)
 
     @cached_property
     def _jet_code(self):
-        return _compiled((self._tree,), self.chart, 2)
+        return _compiled((self,), 2)
+
+    @cached_property
+    def _text(self) -> str:
+        """The repr of the bound tree, which keys its traces with the tree."""
+        return repr(self._tree)
 
     def jet_at(self, point) -> Jet2:
         """Value, gradient and Hessian with respect to the chart variables."""
@@ -497,11 +502,12 @@ class ScalarField:
         return _kept(self, "_gradients_memo", block, formula)
 
 
-def _compiled(trees, chart, order):
-    """``_tape.compile_jet``; _tape needs this module, so it is imported on first use."""
+def _compiled(fields, order):
+    """``_tape.compile_jet`` of the bound trees of ``fields``, scalar fields on one
+    chart, traced together; _tape needs this module, so it is imported on first use."""
     from . import _tape
 
-    return _tape.compile_jet(trees, chart, order)
+    return _tape.compile_jet([f._tree for f in fields], fields[0].chart, order, [f._text for f in fields])
 
 
 def _evaluate(code, order: int, U: np.ndarray):

@@ -159,11 +159,11 @@ class AmbientVectorField(_Field):
 
     @cached_property
     def _jet0_code(self):
-        return _compiled(tuple(c._tree for c in self.components), self.chart, 0)
+        return _compiled(self.components, 0)
 
     @cached_property
     def _jet1_code(self):
-        return _compiled(tuple(c._tree for c in self.components), self.chart, 1)
+        return _compiled(self.components, 1)
 
     def value_block(self, U) -> np.ndarray:
         """The values (N, k) at the rows of U, one compiled call for all components.

@@ -13,11 +13,14 @@ and never fuses a multiply-add, so its stage and update sums equal those of
 numpy arrays.  Each state is written to one (steps+1, dim) array, and the
 stepper returns the step it stopped at with the error or non-finite state
 that stopped it.  The monitors are evaluated after the loop, as one block
-over the states: each monitor's ``values_at`` in one kernel of
-:func:`~contactmech.ad._rows`.  Failures are reported as a loop would report
-them that evaluated the monitors at each state before taking the next step:
-the first failing row (row-major, monitors in dict order) wins over a later
-failing step.
+over the states in one kernel of :func:`~contactmech.ad._rows`, each to the
+order it needs: the monitors that are scalar fields on the chart (the
+user's, and H on the Darboux side) in one call of the order-0 text of their
+trees, and the others, E_L from its own value-only text among them, by their
+own ``values_at``.  Failures are reported as a loop would report them that
+evaluated the monitors at each state before taking the next step: the first
+failing row (row-major, monitors in dict order) wins over a later failing
+step.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .ad import _rows
+from .expr import ScalarField, _compiled
 from .fields import _one_row
 
 __all__ = [
@@ -128,9 +132,11 @@ def integrate_lagrangian(system, ic, cfg: IntegratorConfig) -> Trajectory:
         failure = f"state became non-finite at t={times[done + 1]:g} (step {done + 1}): {np.array(stop)}"
     count = done + 1  # the states written
 
+    kernel = _monitor_kernel(monitors, system.chart)
+
     def recorded(upto: int) -> Trajectory:
         """The trajectory of the first ``upto`` states, with their monitor series."""
-        columns = _rows(lambda U: np.column_stack([q.values_at(U) for q in monitors.values()]), states[:upto])
+        columns = _rows(kernel, states[:upto])
         series = dict(zip(monitors, np.ascontiguousarray(columns.T)))
         return Trajectory(times[:upto], states[:upto], series, system.chart)
 
@@ -148,3 +154,30 @@ def integrate_lagrangian(system, ic, cfg: IntegratorConfig) -> Trajectory:
 
 
 integrate_hamiltonian = integrate_lagrangian
+
+
+def _monitor_kernel(monitors: dict, chart):
+    """The monitor columns at the rows of a block of states, in dict order.
+
+    The monitors that are scalar fields on the chart are one call of the
+    order-0 text of their trees, the text an ``AmbientVectorField`` of them
+    runs: a block's columns, or a row's floats.  Where that call raises, every
+    monitor runs its own ``values_at``, one block each, so a failing block
+    raises what evaluating the monitors one by one raises."""
+    fields = {name: q for name, q in monitors.items() if isinstance(q, ScalarField) and q.chart == chart}
+    if fields:
+        point, block = _compiled(tuple(fields.values()), 0)
+
+    def kernel(U):
+        columns = {}
+        if fields:
+            try:
+                values = block(U) if len(U) != 1 else np.array([point(U[0].tolist())])
+            except (ArithmeticError, ValueError):
+                pass
+            else:
+                columns = dict(zip(fields, values.T))
+        return np.column_stack([columns[name] if name in columns else q.values_at(U)
+                                for name, q in monitors.items()])
+
+    return kernel

@@ -234,6 +234,11 @@ class LagrangianSystem(_VelocityHessians, _System):
         """The emitted Herglotz field: one trace for every system of L's bound tree, n and tolerance."""
         return _tape.compile_field(self.field._tree, self.chart, _assemble_herglotz, self.n, self.regularity_rtol)
 
+    @cached_property
+    def _energy_code(self):
+        """E_L alone, emitted from the trace of L: one trace for every system of L's bound tree and n."""
+        return _tape.compile_field(self.field._tree, self.chart, _assemble_energy, self.n)
+
     # perfbench's tracer wraps these names in this class's own __dict__
     dynamics = _System.dynamics
     dynamics_jacobian = _System.dynamics_jacobian
@@ -260,6 +265,12 @@ def _assemble_herglotz(n: int, regularity_rtol: float, out) -> list:
         for i in range(n)
     ]
     return [*v, *_accelerations(n, regularity_rtol, out, b), value]
+
+
+def _assemble_energy(n: int, out) -> list:
+    """Write E_L = v·dL/dv - L from the jet of L, summed as ``_rowdot`` sums; returns its one entry."""
+    velocities = [out.coordinate(n + i) for i in range(n)]
+    return [out.let(f"{_dot_source(velocities, map(out.gradient, range(n, 2 * n)))} - {out.value()}")]
 
 
 def _accelerations(n: int, regularity_rtol: float, out, b: list) -> list:
@@ -300,6 +311,12 @@ class EnergyQuantity(_Quantity):
 
     def value_and_gradient_block(self, U):
         return self.system.hamiltonian_value_and_gradient_block(U)
+
+    def values_at(self, U) -> np.ndarray:
+        """E_L (N,) at the rows of U from its own text, which reads no Hessian: the
+        bits and errors of ``value_and_gradient_block``'s values, and nothing is kept."""
+        system = self.system
+        return system._energy_code[0](system.field._block(U))[:, 0]
 
     # perfbench's tracer wraps this name in this class's own __dict__
     value_at = _Quantity.value_at
@@ -351,7 +368,7 @@ def herglotz_residual(sys: LagrangianSystem, traj) -> float:
     times = np.asarray(traj.times, dtype=float)
     h = times[1] - times[0]
     n = sys.n
-    G = sys.jets(states).gradient
+    G = sys.lagrangian.value_and_gradient_block(states)[1]
     momenta = G[:, n : 2 * n]
     inner = G[1:-1]
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is inf or NaN, not a warning

@@ -151,7 +151,11 @@ def _series(sys: LagrangianSystem, f, traj, minimum: int):
     if states.shape[0] < minimum:
         raise ValueError(f"trajectory must have at least {minimum} samples")
     h = float(traj.times[1] - traj.times[0])
-    values, rates = _rows(lambda U: np.column_stack([f.values_at(U), sys.jets(U).gradient[:, -1]]), states).T
+
+    def columns(U):  # f and dL/dz, the latter from L's order-1 text
+        return np.column_stack([f.values_at(U), sys.lagrangian.value_and_gradient_block(U)[1][:, -1]])
+
+    values, rates = _rows(columns, states).T
     with np.errstate(over="ignore", invalid="ignore"):
         ode = np.abs((values[2:] - values[:-2]) / (2 * h) - rates[1:-1] * values[1:-1])
         scaled = values * np.exp(-_cumulative_trapezoid(rates, h))

@@ -11,7 +11,7 @@ import weakref
 import numpy as np
 import pytest
 
-from contactmech import _csv, cli
+from contactmech import _csv, _tape, cli
 from contactmech.ad import _rows
 from contactmech.cli import (
     BUILTINS,
@@ -117,6 +117,19 @@ class TestBundledScenarios:
             gc.enable()
         assert alive == [[False, False]]
 
+    def test_a_second_pass_traces_nothing(self, in_tmp):
+        # every text of the bundled scenarios, the monitors' one text among them, is
+        # traced on the first pass; new objects of equal trees find each again in
+        # _trace, which is not full
+        names = ["damped_free_particle.json", "damped_oscillator_rotation.json", "damped_particle_noether.json"]
+        _tape._trace.cache_clear()
+        for _ in range(2):
+            first = _tape._trace.cache_info()
+            for name in names:
+                assert run_scenario(bundled_scenario_path(name)) == 0
+        info = _tape._trace.cache_info()
+        assert info.misses == first.misses and info.hits > first.hits and info.currsize < info.maxsize
+
     @pytest.mark.parametrize(
         "name", ["damped_free_particle.json", "damped_oscillator_rotation.json", "damped_particle_noether.json"]
     )
@@ -131,8 +144,6 @@ class TestBundledScenarios:
 
     def test_a_second_run_compiles_nothing(self, tmp_path, monkeypatch):
         # every trace of the second run is one the first kept, so nothing compiles; its outputs are the first's
-        from contactmech import _tape
-
         compiled, outputs = [], []
 
         def spy(source, filename, mode):

@@ -1010,6 +1010,22 @@ def test_run_time_integral_exponent_over_a_block(monkeypatch):
     assert rows == [[0.7, 0.0, 0.0], [0.7, 0.0, 1.3]]
 
 
+def test_an_order_1_text_prunes_the_arms_of_its_branches():
+    # the exponent 2 + z^3 is known only at run time, so both arms of each branch are
+    # traced; at order 1 the lines that only a Hessian entry reads go from the arms
+    # too, and the value and gradient keep the jet's bits in either arm
+    field = ScalarField.from_source("x^(2 + z^3)", CHART)
+    bound = (field._tree,)
+    _tape._trace.cache_clear()
+    first, second = _emitted_texts(lambda: [_tape.compile_jet(bound, CHART, order) for order in (1, 2)])
+    assert len(first.splitlines()) < len(second.splitlines())
+    block = np.array([[0.7, 0.0, 0.0], [-0.8, 0.9, 0.0], [0.7, 0.5, 0.3], [1.3, -0.2, -1.1]])
+    for rows in (block[:2], block[2:], block, *(block[k : k + 1] for k in range(len(block)))):
+        values, gradients = field.value_and_gradient_block(rows)
+        jets = field.jets_at(rows)
+        assert exact_bits(values, jets.value) and exact_bits(gradients, jets.gradient)
+
+
 def test_block_code_raises_no_power_itself():
     # a power of a chart variable is products, exp and log, or a helper: never Python's ** on a column
     tree = parse("x^2 + x^y + x^1.5 + 2^y + exp(x)")

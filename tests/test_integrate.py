@@ -7,19 +7,34 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from contactmech import _tape
+from contactmech import _tape, integrate
 from contactmech._tape import _RUNTIME
-from contactmech.ad import BLOCK_ROWS
-from contactmech.contact_core import ContactPoint, HamiltonianSystem, HamiltonianVectorField, jacobi_bracket_at
+from contactmech.ad import BLOCK_ROWS, DomainError, _rows
+from contactmech.contact_core import (
+    ContactPoint,
+    HamiltonianSystem,
+    HamiltonianVectorField,
+    _assemble_darboux,
+    jacobi_bracket_at,
+)
 from contactmech.expr import ScalarField, hamiltonian_chart, lagrangian_chart
 from contactmech.fields import _rowdot
 from contactmech.integrate import (
     IntegrationError,
     IntegratorConfig,
+    _monitor_kernel,
     integrate_hamiltonian,
     integrate_lagrangian,
 )
-from contactmech.lagrangian import LagrangianSystem, RegularityError, TQRPoint
+from contactmech.lagrangian import (
+    EnergyQuantity,
+    LagrangianSystem,
+    RegularityError,
+    TQRPoint,
+    _assemble_energy,
+    _assemble_herglotz,
+)
+from contactmech.lifts import VectorFieldQ, VerticalMomentumQuantity
 
 from helpers import (
     damped_oscillator,
@@ -542,6 +557,95 @@ def test_block_monitors_match_the_per_point_series():
             assert series.tobytes() == want.tobytes(), (n, name)
 
 
+# monitors on either chart ({v} is qd or p): each leaves its domain somewhere in the
+# sampled box but the first and the constant, and the last takes the other arm of its
+# branch where z is integral
+_MONITORS = ["q1*{v}{n} - 0.5*z", "log(1.2 + q1)", "1/(0.3 - q{n})", "sqrt(1.5 + {v}1)", "exp(q{n})*sin(z)", "0.7",
+             "(1.5 + q1^2)^z"]
+
+
+def _monitor_outcome(kernel, U):
+    """The monitor columns of ``kernel`` over U through ``_rows``, or the type, message and row of its error."""
+    with np.errstate(all="ignore"):
+        try:
+            return _rows(kernel, U), None
+        except ArithmeticError as exc:
+            return None, (type(exc), str(exc), exc.row)
+
+
+def _one_by_one(monitors):
+    """The monitor columns with each monitor's own ``values_at``, one block each."""
+    return lambda U: np.column_stack([q.values_at(U) for q in monitors.values()])
+
+
+@pytest.mark.agreement
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(kind=_kinds, n=st.integers(1, 3), seed=st.integers(0, 2**16),
+       picks=st.lists(st.integers(0, len(_MONITORS)), min_size=1, max_size=5), place=st.integers(0, 5),
+       rows=st.integers(1, 40), specials=st.lists(st.tuples(st.integers(0, 39), st.integers(0, 6),
+                                                             st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.3, math.nan])),
+                                                  max_size=6))
+def test_the_monitors_in_one_text_are_the_monitors_one_by_one(kind, n, seed, picks, place, rows, specials):
+    # the field monitors, one call of one text, give the columns and the first error,
+    # with its row, of every monitor evaluated by its own values_at in dict order
+    system = _random_system(kind, n, seed, 1e-10)
+    v = "p" if kind == "hamiltonian" else "qd"
+    monitors = {f"m{k}": (VerticalMomentumQuantity(system, VectorFieldQ.from_expressions(n, ["q1"] * n))
+                          if pick == len(_MONITORS) and kind != "hamiltonian" else
+                          ScalarField.from_source(_MONITORS[pick % len(_MONITORS)].format(v=v, n=n), system.chart))
+                for k, pick in enumerate(picks)}
+    items = list(monitors.items())
+    items.insert(place % (len(items) + 1), system.default_monitor())
+    monitors = dict(items)
+    rng = np.random.default_rng(seed)
+    U = rng.uniform(-2.0, 2.0, size=(rows, system.dim))
+    for k, i, x in specials:
+        U[k % rows, i % system.dim] = x
+    got, error = _monitor_outcome(_monitor_kernel(monitors, system.chart), U)
+    want, want_error = _monitor_outcome(_one_by_one(monitors), U)
+    assert error == want_error
+    assert error is not None or exact_bits(got, want)
+
+
+def test_the_first_failing_monitor_in_dict_order_wins():
+    # E_L and a field monitor fail at one row: the one first in dict order raises, as
+    # evaluating the monitors one by one does, though the field monitors are one text
+    system = LagrangianSystem(1, ScalarField.from_source("0.5*qd1^2 - sqrt(q1 + 1)", lagrangian_chart(1)))
+    energy = EnergyQuantity(system)
+    log = ScalarField.from_source("log(q1 + 1)", system.chart)
+    square = ScalarField.from_source("q1^2", system.chart)
+    U = np.array([[0.5, 0.1, 0.0], [0.0, 0.2, 0.0], [-1.5, 0.3, 0.0], [-2.0, 0.0, 0.0]])
+    for monitors, message in [({"square": square, "E_L": energy, "log": log}, "sqrt of a jet requires"),
+                              ({"log": log, "square": square, "E_L": energy}, "log requires")]:
+        for kernel in (_monitor_kernel(monitors, system.chart), _one_by_one(monitors)):
+            with pytest.raises(DomainError, match=message) as failure:
+                _rows(kernel, U)
+            assert failure.value.row == 2
+
+
+def test_a_split_branch_sends_only_its_own_monitor_to_rows(monkeypatch):
+    # the rows take both arms of the power's branch, so the one text cannot run the
+    # block; the monitors then run one by one, and only the power goes row by row
+    system = damped_oscillator(n=1)
+    monitors = {"other": ScalarField.from_source("q1*qd1", system.chart),
+                "power": ScalarField.from_source("(1.5 + q1^2)^z", system.chart)}
+    U = np.array([[0.5, 0.1, 0.0], [0.3, 0.2, 0.7], [-0.4, 0.3, 1.0]])
+    rows = []
+    for name, field in monitors.items():
+        point, block = field._jet0_code
+        field.__dict__["_jet0_code"] = (lambda x, name=name, point=point: rows.append((name, x)) or point(x), block)
+    compiled = integrate._compiled
+
+    def spy(fields, order):
+        point, block = compiled(fields, order)
+        return (lambda x: rows.append(("one text", x)) or point(x)), block
+
+    monkeypatch.setattr(integrate, "_compiled", spy)
+    columns = _rows(_monitor_kernel(monitors, system.chart), U)
+    assert rows == [("power", u) for u in U.tolist()]
+    assert columns.tobytes() == _one_by_one(monitors)(U).tobytes()
+
+
 # -- the emitted stepper ---------------------------------------------------------------
 
 
@@ -614,16 +718,19 @@ class TestEmittedStepper:
 
     def test_each_system_traces_its_field_once(self, monkeypatch):
         # the block field and both steppers come from one trace; new systems and
-        # vector fields on one H reuse it
+        # vector fields on one H reuse it; the E_L monitor's text is one trace per (L, n)
         compiled = []
         field = _tape._field
-        monkeypatch.setattr(_tape, "_field", lambda *args: compiled.append(args) or field(*args))
+        monkeypatch.setattr(_tape, "_field", lambda *args: compiled.append(args[2].func) or field(*args))
         _tape._trace.cache_clear()
         system = damped_oscillator(n=2)
         system.dynamics_block(np.zeros((3, 5)))
         assert system.stepper("rk4") is system.stepper("rk4") and system.stepper("euler") is not None
-        integrate_lagrangian(system, [1.0, 0.0, 0.0, 0.5, 0.0], IntegratorConfig(step=0.1, t_final=1.0))
-        assert len(compiled) == 1
+        for twin in (system, system, damped_oscillator(n=2)):
+            integrate_lagrangian(twin, [1.0, 0.0, 0.0, 0.5, 0.0], IntegratorConfig(step=0.1, t_final=1.0))
+        assert compiled == [_assemble_herglotz, _assemble_energy]
+        integrate_lagrangian(damped_oscillator(n=1), [1.0, 0.5, 0.0], IntegratorConfig(step=0.1, t_final=1.0))
+        assert compiled == [_assemble_herglotz, _assemble_energy] * 2
         chart = hamiltonian_chart(1)
         H = ScalarField.from_source("0.5*p1^2 + 0.5*q1^2 + 0.1*z", chart)
         g = ScalarField.from_source("q1*p1", chart)
@@ -631,7 +738,7 @@ class TestEmittedStepper:
             jacobi_bracket_at(H, g, ContactPoint([0.3], [0.2], 0.1))
         HamiltonianVectorField(H).value(np.array([0.3, 0.2, 0.1]))
         HamiltonianSystem(1, H).stepper("rk4")
-        assert len(compiled) == 2
+        assert compiled.count(_assemble_darboux) == 1 and len(compiled) == 5
 
     def test_constant_degenerate_w_raises_at_the_first_step(self):
         system = LagrangianSystem(2, ScalarField.from_source("0.5*(qd1 + qd2)^2 - q1^2", lagrangian_chart(2)))

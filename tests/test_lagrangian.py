@@ -1,5 +1,6 @@
 """Contact Lagrangian structure: energy, contact form, Reeb field, Herglotz dynamics and its Jacobian."""
 
+import math
 import warnings
 
 import numpy as np
@@ -14,6 +15,7 @@ from contactmech.expr import ScalarField, hamiltonian_chart, lagrangian_chart
 from contactmech.fields import AmbientVectorField, DynamicsVectorField, EtaPairingQuantity, lie_bracket_value
 from contactmech.integrate import IntegratorConfig, integrate_lagrangian
 from contactmech.lagrangian import (
+    EnergyQuantity,
     LagrangianSystem,
     RegularityError,
     TQRPoint,
@@ -473,6 +475,51 @@ def test_lift_trees_match_the_contact_form(n, terms, on_qr, picks, rows, seed):
         for k, u in enumerate(U):
             for got, part in zip(_parts(row(u)), parts, strict=True):
                 assert exact_bits(got, part[k])
+
+
+# terms that leave their domain inside the sampled box, as a Lagrangian may along a run
+_FAILING_TERMS = ["{c}*log(1.5 + q1)*qd{n}^2", "{c}*sqrt(1.5 + q{n})", "{c}*z/(0.5 - qd1)"]
+_SPECIALS = [-2.0, 0.5, 0.0, -0.0, 1e200, math.inf, -math.inf, math.nan]
+
+
+def _energy_outcome(energy):
+    """The values of ``energy()``, or the type, message and row of the error it raised."""
+    with np.errstate(all="ignore"):
+        try:
+            return energy(), None
+        except ArithmeticError as exc:
+            return None, (type(exc), str(exc), getattr(exc, "row", None))
+
+
+@pytest.mark.agreement
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(n=st.integers(1, 3), terms=st.lists(st.tuples(st.sampled_from(_TERMS + _FAILING_TERMS), st.floats(-0.3, 0.3)),
+                                           min_size=1, max_size=5),
+       rows=st.integers(1, 30), specials=st.lists(st.tuples(st.integers(0, 29), st.integers(0, 6),
+                                                             st.sampled_from(_SPECIALS)), max_size=3),
+       seed=st.integers(0, 2**16))
+def test_the_energy_text_gives_the_energy_of_the_jets(n, terms, rows, specials, seed):
+    # E_L's own text, which reads no Hessian, gives the bits of the E_L that the checks
+    # assemble from L's jets, on a block and on each row, and where that fails, the
+    # same error at the same row
+    kinetic = " + ".join(f"qd{i}^2" for i in range(1, n + 1))
+    source = f"0.5*({kinetic})" + "".join(f" + {t.format(c=f'{c:.6f}', n=n)}" for t, c in terms)
+    L = ScalarField.from_source(source, lagrangian_chart(n))
+    U = np.random.default_rng(seed).uniform(-2.0, 2.0, size=(rows, 2 * n + 1))
+    for k, i, x in specials:
+        U[k % rows, i % (2 * n + 1)] = x
+    for block in (U, *(U[k : k + 1] for k in range(rows))):
+        system = LagrangianSystem(n, L)  # a new system keeps nothing yet
+        got, error = _energy_outcome(lambda: EnergyQuantity(system).values_at(block))
+        want, want_error = _energy_outcome(lambda: system.hamiltonian_value_and_gradient_block(block)[0])
+        assert error == want_error
+        assert error is not None or exact_bits(got, want)
+    system = LagrangianSystem(n, L)
+    for u in U:
+        got, error = _energy_outcome(lambda: np.array(EnergyQuantity(system).value_at(u)))
+        want, want_error = _energy_outcome(lambda: np.array(energy_at(system, TQRPoint(u[:n], u[n : 2 * n], u[-1]))))
+        assert error == want_error
+        assert error is not None or exact_bits(got, want)
 
 
 class TestHerglotzJacobian:
