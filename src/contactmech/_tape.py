@@ -16,7 +16,9 @@ and a text has the order of the entries it writes (:func:`compile_jet`):
   upper-Hessian entries of one tree;
 
 and a system's vector field is what its assembler writes from the jet of its
-one tree.  So the k components of a vector field are one text of order 0 and
+one tree, and ``symmetry``'s check kernel what its assembler writes from the
+jets of a tuple of trees, one read for its value alone traced at order 0
+(:func:`compile_field`).  So the k components of a vector field are one text of order 0 and
 one of order 1, and a lift's values and Jacobian are one compiled call.  The
 text runs in two namespaces: over the floats of a point (a list) it gives the
 tuple of entries, over an (N, m) block of points an (N, k) array, which
@@ -71,7 +73,7 @@ into a local once per call.
 
 A tree reaches here free of parameters: a :class:`~contactmech.expr.ScalarField`
 replaces each by its number once, when it is built.  Each trace, of order 0,
-1 or 2 or of a system's vector field, runs once per process for its kind,
+1 or 2 or of an assembler's field, runs once per process for its kind,
 trees and chart (:func:`_trace`, the package's one bounded cache), and its
 text is compiled where it is emitted, a stepper's once per method; so fields
 and systems of equal trees share its functions, and each keeps its own
@@ -527,6 +529,16 @@ class _JetTracer(_Tracer):
         self.variables = {name: _Jet(x, {i: 1.0} if order else {}, {})
                           for i, (name, x) in enumerate(self.inputs.items())}
 
+    def values_of(self, tree):
+        """The trace of ``tree`` at order 0, as its value text traces it, in this
+        tracer's lines and table: its result has the value entry alone."""
+        order, variables = self.order, self.variables
+        self.order, self.variables = 0, {name: _Jet(x, {}, {}) for name, x in self.inputs.items()}
+        try:
+            return self.trace(tree)
+        finally:
+            self.order, self.variables = order, variables
+
     # -- sparse entry arithmetic --------------------------------------------
 
     def _times(self, a, b):
@@ -896,20 +908,21 @@ def _pruned(lines: list, indent: str, live: set) -> list:
     return [line for statement in reversed(kept) for line in statement]
 
 
-def _emit(tracer, trees, assemble):
+def _emit(tracer, trees, assemble, values=()):
     """``(point, block, entries)``: the text of the entries that
     ``assemble(*writers)`` writes from the traced trees, one
     :class:`FieldWriter` a tree, returning their source names (``entries``,
     None when every run raises).  The trees are traced in order by the one
     tracer, so they share its table of right-hand sides, and a guard of a
-    later tree runs after every guard of an earlier one.  Only the lines the
-    entries need are kept (see :func:`_live`), and the text is compiled once,
+    later tree runs after every guard of an earlier one; the trees at the
+    indices ``values`` are traced at order 0, for their value alone.  Only the
+    lines the entries need are kept (see :func:`_live`), and the text is compiled once,
     for both forms.  ``point(x)`` is the tuple of entries at the floats x of a
     point, and ``block(U)`` the (N, k) array of entries at the rows of an (N,
     m) array, taken as floats (the transpose of a C-ordered (k, N) one), row
     k being ``point`` at point k, bit for bit."""
     try:
-        results = [tracer.trace(tree) for tree in trees]
+        results = [tracer.values_of(tree) if i in values else tracer.trace(tree) for i, tree in enumerate(trees)]
     except _Unreachable:
         entries = None
     else:
@@ -951,27 +964,33 @@ def compile_jet(trees, chart, order: int = 2, texts=None):
     return _trace(order, trees, tuple(chart), tuple(map(repr, trees)) if texts is None else tuple(texts))
 
 
-def compile_field(tree, chart, assemble, *args):
-    """``(block, stepper)`` of the vector field that ``assemble(*args, writer)``
-    writes once from the tree's jet (see :func:`_emit`).  ``block(U)`` runs it
-    over the columns of an (N, m) array through :func:`contactmech.ad._rows`,
-    with the float form on the row's floats as its rows, so row k is the field
-    at point k, bit for bit, errors included.  ``stepper(method)`` is its loop
-    (:func:`_stepper`), compiled on first use.  ``assemble`` and the hashable
-    ``args`` name the field, so systems of equal trees share one trace."""
-    return _trace((assemble, *args), (tree,), tuple(chart), (repr(tree),))
+def compile_field(trees, chart, assemble, *args, texts=None, values=()):
+    """``(block, stepper)`` of the vector field that ``assemble(*args, *writers)``
+    writes once from the jets of the tuple ``trees``, one writer a tree, those
+    at the indices ``values`` traced for their value alone (see :func:`_emit`).
+    ``block(U)`` runs it over the columns of an (N, m) array through
+    :func:`contactmech.ad._rows`, with the float form on the row's floats as its
+    rows, so row k is the field at point k, bit for bit, errors included.
+    ``stepper(method)`` is its loop (:func:`_stepper`), compiled on first use.
+    ``assemble``, ``values`` and the hashable ``args`` name the field, so systems
+    of equal trees share one trace.  ``texts`` is the repr of each tree, when
+    the caller has it already."""
+    trees = tuple(trees)
+    texts = tuple(map(repr, trees)) if texts is None else tuple(texts)
+    return _trace((assemble, tuple(values), *args), trees, tuple(chart), texts)
 
 
 @functools.lru_cache(maxsize=256)
 def _trace(kind, trees, chart, _texts):
     """The compiled functions of ``kind``, the order 0, 1 or 2 of a jet or a
-    vector field's ``(assemble, *args)``, of a tuple of trees free of parameters
-    on ``chart``, traced once per process for the last 256 keys.  ``_texts``, the
-    repr of each tree, is in the key because it tells -0.0 from 0.0, which Num
-    nodes compare equal."""
+    vector field's ``(assemble, values, *args)``, of a tuple of trees free of
+    parameters on ``chart``, traced once per process for the last 256 keys.
+    ``_texts``, the repr of each tree, is in the key because it tells -0.0 from
+    0.0, which Num nodes compare equal."""
     if type(kind) is int:
         return _jet(trees, chart, kind)
-    return _field(trees, chart, functools.partial(*kind))
+    assemble, values, *args = kind
+    return _field(trees, chart, functools.partial(assemble, *args), values)
 
 
 def _jet(trees, chart, order):
@@ -1025,9 +1044,9 @@ def _jet(trees, chart, order):
     return jet, jets
 
 
-def _field(trees, chart, assemble):
+def _field(trees, chart, assemble, values=()):
     tracer = _JetTracer(chart)
-    point, block, entries = _emit(tracer, trees, assemble)
+    point, block, entries = _emit(tracer, trees, assemble, values)
     rows = functools.partial(_rows, block, row=lambda U: np.array([point(U[0].astype(float).tolist())]))
     # the stepper keeps what its text needs, not the tracer and its tables
     return rows, functools.cache(functools.partial(_stepper, list(tracer.inputs.values()), tracer.lines,

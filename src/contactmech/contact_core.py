@@ -383,7 +383,8 @@ class HamiltonianVectorField(_Field):
     @cached_property
     def _code(self):
         """The ``(block, stepper)`` of X_f: one trace for every X_f of f's bound tree."""
-        return _tape.compile_field(self.function._tree, self.chart, _assemble_darboux, self.n)
+        return _tape.compile_field((self.function._tree,), self.chart, _assemble_darboux, self.n,
+                                   texts=(self.function._text,))
 
     def value_block(self, U) -> np.ndarray:
         return self._code[0](U)

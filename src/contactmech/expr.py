@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from dataclasses import fields as _fields
 from functools import cached_property
 
 import numpy as np
@@ -76,6 +77,15 @@ MAX_INT_POWER = 1024
 class Node:
     span: tuple[int, int] = field(compare=False, repr=False)
 
+    def __hash__(self) -> int:
+        """The dataclass hash of the compared fields, computed on first use and kept
+        in the instance dict, outside the fields, so a tree is hashed once, not once
+        a lookup; == is the dataclass's, and Num(0.0) == Num(-0.0) hash alike."""
+        cached = self.__dict__.get("_hash")
+        if cached is None:
+            cached = self.__dict__["_hash"] = hash(tuple(getattr(self, name) for name in self._compared))
+        return cached
+
 
 @dataclass(frozen=True)
 class Num(Node):
@@ -104,6 +114,13 @@ class Binary(Node):
 class Call(Node):
     func: str = ""
     arg: Node = None
+
+
+# the generated dataclass hash of each node class gives way to Node's cached one
+for _cls in (Node, Num, Var, Unary, Binary, Call):
+    _cls._compared = tuple(f.name for f in _fields(_cls) if f.compare)
+    _cls.__hash__ = Node.__hash__
+del _cls
 
 
 # -- tokenizer ---------------------------------------------------------------

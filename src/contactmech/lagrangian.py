@@ -232,12 +232,19 @@ class LagrangianSystem(_VelocityHessians, _System):
     @cached_property
     def _field_code(self):
         """The emitted Herglotz field: one trace for every system of L's bound tree, n and tolerance."""
-        return _tape.compile_field(self.field._tree, self.chart, _assemble_herglotz, self.n, self.regularity_rtol)
+        return _tape.compile_field((self.field._tree,), self.chart, _assemble_herglotz, self.n, self.regularity_rtol,
+                                   texts=(self.field._text,))
 
     @cached_property
     def _energy_code(self):
         """E_L alone, emitted from the trace of L: one trace for every system of L's bound tree and n."""
-        return _tape.compile_field(self.field._tree, self.chart, _assemble_energy, self.n)
+        return _tape.compile_field((self.field._tree,), self.chart, _assemble_energy, self.n, texts=(self.field._text,))
+
+    @cached_property
+    def _zero_cartan_data(self) -> tuple:
+        """(0, 0), the Cartan data implied for a candidate on Q: one field, built once per system."""
+        zero = ScalarField.from_source("0", self.chart)
+        return zero, zero
 
     # perfbench's tracer wraps these names in this class's own __dict__
     dynamics = _System.dynamics
@@ -271,6 +278,41 @@ def _assemble_energy(n: int, out) -> list:
     """Write E_L = v·dL/dv - L from the jet of L, summed as ``_rowdot`` sums; returns its one entry."""
     velocities = [out.coordinate(n + i) for i in range(n)]
     return [out.let(f"{_dot_source(velocities, map(out.gradient, range(n, 2 * n)))} - {out.value()}")]
+
+
+# -- the chart of L, written from its jet: the entries of the block methods, in their order
+
+
+def _eta_entries(n: int, out) -> list:
+    """eta_L's 2n + 1 coefficients as ``eta_block`` has them: -dL/dv_i, then 0.0 and 1.0."""
+    zero, one = out.number(0.0), out.number(1.0)
+    return [*(out.let(f"-{out.gradient(n + i)}") for i in range(n)), *[zero] * n, one]
+
+
+def _eta_jacobian_entries(n: int, out) -> list:
+    """d(eta_b)/du^a at [a][b] as ``eta_jacobian_block`` has it: -d2L/dv_b du^a for b < n, else 0.0."""
+    zero, m = out.number(0.0), 2 * n + 1
+    return [[out.let(f"-{out.hessian(n + b, a)}") if b < n else zero for b in range(m)] for a in range(m)]
+
+
+def _reeb_entries(n: int, regularity_rtol: float, out) -> list:
+    """R_L as ``reeb_block`` has it: 0.0, then -x with W x = d2L/dv dz solved by the
+    bound ``_solve``, which tests W's regularity as the block path does, then 1.0."""
+    rule = _VelocityHessians(n, regularity_rtol)
+    solve = out.bind("_solve", rule._solve_one, rule._solve_columns)
+    W = out.pack(out.pack(out.hessian(n + i, n + j) for j in range(n)) for i in range(n))
+    x = out.names(n)
+    out.line(f"{out.pack(x)} = {solve}({W}, {out.pack(out.hessian(n + i, 2 * n) for i in range(n))})")
+    return [*[out.number(0.0)] * n, *(out.let(f"-{s}") for s in x), out.number(1.0)]
+
+
+def _energy_gradient_entries(n: int, out) -> list:
+    """dE_L as ``hamiltonian_value_and_gradient_block`` has it: v·d2L/dv du^b - dL/du^b,
+    plus dL/dv_b again in the velocity entries."""
+    v = [out.coordinate(n + i) for i in range(n)]
+    grad = [out.let(f"{_dot_source(v, (out.hessian(n + i, b) for i in range(n)))} - {out.gradient(b)}")
+            for b in range(2 * n + 1)]
+    return [out.let(f"{s} + {out.gradient(b)}") if n <= b < 2 * n else s for b, s in enumerate(grad)]
 
 
 def _accelerations(n: int, regularity_rtol: float, out, b: list) -> list:

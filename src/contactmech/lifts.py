@@ -204,6 +204,18 @@ vertical_lift_QR = vertical_lift_Q
 complete_lift_QR = complete_lift_Q
 
 
+def _momentum(L, Y) -> ScalarField:
+    """Y^V(L) - Z as one field of L's chart, built once per Y for its last system L."""
+    kept = Y.__dict__.get("_momentum")
+    if kept is None or kept[0] is not L:
+        terms = [(y._tree, p._tree) for y, p in zip(Y.components, L._momentum_fields)]
+        tree = _sum(Binary(y.span, "mul", y, p) for y, p in terms)
+        if Y.z_dependent:
+            tree = Binary(tree.span, "sub", tree, Y.z_component._tree)
+        kept = Y.__dict__["_momentum"] = (L, ScalarField(tree, L.chart))
+    return kept[1]
+
+
 @dataclass(frozen=True)
 class VerticalMomentumQuantity(_Quantity):
     """The quantity Y^V(L) - Z on (q, v, z), built directly from Y and L.
@@ -228,15 +240,7 @@ class VerticalMomentumQuantity(_Quantity):
         return self.system.chart
 
     def value_and_gradient_block(self, U):
-        Y, L = self.base, self.system
-        kept = Y.__dict__.get("_momentum")
-        if kept is None or kept[0] is not L:
-            terms = [(y._tree, p._tree) for y, p in zip(Y.components, L._momentum_fields)]
-            tree = _sum(Binary(y.span, "mul", y, p) for y, p in terms)
-            if Y.z_dependent:
-                tree = Binary(tree.span, "sub", tree, Y.z_component._tree)
-            kept = Y.__dict__["_momentum"] = (L, ScalarField(tree, L.chart))
-        return kept[1].value_and_gradient_block(U)
+        return _momentum(self.system, self.base).value_and_gradient_block(U)
 
     # perfbench's tracer wraps these names in this class's own __dict__
     value_at = _Quantity.value_at

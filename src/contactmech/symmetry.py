@@ -18,21 +18,31 @@ Herglotz Jacobian.  ``classify`` returns the one record of a candidate, a
 ``SymmetryReport``: each class's residual and pass, the tolerance, the most
 specific passing class, the quantity f it dissipates and, given a
 trajectory, f at each state with its dissipation check along it.
+
+The residuals are one emitted text per (system, candidate), the check kernel
+(:func:`_assemble_check`): traced once per process from the trees of L, of the
+complete lift's components, of Y^V(L) - Z and of the Cartan data, it writes
+the signed rows of every class residual and the dissipation identity of each
+quantity the report can pick, and ``classify`` runs it once a block.  Its
+entries are the products and sums of ``contact_core``'s chart-generic checks,
+in their order and with their structural zeros, so each residual has their
+bits; the four class functions read their own columns of it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import contact_core
+from . import _tape, contact_core
 from .ad import _rows
-from .contact_core import CartanSymmetryCheck, ResidualCheck, _as_states, _on_chart, _worst_rows
+from .contact_core import CartanSymmetryCheck, ResidualCheck, _as_states, _on_chart
 from .expr import ScalarField
-from .fields import LinearCombinationQuantity, _rowdot
-from .lagrangian import LagrangianSystem
-from .lifts import CompleteLiftField, VectorFieldQ, VectorFieldQR, VerticalMomentumQuantity
+from .fields import EtaPairingQuantity, LinearCombinationQuantity, _dot_source
+from .lagrangian import (LagrangianSystem, _assemble_energy, _assemble_herglotz, _energy_gradient_entries,
+                         _eta_entries, _eta_jacobian_entries, _reeb_entries)
+from .lifts import CompleteLiftField, VectorFieldQ, VectorFieldQR, VerticalMomentumQuantity, _lifts, _momentum
 
 __all__ = [
     "TOL_EXACT",
@@ -69,16 +79,97 @@ class SymmetryCandidate:
             raise ValueError(f"a {self.kind} candidate needs a {expected.__name__}")
 
 
+# -- the check kernel: every class residual and dissipation identity in one text ---------
+
+
+def _assemble_check(n: int, regularity_rtol: float, out, *outs) -> list:
+    """Write the signed columns that ``classify`` reduces from the jets of L
+    (``out``), of the complete lift's 2n + 1 components, of f = Y^V(L) - Z and,
+    given Cartan data, of a (its value) and g; returns them: Y^C(L),
+    Y^C(L) + R_L(f) L, the dissipation identity of -eta_L(Y^C) (the Lie
+    residual) and of f, then given Cartan data the 2n + 1 components of
+    L_{Y^C} eta_L - a eta_L - dg, Y^C(E_L) - a E_L - g R_L(E_L) and the identity
+    of the Noether quantity -(eta_L(Y^C) - g).
+
+    Each entry is what the array path computes, product by product, with its
+    structural zeros: eta_L, d(eta_L), R_L, E_L and dE_L as L's chart writes
+    them (:mod:`contactmech.lagrangian`), the Herglotz field as the system's own
+    text, each sum left to right as ``_rowdot`` takes it, and the quantities
+    -eta_L(Y^C) and eta_L(Y^C) - g as ``LinearCombinationQuantity`` sums them.
+    """
+    m = 2 * n + 1
+    lift, f, cartan = outs[:m], outs[m], outs[m + 1 :]
+
+    def dot(a, b):  # a local of the sum _rowdot takes, left to right
+        return out.let(_dot_source(a, b))
+
+    zero, one, minus = out.number(0.0), out.number(1.0), out.number(-1.0)
+    X = [c.value() for c in lift]
+    J = [[c.gradient(b) for b in range(m)] for c in lift]
+    eta, D = _eta_entries(n, out), _eta_jacobian_entries(n, out)
+    R = _reeb_entries(n, regularity_rtol, out)
+    dynamics = _assemble_herglotz(n, regularity_rtol, out)
+    energy, denergy = _assemble_energy(n, out)[0], _energy_gradient_entries(n, out)
+    rate = dot(denergy, R)  # R_L(E_L)
+
+    def dissipation(value, grad):  # {E_L, q} = xi_L(q) + R_L(E_L) q, as _dissipation_rows writes it
+        return out.let(f"{dot(grad, dynamics)} + {rate} * {value}")
+
+    def column_pairing(rows, b):  # the sum over a of rows[a] * J[a][b]
+        return dot(rows, (J[a][b] for a in range(m)))
+
+    plain = dot(map(out.gradient, range(m)), X)
+    f_value, f_grad = f.value(), [f.gradient(b) for b in range(m)]
+    generalized = out.let(f"{plain} + {dot(f_grad, R)} * {out.value()}")
+    # eta_L(Y^C) and its gradient, as EtaPairingQuantity has them
+    pairing = dot(eta, X)
+    pairing_grad = [out.let(f"{dot(D[b], X)} + {column_pairing(eta, b)}") for b in range(m)]
+    lie = dissipation(out.let(f"{zero} + {minus} * {pairing}"), [out.let(f"{minus} * {s}") for s in pairing_grad])
+    columns = [plain, generalized, lie, dissipation(f_value, f_grad)]
+    if cartan:
+        a, g = cartan[0].value(), cartan[1]
+        g_value, g_grad = g.value(), [g.gradient(b) for b in range(m)]
+        for b in range(m):  # (L_{Y^C} eta_L)_b - a eta_b - dg_b
+            lie_b = out.let(f"{dot(X, (D[c][b] for c in range(m)))} + {column_pairing(eta, b)}")
+            columns.append(out.let(f"{lie_b} - {a} * {eta[b]} - {g_grad[b]}"))
+        columns.append(out.let(f"{dot(denergy, X)} - {a} * {energy} - {g_value} * {rate}"))
+        # the Noether quantity -(eta_L(Y^C) - g), each combination from 0.0
+        value = out.let(f"{out.let(f'{zero} + {one} * {pairing}')} + {minus} * {g_value}")
+        grad = [out.let(f"{out.let(f'{one} * {s}')} + {minus} * {t}") for s, t in zip(pairing_grad, g_grad)]
+        columns.append(dissipation(out.let(f"{zero} + {minus} * {value}"), [out.let(f"{minus} * {s}") for s in grad]))
+    return columns
+
+
+def _worst_columns(sys: LagrangianSystem, Y, cartan_data, points) -> np.ndarray:
+    """The largest |entry| of each column of the check kernel over the sample,
+    NaN wherever one is NaN: one ``_rows`` call of the kernel's block text.
+
+    The kernel is traced once per process for each L, Y and Cartan data (a, g),
+    its trees keyed in the order the array path reads them; a is traced at
+    order 0, as ``a.values_at`` reads it.  A failing sample raises its first
+    failing row's error; within a row, a domain error of a tree, in that
+    order, precedes a regularity error of W."""
+    lift = CompleteLiftField(Y)
+    data = () if cartan_data is None else tuple(cartan_data)
+    _on_chart(sys.chart, lift, *data)
+    states = _as_states(points, sys.dim)
+    fields = (sys.field, *_lifts(Y)[0].components, _momentum(sys, Y), *data)
+    m = sys.dim
+    rows, _ = _tape.compile_field([f._tree for f in fields], sys.chart, _assemble_check, sys.n, sys.regularity_rtol,
+                                  texts=[f._text for f in fields], values=(m + 2,) if data else ())
+    return np.max(np.abs(rows(states)), axis=0)
+
+
+def _cartan_check(worst, Y, sys, g, tol) -> CartanSymmetryCheck:
+    """The Noether columns of ``worst`` as the check of Y^C with the quantity Y^V(L) - Z + g."""
+    form, energy = float(np.max(worst[4 : 4 + sys.dim])), float(worst[4 + sys.dim])
+    noether = LinearCombinationQuantity(((1.0, EtaPairingQuantity(sys, CompleteLiftField(Y))), (-1.0, g)))
+    return CartanSymmetryCheck(form, energy, LinearCombinationQuantity(((-1.0, noether),)), tol)
+
+
 def infinitesimal_symmetry_residual(sys: LagrangianSystem, Y, points) -> float:
     """max |Y^C(L)| over the sample."""
-    lift = CompleteLiftField(Y)
-    _on_chart(sys.chart, lift)
-    states = _as_states(points, sys.dim)
-
-    def kernel(U):
-        return np.abs(_rowdot(sys.jets(U).gradient, lift.value_block(U)))
-
-    return float(_worst_rows(kernel, states))
+    return float(_worst_columns(sys, Y, None, points)[0])
 
 
 def dissipated_for_infinitesimal(sys: LagrangianSystem, Y: VectorFieldQ):
@@ -90,18 +181,7 @@ def generalized_symmetry_residual(
     sys: LagrangianSystem, Y, points, *, tol=TOL_EXACT
 ) -> ResidualCheck:
     """max |Y^C(L) + R_L(f) L| over the sample, with f = Y^V(L) - Z."""
-    states = _as_states(points, sys.dim)
-    lift = CompleteLiftField(Y)
-    dissipated = VerticalMomentumQuantity(sys, Y)
-
-    def kernel(U):
-        jets = sys.jets(U)
-        lifted_rate = _rowdot(jets.gradient, lift.value_block(U))
-        _, fgrad = dissipated.value_and_gradient_block(U)
-        reeb_of_f = _rowdot(fgrad, sys.reeb_block(U))
-        return np.abs(lifted_rate + reeb_of_f * jets.value)
-
-    return ResidualCheck(float(_worst_rows(kernel, states)), dissipated, tol)
+    return ResidualCheck(float(_worst_columns(sys, Y, None, points)[1]), VerticalMomentumQuantity(sys, Y), tol)
 
 
 def noether_symmetry_check(
@@ -109,18 +189,14 @@ def noether_symmetry_check(
 ) -> CartanSymmetryCheck:
     """Cartan check of Y^C on (TQ x R, eta_L, E_L); f = Y^V(L) - Z + g, the
     negated Cartan quantity eta_L(Y^C) - g, since Y^V(L) - Z = -eta_L(Y^C)."""
-    cartan = contact_core.check_cartan_symmetry(
-        sys, CompleteLiftField(Y), a, g, points, tol=tol
-    )
-    return replace(cartan, dissipated=LinearCombinationQuantity(((-1.0, cartan.dissipated),)))
+    return _cartan_check(_worst_columns(sys, Y, (a, g), points), Y, sys, g, tol)
 
 
 def lie_symmetry_residual(
     sys: LagrangianSystem, Y, points, *, tol=TOL_EXACT
 ) -> ResidualCheck:
     """max |eta_L([xi_L, Y^C])| over the sample, as the dissipation residual of -eta_L(Y^C)."""
-    check = contact_core.check_dynamical_symmetry(sys, CompleteLiftField(Y), points, tol=tol)
-    return replace(check, dissipated=VerticalMomentumQuantity(sys, Y))
+    return ResidualCheck(float(_worst_columns(sys, Y, None, points)[2]), VerticalMomentumQuantity(sys, Y), tol)
 
 
 @dataclass(frozen=True)
@@ -251,33 +327,29 @@ def classify(
     """
     states = _as_states(points, sys.dim)
     Y = candidate.field
+    cartan_data = candidate.cartan_data
+    if cartan_data is None and candidate.kind == "on_Q":
+        cartan_data = sys._zero_cartan_data
+    worst = _worst_columns(sys, Y, cartan_data, states)
+    plain, generalized, lie, momentum_rate = map(float, worst[:4])
     report = SymmetryReport(name=candidate.name, kind=candidate.kind, tolerance=tol_exact)
     report.sample = {"count": int(states.shape[0])}
 
     # class -> (residual, pass, dissipated quantity), in _CLASS_ORDER
+    momentum = VerticalMomentumQuantity(sys, Y)
     table = {}
-    plain = infinitesimal_symmetry_residual(sys, Y, states)
     if candidate.kind == "on_Q":
-        table["infinitesimal"] = (plain, plain <= tol_exact, VerticalMomentumQuantity(sys, Y))
+        table["infinitesimal"] = (plain, plain <= tol_exact, momentum)
     else:
         # a Q x R field is never classified "infinitesimal"; report an honest
         # fail when plain invariance breaks, leave it untested otherwise
         table["infinitesimal"] = (plain, None if plain <= tol_exact else False, None)
-
-    generalized = generalized_symmetry_residual(sys, Y, states, tol=tol_exact)
-    table["generalized"] = (generalized.residual, generalized.passed, generalized.dissipated)
-
-    cartan_data = candidate.cartan_data
-    if cartan_data is None and candidate.kind == "on_Q":
-        zero = ScalarField.from_source("0", sys.chart)
-        cartan_data = (zero, zero)
+    table["generalized"] = (generalized, generalized <= tol_exact, momentum)
     table["noether"] = (None, None, None)
     if cartan_data is not None:
-        noether = noether_symmetry_check(sys, Y, cartan_data[0], cartan_data[1], states, tol=tol_exact)
+        noether = _cartan_check(worst, Y, sys, cartan_data[1], tol_exact)
         table["noether"] = (noether.residual, noether.passed, noether.dissipated)
-
-    lie = lie_symmetry_residual(sys, Y, states, tol=tol_exact)
-    table["lie"] = (lie.residual, lie.passed, lie.dissipated)
+    table["lie"] = (lie, lie <= tol_exact, momentum)
 
     for cls, (residual, passed, quantity) in table.items():
         report.residuals[cls] = residual
@@ -286,13 +358,12 @@ def classify(
             report.classification = cls
             report.dissipated = quantity
     if report.dissipated is None:
-        report.dissipated = generalized.dissipated
+        report.dissipated = momentum
     report.dissipated_description = _describe_quantity(
         candidate, report.classification or "generalized"
     )
-    report.dissipation_residual = contact_core.dissipation_residual(
-        sys, report.dissipated, states
-    )
+    # the identity of the Noether quantity is the kernel's last column
+    report.dissipation_residual = float(worst[-1]) if report.classification == "noether" else momentum_rate
     if traj is not None:
         report.trajectory = dissipation_check_along_trajectory(sys, report.dissipated, traj)
     return report

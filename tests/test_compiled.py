@@ -661,7 +661,7 @@ def test_a_power_guards_its_base_once(source, x, y, value_message, jet_message):
     bound = (field._tree,)
     _tape._trace.cache_clear()
     texts = _emitted_texts(lambda: [_tape.compile_jet(bound, ("x", "y"), order) for order in (0, 1, 2)]
-                           + [_tape.compile_field(bound[0], ("x", "y", "z"), _assemble_darboux, 1)])
+                           + [_tape.compile_field(bound, ("x", "y", "z"), _assemble_darboux, 1)])
     assert len(texts) == 4 and all(text.count("x0 <= k0") == 1 for text in texts)
 
 
@@ -1044,7 +1044,7 @@ def test_integral_powers_call_no_libm(source):
     bound = ScalarField.from_source(source, CHART, {"a": 0.5, "b": -1.5})._tree
     _tape._trace.cache_clear()
     texts = _emitted_texts(lambda: (_tape.compile_jet((bound,), CHART, 0), _tape.compile_jet((bound,), CHART),
-                                    _tape.compile_field(bound, CHART, _assemble_darboux, 1)))
+                                    _tape.compile_field((bound,), CHART, _assemble_darboux, 1)))
     assert len(texts) == 3 and not any("_pow(" in text for text in texts)
 
 
@@ -1071,7 +1071,7 @@ def test_emitted_texts_read_every_pure_local(tree, params):
     _tape._trace.cache_clear()  # an earlier example may have traced these trees
     texts = _emitted_texts(lambda: (
         _tape.compile_jet((bound,), CHART, 0), _tape.compile_jet((bound,), CHART),
-        _tape.compile_field(bound, CHART, _assemble_darboux, 1), system._field_code))
+        _tape.compile_field((bound,), CHART, _assemble_darboux, 1), system._field_code))
     assert len(texts) == 4
     for text in texts:
         lines = text.splitlines()

@@ -10,6 +10,7 @@ from contactmech.expr import (
     MAX_INT_POWER,
     Binary,
     Call,
+    Node,
     Num,
     ParseError,
     ScalarField,
@@ -483,3 +484,25 @@ class TestKeptResults:
         got = (*system.hamiltonian_value_and_gradient_block(block), system.reeb_block(block),
                system.dynamics_block(block))
         assert _same_bits(got, want) and energy == want[0][0]
+
+
+def test_a_tree_is_hashed_once():
+    # a node keeps its hash outside its fields: a second hash of a deep tree reaches no
+    # child node (each child below is made unhashable after the first); == and hash keep
+    # the dataclass's meaning, Num(0.0) == Num(-0.0) included
+    tree = parse(" + ".join(f"x*{k}" for k in range(300)))
+    first = hash(tree)
+    assert first == hash(parse(" + ".join(f"x*{k}" for k in range(300)))) and tree == parse(to_source(tree))
+    stack = [tree.left, tree.right]
+    while stack:
+        node = stack.pop()
+        stack += [getattr(node, name) for name in node._compared if isinstance(getattr(node, name), Node)]
+        node.__dict__.pop("_hash", None)
+        object.__setattr__(node, "_compared", ("unhashable",))
+        object.__setattr__(node, "unhashable", [])
+    assert hash(tree) == first
+    with pytest.raises(TypeError):
+        hash(tree.right)
+    span = (0, 0)
+    assert Num(span, 0.0) == Num(span, -0.0) and hash(Num(span, 0.0)) == hash(Num(span, -0.0))
+    assert hash(Binary(span, "add", Var(span, "x"), Num(span, 1.0))) == hash(("add", Var(span, "x"), Num(span, 1.0)))

@@ -5,15 +5,22 @@ import math
 import numpy as np
 import pytest
 
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from contactmech import _tape, ad
 from contactmech import contact_core as cc
-from contactmech.ad import _rows
-from contactmech.expr import ScalarField
+from contactmech.ad import DomainError, _rows
+from contactmech.expr import ScalarField, lagrangian_chart
+from contactmech.fields import LinearCombinationQuantity, _rowdot
 from contactmech.integrate import IntegratorConfig, integrate_lagrangian
-from contactmech.lagrangian import LagrangianSystem, TQRPoint
-from contactmech.lifts import CompleteLiftField, VectorFieldQ, VectorFieldQR
+from contactmech.lagrangian import LagrangianSystem, RegularityError, TQRPoint, _VelocityHessians
+from contactmech.lifts import CompleteLiftField, VectorFieldQ, VectorFieldQR, VerticalMomentumQuantity
 from contactmech.sampling import regular_states
 from contactmech.symmetry import (
     SymmetryCandidate,
+    _assemble_check,
+    _worst_columns,
     classify,
     dissipated_for_infinitesimal,
     dissipation_check_along_trajectory,
@@ -24,7 +31,7 @@ from contactmech.symmetry import (
     noether_symmetry_check,
 )
 
-from helpers import damped_oscillator, free_particle
+from helpers import damped_oscillator, exact_bits, free_particle
 
 RNG = np.random.default_rng(99)
 
@@ -342,7 +349,7 @@ class TestClassify:
         from contactmech import _tape
 
         compiled = []
-        for name in ("jet",):
+        for name in ("jet", "field"):
             original = getattr(_tape, f"_{name}")
 
             def counting(*args, _original=original, _name=name):
@@ -359,11 +366,13 @@ class TestClassify:
         compiled.clear()
         classify(sys, candidate, points)
         classify(sys, candidate, points)
-        assert compiled == []  # ... and never again, the implied Cartan data included
+        assert compiled == []  # ... and never again, the implied Cartan data and the check kernel included
 
     @pytest.mark.parametrize("check", ["classify", "structure_checks"])
     def test_a_check_evaluates_each_block_of_jets_once(self, check, monkeypatch):
-        # the residuals of one check share L's jets: its block code runs once a distinct block
+        # the residuals of the structure checks share L's kept jets: its block code runs
+        # once a distinct block; classify's residuals are one check kernel, whose block
+        # code runs once a distinct block, and it evaluates no jets of L outside it
         from types import SimpleNamespace
 
         from contactmech.cli import _structure_checks
@@ -372,7 +381,7 @@ class TestClassify:
         points = points_for(sys, 100)
         L = sys.field
         point, code = L._jet_code
-        blocks, requests = [], []
+        blocks, requests, kernel = [], [], []
         object.__setattr__(L, "_jet_code", (point, lambda X: blocks.append(X.tobytes()) or code(X)))
         jets_at = ScalarField.jets_at
 
@@ -383,28 +392,44 @@ class TestClassify:
 
         monkeypatch.setattr(ScalarField, "jets_at", spy)
         if check == "classify":
+            emit = _tape._emit
+
+            def counting(tracer, trees, assemble, values=()):
+                point, block, entries = emit(tracer, trees, assemble, values)
+                if assemble.func is _assemble_check:
+                    return point, lambda U: kernel.append(U.tobytes()) or block(U), entries
+                return point, block, entries
+
+            monkeypatch.setattr(_tape, "_emit", counting)
+            monkeypatch.setattr(ad, "BLOCK_ROWS", 30)
+            _tape._trace.cache_clear()
             rotation = VectorFieldQ.from_expressions(2, ["-q2", "q1"])
             classify(sys, SymmetryCandidate("rotation", "on_Q", rotation), points)
+            assert len(kernel) == len(set(kernel)) == 4  # 100 rows in blocks of 30
+            assert blocks == [] and requests == []
         else:
             _structure_checks(SimpleNamespace(system=sys, kind="lagrangian"), points, 1.0)
-        assert blocks and len(blocks) == len(set(blocks))
-        assert len(requests) > len(blocks)
+            assert blocks and len(blocks) == len(set(blocks))
+            assert len(requests) > len(blocks)
 
     def test_a_classify_solves_each_block_once(self, monkeypatch):
-        # the Reeb field is kept next to L's kept jets: one solve a distinct (W, rhs) block
-        sys = damped_oscillator()
+        # the check kernel solves W once for R_L and once for the Herglotz field a block,
+        # by the bound solve of the block path: each distinct (W, rhs) once
+        sys = LagrangianSystem(2, ScalarField.from_source(
+            "0.5*(1 + q1^2)*qd1^2 + 0.5*qd2^2 - 0.5*(q1^2 + q2^2) - 0.1*z", lagrangian_chart(2)))
         points = points_for(sys, 100)
         solves = []
-        solve = LagrangianSystem._solve_velocity_hessian_block
+        solve = _VelocityHessians._solve_velocity_hessian_block
 
         def spy(self, W, rhs):
             solves.append((W.tobytes(), rhs.tobytes()))
             return solve(self, W, rhs)
 
-        monkeypatch.setattr(LagrangianSystem, "_solve_velocity_hessian_block", spy)
+        monkeypatch.setattr(_VelocityHessians, "_solve_velocity_hessian_block", spy)
+        monkeypatch.setattr(ad, "BLOCK_ROWS", 30)
         rotation = VectorFieldQ.from_expressions(2, ["-q2", "q1"])
         classify(sys, SymmetryCandidate("rotation", "on_Q", rotation), points)
-        assert solves and len(solves) == len(set(solves))
+        assert len(solves) == len(set(solves)) == 2 * 4
 
     def test_implication_chain_on_infinitesimal_symmetries(self):
         # infinitesimal pass -> noether(0,0) pass -> lie pass
@@ -447,3 +472,163 @@ class TestHamiltonianFieldRemark:
         )
         assert result.is_conformal
         np.testing.assert_allclose(result.a_values, 2.0, atol=1e-10)
+
+
+# -- the check kernel against the array path -------------------------------------------
+
+# terms of L over n degrees of freedom with a coefficient c: couplings of v to z and q,
+# velocity Hessians that vary (qd^3), and terms that leave their domain in the box
+_L_TERMS = ["{c}*q1*q{n}", "{c}*z*qd1 + {c}*z^2*qd{n}", "{c}*qd{n}^3", "{c}*sin(q{n})*qd1*z",
+            "{c}*exp(0.5*q1)*qd{n}^2", "{c}*log(1.5 + q1)*qd{n}^2", "{c}*z/(0.5 - qd1)"]
+_Y_COMPONENTS = ["1", "-q{n}", "{c}*q{j}^2", "sin(q{j}) - {c}", "{c}*sqrt(1.5 + q1)"]
+_YZ_COMPONENTS = ["{c}*z*q{j}", "{c}*cos(z)*q{n} - q{j}"]
+# a is read for its value alone: sqrt(q1^2) has no jet at q1 = 0, and a power
+# with a variable exponent is traced as a constant one
+_A_SOURCES = ["0", "{c}", "{c}*q1*qd1 - z", "sqrt(q1^2)", "(2.5 + q1)^qd{n}"]
+_G_SOURCES = ["0", "{c}*q1", "{c}/(0.5 - qd{n})", "{c}*qd1^2*z"]
+_SPECIALS = [0.0, -0.0, 1.0, 2.0, 0.5, 1e200, math.inf, math.nan]
+
+
+def _outcome(compute):
+    """``compute()``, or the type, message and row of the error it raised."""
+    with np.errstate(all="ignore"):
+        try:
+            return compute(), None
+        except (ArithmeticError, np.linalg.LinAlgError) as exc:
+            return None, (type(exc), str(exc), getattr(exc, "row", None))
+
+
+def _array_checks(n, L, Y, data):
+    """The residuals ``classify`` reduces, by the array path, each a function of a
+    block on a new system: copies of the two kernels the check kernel replaced, and
+    contact_core's checks, as ``classify`` ran them."""
+    def new():
+        system = LagrangianSystem(n, L)
+        return system, CompleteLiftField(Y), VerticalMomentumQuantity(system, Y)
+
+    def plain(U):
+        system, lift, _ = new()
+        return cc._worst_rows(lambda V: np.abs(_rowdot(system.jets(V).gradient, lift.value_block(V))), U)
+
+    def generalized(U):
+        system, lift, momentum = new()
+
+        def kernel(V):
+            jets = system.jets(V)
+            lifted_rate = _rowdot(jets.gradient, lift.value_block(V))
+            reeb_of_f = _rowdot(momentum.value_and_gradient_block(V)[1], system.reeb_block(V))
+            return np.abs(lifted_rate + reeb_of_f * jets.value)
+
+        return cc._worst_rows(kernel, U)
+
+    def lie(U):
+        system, lift, _ = new()
+        return cc.check_dynamical_symmetry(system, lift, U).residual
+
+    def rate(U):
+        system, _, momentum = new()
+        return cc.dissipation_residual(system, momentum, U)
+
+    def cartan(U):
+        system, lift, _ = new()
+        check = cc.check_cartan_symmetry(system, lift, *data, U)
+        noether = LinearCombinationQuantity(((-1.0, check.dissipated),))
+        return check.residual_form, check.residual_energy, cc.dissipation_residual(system, noether, U)
+
+    return [plain, generalized, lie, rate, *([cartan] if data else [])]
+
+
+@pytest.mark.agreement
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(n=st.integers(1, 3), varying=st.booleans(),
+       terms=st.lists(st.tuples(st.sampled_from(_L_TERMS), st.floats(-0.3, 0.3)), max_size=3),
+       on_qr=st.booleans(), picks=st.lists(st.integers(0, 6), min_size=3, max_size=3),
+       cartan=st.one_of(st.none(), st.tuples(st.sampled_from(_A_SOURCES), st.sampled_from(_G_SOURCES))),
+       rows=st.integers(1, 20), specials=st.lists(st.tuples(st.integers(0, 19), st.integers(0, 6),
+                                                            st.sampled_from(_SPECIALS)), max_size=4),
+       seed=st.integers(0, 2**16))
+def test_the_check_kernel_is_the_array_path(n, varying, terms, on_qr, picks, cartan, rows, specials, seed):
+    # each column's largest |entry| is the array path's residual, bit for bit, at every
+    # BLOCK_ROWS; where the array path fails on some row, the kernel raises at its
+    # first failing row one of the errors the array path raises on that row
+    rng = np.random.default_rng(seed)
+    coefficient = lambda: f"{rng.uniform(-1, 1):.6f}"  # noqa: E731
+    kinetic = " + ".join(f"qd{i}^2" for i in range(1, n + 1))
+    source = f"0.5*{'(1 + 0.2*q1^2)*' if varying else ''}({kinetic}) - 0.1*z" + "".join(
+        f" + {t.format(c=f'{c:.6f}', n=n)}" for t, c in terms)
+    L = ScalarField.from_source(source, lagrangian_chart(n))
+    shapes = _Y_COMPONENTS + _YZ_COMPONENTS if on_qr else _Y_COMPONENTS
+    components = [shapes[k % len(shapes)].format(c=coefficient(), j=i, n=n) for i, k in zip(range(1, n + 1), picks)]
+    Y = (VectorFieldQR.from_expressions(n, components, "0.5*z - 0.1*z^2") if on_qr
+         else VectorFieldQ.from_expressions(n, components))
+    data = None if cartan is None else tuple(
+        ScalarField.from_source(s.format(c=coefficient(), n=n), L.chart) for s in cartan)
+    U = rng.uniform(-2.0, 2.0, size=(rows, 2 * n + 1))
+    for k, i, x in specials:
+        U[k % rows, i % (2 * n + 1)] = x
+    checks = _array_checks(n, L, Y, data)
+    want, want_error = _outcome(lambda: np.hstack([check(U) for check in checks]))
+    if want_error is not None:  # the array path's errors at its first failing row
+        failing = [[e for e in (_outcome(lambda: check(U[k : k + 1]))[1] for check in checks) if e]
+                   for k in range(rows)]
+        first = next(k for k, errors in enumerate(failing) if errors)
+    default = ad.BLOCK_ROWS
+    try:
+        for ad.BLOCK_ROWS in (1, 7, default):
+            worst, error = _outcome(lambda: _worst_columns(LagrangianSystem(n, L), Y, data, U))
+            if want_error is None:
+                assert error is None
+                got = [*worst[:4], *([np.max(worst[4 : 5 + 2 * n]), worst[5 + 2 * n], worst[-1]] if data else [])]
+                assert exact_bits(np.array(got), want)
+            else:
+                assert error is not None and error[2] == first
+                assert error[:2] in [e[:2] for e in failing[first]]
+    finally:
+        ad.BLOCK_ROWS = default
+
+
+def test_the_kernel_reads_a_as_its_value_text_does():
+    # sqrt(q1^2) has no jet at q1 = 0 but a value, 0; the kernel traces a at order 0, as
+    # a.values_at reads it, so its Cartan residuals are check_cartan_symmetry's, bit for bit
+    L = ScalarField.from_source("0.5*qd1^2 - 0.5*q1^2 - 0.1*z", lagrangian_chart(1))
+    Y = VectorFieldQ.from_expressions(1, ["q1"])
+    g = ScalarField.from_source("0.3*q1*z", L.chart)
+    U = np.array([[0.0, 2.0, 0.1], [0.7, 2.0, -0.3], [-1.1, 1.0, 0.5]])
+    for source in ("sqrt(q1^2)", "(2.5 + q1)^qd1"):
+        a = ScalarField.from_source(source, L.chart)
+        got = noether_symmetry_check(LagrangianSystem(1, L), Y, a, g, U)
+        want = cc.check_cartan_symmetry(LagrangianSystem(1, L), CompleteLiftField(Y), a, g, U)
+        assert exact_bits(np.array([got.residual_form, got.residual_energy]),
+                          np.array([want.residual_form, want.residual_energy]))
+
+
+class TestCheckKernelErrors:
+    def test_a_block_raises_its_first_failing_row(self):
+        # a lift that fails at row 2 and a degenerate W at row 1: each residual of the array
+        # path raised its own first failing row, the plain residual first; the one kernel
+        # raises row 1's error, rows in order
+        L = ScalarField.from_source("0.5*qd1^2 - qd1^3/6 - 0.1*z", lagrangian_chart(1))  # w = 1 - qd1
+        Y = VectorFieldQ.from_expressions(1, ["sqrt(q1)"])
+        U = np.array([[1.0, 0.0, 0.0], [1.0, 1.0, 0.0], [-1.0, 0.0, 0.0]])
+        candidate = SymmetryCandidate("root", "on_Q", Y)
+        with pytest.raises(RegularityError, match="^velocity Hessian 0 is degenerate$") as caught:
+            classify(LagrangianSystem(1, L), candidate, U)
+        assert caught.value.row == 1
+        with pytest.raises(DomainError, match="^sqrt") as caught:
+            _array_checks(1, L, Y, None)[0](U)  # the plain residual, as the array path had it
+        assert caught.value.row == 2
+
+    def test_within_a_row_the_trees_fail_before_the_solve(self):
+        # at a row where a fails and W is degenerate, the array path solved W first (in
+        # the generalized residual) and raised RegularityError; the kernel traces every
+        # tree first, so a's DomainError comes first
+        L = ScalarField.from_source("0.5*qd1^2 - qd1^3/6 - 0.1*z", lagrangian_chart(1))
+        a = ScalarField.from_source("log(q1)", L.chart)
+        zero = ScalarField.from_source("0", L.chart)
+        candidate = SymmetryCandidate("shift", "on_Q", VectorFieldQ.from_expressions(1, ["1"]), (a, zero))
+        with pytest.raises(DomainError, match="^log requires a positive argument") as caught:
+            classify(LagrangianSystem(1, L), candidate, np.array([[1.0, 0.0, 0.0], [-1.0, 1.0, 0.0]]))
+        assert caught.value.row == 1
+        with pytest.raises(RegularityError):
+            cc.check_dynamical_symmetry(LagrangianSystem(1, L), CompleteLiftField(candidate.field),
+                                        np.array([[-1.0, 1.0, 0.0]]))
