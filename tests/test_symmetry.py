@@ -4,7 +4,6 @@ import math
 
 import numpy as np
 import pytest
-
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -346,8 +345,6 @@ class TestClassify:
         assert math.isnan(report.dissipation_residual)
 
     def test_repeated_classify_compiles_nothing(self, monkeypatch):
-        from contactmech import _tape
-
         compiled = []
         for name in ("jet", "field"):
             original = getattr(_tape, f"_{name}")
